@@ -1,13 +1,20 @@
 """Buchberger Groebner engine, multivariate division, and syzygy modules.
 
 The polynomial engine works on raw term dictionaries for speed; the module
-engine works on dictionaries keyed by (position, exponent tuple).  Pair
-management uses Gebauer-Moeller elimination in the polynomial case.  Reduced
-bases are monic, interreduced, and sorted, hence canonical for (ideal, order).
-"""
+engine works on dictionaries keyed by (position, exponent tuple).  Buchberger
+keeps the basis as term dicts beside their leading monomials, which the
+reductions, the pair pruning and the final interreduction reuse, and it keeps
+its S-pairs in a heap keyed by the order key of each pair's lcm, computed
+once when the pair is made; the order's memoised keys serve every
+comparison.  The public `spolynomial`, called once per processed pair, still
+finds both leads and their lcm itself.  Pairs are pruned by the
+Gebauer-Moeller criteria.  Reduced bases are monic, interreduced, and sorted,
+hence canonical for (ideal, order)."""
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 from .errors import BoundExceededError, RingMismatchError
@@ -29,7 +36,11 @@ DEFAULT_MAX_PAIRS = 500_000
 
 
 def _reduce_terms(fterms: dict, basis_terms, basis_lts, order: MonomialOrder, char: int):
-    """Full normal form of a term dict against (basis_terms, basis_lts)."""
+    """Full normal form of a term dict against (basis_terms, basis_lts).
+
+    The remainder's terms are inserted in descending order, so its first key
+    is its leading monomial.
+    """
     rem: dict = {}
     work = dict(fterms)
     key = order.key
@@ -51,19 +62,24 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, order: MonomialOrder, ch
             factor = c * pow(glc, char - 2, char) % char
         else:
             factor = c / glc
-        shift = mono_div(m, glt)
-        for gm, gc in g.items():
-            if gm == glt:
-                continue
-            t = mono_mul(gm, shift)
-            s = work.get(t, 0) - factor * gc
-            if char:
-                s %= char
-            if s:
-                work[t] = s
-            else:
-                work.pop(t, None)
+        _sub_multiple(work, factor, mono_div(m, glt), g, char, skip=glt)
     return rem
+
+
+def _sub_multiple(target: dict, factor, shift, terms: dict, char: int, skip=None):
+    """target -= factor * shift * terms, in place, leaving out the term `skip`
+    of `terms` (a lead that the caller has already cancelled)."""
+    for m, c in terms.items():
+        if m == skip:
+            continue
+        t = mono_mul(m, shift)
+        s = target.get(t, 0) - factor * c
+        if char:
+            s %= char
+        if s:
+            target[t] = s
+        else:
+            target.pop(t, None)
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
@@ -105,79 +121,69 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
             factor = c / glc
         shift = mono_div(m, glt)
         quot[shift] = quot.get(shift, 0) + factor
-        for gm, gc in g.terms.items():
-            if gm == glt:
-                continue
-            t = mono_mul(gm, shift)
-            s = work.get(t, 0) - factor * gc
-            if char:
-                s %= char
-            if s:
-                work[t] = s
-            else:
-                work.pop(t, None)
+        _sub_multiple(work, factor, shift, g.terms, char, skip=glt)
     return Polynomial(f.ring, quot)
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    if f.ring != g.ring:
+        raise RingMismatchError(f"rings differ: {f.ring.variables} vs {g.ring.variables}")
+    rng = f.ring
+    char = rng.characteristic
     flt, flc = f.leading(order)
     glt, glc = g.leading(order)
     l = mono_lcm(flt, glt)
-    mf = Polynomial.from_monomial(f.ring, mono_div(l, flt), f.ring.coeff_inv(flc))
-    mg = Polynomial.from_monomial(g.ring, mono_div(l, glt), g.ring.coeff_inv(glc))
-    return mf * f - mg * g
+    shift = mono_div(l, flt)
+    out = _scaled({mono_mul(m, shift): c for m, c in f.terms.items()}, rng.coeff_inv(flc), char)
+    _sub_multiple(out, rng.coeff_inv(glc), mono_div(l, glt), g.terms, char)
+    return Polynomial(rng, out, normalize=False)
+
+
+def _scaled(terms: dict, scale, char: int) -> dict:
+    """scale * terms for a nonzero field element; terms itself when scale is 1."""
+    if scale == 1:
+        return terms
+    if char:
+        return {m: c * scale % char for m, c in terms.items()}
+    return {m: c * scale for m, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
 # Buchberger with Gebauer-Moeller pair elimination
 
 
-def _update_pairs(G_lts, pairs, new_index, order):
-    """Gebauer-Moeller update: prune old pairs against the new element and
-    build the surviving new pairs."""
-    t = new_index
-    lt_t = G_lts[t]
-    lcm = mono_lcm
+def _update_pairs(lts, pairs, key, seq):
+    """Gebauer-Moeller update for the newest lead lts[-1].
 
-    candidates = [(i, t) for i in range(t)]
-    # chain criterion among the new pairs
-    kept = []
-    for i, _ in candidates:
-        l_it = lcm(G_lts[i], lt_t)
-        redundant = False
-        for j, _ in candidates:
-            if j == i:
-                continue
-            l_jt = lcm(G_lts[j], lt_t)
-            if l_jt != l_it and mono_divides(l_jt, l_it):
-                redundant = True
-                break
-        if not redundant:
-            kept.append((i, t, l_it))
-    # among equal lcms keep one representative; drop coprime pairs (product criterion)
-    seen = {}
-    final_new = []
-    for i, tt, l in kept:
-        if mono_coprime(G_lts[i], lt_t):
-            seen.setdefault(l, None)  # recorded so equal-lcm mates are dropped too
+    `pairs` is a heap of (key(lcm), seq, i, j, lcm); `seq` counts pushes, so
+    pairs with one lcm leave in the order they came.  Old pairs are pruned
+    against their stored lcm; each lcm(lt_i, lt_new) is computed once.
+    Updates `pairs` in place.
+    """
+    t = len(lts) - 1
+    lt_t = lts[t]
+    lcms = [mono_lcm(lt, lt_t) for lt in lts[:t]]
+    # criterion B: lt_t strictly divides the lcm of an old pair
+    before = len(pairs)
+    pairs[:] = [
+        p for p in pairs
+        if not (mono_divides(lt_t, p[4]) and lcms[p[2]] != p[4] and lcms[p[3]] != p[4])
+    ]
+    if len(pairs) < before:
+        heapq.heapify(pairs)
+    # new pairs: chain criterion M drops an lcm that another new pair's lcm
+    # strictly divides; of the pairs sharing an lcm the first is kept, and
+    # none when any of them is coprime (Gebauer-Moeller criterion F with the
+    # product criterion)
+    distinct = set(lcms)
+    done = {l for lt, l in zip(lts, lcms) if mono_coprime(lt, lt_t)}
+    for i, l in enumerate(lcms):
+        if l in done:
             continue
-        if l in seen:
+        done.add(l)
+        if any(o != l and mono_divides(o, l) for o in distinct):
             continue
-        seen[l] = (i, tt)
-        final_new.append((i, tt))
-    # prune existing pairs whose lcm is strictly divisible by lt_t
-    surviving = []
-    for i, j in pairs:
-        l_ij = lcm(G_lts[i], G_lts[j])
-        if (
-            mono_divides(lt_t, l_ij)
-            and lcm(G_lts[i], lt_t) != l_ij
-            and lcm(G_lts[j], lt_t) != l_ij
-        ):
-            continue
-        surviving.append((i, j))
-    surviving.extend(final_new)
-    return surviving
+        heapq.heappush(pairs, (key(l), next(seq), i, t, l))
 
 
 def buchberger(
@@ -199,69 +205,59 @@ def buchberger(
         if g.ring != rng:
             raise RingMismatchError("buchberger over mixed rings")
 
-    G = [g.monic(order) for g in gens]
-    G_lts = [g.leading(order)[0] for g in G]
+    key = order.key
+    G, bt, lts = [], [], []
     pairs: list = []
-    for t in range(len(G)):
-        pairs = _update_pairs(G_lts[: t + 1], pairs, t, order)
+    seq = itertools.count()
+
+    def add(terms, lt):
+        G.append(Polynomial(rng, terms, normalize=False))
+        bt.append(terms)
+        lts.append(lt)
+        _update_pairs(lts, pairs, key, seq)
+
+    for g in gens:
+        lt = max(g.terms, key=key)
+        add(_scaled(g.terms, rng.coeff_inv(g.terms[lt]), char), lt)
 
     processed = 0
-    key = order.key
     while pairs:
         # normal selection: smallest lcm in the active order
-        best = min(range(len(pairs)), key=lambda k: key(mono_lcm(G_lts[pairs[k][0]], G_lts[pairs[k][1]])))
-        i, j = pairs.pop(best)
+        _, _, i, j, _ = heapq.heappop(pairs)
         processed += 1
         if processed > max_pairs:
             raise BoundExceededError(f"pair bound {max_pairs} exceeded")
         s = spolynomial(G[i], G[j], order)
-        bt = [g.terms for g in G]
-        rem = _reduce_terms(s.terms, bt, G_lts, order, char)
-        if not rem:
-            continue
-        h = Polynomial(rng, rem, normalize=False).monic(order)
-        G.append(h)
-        G_lts.append(h.leading(order)[0])
-        pairs = _update_pairs(G_lts, pairs, len(G) - 1, order)
+        rem = _reduce_terms(s.terms, bt, lts, order, char)
+        if rem:
+            lt = next(iter(rem))
+            add(_scaled(rem, rng.coeff_inv(rem[lt]), char), lt)
 
-    return _reduce_groebner(G, order)
+    return _reduce_groebner(bt, lts, rng, order)
 
 
-def _reduce_groebner(G, order: MonomialOrder) -> list:
-    """Minimalize then fully interreduce a Groebner basis; canonical output."""
-    if not G:
-        return []
-    rng = G[0].ring
+def _reduce_groebner(terms, lts, rng, order: MonomialOrder) -> list:
+    """Minimalize then fully interreduce a monic Groebner basis, given as
+    term dicts with their leading monomials; canonical output."""
     char = rng.characteristic
-    lts = [g.leading(order)[0] for g in G]
     keep = []
     for i, lt in enumerate(lts):
         if any(
             j != i and mono_divides(lts[j], lt) and (lts[j] != lt or j < i)
-            for j in range(len(G))
+            for j in range(len(lts))
         ):
             continue
         keep.append(i)
-    minimal = [G[i] for i in keep]
+    keep.sort(key=lambda i: order.key(lts[i]))
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        bt = [h.terms for h in others]
-        blts = [h.leading(order)[0] for h in others]
-        rem = _reduce_terms(g.terms, bt, blts, order, char)
-        if rem:
-            reduced.append(Polynomial(rng, rem, normalize=False).monic(order))
-    reduced.sort(key=lambda h: order.key(h.leading(order)[0]))
+    for i in keep:
+        # no other minimal lead divides lts[i], so the remainder keeps it,
+        # with coefficient 1: it is monic already
+        others = [j for j in keep if j != i]
+        rem = _reduce_terms(terms[i], [terms[j] for j in others], [lts[j] for j in others],
+                            order, char)
+        reduced.append(Polynomial(rng, rem, normalize=False))
     return reduced
-
-
-def is_groebner_reduced(G, order: MonomialOrder) -> bool:
-    lts = [g.leading(order)[0] for g in G]
-    for i, g in enumerate(G):
-        for m in g.terms:
-            if any(j != i and mono_divides(lts[j], m) for j in range(len(G))):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +269,6 @@ class ModuleVector:
     """Element of a free module R^r, stored componentwise."""
 
     components: tuple
-    order: str = "top"  # preferred schedule: term-over-position or position-over-term
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -294,23 +289,6 @@ class ModuleVector:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
-
-    def dot(self, polys) -> Polynomial:
-        """Contract against a list of polynomials: sum components[i] * polys[i]."""
-        out = Polynomial.zero(self.ring)
-        for c, p in zip(self.components, polys):
-            out = out + c * p
-        return out
-
-    def dot_vectors(self, vectors: "list[ModuleVector]") -> "ModuleVector":
-        """Contract against module vectors: sum components[i] * vectors[i]."""
-        rank = vectors[0].rank
-        rng = self.ring
-        acc = [Polynomial.zero(rng) for _ in range(rank)]
-        for c, v in zip(self.components, vectors):
-            for k in range(rank):
-                acc[k] = acc[k] + c * v.components[k]
-        return ModuleVector(tuple(acc))
 
     def to_dict(self) -> dict:
         out = {}
@@ -422,13 +400,7 @@ def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX
     for v in vecs:
         d = v.to_dict()
         lt = max(d, key=key)
-        lc = d[lt]
-        inv = rng.coeff_inv(lc)
-        if char:
-            d = {t: (c * inv) % char for t, c in d.items()}
-        else:
-            d = {t: c * inv for t, c in d.items()}
-        basis.append(d)
+        basis.append(_scaled(d, rng.coeff_inv(d[lt]), char))
         lts.append(lt)
 
     pairs = [
@@ -470,14 +442,8 @@ def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX
         if not rem:
             continue
         lt = max(rem, key=key)
-        lc = rem[lt]
-        inv = rng.coeff_inv(lc)
-        if char:
-            rem = {t: (c * inv) % char for t, c in rem.items()}
-        else:
-            rem = {t: c * inv for t, c in rem.items()}
         new_idx = len(basis)
-        basis.append(rem)
+        basis.append(_scaled(rem, rng.coeff_inv(rem[lt]), char))
         lts.append(lt)
         for i2 in range(new_idx):
             if lts[i2][0] == lt[0]:
@@ -503,12 +469,7 @@ def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX
         rem = _mod_reduce(d, others, olts, morder, char)
         if rem:
             lt = max(rem, key=key)
-            inv = rng.coeff_inv(rem[lt])
-            if char:
-                rem = {t: (c * inv) % char for t, c in rem.items()}
-            else:
-                rem = {t: c * inv for t, c in rem.items()}
-            out.append(rem)
+            out.append(_scaled(rem, rng.coeff_inv(rem[lt]), char))
     out.sort(key=lambda d: key(max(d, key=key)), reverse=True)
     return [ModuleVector.from_dict(rng, rank, d) for d in out]
 

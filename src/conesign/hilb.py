@@ -10,6 +10,7 @@ module level for Quot schemes of a free module (rank r >= 1).
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -199,12 +200,21 @@ def _scan_worker(boxes) -> int:
     return tangent_dimension_hilb(monomial_ideal_of(p)).tangent_dim
 
 
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Pool size for `tasks` scan tasks: `jobs`, clamped to the cores and
+    the tasks, so a large request never starts more processes than can run."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+
+
 def parity_scan(n: int, jobs: int = 1, bound: int = 8) -> ScanSummary:
     """Tangent dimensions and parity over every monomial ideal of colength n."""
     parts = enumerate_plane_partitions(n, bound=bound)
     payloads = [tuple(p.sorted_boxes()) for p in parts]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             dims = list(pool.map(_scan_worker, payloads))
     else:
         dims = [_scan_worker(b) for b in payloads]

@@ -46,6 +46,15 @@ class IdealPresentation:
         self.generators = gens
         self._gb_cache = {}
 
+    @classmethod
+    def from_reduced_basis(cls, rng: RingDescriptor, basis) -> "IdealPresentation":
+        """The ideal generated by `basis`, which must be the reduced degrevlex
+        Groebner basis as `gb()` returns it; nothing checks this.  The basis
+        is cached, so no Buchberger run repeats it."""
+        I = cls(rng, basis)
+        I._gb_cache[degrevlex(rng).signature()] = I.generators
+        return I
+
     def _order(self, order: MonomialOrder | None) -> MonomialOrder:
         return order if order is not None else degrevlex(self.ring)
 
@@ -691,7 +700,7 @@ def minimal_primes(I: IdealPresentation) -> list:
         status = "certified" if verdict[0] == "prime" else "undecided"
         # canonical presentation: downstream cone computations and JSON
         # output both key off the generator list
-        found[sig] = (IdealPresentation(K.ring, K.gb()), status)
+        found[sig] = (IdealPresentation.from_reduced_basis(K.ring, K.gb()), status)
 
     # keep the ideals minimal under inclusion
     entries = list(found.values())
@@ -766,18 +775,3 @@ def multiplicity_along(I: IdealPresentation, P: IdealPresentation,
         raise ArithmeticError("degree ratio is not an integer")
     return degJ // degP
 
-
-def zero_dim_multiplicity(I: IdealPresentation, P: IdealPresentation,
-                          other_primes) -> int:
-    """Colength-ratio multiplicity for isolated points; test cross-check."""
-    J = I
-    for Q in other_primes:
-        pick = None
-        for g in Q.generators:
-            if not P.contains(g):
-                pick = g
-                break
-        if pick is None:
-            raise ValueError("component list contains nested primes")
-        J = saturate(J, pick)
-    return colength(J) // colength(P)

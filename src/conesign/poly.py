@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
 from .errors import (
     PolynomialSyntaxError,
@@ -96,21 +97,21 @@ def ring(text: str, characteristic: int = 0) -> RingDescriptor:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Mono) -> int:
@@ -125,15 +126,50 @@ def mono_coprime(a: Mono, b: Mono) -> bool:
 # monomial orders
 
 
+class _KeyMemo(dict):
+    """Sort keys of one order, each computed once; a hit is a plain dict lookup."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, expts):
+        k = self[expts] = self._compute(expts)
+        return k
+
+
+def _key_function(kind: str, perm: tuple, block: int):
+    """Uncached sort key of an order: bigger key = bigger monomial."""
+    if kind == "lex":
+        return lambda expts: tuple(expts[i] for i in perm)
+    if kind == "degrevlex":
+        rev = perm[::-1]
+        return lambda expts: (sum(expts), tuple(-expts[i] for i in rev))
+    # elimination block order: degrevlex on the leading block, then the rest
+    head, tail = perm[:block][::-1], perm[block:][::-1]
+    return lambda expts: (
+        sum(expts[i] for i in head),
+        tuple(-expts[i] for i in head),
+        sum(expts[i] for i in tail),
+        tuple(-expts[i] for i in tail),
+    )
+
+
 class MonomialOrder:
     """Total multiplicative well-order on exponent tuples.
 
     kind: 'degrevlex' | 'lex' | 'block'.  `perm` lists variable indices in
     priority order; `block` is the size of the leading block for elimination
     orders (compared degrevlex-first so the block's variables dominate).
+
+    `key(expts)` is the sort key (bigger key = bigger monomial).  Keys are
+    memoised per order instance, so an order kept for a whole computation
+    computes each monomial's key once.
     """
 
-    __slots__ = ("kind", "perm", "block", "_n")
+    __slots__ = ("kind", "perm", "block", "key")
 
     def __init__(self, kind: str, perm: tuple, block: int = 0):
         if kind not in ("degrevlex", "lex", "block"):
@@ -141,28 +177,10 @@ class MonomialOrder:
         self.kind = kind
         self.perm = perm
         self.block = block
-        self._n = len(perm)
+        self.key = _KeyMemo(_key_function(kind, tuple(perm), block)).__getitem__
 
     def signature(self) -> tuple:
         return (self.kind, self.perm, self.block)
-
-    def key(self, expts: Mono):
-        """Sort key: bigger key = bigger monomial."""
-        p = self.perm
-        if self.kind == "lex":
-            return tuple(expts[i] for i in p)
-        if self.kind == "degrevlex":
-            v = [expts[i] for i in p]
-            return (sum(v), tuple(-e for e in reversed(v)))
-        # elimination block order: degrevlex on the leading block, then the rest
-        v = [expts[i] for i in p]
-        head, tail = v[: self.block], v[self.block :]
-        return (
-            sum(head),
-            tuple(-e for e in reversed(head)),
-            sum(tail),
-            tuple(-e for e in reversed(tail)),
-        )
 
     def greater(self, a: Mono, b: Mono) -> bool:
         return self.key(a) > self.key(b)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately dumb and dense: plain Fractions, exponent
 tuples, and row reduction.  Nothing imports the package's Groebner or
-syzygy machinery, so agreement between the two sides is meaningful.
+syzygy machinery, so agreement between the two sides is meaningful.  The
+one exception is `zero_dim_multiplicity` at the end, a cross-check built
+from the package's own saturation and colength.
 """
 
 from fractions import Fraction
@@ -259,3 +261,82 @@ def compositions(total, parts):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+# ---------------------------------------------------------------------------
+# Groebner-basis check by plain division under degrevlex
+#
+# A polynomial is a dict {exponent tuple: coefficient}; coefficients are
+# Fractions, or ints reduced mod p when p is nonzero.
+
+
+def grevlex_key(e):
+    """Sort key of degrevlex with x1 > x2 > ... > xn: bigger key, bigger monomial."""
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def _inverse(c, p):
+    return pow(c, p - 2, p) if p else 1 / Fraction(c)
+
+
+def _axpy(target, scale, shift, poly, p):
+    """target -= scale * x^shift * poly, in place."""
+    for m, c in poly.items():
+        t = tuple(a + b for a, b in zip(m, shift))
+        v = target.get(t, 0) - scale * c
+        if p:
+            v %= p
+        if v:
+            target[t] = v
+        else:
+            target.pop(t, None)
+
+
+def division_remainder(f, divisors, p=0):
+    """Remainder of f on division by `divisors` under degrevlex: take the
+    largest remaining term, cancel it with the first divisor whose leading
+    monomial divides it, or move it to the remainder."""
+    work, rem = dict(f), {}
+    leads = [(max(g, key=grevlex_key), g) for g in divisors if g]
+    while work:
+        m = max(work, key=grevlex_key)
+        for lt, g in leads:
+            if all(a >= b for a, b in zip(m, lt)):
+                _axpy(work, work[m] * _inverse(g[lt], p),
+                      tuple(a - b for a, b in zip(m, lt)), g, p)
+                break
+        else:
+            rem[m] = work.pop(m)
+    return rem
+
+
+def s_pair(f, g, p=0):
+    """S-polynomial of f and g under degrevlex, both leading terms made 1."""
+    lf, lg = max(f, key=grevlex_key), max(g, key=grevlex_key)
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    out = {}
+    _axpy(out, -_inverse(f[lf], p), tuple(a - b for a, b in zip(lcm, lf)), f, p)
+    _axpy(out, _inverse(g[lg], p), tuple(a - b for a, b in zip(lcm, lg)), g, p)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# multiplicity at an isolated point by colength ratio (uses the package)
+
+
+def zero_dim_multiplicity(I, P, other_primes):
+    """Colength-ratio multiplicity of I along the point P, after saturating
+    away the other components."""
+    from conesign.ideals import colength, saturate
+
+    J = I
+    for Q in other_primes:
+        pick = None
+        for g in Q.generators:
+            if not P.contains(g):
+                pick = g
+                break
+        if pick is None:
+            raise ValueError("component list contains nested primes")
+        J = saturate(J, pick)
+    return colength(J) // colength(P)

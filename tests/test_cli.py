@@ -238,6 +238,14 @@ def test_infinite_colength_is_an_input_error(files, capsys):
     assert code == 1
 
 
+def test_nonpositive_jobs_is_an_input_error(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(["hilb", "parity-scan", "--n", "2", "--jobs", jobs], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_unsupported_obstruction_is_inconclusive(files, capsys):
     code, _, err = run_cli(
         ["eu", "--variety", files["umbrella"], "--point", "0,0,0"], capsys

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import division_remainder, s_pair
+
 from conesign import (
+    BoundExceededError,
     ModuleOrder,
     ModuleVector,
     buchberger,
@@ -23,6 +27,7 @@ from conesign import (
     spolynomial,
     syzygy_basis,
 )
+from conesign.groebner import _update_pairs
 from conesign.poly import Polynomial
 
 R2 = ring("x, y")
@@ -187,6 +192,55 @@ def test_cross_characteristic_leading_terms_agree():
         assert sorted(g.leading(order_q)[0] for g in gq) == sorted(
             g.leading(order_p)[0] for g in gp
         )
+
+
+def test_update_pairs_drops_an_equal_lcm_group_with_a_coprime_member():
+    # lcm(x*y, y) = lcm(x, y) = x*y, and x, y are coprime: the pair of the
+    # new lead y with x*y is redundant too, whichever comes first
+    pairs = []
+    _update_pairs([(1, 1), (1, 0), (0, 1)], pairs, degrevlex(R2).key, itertools.count())
+    assert pairs == []
+
+
+def test_pair_budget_binds():
+    fs = gens("x^2 - y, x*y - 1")
+    order = degrevlex(R2)
+    assert gb_texts(fs, order) == ["y^2 - x", "x*y - 1", "x^2 - y"]
+    with pytest.raises(BoundExceededError):
+        buchberger(fs, order, max_pairs=1)
+
+
+@st.composite
+def small_ideals(draw):
+    """(ring, generators): up to 3 generators of up to 3 terms over Q or
+    GF(32003), in 2 or 3 variables with exponents at most 2."""
+    rng = ring(draw(st.sampled_from(["x, y", "x, y, z"])),
+               characteristic=draw(st.sampled_from([0, 32003])))
+    mono = st.tuples(*[st.integers(0, 2)] * rng.arity)
+    term_dicts = st.dictionaries(mono, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    return rng, [Polynomial(rng, t) for t in draw(st.lists(term_dicts, min_size=1, max_size=3))]
+
+
+@given(ideal=small_ideals(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_reduced_basis_is_a_groebner_basis_and_invariant(ideal, rnd):
+    rng, fs = ideal
+    order = degrevlex(rng)
+    p = rng.characteristic
+    G = buchberger(fs, order)
+    basis = [g.terms for g in G]
+    # checked by a division routine that shares no code with the package
+    for f in fs:
+        assert division_remainder(f.terms, basis, p) == {}
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            assert division_remainder(s_pair(basis[a], basis[b], p), basis, p) == {}
+    # shuffled, scaled, and joined by a redundant combination: same basis
+    moved = [f * rnd.choice([-1, 2, 3, Fraction(1, 2)]) for f in fs]
+    rnd.shuffle(moved)
+    shift = Polynomial.from_monomial(rng, [rnd.randint(0, 1) for _ in range(rng.arity)])
+    moved.append(rnd.choice(fs) * shift + rnd.choice(fs))
+    assert buchberger(moved, order) == G
 
 
 def test_exact_divide_inverts_products():

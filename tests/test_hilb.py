@@ -1,6 +1,7 @@
 """Tests for plane-partition enumeration and point-scheme tangent spaces."""
 
 import itertools
+import os
 
 import pytest
 
@@ -25,6 +26,7 @@ from conesign import (
     ring,
     tangent_dimension_hilb,
 )
+from conesign.hilb import _worker_count
 
 R3 = ring("x, y, z")
 
@@ -232,6 +234,18 @@ def test_scan_parallel_matches_serial():
     serial = parity_scan(3, jobs=1)
     parallel = parity_scan(3, jobs=2)
     assert serial.to_json_dict() == parallel.to_json_dict()
+
+
+def test_scan_pool_is_clamped_to_cores_and_tasks():
+    # only the size is computed; no pool is started
+    cores = os.cpu_count() or 1
+    assert _worker_count(1, 160) == 1
+    assert _worker_count(10**6, 160) == min(cores, 160)
+    assert _worker_count(10**6, 3) == min(cores, 3)
+    assert _worker_count(4, 0) == 1
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            _worker_count(bad, 160)
 
 
 def test_scan_json_row_schema():

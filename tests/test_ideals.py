@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import monomial_hilbert_count
+from oracles import monomial_hilbert_count, zero_dim_multiplicity
 
+import conesign.ideals
 from conesign import (
+    IdealPresentation,
     InfiniteColengthError,
     NotHomogeneousError,
     PointNotOnVarietyError,
@@ -31,7 +33,6 @@ from conesign import (
     standard_monomials,
     tangent_dimension_at_point,
 )
-from conesign.ideals import zero_dim_multiplicity
 
 R1 = ring("x")
 R2 = ring("x, y")
@@ -286,6 +287,20 @@ def test_minimal_primes_canonical_presentation():
     # accumulated split factors
     comps = minimal_primes(I("y^2, x*y"))
     assert comps[0].prime.generator_texts() == ["y"]
+
+
+def test_from_reduced_basis_runs_no_buchberger(monkeypatch):
+    K = I("x^2 - y, x*y - 1")
+    G = K.gb()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("buchberger called on a reduced basis")
+
+    monkeypatch.setattr(conesign.ideals, "buchberger", no_run)
+    L = IdealPresentation.from_reduced_basis(K.ring, G)
+    assert L.gb() == G
+    assert L.generator_texts() == ["y^2 - x", "x*y - 1", "x^2 - y"]
+    assert L == K
 
 
 # multiplicity along a component

@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import grevlex_key
 from conesign import (
     MonomialOrder,
     PolynomialSyntaxError,
@@ -160,6 +162,13 @@ def test_degrevlex_tie_breaking():
     assert o.greater((1, 1, 0), (1, 0, 1))
     assert o.greater((0, 2, 0), (0, 0, 2))
     assert o.greater((2, 0, 0), (0, 2, 0))
+
+
+def test_degrevlex_keys_match_the_definition_and_are_memoised():
+    o = degrevlex(R3)
+    monos = list(itertools.product(range(3), repeat=3))
+    assert sorted(monos, key=o.key) == sorted(monos, key=grevlex_key)
+    assert o.key((1, 0, 2)) is o.key((1, 0, 2))
 
 
 def test_lex_ignores_degree():
