@@ -18,7 +18,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .behrend import behrend_value, constancy_falsifier
@@ -55,15 +55,28 @@ class RunConfig:
 
 
 def load_config(path: str | None = None) -> RunConfig:
-    """Defaults, overridden by the JSON file at CONESIGN_CONFIG if set."""
+    """Defaults, overridden by the JSON file at CONESIGN_CONFIG if set.
+
+    The file must hold one JSON object whose keys are `RunConfig` fields and
+    whose values have the field's type (a bool is not an int); anything else
+    raises ValueError.
+    """
     cfg = RunConfig()
     path = path if path is not None else os.environ.get(CONFIG_ENV)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path}: expected a JSON object")
+        names = {f.name for f in fields(RunConfig)}
         for key, value in data.items():
-            if hasattr(cfg, key):
-                setattr(cfg, key, value)
+            if key not in names:
+                raise ValueError(f"config {path}: unknown key {key!r}")
+            kind = type(getattr(cfg, key))
+            if type(value) is not kind:
+                raise ValueError(
+                    f"config {path}: {key} must be {kind.__name__}, got {json.dumps(value)}")
+            setattr(cfg, key, value)
     return cfg
 
 

@@ -1,15 +1,23 @@
-"""Buchberger Groebner engine, multivariate division, and syzygy modules.
+"""Buchberger Groebner engine for ideals and submodules, multivariate
+division, and syzygy modules.
 
-The polynomial engine works on raw term dictionaries for speed; the module
-engine works on dictionaries keyed by (position, exponent tuple).  Buchberger
-keeps the basis as term dicts beside their leading monomials, which the
-reductions, the pair pruning and the final interreduction reuse, and it keeps
-its S-pairs in a heap keyed by the order key of each pair's lcm, computed
-once when the pair is made; the order's memoised keys serve every
-comparison.  The public `spolynomial`, called once per processed pair, still
-finds both leads and their lcm itself.  Pairs are pruned by the
-Gebauer-Moeller criteria.  Reduced bases are monic, interreduced, and sorted,
-hence canonical for (ideal, order)."""
+One engine serves ideals and submodules of R^r alike; it works on term
+dictionaries {exponent tuple: coefficient}.  A module term (pos, m) is stored
+privately as the exponent tuple onehot(pos) + m, so the monomial helpers
+respect positions unchanged: a lead divides a term only at its own position,
+and two leads at one position share that slot, so the product criterion never
+fires between them.  The only module-specific step is that no pair is formed
+between leads at different positions.  `ModuleVector`, `ModuleOrder.key` and
+every public function keep (position, monomial) terms.
+
+Buchberger keeps the basis as monic term dicts beside their leading
+monomials, which the reductions, the pair pruning and the final
+interreduction reuse.  Its S-pairs sit in a heap keyed by the order key of
+each pair's lcm, computed once when the pair is made, and are pruned by the
+Gebauer-Moeller criteria; each S-polynomial is built from the two stored
+monic leads and the heap entry's lcm.  The order's memoised keys serve every
+comparison.  Reduced bases are monic, interreduced, and sorted, hence
+canonical for (ideal or submodule, order)."""
 
 from __future__ import annotations
 
@@ -21,6 +29,7 @@ from .errors import BoundExceededError, RingMismatchError
 from .poly import (
     MonomialOrder,
     Polynomial,
+    _KeyMemo,
     mono_coprime,
     mono_div,
     mono_divides,
@@ -35,15 +44,15 @@ DEFAULT_MAX_PAIRS = 500_000
 # division
 
 
-def _reduce_terms(fterms: dict, basis_terms, basis_lts, order: MonomialOrder, char: int):
-    """Full normal form of a term dict against (basis_terms, basis_lts).
+def _reduce_terms(fterms: dict, basis_terms, basis_lts, key, char: int):
+    """Full normal form of a term dict against (basis_terms, basis_lts),
+    comparing terms by `key`.
 
     The remainder's terms are inserted in descending order, so its first key
-    is its leading monomial.
+    is its leading term.
     """
     rem: dict = {}
     work = dict(fterms)
-    key = order.key
     while work:
         m = max(work, key=key)
         c = work.pop(m)
@@ -94,7 +103,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
             raise RingMismatchError("normal_form across rings")
     bt = [g.terms for g in gs]
     lts = [g.leading(order)[0] for g in gs]
-    rem = _reduce_terms(f.terms, bt, lts, order, f.ring.characteristic)
+    rem = _reduce_terms(f.terms, bt, lts, order.key, f.ring.characteristic)
     return Polynomial(f.ring, rem, normalize=False)
 
 
@@ -125,6 +134,15 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
     return Polynomial(f.ring, quot)
 
 
+def _spair(fi: dict, lti, fj: dict, ltj, l, char: int) -> dict:
+    """S-polynomial of two monic term dicts with leads lti, ltj and lcm l;
+    the leads cancel and are left out."""
+    out: dict = {}
+    _sub_multiple(out, -1, mono_div(l, lti), fi, char, skip=lti)
+    _sub_multiple(out, 1, mono_div(l, ltj), fj, char, skip=ltj)
+    return out
+
+
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     if f.ring != g.ring:
         raise RingMismatchError(f"rings differ: {f.ring.variables} vs {g.ring.variables}")
@@ -132,10 +150,8 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     char = rng.characteristic
     flt, flc = f.leading(order)
     glt, glc = g.leading(order)
-    l = mono_lcm(flt, glt)
-    shift = mono_div(l, flt)
-    out = _scaled({mono_mul(m, shift): c for m, c in f.terms.items()}, rng.coeff_inv(flc), char)
-    _sub_multiple(out, rng.coeff_inv(glc), mono_div(l, glt), g.terms, char)
+    out = _spair(_scaled(f.terms, rng.coeff_inv(flc), char), flt,
+                 _scaled(g.terms, rng.coeff_inv(glc), char), glt, mono_lcm(flt, glt), char)
     return Polynomial(rng, out, normalize=False)
 
 
@@ -152,13 +168,15 @@ def _scaled(terms: dict, scale, char: int) -> dict:
 # Buchberger with Gebauer-Moeller pair elimination
 
 
-def _update_pairs(lts, pairs, key, seq):
+def _update_pairs(lts, pairs, key, seq, positions: int = 0):
     """Gebauer-Moeller update for the newest lead lts[-1].
 
     `pairs` is a heap of (key(lcm), seq, i, j, lcm); `seq` counts pushes, so
     pairs with one lcm leave in the order they came.  Old pairs are pruned
-    against their stored lcm; each lcm(lt_i, lt_new) is computed once.
-    Updates `pairs` in place.
+    against their stored lcm; each lcm(lt_i, lt_new) is computed once.  The
+    first `positions` slots of a module lead are its one-hot position, and no
+    pair is made between leads at different positions.  Updates `pairs` in
+    place.
     """
     t = len(lts) - 1
     lt_t = lts[t]
@@ -175,15 +193,70 @@ def _update_pairs(lts, pairs, key, seq):
     # strictly divides; of the pairs sharing an lcm the first is kept, and
     # none when any of them is coprime (Gebauer-Moeller criterion F with the
     # product criterion)
-    distinct = set(lcms)
-    done = {l for lt, l in zip(lts, lcms) if mono_coprime(lt, lt_t)}
-    for i, l in enumerate(lcms):
+    here = lt_t[:positions]
+    new = [(i, l) for i, l in enumerate(lcms) if lts[i][:positions] == here]
+    distinct = {l for _, l in new}
+    done = {l for i, l in new if mono_coprime(lts[i], lt_t)}
+    for i, l in new:
         if l in done:
             continue
         done.add(l)
         if any(o != l and mono_divides(o, l) for o in distinct):
             continue
         heapq.heappush(pairs, (key(l), next(seq), i, t, l))
+
+
+def _groebner(polys, key, rng, positions: int, max_pairs: int) -> list:
+    """Reduced Groebner basis of nonzero term dicts, as term dicts sorted by
+    ascending lead; `positions` is the rank of a module, 0 for an ideal."""
+    char = rng.characteristic
+    bt, lts = [], []
+    pairs: list = []
+    seq = itertools.count()
+
+    def add(terms, lt):
+        bt.append(_scaled(terms, rng.coeff_inv(terms[lt]), char))
+        lts.append(lt)
+        _update_pairs(lts, pairs, key, seq, positions)
+
+    for terms in polys:
+        add(terms, max(terms, key=key))
+
+    processed = 0
+    while pairs:
+        # normal selection: smallest lcm in the active order
+        _, _, i, j, l = heapq.heappop(pairs)
+        processed += 1
+        if processed > max_pairs:
+            raise BoundExceededError(f"pair bound {max_pairs} exceeded")
+        rem = _reduce_terms(_spair(bt[i], lts[i], bt[j], lts[j], l, char), bt, lts, key, char)
+        if rem:
+            add(rem, next(iter(rem)))
+
+    return _reduce_groebner(bt, lts, key, char)
+
+
+def _reduce_groebner(terms, lts, key, char: int) -> list:
+    """Minimalize then fully interreduce a monic Groebner basis, given as
+    term dicts with their leading terms; canonical output, sorted by
+    ascending lead."""
+    keep = []
+    for i, lt in enumerate(lts):
+        if any(
+            j != i and mono_divides(lts[j], lt) and (lts[j] != lt or j < i)
+            for j in range(len(lts))
+        ):
+            continue
+        keep.append(i)
+    keep.sort(key=lambda i: key(lts[i]))
+    reduced = []
+    for i in keep:
+        # no other minimal lead divides lts[i], so the remainder keeps it,
+        # with coefficient 1: it is monic already
+        others = [j for j in keep if j != i]
+        reduced.append(_reduce_terms(terms[i], [terms[j] for j in others],
+                                     [lts[j] for j in others], key, char))
+    return reduced
 
 
 def buchberger(
@@ -200,68 +273,15 @@ def buchberger(
     if not gens:
         return []
     rng = gens[0].ring
-    char = rng.characteristic
     for g in gens:
         if g.ring != rng:
             raise RingMismatchError("buchberger over mixed rings")
-
-    key = order.key
-    G, bt, lts = [], [], []
-    pairs: list = []
-    seq = itertools.count()
-
-    def add(terms, lt):
-        G.append(Polynomial(rng, terms, normalize=False))
-        bt.append(terms)
-        lts.append(lt)
-        _update_pairs(lts, pairs, key, seq)
-
-    for g in gens:
-        lt = max(g.terms, key=key)
-        add(_scaled(g.terms, rng.coeff_inv(g.terms[lt]), char), lt)
-
-    processed = 0
-    while pairs:
-        # normal selection: smallest lcm in the active order
-        _, _, i, j, _ = heapq.heappop(pairs)
-        processed += 1
-        if processed > max_pairs:
-            raise BoundExceededError(f"pair bound {max_pairs} exceeded")
-        s = spolynomial(G[i], G[j], order)
-        rem = _reduce_terms(s.terms, bt, lts, order, char)
-        if rem:
-            lt = next(iter(rem))
-            add(_scaled(rem, rng.coeff_inv(rem[lt]), char), lt)
-
-    return _reduce_groebner(bt, lts, rng, order)
-
-
-def _reduce_groebner(terms, lts, rng, order: MonomialOrder) -> list:
-    """Minimalize then fully interreduce a monic Groebner basis, given as
-    term dicts with their leading monomials; canonical output."""
-    char = rng.characteristic
-    keep = []
-    for i, lt in enumerate(lts):
-        if any(
-            j != i and mono_divides(lts[j], lt) and (lts[j] != lt or j < i)
-            for j in range(len(lts))
-        ):
-            continue
-        keep.append(i)
-    keep.sort(key=lambda i: order.key(lts[i]))
-    reduced = []
-    for i in keep:
-        # no other minimal lead divides lts[i], so the remainder keeps it,
-        # with coefficient 1: it is monic already
-        others = [j for j in keep if j != i]
-        rem = _reduce_terms(terms[i], [terms[j] for j in others], [lts[j] for j in others],
-                            order, char)
-        reduced.append(Polynomial(rng, rem, normalize=False))
-    return reduced
+    basis = _groebner([g.terms for g in gens], order.key, rng, 0, max_pairs)
+    return [Polynomial(rng, t, normalize=False) for t in basis]
 
 
 # ---------------------------------------------------------------------------
-# free-module machinery: vectors in R^r as {(pos, mono): coeff}
+# free-module machinery: vectors in R^r, encoded for the engine above
 
 
 @dataclass
@@ -297,13 +317,6 @@ class ModuleVector:
                 out[(pos, m)] = v
         return out
 
-    @classmethod
-    def from_dict(cls, rng, rank: int, d: dict) -> "ModuleVector":
-        comps = [dict() for _ in range(rank)]
-        for (pos, m), v in d.items():
-            comps[pos][m] = v
-        return cls(tuple(Polynomial(rng, t, normalize=False) for t in comps))
-
     def __repr__(self):
         return "(" + ", ".join(c.to_text() for c in self.components) + ")"
 
@@ -323,6 +336,8 @@ class ModuleOrder:
         self.base = base
         self.scheme = scheme
         self.split = split
+        # memoised key of an encoded term onehot(pos) + m, for the engine
+        self._encoded_key = _KeyMemo(self._decoded_key).__getitem__
 
     def key(self, term):
         pos, m = term
@@ -334,144 +349,43 @@ class ModuleOrder:
             return inner
         return (1 if pos < self.split else 0, inner)
 
+    def _decoded_key(self, t):
+        return self.key((t.index(1), t[len(t) - len(self.base.perm):]))
 
-def _mod_reduce(fdict: dict, basis_dicts, basis_lts, morder: ModuleOrder, char: int):
-    rem: dict = {}
-    work = dict(fdict)
-    key = morder.key
-    while work:
-        t = max(work, key=key)
-        c = work.pop(t)
-        pos, m = t
-        hit = -1
-        for i, (lpos, lm) in enumerate(basis_lts):
-            if lpos == pos and mono_divides(lm, m):
-                hit = i
-                break
-        if hit < 0:
-            rem[t] = c
-            continue
-        g = basis_dicts[hit]
-        glt = basis_lts[hit]
-        glc = g[glt]
-        if char:
-            factor = c * pow(glc, char - 2, char) % char
-        else:
-            factor = c / glc
-        shift = mono_div(m, glt[1])
-        for (gpos, gm), gc in g.items():
-            if (gpos, gm) == glt:
-                continue
-            tt = (gpos, mono_mul(gm, shift))
-            s = work.get(tt, 0) - factor * gc
-            if char:
-                s %= char
-            if s:
-                work[tt] = s
-            else:
-                work.pop(tt, None)
-    return rem
+
+def _encode(v: ModuleVector) -> dict:
+    """Term dict of v with each term (pos, m) as onehot(pos) + m."""
+    heads = [(0,) * pos + (1,) + (0,) * (v.rank - pos - 1) for pos in range(v.rank)]
+    return {heads[pos] + m: c for (pos, m), c in v.to_dict().items()}
+
+
+def _decode(rng, rank: int, terms: dict) -> ModuleVector:
+    comps = [{} for _ in range(rank)]
+    for t, c in terms.items():
+        comps[t.index(1)][t[rank:]] = c
+    return ModuleVector(tuple(Polynomial(rng, d, normalize=False) for d in comps))
 
 
 def module_normal_form(v: ModuleVector, basis, morder: ModuleOrder) -> ModuleVector:
-    rng = v.ring
-    bd = [b.to_dict() for b in basis if not b.is_zero()]
-    lts = [max(d, key=morder.key) for d in bd]
-    rem = _mod_reduce(v.to_dict(), bd, lts, morder, rng.characteristic)
-    return ModuleVector.from_dict(rng, v.rank, rem)
+    key = morder._encoded_key
+    bd = [_encode(b) for b in basis if not b.is_zero()]
+    lts = [max(d, key=key) for d in bd]
+    rem = _reduce_terms(_encode(v), bd, lts, key, v.ring.characteristic)
+    return _decode(v.ring, v.rank, rem)
 
 
 def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX_PAIRS):
     """Groebner basis of a submodule of R^r; S-pairs only share a position.
 
     Returns interreduced monic vectors sorted by descending leading term.
-    No product-criterion pruning: it is not valid for modules.
     """
     vecs = [v for v in vectors if not v.is_zero()]
     if not vecs:
         return []
     rng = vecs[0].ring
     rank = vecs[0].rank
-    char = rng.characteristic
-    key = morder.key
-
-    basis = []
-    lts = []
-    for v in vecs:
-        d = v.to_dict()
-        lt = max(d, key=key)
-        basis.append(_scaled(d, rng.coeff_inv(d[lt]), char))
-        lts.append(lt)
-
-    pairs = [
-        (i, j)
-        for j in range(len(basis))
-        for i in range(j)
-        if lts[i][0] == lts[j][0]
-    ]
-    processed = 0
-    while pairs:
-        best = min(
-            range(len(pairs)),
-            key=lambda k: key(
-                (lts[pairs[k][0]][0], mono_lcm(lts[pairs[k][0]][1], lts[pairs[k][1]][1]))
-            ),
-        )
-        i, j = pairs.pop(best)
-        processed += 1
-        if processed > max_pairs:
-            raise BoundExceededError(f"module pair bound {max_pairs} exceeded")
-        pos = lts[i][0]
-        l = mono_lcm(lts[i][1], lts[j][1])
-        si = mono_div(l, lts[i][1])
-        sj = mono_div(l, lts[j][1])
-        s: dict = {}
-        for (gpos, gm), gc in basis[i].items():
-            t = (gpos, mono_mul(gm, si))
-            s[t] = s.get(t, 0) + gc
-        for (gpos, gm), gc in basis[j].items():
-            t = (gpos, mono_mul(gm, sj))
-            v = s.get(t, 0) - gc
-            if char:
-                v %= char
-            if v:
-                s[t] = v
-            else:
-                s.pop(t, None)
-        rem = _mod_reduce(s, basis, lts, morder, char)
-        if not rem:
-            continue
-        lt = max(rem, key=key)
-        new_idx = len(basis)
-        basis.append(_scaled(rem, rng.coeff_inv(rem[lt]), char))
-        lts.append(lt)
-        for i2 in range(new_idx):
-            if lts[i2][0] == lt[0]:
-                pairs.append((i2, new_idx))
-
-    # minimalize + interreduce
-    keep = []
-    for i, lt in enumerate(lts):
-        if any(
-            j != i
-            and lts[j][0] == lt[0]
-            and mono_divides(lts[j][1], lt[1])
-            and (lts[j] != lt or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        keep.append(i)
-    minimal = [basis[i] for i in keep]
-    out = []
-    for i, d in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        olts = [max(o, key=key) for o in others]
-        rem = _mod_reduce(d, others, olts, morder, char)
-        if rem:
-            lt = max(rem, key=key)
-            out.append(_scaled(rem, rng.coeff_inv(rem[lt]), char))
-    out.sort(key=lambda d: key(max(d, key=key)), reverse=True)
-    return [ModuleVector.from_dict(rng, rank, d) for d in out]
+    basis = _groebner([_encode(v) for v in vecs], morder._encoded_key, rng, rank, max_pairs)
+    return [_decode(rng, rank, t) for t in reversed(basis)]
 
 
 def module_contains(v: ModuleVector, gb, morder: ModuleOrder) -> bool:

@@ -143,9 +143,7 @@ def tangent_dimension_hilb(I: IdealPresentation) -> TangentReport:
     order = degrevlex(I.ring)
     std = standard_monomials(I, order)
     n = len(std)
-    index = {m: i for i, m in enumerate(std)}
     gens = list(I.gb(order))
-    gb = gens
     k = len(gens)
     syzygies = syzygy_basis(gens, order)
     rows = []
@@ -157,7 +155,7 @@ def tangent_dimension_hilb(I: IdealPresentation) -> TangentReport:
                 continue
             for bi, b in enumerate(std):
                 prod = normal_form(a * Polynomial.from_monomial(I.ring, b),
-                                   gb, order)
+                                   gens, order)
                 for m, c in prod.terms.items():
                     row = per_target.setdefault(m, [0] * (k * n))
                     row[j * n + bi] += c

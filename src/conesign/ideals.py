@@ -138,11 +138,9 @@ def eliminate(I: IdealPresentation, drop_names) -> IdealPresentation:
     drop_idx = {I.ring.var_index(v) for v in drop_names}
     new_ring = I.ring.drop(drop_names)
     column_map = []
-    j = 0
     for i in range(I.ring.arity):
         if i in drop_idx:
             column_map.append(None)
-            j += 0
         else:
             column_map.append(new_ring.var_index(I.ring.variables[i]))
     kept = []
@@ -357,7 +355,6 @@ def homogenize_ideal(I: IdealPresentation, name: str | None = None):
     """
     h = _fresh_name(name or "h", I.ring.variables)
     ext = I.ring.extend((h,))
-    hi = ext.var_index(h)
     gens = []
     for g in I.gb():
         d = g.total_degree()

@@ -321,6 +321,70 @@ def s_pair(f, g, p=0):
 
 
 # ---------------------------------------------------------------------------
+# module Groebner-basis check by plain division
+#
+# A module vector is a dict {(position, exponent tuple): coefficient}, with
+# coefficients as above.
+
+
+def module_term_key(scheme, split=None):
+    """Sort key of a module term (pos, m) over degrevlex.  'top' compares
+    monomials first and then prefers the smaller position; 'pot' prefers the
+    smaller position first.  With a `split`, every term at a position below
+    it beats every term at or after it."""
+
+    def key(term):
+        pos, m = term
+        inner = (grevlex_key(m), -pos) if scheme == "top" else (-pos, grevlex_key(m))
+        return inner if split is None else (pos < split, inner)
+
+    return key
+
+
+def _module_axpy(target, scale, shift, vector, p):
+    """target -= scale * x^shift * vector, in place."""
+    for (pos, m), c in vector.items():
+        t = (pos, tuple(a + b for a, b in zip(m, shift)))
+        v = target.get(t, 0) - scale * c
+        if p:
+            v %= p
+        if v:
+            target[t] = v
+        else:
+            target.pop(t, None)
+
+
+def module_division_remainder(v, divisors, key, p=0):
+    """Remainder of v on division by `divisors` under the module term order
+    `key`: take the largest remaining term, cancel it with the first divisor
+    whose lead sits at the same position with a dividing monomial, or move
+    it to the remainder."""
+    work, rem = dict(v), {}
+    leads = [(max(g, key=key), g) for g in divisors if g]
+    while work:
+        pos, m = t = max(work, key=key)
+        for (lpos, lm), g in leads:
+            if lpos == pos and all(a >= b for a, b in zip(m, lm)):
+                _module_axpy(work, work[t] * _inverse(g[(lpos, lm)], p),
+                             tuple(a - b for a, b in zip(m, lm)), g, p)
+                break
+        else:
+            rem[t] = work.pop(t)
+    return rem
+
+
+def module_s_pair(f, g, key, p=0):
+    """S-vector of f and g, whose leads sit at one position, both leading
+    terms made 1."""
+    (pos, lf), (_, lg) = max(f, key=key), max(g, key=key)
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    out = {}
+    _module_axpy(out, -_inverse(f[(pos, lf)], p), tuple(a - b for a, b in zip(lcm, lf)), f, p)
+    _module_axpy(out, _inverse(g[(pos, lg)], p), tuple(a - b for a, b in zip(lcm, lg)), g, p)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # multiplicity at an isolated point by colength ratio (uses the package)
 
 

@@ -371,6 +371,25 @@ def test_unreadable_config_is_an_input_error(files, monkeypatch, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("config,argv", [
+    ({"jobs": "2"}, ["hilb", "parity-scan", "--n", "2"]),
+    ({"max_n": "9"}, ["hilb", "enumerate", "--n", "2"]),
+    ([1], ["hilb", "parity-scan", "--n", "2"]),
+    ({"jobz": 2}, ["hilb", "parity-scan", "--n", "2"]),
+    ({"seed": True}, ["hilb", "enumerate", "--n", "2"]),
+])
+def test_malformed_config_is_an_input_error(tmp_path, monkeypatch, capsys, config, argv):
+    # a mistyped value, a non-object document and an unknown key each exit 1
+    # before any work, where they used to end in a traceback or be ignored
+    cfg = tmp_path / "conesign.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # ------------------------------------------------------------ determinism
 
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import division_remainder, s_pair
+from oracles import (
+    division_remainder,
+    module_division_remainder,
+    module_s_pair,
+    module_term_key,
+    s_pair,
+)
 
 from conesign import (
     BoundExceededError,
@@ -326,6 +332,84 @@ def test_module_syzygies_contract_to_zero_vector():
         for coeff, vec in zip(rel.components, vectors):
             total = [t + coeff * c for t, c in zip(total, vec.components)]
         assert all(t.is_zero() for t in total)
+
+
+def test_update_pairs_never_pairs_leads_at_different_positions():
+    # module leads in R^3 over k[x, y], encoded as onehot(pos) + monomial
+    key = ModuleOrder(degrevlex(R2))._encoded_key
+    rnd = random.Random(3)
+    pushed = 0
+    for _ in range(30):
+        lts, pairs, seq = [], [], itertools.count()
+        for _ in range(8):
+            pos = rnd.randrange(3)
+            lts.append(tuple(int(i == pos) for i in range(3))
+                       + (rnd.randint(0, 2), rnd.randint(0, 2)))
+            _update_pairs(lts, pairs, key, seq, positions=3)
+            for _, _, i, j, lcm in pairs:
+                assert lts[i][:3] == lts[j][:3] == lcm[:3]
+            pushed += len(pairs)
+    assert pushed
+
+
+def test_module_pair_budget_binds():
+    x, y = (parse_polynomial(v, R2) for v in "xy")
+    one = Polynomial.one(R2)
+    vectors = [ModuleVector((x * x - y, x)), ModuleVector((x * y - one, y))]
+    morder = ModuleOrder(degrevlex(R2))
+    assert len(module_buchberger(vectors, morder)) > 2
+    with pytest.raises(BoundExceededError):
+        module_buchberger(vectors, morder, max_pairs=1)
+
+
+@st.composite
+def small_modules(draw):
+    """(ring, rank, vectors, scheme, split): up to 3 vectors in R^rank,
+    rank 1 to 3, with components of up to 2 terms over Q or GF(32003), in 2
+    or 3 variables with exponents at most 2; a 'top', 'pot' or split order."""
+    rng = ring(draw(st.sampled_from(["x, y", "x, y, z"])),
+               characteristic=draw(st.sampled_from([0, 32003])))
+    rank = draw(st.integers(1, 3))
+    scheme, split = draw(st.sampled_from(
+        [("top", None), ("pot", None)] + [("top", k) for k in range(1, rank + 1)]))
+    mono = st.tuples(*[st.integers(0, 2)] * rng.arity)
+    term_dicts = st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=2)
+    vector = st.lists(term_dicts, min_size=rank, max_size=rank)
+    vectors = [ModuleVector(tuple(Polynomial(rng, t) for t in comps))
+               for comps in draw(st.lists(vector, min_size=1, max_size=3))]
+    return rng, rank, vectors, scheme, split
+
+
+@given(module=small_modules(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_module_basis_is_a_reduced_groebner_basis_and_invariant(module, rnd):
+    rng, rank, vectors, scheme, split = module
+    p = rng.characteristic
+    G = module_buchberger(vectors, ModuleOrder(degrevlex(rng), scheme, split))
+    key = module_term_key(scheme, split)
+    basis = [g.to_dict() for g in G]
+    leads = [max(b, key=key) for b in basis]
+    # monic and reduced: no term of an element lies in another's lead
+    for b, lead in zip(basis, leads):
+        assert b[lead] == 1
+        for pos, m in b:
+            assert not any(lpos == pos and all(x >= y for x, y in zip(m, lm))
+                           for lpos, lm in leads if (lpos, lm) != lead)
+    # checked by a division routine that shares no code with the package
+    for v in vectors:
+        assert module_division_remainder(v.to_dict(), basis, key, p) == {}
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            if leads[a][0] == leads[b][0]:
+                s = module_s_pair(basis[a], basis[b], key, p)
+                assert module_division_remainder(s, basis, key, p) == {}
+    # shuffled and scaled: same basis
+    moved = []
+    for v in vectors:
+        scale = rnd.choice([-1, 2, 3, Fraction(1, 2)])
+        moved.append(ModuleVector(tuple(c * scale for c in v.components)))
+    rnd.shuffle(moved)
+    assert module_buchberger(moved, ModuleOrder(degrevlex(rng), scheme, split)) == G
 
 
 small = st.integers(-3, 3)
