@@ -17,7 +17,13 @@ each pair's lcm, computed once when the pair is made, and are pruned by the
 Gebauer-Moeller criteria; each S-polynomial is built from the two stored
 monic leads and the heap entry's lcm.  The order's memoised keys serve every
 comparison.  Reduced bases are monic, interreduced, and sorted, hence
-canonical for (ideal or submodule, order)."""
+canonical for (ideal or submodule, order).
+
+`module_divider` encodes a module basis and finds its leads once, for many
+normal forms against it; `module_normal_form` is one use of it.  Syzygies
+have one entry point, `module_syzygies`: single-term vectors get their
+pairwise (Taylor) syzygies at shared positions, anything else goes through a
+Groebner basis of an embedding; `syzygy_basis` is its rank-1 case."""
 
 from __future__ import annotations
 
@@ -353,25 +359,46 @@ class ModuleOrder:
         return self.key((t.index(1), t[len(t) - len(self.base.perm):]))
 
 
-def _encode(v: ModuleVector) -> dict:
-    """Term dict of v with each term (pos, m) as onehot(pos) + m."""
-    heads = [(0,) * pos + (1,) + (0,) * (v.rank - pos - 1) for pos in range(v.rank)]
-    return {heads[pos] + m: c for (pos, m), c in v.to_dict().items()}
+def _encode(rank: int, terms: dict) -> dict:
+    """Term dict {(pos, m): c} of R^rank with each term as onehot(pos) + m."""
+    heads = [(0,) * pos + (1,) + (0,) * (rank - pos - 1) for pos in range(rank)]
+    return {heads[pos] + m: c for (pos, m), c in terms.items()}
 
 
-def _decode(rng, rank: int, terms: dict) -> ModuleVector:
+def _decode(rank: int, terms: dict) -> dict:
+    return {(t.index(1), t[rank:]): c for t, c in terms.items()}
+
+
+def _vector(rng, rank: int, terms: dict) -> ModuleVector:
     comps = [{} for _ in range(rank)]
-    for t, c in terms.items():
-        comps[t.index(1)][t[rank:]] = c
+    for (pos, m), c in terms.items():
+        comps[pos][m] = c
     return ModuleVector(tuple(Polynomial(rng, d, normalize=False) for d in comps))
 
 
-def module_normal_form(v: ModuleVector, basis, morder: ModuleOrder) -> ModuleVector:
+def module_divider(basis, morder: ModuleOrder):
+    """Division by a fixed basis of a submodule of R^r, as a function from a
+    term dict {(pos, m): c} to its remainder's term dict.
+
+    The basis is encoded and its leads are found once, for every call that
+    follows.
+    """
+    basis = [b for b in basis if not b.is_zero()]
+    if not basis:
+        return dict  # nothing divides: the remainder is a copy of the input
+    rank, char = basis[0].rank, basis[0].ring.characteristic
     key = morder._encoded_key
-    bd = [_encode(b) for b in basis if not b.is_zero()]
+    bd = [_encode(rank, b.to_dict()) for b in basis]
     lts = [max(d, key=key) for d in bd]
-    rem = _reduce_terms(_encode(v), bd, lts, key, v.ring.characteristic)
-    return _decode(v.ring, v.rank, rem)
+
+    def remainder(terms: dict) -> dict:
+        return _decode(rank, _reduce_terms(_encode(rank, terms), bd, lts, key, char))
+
+    return remainder
+
+
+def module_normal_form(v: ModuleVector, basis, morder: ModuleOrder) -> ModuleVector:
+    return _vector(v.ring, v.rank, module_divider(basis, morder)(v.to_dict()))
 
 
 def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX_PAIRS):
@@ -384,8 +411,9 @@ def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX
         return []
     rng = vecs[0].ring
     rank = vecs[0].rank
-    basis = _groebner([_encode(v) for v in vecs], morder._encoded_key, rng, rank, max_pairs)
-    return [_decode(rng, rank, t) for t in reversed(basis)]
+    encoded = [_encode(rank, v.to_dict()) for v in vecs]
+    basis = _groebner(encoded, morder._encoded_key, rng, rank, max_pairs)
+    return [_vector(rng, rank, _decode(rank, t)) for t in reversed(basis)]
 
 
 def module_contains(v: ModuleVector, gb, morder: ModuleOrder) -> bool:
@@ -399,9 +427,11 @@ def module_contains(v: ModuleVector, gb, morder: ModuleOrder) -> bool:
 def module_syzygies(vectors, order: MonomialOrder):
     """Generating set of the first syzygy module of `vectors` in R^m.
 
-    Embeds v_i as v_i (+) e_i in R^(r+m) and computes a Groebner basis under
-    a block order in which the original positions dominate; basis elements
-    supported in the tail block are exactly the syzygies.
+    When every vector is a single term, these are the pairwise (Taylor)
+    syzygies of the vectors at a shared position.  Otherwise v_i is embedded
+    as v_i (+) e_i in R^(r+m) and a Groebner basis is computed under a block
+    order in which the original positions dominate; basis elements supported
+    in the tail block are exactly the syzygies.
     """
     vecs = list(vectors)
     if not vecs:
@@ -410,6 +440,20 @@ def module_syzygies(vectors, order: MonomialOrder):
     r = vecs[0].rank
     m = len(vecs)
     zero = Polynomial.zero(rng)
+    terms = [v.to_dict() for v in vecs]
+    if all(len(t) == 1 for t in terms):
+        leads = [next(iter(t.items())) for t in terms]
+        out = []
+        for j, ((pj, mj), cj) in enumerate(leads):
+            for i, ((pi, mi), ci) in enumerate(leads[:j]):
+                if pi != pj:
+                    continue
+                l = mono_lcm(mi, mj)
+                comps = [zero] * m
+                comps[i] = Polynomial.from_monomial(rng, mono_div(l, mi), rng.coeff_inv(ci))
+                comps[j] = -Polynomial.from_monomial(rng, mono_div(l, mj), rng.coeff_inv(cj))
+                out.append(ModuleVector(tuple(comps)))
+        return out
     extended = []
     for i, v in enumerate(vecs):
         tail = [zero] * m
@@ -425,29 +469,10 @@ def module_syzygies(vectors, order: MonomialOrder):
 
 
 def syzygy_basis(gens, order: MonomialOrder):
-    """Generating set of the syzygy module of polynomial generators.
-
-    For monomial generators the pairwise (Taylor) syzygies are returned
-    directly; otherwise the module Groebner route is used.
-    """
+    """Generating set of the syzygy module of polynomial generators: the
+    rank-1 case of `module_syzygies`, so monomial generators get their
+    pairwise (Taylor) syzygies."""
     gens = list(gens)
-    if not gens:
-        return []
-    rng = gens[0].ring
     if any(g.is_zero() for g in gens):
         raise ValueError("syzygy_basis requires nonzero generators")
-    if all(g.is_term() for g in gens):
-        zero = Polynomial.zero(rng)
-        out = []
-        for j in range(len(gens)):
-            for i in range(j):
-                (mi, ci), = gens[i].terms.items()
-                (mj, cj), = gens[j].terms.items()
-                l = mono_lcm(mi, mj)
-                comps = [zero] * len(gens)
-                comps[i] = Polynomial.from_monomial(rng, mono_div(l, mi), rng.coeff_inv(ci))
-                comps[j] = -Polynomial.from_monomial(rng, mono_div(l, mj), rng.coeff_inv(cj))
-                out.append(ModuleVector(tuple(comps)))
-        return out
-    wrapped = [ModuleVector((g,)) for g in gens]
-    return module_syzygies(wrapped, order)
+    return module_syzygies([ModuleVector((g,)) for g in gens], order)

@@ -1,10 +1,12 @@
 """Hilbert and Quot scheme of points: enumeration and tangent spaces.
 
 Plane partitions (finite downward-closed box sets in three coordinates)
-index the monomial ideals of finite colength; the tangent space at an
-ideal I is Hom(I, R/I), computed as the nullspace of the linear system
-cut out by a generating set of syzygies.  The same construction runs at
-module level for Quot schemes of a free module (rank r >= 1).
+index the monomial ideals of finite colength.  The tangent space at a
+finite-colength submodule K of R^r (a point of a Quot scheme) is
+Hom(K, R^r/K).  One routine computes it, as the nullspace of the linear
+system that a generating set of syzygies of K's reduced Groebner basis cuts
+out, with a division handle built once per computation.  The Hilbert scheme
+is its rank-1 case: an ideal I enters as its reduced basis in R^1.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ from .groebner import (
     ModuleOrder,
     ModuleVector,
     module_buchberger,
-    module_normal_form,
-    normal_form,
-    syzygy_basis,
+    module_divider,
     module_syzygies,
 )
-from .ideals import IdealPresentation, standard_monomials
-from .linalg import nullity
-from .poly import Polynomial, RingDescriptor, degrevlex, ring
+from .ideals import IdealPresentation, standard_exponents
+from .linalg import rational_rank
+from .poly import Polynomial, RingDescriptor, degrevlex, mono_mul, ring
 
 _DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -132,37 +132,13 @@ class TangentReport:
 
 
 def tangent_dimension_hilb(I: IdealPresentation) -> TangentReport:
-    """dim Hom(I, R/I) for a finite-colength ideal, with the parity check.
-
-    A homomorphism is pinned down by the images of the reduced basis
-    elements in R/I; each syzygy among them imposes one linear condition
-    per standard monomial.  The tangent dimension is the nullity.
-    """
+    """dim Hom(I, R/I) for a finite-colength ideal, with the parity check:
+    the rank-1 case of `quot_tangent_dimension`, on the reduced basis."""
     if I.ring.characteristic != 0:
         raise ValueError("tangent computation implemented over Q only")
     order = degrevlex(I.ring)
-    std = standard_monomials(I, order)
-    n = len(std)
-    gens = list(I.gb(order))
-    k = len(gens)
-    syzygies = syzygy_basis(gens, order)
-    rows = []
-    for s in syzygies:
-        # one equation per standard monomial, unknowns phi(g_j) coordinates
-        per_target = {}
-        for j, a in enumerate(s.components):
-            if a.is_zero():
-                continue
-            for bi, b in enumerate(std):
-                prod = normal_form(a * Polynomial.from_monomial(I.ring, b),
-                                   gens, order)
-                for m, c in prod.terms.items():
-                    row = per_target.setdefault(m, [0] * (k * n))
-                    row[j * n + bi] += c
-        rows.extend(per_target.values())
-    tangent = nullity(rows, k * n)
-    parity = (n - tangent) % 2 == 0
-    return TangentReport(colength=n, tangent_dim=tangent, parity_holds=parity)
+    return _tangent_report([ModuleVector((g,)) for g in I.gb(order)], 1,
+                           ModuleOrder(order, "top"))
 
 
 @dataclass(frozen=True)
@@ -233,79 +209,61 @@ def parity_scan(n: int, jobs: int = 1, bound: int = 8) -> ScanSummary:
 # ---------------------------------------------------------------------------
 
 
-def _module_lead(v: ModuleVector, morder: ModuleOrder):
-    d = v.to_dict()
-    return max(d, key=morder.key)
-
-
 def standard_module_monomials(mgb, rank: int, morder: ModuleOrder) -> list:
     """Basis (position, monomial) of R^rank / K below the leading module."""
-    if not mgb:
-        raise InfiniteColengthError("free module has infinite colength")
-    arity = mgb[0].ring.arity
-    leads = {}
+    leads = [[] for _ in range(rank)]
     for v in mgb:
-        pos, m = _module_lead(v, morder)
-        leads.setdefault(pos, []).append(m)
+        pos, m = max(v.to_dict(), key=morder.key)
+        leads[pos].append(m)
     out = []
     for pos in range(rank):
-        lts = leads.get(pos, [])
-        if any(sum(m) == 0 for m in lts):
-            continue
-        caps = [None] * arity
-        for m in lts:
-            sup = [i for i, e in enumerate(m) if e]
-            if len(sup) == 1:
-                i = sup[0]
-                if caps[i] is None or m[i] < caps[i]:
-                    caps[i] = m[i]
-        if any(c is None for c in caps):
+        std = standard_exponents(leads[pos], len(morder.base.perm))
+        if std is None:
             raise InfiniteColengthError(
-                f"quotient has infinite colength at position {pos}")
-        for m in itertools.product(*(range(c) for c in caps)):
-            if not any(all(l[j] <= m[j] for j in range(arity)) for l in lts):
-                out.append((pos, m))
+                "quotient ring has infinite dimension" if rank == 1
+                else f"quotient has infinite colength at position {pos}")
+        out.extend((pos, m) for m in std)
     out.sort(key=morder.key)
     return out
 
 
 def quot_tangent_dimension(vectors, rank: int) -> TangentReport:
-    """dim Hom(K, R^rank/K) for a finite-colength submodule K of R^rank.
-
-    Same construction as the ideal case one level up: unknowns are the
-    images of the module basis elements, constraints come from a
-    generating set of module syzygies.  Parity compares against
-    rank * colength.
-    """
+    """dim Hom(K, R^rank/K) for a finite-colength submodule K of R^rank,
+    with the parity check against rank * colength."""
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         raise InfiniteColengthError("zero submodule has infinite colength")
     rng = vectors[0].ring
     if rng.characteristic != 0:
         raise ValueError("tangent computation implemented over Q only")
-    order = degrevlex(rng)
-    morder = ModuleOrder(order, "top")
-    mgb = module_buchberger(vectors, morder)
+    morder = ModuleOrder(degrevlex(rng), "top")
+    return _tangent_report(module_buchberger(vectors, morder), rank, morder)
+
+
+def _tangent_report(mgb, rank: int, morder: ModuleOrder) -> TangentReport:
+    """dim Hom(K, R^rank/K) from the reduced Groebner basis `mgb` of K.
+
+    A homomorphism is pinned down by the images of the basis elements in
+    R^rank/K, as combinations of the standard terms; each syzygy among the
+    basis elements imposes one linear condition per term of the quotient.
+    The tangent dimension is the nullity of these conditions.
+    """
     std = standard_module_monomials(mgb, rank, morder)
-    n = len(std)
-    k = len(mgb)
-    syzygies = module_syzygies(mgb, order)
+    n, k = len(std), len(mgb)
+    remainder = module_divider(mgb, morder)
     rows = []
-    zero = Polynomial.zero(rng)
-    for s in syzygies:
+    for s in module_syzygies(mgb, morder.base):
+        # one equation per quotient term, unknowns the coordinates of phi(g_j)
         per_target = {}
         for j, a in enumerate(s.components):
             if a.is_zero():
                 continue
             for bi, (pos, m) in enumerate(std):
-                comps = [zero] * rank
-                comps[pos] = a * Polynomial.from_monomial(rng, m)
-                nf = module_normal_form(ModuleVector(tuple(comps)), mgb, morder)
-                for target, c in nf.to_dict().items():
+                prod = {(pos, mono_mul(t, m)): c for t, c in a.terms.items()}
+                for target, c in remainder(prod).items():
                     row = per_target.setdefault(target, [0] * (k * n))
                     row[j * n + bi] += c
         rows.extend(per_target.values())
-    tangent = nullity(rows, k * n)
-    parity = (rank * n - tangent) % 2 == 0
+    tangent = k * n - rational_rank(rows)
     return TangentReport(colength=n, tangent_dim=tangent,
-                         parity_holds=parity, rank=rank)
+                         parity_holds=(rank * n - tangent) % 2 == 0, rank=rank)

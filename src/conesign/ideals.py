@@ -24,6 +24,7 @@ from .poly import (
     RingDescriptor,
     degrevlex,
     elimination_order,
+    mono_divides,
     parse_generators,
 )
 
@@ -470,38 +471,35 @@ def generic_tangent_dimension(I: IdealPresentation, P: IdealPresentation) -> int
 # ---------------------------------------------------------------------------
 
 
-def standard_monomials(I: IdealPresentation,
-                       order: MonomialOrder | None = None) -> list:
-    """Monomial basis of R/I when finite, else InfiniteColengthError."""
-    order = order if order is not None else degrevlex(I.ring)
-    gb = I.gb(order)
-    if I.is_unit_ideal():
-        return []
-    n = I.ring.arity
-    lts = [g.leading(order)[0] for g in gb]
-    caps = [None] * n
-    for m in lts:
+def standard_exponents(leads, arity: int):
+    """Exponents divisible by no lead, in ascending lexicographic order, or
+    None when there are infinitely many.
+
+    They lie in the box cut out by the pure-power leads, which exists exactly
+    when every variable has one; a constant lead leaves none.
+    """
+    caps = [None] * arity
+    for m in leads:
         sup = [i for i, e in enumerate(m) if e]
+        if not sup:
+            return []
         if len(sup) == 1:
             i = sup[0]
             if caps[i] is None or m[i] < caps[i]:
                 caps[i] = m[i]
     if any(c is None for c in caps):
+        return None
+    return [m for m in itertools.product(*(range(c) for c in caps))
+            if not any(mono_divides(l, m) for l in leads)]
+
+
+def standard_monomials(I: IdealPresentation,
+                       order: MonomialOrder | None = None) -> list:
+    """Monomial basis of R/I when finite, else InfiniteColengthError."""
+    order = order if order is not None else degrevlex(I.ring)
+    out = standard_exponents([g.leading(order)[0] for g in I.gb(order)], I.ring.arity)
+    if out is None:
         raise InfiniteColengthError("quotient ring has infinite dimension")
-
-    out = []
-
-    def recurse(prefix):
-        i = len(prefix)
-        if i == n:
-            m = tuple(prefix)
-            if not any(all(l[j] <= m[j] for j in range(n)) for l in lts):
-                out.append(m)
-            return
-        for e in range(caps[i]):
-            recurse(prefix + [e])
-
-    recurse([])
     out.sort(key=order.key)
     return out
 

@@ -1,83 +1,62 @@
-"""Exact linear algebra over Q used by tangent-space and rank computations."""
+"""Exact linear algebra over Q used by tangent-space and rank computations.
+
+One forward-elimination routine serves both entry points: the rank is its
+pivot count, and a linear combination is solved for by eliminating the
+augmented transpose and back-substituting.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-def rational_rank(rows) -> int:
-    """Rank of a matrix given as a list of rows of Fractions/ints."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
+def _echelon(m, ncols: int) -> list:
+    """Row-echelon form of the Fraction rows `m`, in place, choosing pivots
+    among the first `ncols` columns; whole rows are eliminated, so columns
+    beyond them ride along.  Returns the pivot columns; row i holds the
+    pivot at column pivots[i]."""
+    pivots = []
     for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
+        row = len(pivots)
+        if row == len(m):
+            break
+        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
+        mp = m[row]
+        pv = mp[col]
+        width = len(mp)
         for r in range(row + 1, len(m)):
-            if m[r][col]:
-                factor = m[r][col] / pv
-                mr, mp = m[r], m[row]
-                for c in range(col, ncols):
+            mr = m[r]
+            if mr[col]:
+                factor = mr[col] / pv
+                for c in range(col, width):
                     mr[c] -= factor * mp[c]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
+        pivots.append(col)
+    return pivots
 
 
-def nullity(rows, ncols: int) -> int:
-    """Dimension of the solution space of rows * x = 0 in Q^ncols."""
-    if not rows:
-        return ncols
-    return ncols - rational_rank(rows)
+def rational_rank(rows) -> int:
+    """Rank of a matrix given as a list of rows of Fractions/ints."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    return len(_echelon(m, len(m[0]))) if m else 0
 
 
 def solve_combination(vectors, target):
     """Coefficients writing target as a combination of vectors, or None.
 
-    All entries are Fractions; vectors is a list of equal-length rows.
+    All entries are Fractions; vectors is a list of equal-length rows.  When
+    the vectors are dependent, the coefficients of the non-pivot vectors are 0.
     """
-    if not vectors:
-        return [] if all(x == 0 for x in target) else None
-    ncols = len(target)
-    # augmented transpose: unknowns are the combination coefficients
-    rows = [[vectors[j][i] for j in range(len(vectors))] + [target[i]]
-            for i in range(ncols)]
     k = len(vectors)
-    pivots = []
-    r = 0
-    for c in range(k):
-        pivot = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c] != 0:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
-    for rr in range(r, len(rows)):
-        if rows[rr][k] != 0:
-            return None
+    # augmented transpose: unknowns are the combination coefficients
+    rows = [[Fraction(v[i]) for v in vectors] + [Fraction(target[i])]
+            for i in range(len(target))]
+    pivots = _echelon(rows, k)
+    if any(row[k] for row in rows[len(pivots):]):
+        return None
     coeffs = [Fraction(0)] * k
-    for row_idx, c in enumerate(pivots):
-        coeffs[c] = rows[row_idx][k]
+    for row, c in reversed(list(zip(rows, pivots))):
+        coeffs[c] = (row[k] - sum(row[j] * coeffs[j] for j in range(c + 1, k))) / row[c]
     return coeffs

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import add, le, sub
 
 from .errors import (
@@ -166,7 +167,8 @@ class MonomialOrder:
 
     `key(expts)` is the sort key (bigger key = bigger monomial).  Keys are
     memoised per order instance, so an order kept for a whole computation
-    computes each monomial's key once.
+    computes each monomial's key once; `degrevlex(n)` and `lex(n)` return one
+    shared instance per arity.
     """
 
     __slots__ = ("kind", "perm", "block", "key")
@@ -189,14 +191,20 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind}, perm={self.perm}, block={self.block})"
 
 
+@cache
+def _standard_order(kind: str, n: int) -> MonomialOrder:
+    """One order, and so one key memo, per (kind, arity) for the process."""
+    return MonomialOrder(kind, tuple(range(n)))
+
+
 def degrevlex(ring_or_n) -> MonomialOrder:
     n = ring_or_n if isinstance(ring_or_n, int) else ring_or_n.arity
-    return MonomialOrder("degrevlex", tuple(range(n)))
+    return _standard_order("degrevlex", n)
 
 
 def lex(ring_or_n) -> MonomialOrder:
     n = ring_or_n if isinstance(ring_or_n, int) else ring_or_n.arity
-    return MonomialOrder("lex", tuple(range(n)))
+    return _standard_order("lex", n)
 
 
 def elimination_order(rng: RingDescriptor, first_block) -> MonomialOrder:

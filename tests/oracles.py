@@ -384,6 +384,22 @@ def module_s_pair(f, g, key, p=0):
     return out
 
 
+def monomial_syzygies(terms):
+    """Pairwise syzygies of monomial module vectors, each given as
+    (position, exponent tuple, nonzero coefficient): for every pair i < j at
+    one position, lcm/m_i / c_i e_i - lcm/m_j / c_j e_j.  A syzygy is a dict
+    {vector index: (exponent tuple, coefficient)}."""
+    out = []
+    for j, (pj, mj, cj) in enumerate(terms):
+        for i, (pi, mi, ci) in enumerate(terms[:j]):
+            if pi != pj:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+            out.append({i: (tuple(a - b for a, b in zip(lcm, mi)), 1 / Fraction(ci)),
+                        j: (tuple(a - b for a, b in zip(lcm, mj)), -1 / Fraction(cj))})
+    return out
+
+
 # ---------------------------------------------------------------------------
 # multiplicity at an isolated point by colength ratio (uses the package)
 

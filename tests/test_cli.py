@@ -201,6 +201,18 @@ def test_hilb_parity_scan_json(files, capsys):
     assert doc["result"]["max_tangent"] == 18
 
 
+def test_hilb_parity_scan_jobs_output_matches_serial(capsys):
+    code1, serial, _ = run_cli(["hilb", "parity-scan", "--n", "5", "--jobs", "1"], capsys)
+    code2, parallel, _ = run_cli(["hilb", "parity-scan", "--n", "5", "--jobs", "2"], capsys)
+    assert code1 == code2 == 0
+    # the result object is printed byte for byte the same
+    start = serial.index('"result": ')
+    assert parallel[parallel.index('"result": '):] == serial[start:]
+    doc1, doc2 = json.loads(serial), json.loads(parallel)
+    assert (doc1["config"].pop("jobs"), doc2["config"].pop("jobs")) == (1, 2)
+    assert doc1 == doc2
+
+
 # ------------------------------------------------------------- exit codes
 
 

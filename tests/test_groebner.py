@@ -11,6 +11,7 @@ from oracles import (
     module_division_remainder,
     module_s_pair,
     module_term_key,
+    monomial_syzygies,
     s_pair,
 )
 
@@ -332,6 +333,44 @@ def test_module_syzygies_contract_to_zero_vector():
         for coeff, vec in zip(rel.components, vectors):
             total = [t + coeff * c for t, c in zip(total, vec.components)]
         assert all(t.is_zero() for t in total)
+
+
+@st.composite
+def monomial_vectors(draw):
+    rank = draw(st.integers(1, 2))
+    coeff = st.sampled_from([2, -3, Fraction(1, 2), Fraction(-5, 3)])
+    return rank, draw(st.lists(
+        st.tuples(st.integers(0, rank - 1), st.tuples(*[st.integers(0, 2)] * 3), coeff),
+        min_size=1, max_size=5))
+
+
+@given(case=monomial_vectors())
+@settings(max_examples=60, deadline=None)
+def test_monomial_syzygies_match_the_pairwise_oracle(case):
+    rank, terms = case
+    zero = Polynomial.zero(R3)
+    vectors = []
+    for pos, m, c in terms:
+        comps = [zero] * rank
+        comps[pos] = Polynomial.from_monomial(R3, m, c)
+        vectors.append(ModuleVector(tuple(comps)))
+    order = degrevlex(R3)
+    syz = module_syzygies(vectors, order)
+    for rel in syz:
+        total = [zero] * rank
+        for coeff, vec in zip(rel.components, vectors):
+            total = [t + coeff * c for t, c in zip(total, vec.components)]
+        assert all(t.is_zero() for t in total)
+    oracle = []
+    for rel in monomial_syzygies(terms):
+        comps = [zero] * len(terms)
+        for i, (m, c) in rel.items():
+            comps[i] = Polynomial.from_monomial(R3, m, c)
+        oracle.append(ModuleVector(tuple(comps)))
+    morder = ModuleOrder(order, "top")
+    assert module_buchberger(syz, morder) == module_buchberger(oracle, morder)
+    if rank == 1:
+        assert syzygy_basis([v.components[0] for v in vectors], order) == syz
 
 
 def test_update_pairs_never_pairs_leads_at_different_positions():

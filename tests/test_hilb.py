@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from oracles import (
 )
 from conesign import (
     BoundExceededError,
+    IdealPresentation,
     InfiniteColengthError,
     ModuleVector,
     PlanePartition,
@@ -173,6 +175,23 @@ def test_tangent_matches_truncation_oracle_through_colength_three():
             assert tangent_dimension_hilb(I).tangent_dim == want
 
 
+def test_tangent_at_moved_monomial_ideals_matches_truncation_oracle():
+    # permuted and translated to a point off the origin, the reduced basis
+    # is no longer monomial, so the syzygies take the embedding route
+    rnd = random.Random(5)
+    for n in range(1, 4):
+        for p in enumerate_plane_partitions(n):
+            exps = [next(iter(g.terms)) for g in monomial_ideal_of(p).generators]
+            want = monomial_hom_dimension(exps)
+            point = [rnd.choice((-1, 1)) for _ in range(3)]
+            q = p.permuted(rnd.sample(range(3), 3))
+            moved = IdealPresentation(
+                R3, [g.translate(point) for g in monomial_ideal_of(q).generators])
+            assert any(len(g.terms) > 1 for g in moved.gb())
+            rep = tangent_dimension_hilb(moved)
+            assert (rep.colength, rep.tangent_dim) == (n, want)
+
+
 def test_tangent_respects_coordinate_permutations():
     for n in range(1, 6):
         for p in enumerate_plane_partitions(n):
@@ -304,6 +323,23 @@ def test_quot_rank_one_agrees_with_the_ideal_route():
         )
         assert lifted.tangent_dim == direct.tangent_dim
         assert lifted.colength == direct.colength
+
+
+def test_quot_of_direct_sums_matches_truncation_oracle():
+    parts = [p for n in (1, 2) for p in enumerate_plane_partitions(n)]
+    zero = Polynomial.zero(R3)
+    for a, b in itertools.combinations_with_replacement(parts, 2):
+        gens = [(pos, next(iter(g.terms)))
+                for pos, p in enumerate((a, b))
+                for g in monomial_ideal_of(p).generators]
+        K = []
+        for pos, e in gens:
+            comps = [zero, zero]
+            comps[pos] = mono(e)
+            K.append(ModuleVector(tuple(comps)))
+        rep = quot_tangent_dimension(K, 2)
+        assert rep.colength == a.size + b.size
+        assert rep.tangent_dim == module_hom_dimension(gens, 2)
 
 
 def test_quot_rejects_infinite_colength():

@@ -171,6 +171,14 @@ def test_degrevlex_keys_match_the_definition_and_are_memoised():
     assert o.key((1, 0, 2)) is o.key((1, 0, 2))
 
 
+def test_standard_orders_are_shared_per_arity():
+    # one order, and so one key memo, however often the order is asked for
+    assert degrevlex(ring("x, y, z")) is degrevlex(3)
+    assert lex(ring("a, b")) is lex(2)
+    assert degrevlex(2) is not degrevlex(3)
+    assert degrevlex(3) is not lex(3)
+
+
 def test_lex_ignores_degree():
     o = lex(R3)
     assert o.greater((1, 0, 0), (0, 5, 5))
