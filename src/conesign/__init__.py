@@ -46,7 +46,6 @@ from .groebner import (
     ModuleOrder,
     ModuleVector,
     buchberger,
-    exact_divide,
     module_buchberger,
     module_contains,
     module_normal_form,
@@ -82,7 +81,6 @@ from .ideals import (
     jacobian,
     minimal_primes,
     multiplicity_along,
-    quotient_by_poly,
     radical_contains,
     saturate,
     standard_monomials,

@@ -80,11 +80,12 @@ def load_config(path: str | None = None) -> RunConfig:
     return cfg
 
 
-def load_ideal_file(path: str, characteristic: int = 0) -> IdealPresentation:
+def load_ideal_file(path: str, characteristic: int = 0,
+                    max_variables: int | None = None) -> IdealPresentation:
     """Ideal file: a `ring x, y, z;` header, then generators.
 
     Generators may be comma-separated or one per line; `#` starts a
-    comment.
+    comment.  A ring with more than `max_variables` variables is refused.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -104,6 +105,9 @@ def load_ideal_file(path: str, characteristic: int = 0) -> IdealPresentation:
     if header is None:
         raise ValueError(f"{path}: missing ring header")
     rng = ring(header, characteristic=characteristic)
+    if max_variables is not None and rng.arity > max_variables:
+        raise ValueError(f"{path}: ring has {rng.arity} variables, "
+                         f"more than max_variables = {max_variables}")
     gens = parse_generators("\n".join(body), rng)
     return IdealPresentation(rng, gens)
 
@@ -232,33 +236,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args, cfg: RunConfig) -> int:
     cmd = args.command
+
+    def load_ideal(path, characteristic=0):
+        return load_ideal_file(path, characteristic, cfg.max_variables)
+
     if cmd == "gb":
-        I = load_ideal_file(args.ideal, cfg.characteristic)
+        I = load_ideal(args.ideal, cfg.characteristic)
         order = order_from_name(cfg.order, I.ring)
         basis = I.gb(order)
         emit({"basis": [g.to_text(order) for g in basis],
               "order": cfg.order}, cfg)
         return 0
     if cmd == "eliminate":
-        I = load_ideal_file(args.ideal, cfg.characteristic)
+        I = load_ideal(args.ideal, cfg.characteristic)
         drop = tuple(v.strip() for v in args.drop.split(",") if v.strip())
         out = eliminate(I, drop)
         emit({"variables": list(out.ring.variables),
               "generators": [g.to_text() for g in out.gb()]}, cfg)
         return 0
     if cmd == "saturate":
-        I = load_ideal_file(args.ideal, cfg.characteristic)
+        I = load_ideal(args.ideal, cfg.characteristic)
         f = parse_polynomial(args.by, I.ring)
         out = saturate(I, f)
         emit({"generators": [g.to_text() for g in out.gb()]}, cfg)
         return 0
     if cmd == "dim":
-        I = load_ideal_file(args.ideal, cfg.characteristic)
+        I = load_ideal(args.ideal, cfg.characteristic)
         emit({"dimension": dimension(I)}, cfg)
         return 0
     if cmd == "mincomp":
         _require_rationals(cfg, "minimal-prime decomposition")
-        I = load_ideal_file(args.ideal)
+        I = load_ideal(args.ideal)
         comps = minimal_primes(I)
         payload = {"components": [c.to_json_dict() for c in comps]}
         rows = [[i, ";".join(c.to_json_dict()["generators"]), c.multiplicity,
@@ -270,18 +278,18 @@ def _dispatch(args, cfg: RunConfig) -> int:
         return 0
     if cmd == "cone":
         _require_rationals(cfg, "cone analysis")
-        I = load_ideal_file(args.ideal)
+        I = load_ideal(args.ideal)
         comps = cone_components(I)
         emit({"components": [c.to_json_dict() for c in comps]}, cfg)
         return 0
     if cmd == "cycle":
         _require_rationals(cfg, "cycle computation")
-        I = load_ideal_file(args.ideal)
+        I = load_ideal(args.ideal)
         emit(signed_support_cycle(I).to_json_dict(), cfg)
         return 0
     if cmd == "eu":
         _require_rationals(cfg, "Euler obstruction")
-        V = load_ideal_file(args.variety)
+        V = load_ideal(args.variety)
         point = parse_point(args.point, V.ring)
         mode = "assumed" if args.assume_prime else "check"
         verdict = eu_point(V, point, primality=mode, seed=cfg.seed)
@@ -289,7 +297,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
         return 0
     if cmd == "behrend" and args.behrend_command == "eval":
         _require_rationals(cfg, "Behrend evaluation")
-        I = load_ideal_file(args.ideal)
+        I = load_ideal(args.ideal)
         point = parse_point(args.point, I.ring)
         ev = behrend_value(I, point, seed=cfg.seed)
         emit(ev.to_json_dict(), cfg)
@@ -297,7 +305,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
     if cmd == "falsify" or (cmd == "behrend"
                             and args.behrend_command == "falsify"):
         _require_rationals(cfg, "the constancy falsifier")
-        I = load_ideal_file(args.ideal)
+        I = load_ideal(args.ideal)
         sign = None if args.sign is None else int(args.sign)
         cert = constancy_falsifier(I, sign)
         emit(cert.to_json_dict(), cfg)
@@ -314,7 +322,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
                  csv_header=["partition_id", "boxes"])
             return 0
         if args.hilb_command == "tangent":
-            I = load_ideal_file(args.ideal)
+            I = load_ideal(args.ideal)
             report = tangent_dimension_hilb(I)
             emit(report.to_json_dict(), cfg)
             return 0

@@ -17,7 +17,6 @@ from .ideals import (
     eliminate,
     minimal_primes,
     radical_contains,
-    saturate,
     transplant,
 )
 from .poly import Polynomial, RingDescriptor
@@ -37,10 +36,12 @@ def cone_variable_names(rng: RingDescriptor, k: int) -> tuple:
 def rees_ideal(J: IdealPresentation):
     """Kernel of R[e1..ek] -> R[t], e_i -> t*g_i, as (ideal, cone names).
 
-    Computed from the graph ideal (e_i - t*g_i), saturated at t and then
-    eliminated down to the cone ring.  The presentation is rebuilt from
-    the reduced basis of J, never from the raw generator list, so equal
-    ideals always produce identical cone output.
+    Computed by eliminating t from the graph ideal (e_i - t*g_i).  No
+    saturation at t is needed: the quotient of R[e, t] by the graph ideal
+    is R[t], a domain, so t is already a nonzerodivisor and saturating
+    would return the graph ideal unchanged.  The presentation is rebuilt
+    from the reduced basis of J, never from the raw generator list, so
+    equal ideals always produce identical cone output.
     """
     basis = [g for g in J.gb() if not g.is_zero()]
     k = len(basis)
@@ -55,9 +56,7 @@ def rees_ideal(J: IdealPresentation):
     for name, g in zip(names, basis):
         e = Polynomial.variable(big, name)
         gens.append(e - t * transplant(g, big))
-    graph = saturate(IdealPresentation(big, gens), t)
-    flat = eliminate(graph, (tname,))
-    return IdealPresentation(ext, [transplant(g, ext) for g in flat.generators]), names
+    return eliminate(IdealPresentation(big, gens), (tname,)), names
 
 
 def normal_cone_ideal(J: IdealPresentation):

@@ -113,33 +113,6 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     return Polynomial(f.ring, rem, normalize=False)
 
 
-def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-    """f / g when g divides f exactly; raises on nonzero remainder."""
-    from .poly import degrevlex
-
-    order = order or degrevlex(f.ring)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    char = f.ring.characteristic
-    glt, glc = g.leading(order)
-    work = dict(f.terms)
-    quot: dict = {}
-    key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        if not mono_divides(glt, m):
-            raise ValueError("exact_divide: division leaves a remainder")
-        if char:
-            factor = c * pow(glc, char - 2, char) % char
-        else:
-            factor = c / glc
-        shift = mono_div(m, glt)
-        quot[shift] = quot.get(shift, 0) + factor
-        _sub_multiple(work, factor, shift, g.terms, char, skip=glt)
-    return Polynomial(f.ring, quot)
-
-
 def _spair(fi: dict, lti, fj: dict, ltj, l, char: int) -> dict:
     """S-polynomial of two monic term dicts with leads lti, ltj and lcm l;
     the leads cancel and are left out."""

@@ -1,6 +1,9 @@
-"""Ideal-level operations: elimination, intersection, quotient, saturation,
-dimension, Hilbert-series degree data, tangent spaces, minimal primes with
-certified primality, and multiplicities along components.
+"""Ideal-level operations: elimination, intersection, saturation, dimension,
+Hilbert-series degree data, tangent spaces, minimal primes with certified
+primality, and multiplicities along components.
+
+Saturation is one elimination over R[w]: I : f^infinity = (I + (1 - w*f))
+meet R.
 
 All ideals are presented by finite generating sets over an explicit ring.
 Reduced Groebner bases are cached per monomial order, so repeated membership
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InfiniteColengthError, NotHomogeneousError, PointNotOnVarietyError
 from .factor import factor_polynomial, factor_univariate, is_irreducible
-from .groebner import buchberger, exact_divide, normal_form
+from .groebner import buchberger, normal_form
 from .linalg import rational_rank, solve_combination
 from .poly import (
     MonomialOrder,
@@ -164,43 +167,36 @@ def intersect(I: IdealPresentation, J: IdealPresentation) -> IdealPresentation:
     one = Polynomial.one(ext)
     gens = [wpoly * transplant(g, ext) for g in I.generators]
     gens += [(one - wpoly) * transplant(g, ext) for g in J.generators]
-    K = eliminate(IdealPresentation(ext, gens), (w,))
-    back = [rng.var_index(v) for v in K.ring.variables]
-    return IdealPresentation(rng, [g.remap(rng, back) for g in K.generators])
+    return eliminate(IdealPresentation(ext, gens), (w,))
 
 
-def quotient_by_poly(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
-    """Colon ideal I : (f) for a single nonzero polynomial f."""
-    if f.is_zero():
-        raise ValueError("colon by the zero polynomial")
-    if f.is_constant():
-        return IdealPresentation(I.ring, I.generators)
-    K = intersect(I, IdealPresentation(I.ring, (f,)))
-    order = degrevlex(I.ring)
-    return IdealPresentation(I.ring, [exact_divide(g, f, order) for g in K.generators])
-
-
-def saturate(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
-    """Stable colon ideal I : (f)^infinity."""
-    current = IdealPresentation(I.ring, I.generators)
-    while True:
-        nxt = quotient_by_poly(current, f)
-        if nxt.signature() == current.signature():
-            return current
-        current = nxt
-
-
-def radical_contains(I: IdealPresentation, f: Polynomial) -> bool:
-    """Membership of f in the radical of I, by the inverted-element trick."""
-    if f.is_zero():
-        return True
+def _inverting(I: IdealPresentation, f: Polynomial):
+    """(I + (1 - w*f), w) in R[w] for a fresh name w: f is inverted, so the
+    ideal contracts to I : f^infinity in R, and it is the unit ideal exactly
+    when f lies in the radical of I."""
     rng = I.ring
     w = _fresh_name("w", rng.variables)
     ext = rng.extend((w,))
     wpoly = Polynomial.variable(ext, ext.var_index(w))
     gens = [transplant(g, ext) for g in I.generators]
     gens.append(Polynomial.one(ext) - wpoly * transplant(f, ext))
-    return IdealPresentation(ext, gens).is_unit_ideal()
+    return IdealPresentation(ext, gens), w
+
+
+def saturate(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
+    """Saturation I : f^infinity = (I + (1 - w*f)) meet R, by one elimination
+    of w over R[w]."""
+    if f.is_zero():
+        raise ValueError("colon by the zero polynomial")
+    K, w = _inverting(I, f)
+    return eliminate(K, (w,))
+
+
+def radical_contains(I: IdealPresentation, f: Polynomial) -> bool:
+    """Membership of f in the radical of I, by the inverted-element trick."""
+    if f.is_zero():
+        return True
+    return _inverting(I, f)[0].is_unit_ideal()
 
 
 def dimension(I: IdealPresentation) -> int:

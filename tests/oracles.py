@@ -238,6 +238,23 @@ def monomial_hom_dimension(generator_exponents, nvars=3):
 
 
 # ---------------------------------------------------------------------------
+# saturation of a monomial ideal by a variable
+
+
+def monomial_saturation(generator_exponents, var):
+    """Minimal generators of I : x_var^infinity for I = (monomials).
+
+    Dividing out x_var as often as it goes sets that exponent to 0 in every
+    generator; keep the divisibility-minimal ones, sorted.
+    """
+    stripped = {tuple(0 if i == var else a for i, a in enumerate(e))
+                for e in generator_exponents}
+    return sorted(e for e in stripped
+                  if not any(o != e and all(a <= b for a, b in zip(o, e))
+                             for o in stripped))
+
+
+# ---------------------------------------------------------------------------
 # graded Hilbert function of a monomial ideal by direct counting
 
 

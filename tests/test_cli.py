@@ -258,6 +258,13 @@ def test_nonpositive_jobs_is_an_input_error(capsys):
         assert err.startswith("error:")
 
 
+def test_saturation_by_zero_is_an_input_error(files, capsys):
+    code, out, err = run_cli(["saturate", "--ideal", files["pair"], "--by", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: colon by the zero polynomial\n"
+
+
 def test_unsupported_obstruction_is_inconclusive(files, capsys):
     code, _, err = run_cli(
         ["eu", "--variety", files["umbrella"], "--point", "0,0,0"], capsys
@@ -400,6 +407,22 @@ def test_malformed_config_is_an_input_error(tmp_path, monkeypatch, capsys, confi
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_max_variables_refuses_a_larger_ring(files, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "conesign.json"
+    cfg.write_text(json.dumps({"max_variables": 2}))
+    monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    for argv in (["gb", "--ideal", files["axes"]],
+                 ["eu", "--variety", files["umbrella"], "--point", "0,0,0"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "more than max_variables = 2" in err
+    # a ring at the limit still runs
+    doc = run_json(["gb", "--ideal", files["pair"]], capsys)
+    assert doc["config"]["max_variables"] == 2
 
 
 # ------------------------------------------------------------ determinism

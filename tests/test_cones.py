@@ -1,6 +1,7 @@
 import pytest
 
 from conesign import (
+    IdealPresentation,
     cone_components,
     contains_ideal,
     dimension,
@@ -11,6 +12,7 @@ from conesign import (
     radical_contains,
     rees_ideal,
     ring,
+    saturate,
     signed_support_cycle,
     transplant,
 )
@@ -97,6 +99,20 @@ def test_rees_generators_vanish_under_substitution(J):
     reese, names = rees_ideal(J)
     for g in reese.generators:
         assert substitute_cone_vars(g, J, names).is_zero()
+
+
+@pytest.mark.parametrize("J", CORPUS, ids=lambda J: ",".join(J.generator_texts()))
+def test_rees_needs_no_saturation_at_t(J):
+    # the recipe with the saturation at t: the graph ideal's quotient is the
+    # domain R[t], so saturating at t must change nothing
+    reese, names = rees_ideal(J)
+    big = reese.ring.extend(("t",))
+    t = parse_polynomial("t", big)
+    graph = [parse_polynomial(name, big) - t * transplant(g, big)
+             for name, g in zip(names, J.gb())]
+    expected = eliminate(saturate(IdealPresentation(big, graph), t), ["t"])
+    assert expected.ring == reese.ring
+    assert reese.signature() == expected.signature()
 
 
 def test_normal_cone_of_smooth_hypersurface_is_a_line_bundle():

@@ -21,7 +21,6 @@ from conesign import (
     ModuleVector,
     buchberger,
     degrevlex,
-    exact_divide,
     lex,
     module_buchberger,
     module_contains,
@@ -248,14 +247,6 @@ def test_reduced_basis_is_a_groebner_basis_and_invariant(ideal, rnd):
     shift = Polynomial.from_monomial(rng, [rnd.randint(0, 1) for _ in range(rng.arity)])
     moved.append(rnd.choice(fs) * shift + rnd.choice(fs))
     assert buchberger(moved, order) == G
-
-
-def test_exact_divide_inverts_products():
-    f = parse_polynomial("x^2 - y^2", R2)
-    g = parse_polynomial("x - y", R2)
-    assert exact_divide(f, g) == parse_polynomial("x + y", R2)
-    with pytest.raises(ValueError):
-        exact_divide(parse_polynomial("x^2 + 1", R2), g)
 
 
 # syzygies

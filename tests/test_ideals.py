@@ -1,8 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import monomial_hilbert_count, zero_dim_multiplicity
+from oracles import monomial_hilbert_count, monomial_saturation, zero_dim_multiplicity
 
 import conesign.ideals
 from conesign import (
@@ -10,6 +13,7 @@ from conesign import (
     InfiniteColengthError,
     NotHomogeneousError,
     PointNotOnVarietyError,
+    Polynomial,
     colength,
     contains_ideal,
     degrevlex,
@@ -26,7 +30,6 @@ from conesign import (
     minimal_primes,
     multiplicity_along,
     parse_polynomial,
-    quotient_by_poly,
     radical_contains,
     ring,
     saturate,
@@ -77,17 +80,12 @@ def test_eliminate_composes():
     assert once.signature() == both.signature()
 
 
-# intersection, quotient, saturation
+# intersection, saturation
 
 
 def test_intersect_two_lines():
     out = intersect(I("x"), I("y"))
     assert [g.to_text() for g in out.gb()] == ["x*y"]
-
-
-def test_quotient_moves_a_factor():
-    out = quotient_by_poly(I("x*y"), parse_polynomial("x", R2))
-    assert [g.to_text() for g in out.gb()] == ["y"]
 
 
 def test_saturate_principal_power():
@@ -101,14 +99,10 @@ def test_saturate_strips_one_factor():
 
 
 def test_saturate_embedded_origin():
-    # quotient chain: (x^2, xy) : x = (x, y), then (x, y) : x = (1);
-    # the saturation is the stable tail, the unit ideal
+    # (x^2, xy) : x = (x, y) and (x, y) : x = (1), so the saturation is the
+    # unit ideal
     J = I("x^2, x*y")
     x = parse_polynomial("x", R2)
-    first = quotient_by_poly(J, x)
-    assert sorted(g.to_text() for g in first.gb()) == ["x", "y"]
-    second = quotient_by_poly(first, x)
-    assert second.is_unit_ideal()
     assert saturate(J, x).is_unit_ideal()
 
 
@@ -117,6 +111,47 @@ def test_saturate_keeps_the_transverse_component():
     # visible at y != 0 except the embedded point
     out = saturate(I("x^2, x*y"), parse_polynomial("y", R2))
     assert [g.to_text() for g in out.gb()] == ["x"]
+
+
+@st.composite
+def monomial_ideals(draw):
+    n = draw(st.integers(2, 3))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4))
+    return n, exps, draw(st.integers(0, n - 1))
+
+
+@given(case=monomial_ideals())
+@settings(max_examples=60, deadline=None)
+def test_saturate_monomial_ideal_by_a_variable_matches_the_oracle(case):
+    n, exps, var = case
+    rng = (R2, R3)[n - 2]
+    J = IdealPresentation(rng, [Polynomial.from_monomial(rng, e) for e in exps])
+    out = saturate(J, Polynomial.variable(rng, var))
+    expected = IdealPresentation(
+        rng, [Polynomial.from_monomial(rng, e) for e in monomial_saturation(exps, var)])
+    assert out.signature() == expected.signature()
+
+
+SATURATION_CASES = [
+    ("x^2", "x"),
+    ("x*y", "x"),
+    ("x^2, x*y", "x"),
+    ("x^2, x*y", "y"),
+]
+
+
+def permuted(J, perm):
+    return IdealPresentation(J.ring, [g.remap(J.ring, perm) for g in J.generators])
+
+
+@pytest.mark.parametrize("gens,by", SATURATION_CASES)
+def test_saturate_commutes_with_permuting_variables(gens, by):
+    J = I(gens)
+    f = parse_polynomial(by, R2)
+    out = saturate(J, f)
+    for perm in itertools.permutations(range(R2.arity)):
+        moved = saturate(permuted(J, perm), f.remap(R2, perm))
+        assert moved.signature() == permuted(out, perm).signature()
 
 
 def test_radical_membership():
