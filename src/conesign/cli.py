@@ -35,6 +35,7 @@ from .errors import (
     PrimalityUndecidedError,
 )
 from .euler import eu_point
+from .groebner import buchberger
 from .hilb import enumerate_plane_partitions, parity_scan, tangent_dimension_hilb
 from .ideals import IdealPresentation, dimension, eliminate, minimal_primes, saturate
 from .poly import parse_generators, parse_polynomial, order_from_name, ring
@@ -243,7 +244,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
     if cmd == "gb":
         I = load_ideal(args.ideal, cfg.characteristic)
         order = order_from_name(cfg.order, I.ring)
-        basis = I.gb(order)
+        basis = buchberger(I.generators, order, cfg.max_gb_pairs)
         emit({"basis": [g.to_text(order) for g in basis],
               "order": cfg.order}, cfg)
         return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfiniteColengthError, NotHomogeneousError, PointNotOnVarietyError
-from .factor import factor_polynomial, factor_univariate, is_irreducible
+from .factor import factor_polynomial, factor_univariate, gram_matrix, is_irreducible
 from .groebner import buchberger, normal_form
 from .linalg import rational_rank, solve_combination
 from .poly import (
@@ -619,17 +619,7 @@ def _geometric_flag(I: IdealPresentation) -> str:
             if linear and list(coeff_terms) == [(0,) * g.ring.arity]:
                 return "certified"
     if len(gb) == 1 and gb[0].is_homogeneous() and gb[0].total_degree() == 2:
-        g = gb[0]
-        n = I.ring.arity
-        gram = [[Fraction(0)] * n for _ in range(n)]
-        for m, c in g.terms.items():
-            sup = [i for i, e in enumerate(m) if e]
-            if len(sup) == 1:
-                gram[sup[0]][sup[0]] = c
-            else:
-                i, j = sup
-                gram[i][j] = gram[j][i] = Fraction(c, 2)
-        if rational_rank(gram) >= 3:
+        if rational_rank(gram_matrix(gb[0])) >= 3:
             return "certified"
     return "unknown"
 

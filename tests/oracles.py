@@ -418,6 +418,40 @@ def monomial_syzygies(terms):
 
 
 # ---------------------------------------------------------------------------
+# factorization over Q by sympy, from an expression
+
+
+def sympy_factorization(names, terms):
+    """Irreducible factors over Q of the polynomial {exponent tuple: Fraction}
+    in the variables `names`, by `sympy.factor_list` on a sympy expression:
+    a sorted list of (sorted tuple of (exponent tuple, Fraction), exponent),
+    constant factors dropped.  sympy normalizes each factor to primitive
+    integer coefficients with a positive leading coefficient, under lex in
+    its own order of the variables."""
+    import sympy
+
+    syms = [sympy.Symbol(v) for v in names]
+    expr = sympy.Integer(0)
+    for m, c in terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, e in zip(syms, m):
+            term *= s**e
+        expr += term
+    _, factors = sympy.factor_list(expr)
+    out = []
+    for fac, e in factors:
+        poly = sympy.Poly(fac, *syms)
+        if poly.total_degree() == 0:
+            continue
+        items = []
+        for mono, c in poly.terms():
+            q = sympy.Rational(c)
+            items.append((tuple(int(k) for k in mono), Fraction(int(q.p), int(q.q))))
+        out.append((tuple(sorted(items)), int(e)))
+    return sorted(out)
+
+
+# ---------------------------------------------------------------------------
 # multiplicity at an isolated point by colength ratio (uses the package)
 
 

@@ -425,6 +425,87 @@ def test_max_variables_refuses_a_larger_ring(files, tmp_path, monkeypatch, capsy
     assert doc["config"]["max_variables"] == 2
 
 
+def test_max_gb_pairs_binds_on_gb(files, tmp_path, monkeypatch, capsys):
+    argv = ["gb", "--ideal", files["scone"]]
+    default = run_cli(argv, capsys)
+    assert default[0] == 0
+    cfg = tmp_path / "conesign.json"
+    monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    # the twisted cubic's basis needs more than one S-pair
+    cfg.write_text(json.dumps({"max_gb_pairs": 1}))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("inconclusive:")
+    # the default budget, set explicitly, gives the same bytes
+    cfg.write_text(json.dumps({"max_gb_pairs": 500_000}))
+    assert run_cli(argv, capsys) == default
+
+
+# ------------------------------------------------------------ lazy sympy
+
+# runs CLI jobs in one fresh interpreter and reports whether sympy got loaded
+SYMPY_PROBE = """
+import contextlib, io, json, sys
+import conesign.cli
+loaded_by_import = "sympy" in sys.modules
+codes, outputs = [], []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(conesign.cli.main(argv))
+    outputs.append(out.getvalue())
+print(json.dumps({"loaded_by_import": loaded_by_import, "codes": codes,
+                  "outputs": outputs, "loaded": "sympy" in sys.modules}))
+"""
+
+
+def probe_sympy(jobs):
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", SYMPY_PROBE, json.dumps(jobs)],
+                         capture_output=True, text=True, env=env, check=True)
+    return json.loads(run.stdout)
+
+
+def test_sympy_stays_unloaded_on_the_cone_and_points_paths(tmp_path):
+    paths = {}
+    for name, text in [("axes", AXES),
+                       ("fat", "ring x, y, z;\nx^2, x*y, x*z, y*z\n"),
+                       ("cubic", "ring x, y, z;\nx^3 + y^3 + z^3\n"),
+                       ("cusp", "ring x, y;\ny^2 - x^3\n"),
+                       ("scone", SPACE_CURVE_CONE),
+                       ("points", "ring x, y, z;\nx^2, x*y, y^2, z\n")]:
+        paths[name] = str(tmp_path / f"{name}.ideal")
+        (tmp_path / f"{name}.ideal").write_text(text, encoding="utf-8")
+    jobs = []
+    for name in ("axes", "fat"):
+        jobs += [["cycle", "--ideal", paths[name]],
+                 ["falsify", "--ideal", paths[name]],
+                 ["behrend", "eval", "--ideal", paths[name], "--point", "0,0,0"]]
+    jobs += [["eu", "--variety", paths["cubic"], "--point", "0,0,0"],
+             ["eu", "--variety", paths["cusp"], "--point", "0,0"],
+             ["gb", "--ideal", paths["scone"]],
+             ["hilb", "tangent", "--ideal", paths["points"]],
+             ["hilb", "parity-scan", "--n", "4"]]
+    doc = probe_sympy(jobs)
+    assert not doc["loaded_by_import"]
+    # the fat point abstains on its Behrend value (exit 2); the rest succeed
+    assert doc["codes"] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert not doc["loaded"]
+
+
+def test_a_quartic_split_loads_sympy_and_finds_the_components(tmp_path):
+    path = tmp_path / "quartic.ideal"
+    path.write_text("ring x, y;\nx^4 - y^4\n", encoding="utf-8")
+    doc = probe_sympy([["mincomp", "--ideal", str(path)]])
+    assert doc["codes"] == [0] and doc["loaded"]
+    comps = json.loads(doc["outputs"][0])["result"]["components"]
+    assert sorted(c["generators"][0] for c in comps) == ["x + y", "x - y", "x^2 + y^2"]
+    assert all(c["multiplicity"] == 1 for c in comps)
+
+
 # ------------------------------------------------------------ determinism
 
 

@@ -1,6 +1,12 @@
-import pytest
+from fractions import Fraction
 
-from conesign import parse_polynomial, ring
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import sympy_factorization
+
+from conesign import Polynomial, parse_polynomial, ring
 from conesign.factor import factor_polynomial, factor_univariate, is_irreducible
 
 R2 = ring("x, y")
@@ -75,3 +81,116 @@ def test_univariate_factorization():
     # t^2 + 1 is irreducible
     fac = factor_univariate([1, 0, 1])
     assert len(fac) == 1 and fac[0][1] == 1
+
+
+# ---------------------------------------------------------------------------
+# native rules against sympy
+
+R3 = ring("x, y, z")
+# the same polynomials read in a ring whose variable order is not sympy's
+ZBA = ring("z, b, a")
+
+coeffs = st.sampled_from([0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)])
+points = st.tuples(*[st.sampled_from([0, 1, -1, 2, Fraction(1, 2)])] * 3)
+
+
+@st.composite
+def linear_forms(draw):
+    a, b, c = draw(st.tuples(coeffs, coeffs, coeffs).filter(any))
+    d = draw(coeffs)
+    return Polynomial(R3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c, (0, 0, 0): d})
+
+
+@st.composite
+def quadrics(draw):
+    kind = draw(st.sampled_from(["rank1", "split", "nonsplit", "generic"]))
+    l1, l2 = draw(linear_forms()), draw(linear_forms())
+    c = draw(coeffs.filter(bool))
+    if kind == "rank1":
+        return c * l1 * l1
+    if kind == "split":
+        return c * l1 * l2
+    if kind == "nonsplit":
+        d = draw(st.sampled_from([2, 3, -1, Fraction(5, 4)]))
+        return c * (l1 * l1 - d * l2 * l2)
+    monos = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+             (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    return Polynomial(R3, {m: draw(coeffs) for m in monos}) + c * l1 * l1
+
+
+@st.composite
+def factor_inputs(draw):
+    kind = draw(st.sampled_from(["linear", "linear2", "square", "quadric", "x2-2y2",
+                                 "fermat", "cusp", "linear*quadric"]))
+    point = draw(points)
+    if kind == "linear":
+        return draw(linear_forms())
+    if kind == "linear2":
+        return draw(linear_forms()) * draw(linear_forms())
+    if kind == "square":
+        return (draw(linear_forms()) * draw(linear_forms())) ** 2
+    if kind == "quadric":
+        return draw(quadrics())
+    if kind == "x2-2y2":
+        return P3("x^2 - 2*y^2").translate(point)
+    if kind == "fermat":
+        return P3("x^3 + y^3 + z^3").translate(point)
+    if kind == "cusp":
+        return P3("y^2 - x^3").translate(point)
+    return draw(linear_forms()) * draw(quadrics())
+
+
+def P3(text):
+    return parse_polynomial(text, R3)
+
+
+def as_items(factors):
+    return sorted((tuple(sorted(f.terms.items())), e) for f, e in factors)
+
+
+def up_to_sign(items):
+    def unsigned(terms):
+        return min(terms, tuple((m, -c) for m, c in terms))
+    return sorted((unsigned(terms), e) for terms, e in items)
+
+
+@given(f=factor_inputs())
+@settings(max_examples=100, deadline=None)
+def test_native_factorization_agrees_with_sympy(f):
+    assert as_items(factor_polynomial(f)) == sympy_factorization(R3.variables, f.terms)
+    g = Polynomial(ZBA, f.terms)
+    assert up_to_sign(as_items(factor_polynomial(g))) == up_to_sign(
+        sympy_factorization(ZBA.variables, g.terms))
+
+
+def test_factors_are_primitive_with_a_positive_lex_leading_coefficient():
+    # lex in the ring's own order: b comes before a in ring z, b, a
+    f = parse_polynomial("a^2 - b^2", ZBA)
+    assert texts(factor_polynomial(f)) == [("b + a", 1), ("b - a", 1)]
+    for g, _ in factor_polynomial(P3("1/4*x^2 - 9*y^2 + 1/2*z - 3*y*z")):
+        assert all(c.denominator == 1 for c in g.terms.values())
+        assert g.terms[max(g.terms)] > 0
+
+
+def test_quadric_rules():
+    # rank 1, rank 2 with a zero diagonal, rank 2 not split over Q, rank 3
+    assert texts(factor_polynomial(P3("4*x^2 - 4*x*y + y^2 + 4*x - 2*y + 1"))) == [
+        ("2*x - y + 1", 2)]
+    assert texts(factor_polynomial(P3("x*y - x - y + 1"))) == [("x - 1", 1), ("y - 1", 1)]
+    assert texts(factor_polynomial(P3("x^2 - 2*y^2 + 2*x + 1"))) == [
+        ("x^2 - 2*y^2 + 2*x + 1", 1)]
+    assert is_irreducible(P3("x*y - z^2 + 1"))
+
+
+def test_cubic_certificate_and_fallback():
+    # the translated cusp is certified irreducible without sympy; a
+    # reducible cubic and a quartic are factored by the fallback
+    assert is_irreducible(P3("(y + 1)^2 - (x - 1)^3"))
+    assert texts(factor_polynomial(P3("x^3 + y^3"))) == [
+        ("x + y", 1), ("x^2 - x*y + y^2", 1)]
+    # mod 7 the leading coefficient vanishes and x^2 + 1 has no root, so a
+    # prime dividing the leading coefficient must not certify anything
+    assert texts(factor_polynomial(P3("7*x^3 + x^2 + 7*x + 1"))) == [
+        ("7*x + 1", 1), ("x^2 + 1", 1)]
+    assert texts(factor_polynomial(P3("x^4 - y^4"))) == [
+        ("x + y", 1), ("x - y", 1), ("x^2 + y^2", 1)]

@@ -338,6 +338,20 @@ def test_from_reduced_basis_runs_no_buchberger(monkeypatch):
     assert L == K
 
 
+@pytest.mark.parametrize("text, flag", [
+    ("x^2 + y^2 + z^2", "certified"),
+    ("x*y - z^2", "certified"),
+    # rank 2: a product of two lines over C (or over Q)
+    ("x^2 + y^2", "unknown"),
+    ("x^2 - 2*y^2", "unknown"),
+])
+def test_geometric_flag_of_a_quadric_cone_follows_its_rank(text, flag):
+    for perm in itertools.permutations(R3.variables):
+        # the same polynomial text, read with the variables renamed
+        moved = text.translate(str.maketrans(dict(zip("xyz", perm))))
+        assert conesign.ideals._geometric_flag(I(moved, R3)) == flag
+
+
 # multiplicity along a component
 
 
