@@ -47,12 +47,10 @@ from .groebner import (
     ModuleVector,
     buchberger,
     module_buchberger,
-    module_contains,
     module_normal_form,
     module_syzygies,
     normal_form,
     spolynomial,
-    syzygy_basis,
 )
 from .hilb import (
     PlanePartition,

@@ -20,10 +20,9 @@ comparison.  Reduced bases are monic, interreduced, and sorted, hence
 canonical for (ideal or submodule, order).
 
 `module_divider` encodes a module basis and finds its leads once, for many
-normal forms against it; `module_normal_form` is one use of it.  Syzygies
-have one entry point, `module_syzygies`: single-term vectors get their
-pairwise (Taylor) syzygies at shared positions, anything else goes through a
-Groebner basis of an embedding; `syzygy_basis` is its rank-1 case."""
+normal forms against it; `module_normal_form` is one use of it.
+`module_syzygies` gives the Schreyer syzygies of a Groebner basis, read off
+the quotients of its own S-pair reductions."""
 
 from __future__ import annotations
 
@@ -50,12 +49,15 @@ DEFAULT_MAX_PAIRS = 500_000
 # division
 
 
-def _reduce_terms(fterms: dict, basis_terms, basis_lts, key, char: int):
+def _reduce_terms(fterms: dict, basis_terms, basis_lts, key, char: int, quotients=None):
     """Full normal form of a term dict against (basis_terms, basis_lts),
     comparing terms by `key`.
 
     The remainder's terms are inserted in descending order, so its first key
-    is its leading term.
+    is its leading term.  With `quotients`, a list of one dict per basis
+    element, each cancellation by basis element i records its factor at its
+    shift in quotients[i], so that fterms = sum of quotient * element +
+    remainder.
     """
     rem: dict = {}
     work = dict(fterms)
@@ -77,7 +79,11 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, key, char: int):
             factor = c * pow(glc, char - 2, char) % char
         else:
             factor = c / glc
-        _sub_multiple(work, factor, mono_div(m, glt), g, char, skip=glt)
+        shift = mono_div(m, glt)
+        if quotients is not None:
+            # the cancelled term m falls strictly, so no shift comes twice
+            quotients[hit][shift] = factor
+        _sub_multiple(work, factor, shift, g, char, skip=glt)
     return rem
 
 
@@ -304,29 +310,22 @@ class ModuleOrder:
     """Order on module terms (position, monomial).
 
     scheme 'top': compare monomials first (term over position), then prefer
-    smaller position.  scheme 'pot': position dominates.  `split` marks the
-    start of a trailing block that every leading-block term beats; it is used
-    for syzygy computations.
+    smaller position.  scheme 'pot': position dominates.
     """
 
-    def __init__(self, base: MonomialOrder, scheme: str = "top", split: int | None = None):
+    def __init__(self, base: MonomialOrder, scheme: str = "top"):
         if scheme not in ("top", "pot"):
             raise ValueError("scheme must be 'top' or 'pot'")
         self.base = base
         self.scheme = scheme
-        self.split = split
         # memoised key of an encoded term onehot(pos) + m, for the engine
         self._encoded_key = _KeyMemo(self._decoded_key).__getitem__
 
     def key(self, term):
         pos, m = term
         if self.scheme == "pot":
-            inner = (-pos, self.base.key(m))
-        else:
-            inner = (self.base.key(m), -pos)
-        if self.split is None:
-            return inner
-        return (1 if pos < self.split else 0, inner)
+            return (-pos, self.base.key(m))
+        return (self.base.key(m), -pos)
 
     def _decoded_key(self, t):
         return self.key((t.index(1), t[len(t) - len(self.base.perm):]))
@@ -389,63 +388,51 @@ def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX
     return [_vector(rng, rank, _decode(rank, t)) for t in reversed(basis)]
 
 
-def module_contains(v: ModuleVector, gb, morder: ModuleOrder) -> bool:
-    return module_normal_form(v, gb, morder).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # syzygies
 
 
-def module_syzygies(vectors, order: MonomialOrder):
-    """Generating set of the first syzygy module of `vectors` in R^m.
-
-    When every vector is a single term, these are the pairwise (Taylor)
-    syzygies of the vectors at a shared position.  Otherwise v_i is embedded
-    as v_i (+) e_i in R^(r+m) and a Groebner basis is computed under a block
-    order in which the original positions dominate; basis elements supported
-    in the tail block are exactly the syzygies.
-    """
-    vecs = list(vectors)
-    if not vecs:
+def module_syzygies(gb, order: MonomialOrder):
+    """Generators of the syzygy module of a Groebner basis `gb` under
+    ModuleOrder(order, "top"), by Schreyer's theorem: for each pair of leads
+    at one position, m_ij e_i - m_ji e_j - sum_k q_k e_k, where m_ij lt_i is
+    their lcm and the q_k are the quotients of their S-vector by `gb`.  A pair
+    is skipped when a third lead divides its lcm and both lcms with that lead
+    divide it strictly (the chain criterion).  Raises ValueError on a zero
+    vector or on a remainder, that is, when `gb` is not a Groebner basis."""
+    gb = list(gb)
+    if not gb:
         return []
-    rng = vecs[0].ring
-    r = vecs[0].rank
-    m = len(vecs)
-    zero = Polynomial.zero(rng)
-    terms = [v.to_dict() for v in vecs]
-    if all(len(t) == 1 for t in terms):
-        leads = [next(iter(t.items())) for t in terms]
-        out = []
-        for j, ((pj, mj), cj) in enumerate(leads):
-            for i, ((pi, mi), ci) in enumerate(leads[:j]):
-                if pi != pj:
-                    continue
-                l = mono_lcm(mi, mj)
-                comps = [zero] * m
-                comps[i] = Polynomial.from_monomial(rng, mono_div(l, mi), rng.coeff_inv(ci))
-                comps[j] = -Polynomial.from_monomial(rng, mono_div(l, mj), rng.coeff_inv(cj))
-                out.append(ModuleVector(tuple(comps)))
-        return out
-    extended = []
-    for i, v in enumerate(vecs):
-        tail = [zero] * m
-        tail[i] = Polynomial.one(rng)
-        extended.append(ModuleVector(tuple(v.components) + tuple(tail)))
-    morder = ModuleOrder(order, scheme="top", split=r)
-    gb = module_buchberger(extended, morder)
-    syz = []
-    for g in gb:
-        if all(c.is_zero() for c in g.components[:r]):
-            syz.append(ModuleVector(g.components[r:]))
-    return syz
-
-
-def syzygy_basis(gens, order: MonomialOrder):
-    """Generating set of the syzygy module of polynomial generators: the
-    rank-1 case of `module_syzygies`, so monomial generators get their
-    pairwise (Taylor) syzygies."""
-    gens = list(gens)
-    if any(g.is_zero() for g in gens):
-        raise ValueError("syzygy_basis requires nonzero generators")
-    return module_syzygies([ModuleVector((g,)) for g in gens], order)
+    if any(v.is_zero() for v in gb):
+        raise ValueError("module_syzygies requires nonzero vectors")
+    rng, rank = gb[0].ring, gb[0].rank
+    char = rng.characteristic
+    key = ModuleOrder(order, "top")._encoded_key
+    encoded = [_encode(rank, v.to_dict()) for v in gb]
+    lts = [max(d, key=key) for d in encoded]
+    # the monic basis; component k of its syzygies is scaled back by inv[k]
+    inv = [1 if d[lt] == 1 else rng.coeff_inv(d[lt]) for d, lt in zip(encoded, lts)]
+    bt = [_scaled(d, s, char) for d, s in zip(encoded, inv)]
+    zero, one, minus_one = Polynomial.zero(rng), rng.coeff(1), rng.coeff(-1)
+    out = []
+    for j, ltj in enumerate(lts):
+        for i, lti in enumerate(lts[:j]):
+            if lti[:rank] != ltj[:rank]:
+                continue
+            l = mono_lcm(lti, ltj)
+            if any(k != i and k != j and mono_divides(lt, l)
+                   and mono_lcm(lti, lt) != l and mono_lcm(ltj, lt) != l
+                   for k, lt in enumerate(lts)):
+                continue  # the chain criterion
+            # reduce m_ji b_j - m_ij b_i, the negated S-vector, so that its
+            # quotients enter the syzygy with their own sign
+            syz = [{} for _ in lts]
+            if _reduce_terms(_spair(bt[j], ltj, bt[i], lti, l, char), bt, lts, key, char, syz):
+                raise ValueError("module_syzygies requires a Groebner basis")
+            syz[i][mono_div(l, lti)] = one
+            syz[j][mono_div(l, ltj)] = minus_one
+            out.append(ModuleVector([
+                Polynomial(rng, {t[rank:]: c for t, c in _scaled(d, s, char).items()},
+                           normalize=False) if d else zero
+                for d, s in zip(syz, inv)]))
+    return out

@@ -88,9 +88,10 @@ def staircase_generators(boxes):
 # dense linear algebra over Fraction
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(map(Fraction, r)) for r in rows]
+def rref(rows, p=0):
+    """Reduced row echelon form over Q, or over GF(p) for a prime p; returns
+    (rows, pivot column indices)."""
+    rows = [[v % p for v in r] if p else list(map(Fraction, r)) for r in rows]
     pivots = []
     r = 0
     width = len(rows[0]) if rows else 0
@@ -99,12 +100,13 @@ def rref(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
+        inv = _inverse(rows[r][c], p)
+        rows[r] = [v * inv % p if p else v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [(a - f * b) % p if p else a - f * b
+                           for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -112,10 +114,10 @@ def rref(rows):
     return rows[:r], pivots
 
 
-def matrix_rank(rows):
+def matrix_rank(rows, p=0):
     if not rows:
         return 0
-    return len(rref(rows)[0])
+    return len(rref(rows, p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +346,14 @@ def s_pair(f, g, p=0):
 # coefficients as above.
 
 
-def module_term_key(scheme, split=None):
+def module_term_key(scheme):
     """Sort key of a module term (pos, m) over degrevlex.  'top' compares
     monomials first and then prefers the smaller position; 'pot' prefers the
-    smaller position first.  With a `split`, every term at a position below
-    it beats every term at or after it."""
+    smaller position first."""
 
     def key(term):
         pos, m = term
-        inner = (grevlex_key(m), -pos) if scheme == "top" else (-pos, grevlex_key(m))
-        return inner if split is None else (pos < split, inner)
+        return (grevlex_key(m), -pos) if scheme == "top" else (-pos, grevlex_key(m))
 
     return key
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from oracles import height_matrix_partitions, monomial_hom_dimension
 from conesign import (
     IdealPresentation,
+    ModuleVector,
     Polynomial,
     behrend_value,
     cone_components,
@@ -20,11 +21,11 @@ from conesign import (
     enumerate_plane_partitions,
     eu_point,
     ideal,
+    module_syzygies,
     monomial_ideal_of,
     normal_form,
     parity_scan,
     ring,
-    syzygy_basis,
     tangent_dimension_hilb,
 )
 
@@ -181,7 +182,7 @@ def test_criterion_9_property_suites():
     for I in GB_CORPUS:
         order = degrevlex(I.ring)
         gb = I.gb(order)
-        for s in syzygy_basis(gb, order):
+        for s in module_syzygies([ModuleVector((g,)) for g in gb], order):
             total = Polynomial.zero(I.ring)
             for a, g in zip(s.components, gb):
                 total = total + a * g

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     division_remainder,
+    matrix_rank,
     module_division_remainder,
     module_s_pair,
     module_term_key,
@@ -23,7 +24,6 @@ from conesign import (
     degrevlex,
     lex,
     module_buchberger,
-    module_contains,
     module_normal_form,
     module_syzygies,
     normal_form,
@@ -31,7 +31,6 @@ from conesign import (
     parse_polynomial,
     ring,
     spolynomial,
-    syzygy_basis,
 )
 from conesign.groebner import _update_pairs
 from conesign.poly import Polynomial
@@ -259,9 +258,21 @@ def contract(syz: ModuleVector, generators):
     return total
 
 
+def module_contract(syz: ModuleVector, vectors) -> ModuleVector:
+    total = [Polynomial.zero(vectors[0].ring)] * vectors[0].rank
+    for coeff, v in zip(syz.components, vectors):
+        total = [t + coeff * c for t, c in zip(total, v.components)]
+    return ModuleVector(tuple(total))
+
+
+def syzygies(G, order):
+    """Syzygies of a polynomial Groebner basis, as the rank-1 module case."""
+    return module_syzygies([ModuleVector((g,)) for g in G], order)
+
+
 def test_koszul_syzygy_of_two_variables():
     G = gens("x, y")
-    syz = syzygy_basis(G, degrevlex(R2))
+    syz = syzygies(G, degrevlex(R2))
     assert len(syz) == 1
     assert contract(syz[0], G).is_zero()
     comps = [c.to_text() for c in syz[0].components]
@@ -271,7 +282,7 @@ def test_koszul_syzygy_of_two_variables():
 def test_three_axes_syzygies_generate_the_module():
     G = gens("xy, xz, yz", R3)
     order = degrevlex(R3)
-    syz = syzygy_basis(G, order)
+    syz = syzygies(G, order)
     for s in syz:
         assert contract(s, G).is_zero()
     # the relation (z, 0, -x) must lie in the module they generate
@@ -285,24 +296,25 @@ def test_three_axes_syzygies_generate_the_module():
     assert contract(target, G).is_zero()
     morder = ModuleOrder(order, scheme="top")
     mgb = module_buchberger(syz, morder)
-    assert module_contains(target, mgb, morder)
+    assert module_normal_form(target, mgb, morder).is_zero()
 
 
 def test_single_generator_has_no_syzygies():
-    assert syzygy_basis(gens("x^2 + y"), degrevlex(R2)) == []
+    assert syzygies(gens("x^2 + y"), degrevlex(R2)) == []
 
 
 @pytest.mark.parametrize("rng,text", CORPUS)
 def test_every_syzygy_contracts_to_zero(rng, text):
-    G = gens(text, rng)
-    for s in syzygy_basis(G, degrevlex(rng)):
+    order = degrevlex(rng)
+    G = buchberger(gens(text, rng), order)
+    for s in syzygies(G, order):
         assert contract(s, G).is_zero()
 
 
 def test_module_normal_form_reduces_to_zero_inside_module():
     order = degrevlex(R3)
     G = gens("xy, xz, yz", R3)
-    syz = syzygy_basis(G, order)
+    syz = syzygies(G, order)
     morder = ModuleOrder(order, scheme="top")
     mgb = module_buchberger(syz, morder)
     for s in syz:
@@ -360,8 +372,105 @@ def test_monomial_syzygies_match_the_pairwise_oracle(case):
         oracle.append(ModuleVector(tuple(comps)))
     morder = ModuleOrder(order, "top")
     assert module_buchberger(syz, morder) == module_buchberger(oracle, morder)
+
+
+def degree_monomials(d):
+    return [m for m in itertools.product(range(d + 1), repeat=3) if sum(m) == d]
+
+
+@st.composite
+def graded_bases(draw):
+    """(ring, reduced basis): a homogeneous ideal of k[x, y, z] from 2-3
+    forms of degree 1-3, or a submodule of R^2 from 2-3 vectors whose two
+    components are forms of one degree 1-3, over Q or GF(32003)."""
+    rng = ring("x, y, z", characteristic=draw(st.sampled_from([0, 32003])))
+    rank = draw(st.integers(1, 2))
+    coeff = st.integers(-3, 3).filter(bool)
+
+    def form(d):
+        monos = st.sampled_from(degree_monomials(d))
+        return Polynomial(rng, draw(st.dictionaries(monos, coeff, min_size=1, max_size=3)))
+
+    vectors = []
+    for _ in range(draw(st.integers(2, 3))):
+        d = draw(st.integers(1, 3))
+        vectors.append(ModuleVector(tuple(form(d) for _ in range(rank))))
+    order = degrevlex(rng)
     if rank == 1:
-        assert syzygy_basis([v.components[0] for v in vectors], order) == syz
+        G = buchberger([v.components[0] for v in vectors], order)
+        return rng, [ModuleVector((g,)) for g in G]
+    return rng, module_buchberger(vectors, ModuleOrder(order, "top"))
+
+
+@given(case=graded_bases())
+@settings(max_examples=25, deadline=None)
+def test_syzygies_generate_the_syzygy_module_in_each_degree(case):
+    # in each degree d, the multiples of the syzygies span the kernel of the
+    # dense multiplication map (+)_k R_{d - deg g_k} -> R^r_d
+    rng, G = case
+    p = rng.characteristic
+    syz = module_syzygies(G, degrevlex(rng))
+    basis = [g.to_dict() for g in G]
+    degs = [max(sum(m) for _, m in b) for b in basis]
+    for s in syz:
+        assert module_contract(s, G).is_zero()
+    sdegs = [max(sum(m) + degs[k] for k, comp in enumerate(s.components) for m in comp.terms)
+             for s in syz]
+    for d in range(max(degs) + 3):
+        cols = [(k, mu) for k, e in enumerate(degs) for mu in degree_monomials(d - e)]
+        if not cols:
+            continue
+        targets = [(pos, m) for pos in range(G[0].rank) for m in degree_monomials(d)]
+        images = []
+        for k, mu in cols:
+            image = {(pos, tuple(a + b for a, b in zip(m, mu))): c
+                     for (pos, m), c in basis[k].items()}
+            images.append([image.get(t, 0) for t in targets])
+        kernel = len(cols) - matrix_rank(images, p)
+        index = {c: i for i, c in enumerate(cols)}
+        multiples = []
+        for s, e in zip(syz, sdegs):
+            for alpha in degree_monomials(d - e):
+                row = [0] * len(cols)
+                for k, comp in enumerate(s.components):
+                    for m, c in comp.terms.items():
+                        row[index[(k, tuple(a + b for a, b in zip(m, alpha)))]] = c
+                multiples.append(row)
+        assert matrix_rank(multiples, p) == kernel
+
+
+GF3 = ring("x, y, z", characteristic=32003)
+
+
+@pytest.mark.parametrize("texts", [
+    [("3071*x^3", "23463*y^4*z"),
+     ("7056*x^2*y^2*z + 11764*y^3", "27178*y^4*z^2 + 21669*x^5"),
+     ("6914*x^3*y^2 + 21961*x^2*y^2*z", "16697*x^2*y*z + 8082*x*y^2*z"),
+     ("19527*y^3*z^3", "3666*x^2*y^3 + 5183*y^2*z^3")],
+    [("650*x", "20545*x*y^2*z^2 + 15519*x*y*z"),
+     ("23099*y^2*z^4 + 26628*x*y^2*z^2", "20525*z^3"),
+     ("0", "13527*x^5*y + 11660*x^3*y^2*z"),
+     ("9093*y^5*z + 15042*x^2*y*z^2", "31655*x^2*y^2*z^2")],
+])
+def test_syzygies_of_small_non_monomial_modules_finish(texts):
+    # a Groebner basis of the embedding in R^(r+m) grew without end here
+    vectors = [ModuleVector(tuple(parse_polynomial(t, GF3) for t in pair)) for pair in texts]
+    order = degrevlex(GF3)
+    G = module_buchberger(vectors, ModuleOrder(order, "top"))
+    syz = module_syzygies(G, order)
+    assert syz
+    for s in syz:
+        assert module_contract(s, G).is_zero()
+
+
+def test_module_syzygies_reject_what_is_not_a_nonzero_groebner_basis():
+    order = degrevlex(R2)
+    # the S-pair of x^2 + y and x*y leaves y^2
+    with pytest.raises(ValueError):
+        syzygies(gens("x^2 + y, x*y"), order)
+    x = parse_polynomial("x", R2)
+    with pytest.raises(ValueError):
+        module_syzygies([ModuleVector((x, x)), ModuleVector((Polynomial.zero(R2),) * 2)], order)
 
 
 def test_update_pairs_never_pairs_leads_at_different_positions():
@@ -394,29 +503,28 @@ def test_module_pair_budget_binds():
 
 @st.composite
 def small_modules(draw):
-    """(ring, rank, vectors, scheme, split): up to 3 vectors in R^rank,
-    rank 1 to 3, with components of up to 2 terms over Q or GF(32003), in 2
-    or 3 variables with exponents at most 2; a 'top', 'pot' or split order."""
+    """(ring, rank, vectors, scheme): up to 3 vectors in R^rank, rank 1 to
+    3, with components of up to 2 terms over Q or GF(32003), in 2 or 3
+    variables with exponents at most 2; a 'top' or 'pot' order."""
     rng = ring(draw(st.sampled_from(["x, y", "x, y, z"])),
                characteristic=draw(st.sampled_from([0, 32003])))
     rank = draw(st.integers(1, 3))
-    scheme, split = draw(st.sampled_from(
-        [("top", None), ("pot", None)] + [("top", k) for k in range(1, rank + 1)]))
+    scheme = draw(st.sampled_from(["top", "pot"]))
     mono = st.tuples(*[st.integers(0, 2)] * rng.arity)
     term_dicts = st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=2)
     vector = st.lists(term_dicts, min_size=rank, max_size=rank)
     vectors = [ModuleVector(tuple(Polynomial(rng, t) for t in comps))
                for comps in draw(st.lists(vector, min_size=1, max_size=3))]
-    return rng, rank, vectors, scheme, split
+    return rng, rank, vectors, scheme
 
 
 @given(module=small_modules(), rnd=st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_module_basis_is_a_reduced_groebner_basis_and_invariant(module, rnd):
-    rng, rank, vectors, scheme, split = module
+    rng, rank, vectors, scheme = module
     p = rng.characteristic
-    G = module_buchberger(vectors, ModuleOrder(degrevlex(rng), scheme, split))
-    key = module_term_key(scheme, split)
+    G = module_buchberger(vectors, ModuleOrder(degrevlex(rng), scheme))
+    key = module_term_key(scheme)
     basis = [g.to_dict() for g in G]
     leads = [max(b, key=key) for b in basis]
     # monic and reduced: no term of an element lies in another's lead
@@ -439,7 +547,7 @@ def test_module_basis_is_a_reduced_groebner_basis_and_invariant(module, rnd):
         scale = rnd.choice([-1, 2, 3, Fraction(1, 2)])
         moved.append(ModuleVector(tuple(c * scale for c in v.components)))
     rnd.shuffle(moved)
-    assert module_buchberger(moved, ModuleOrder(degrevlex(rng), scheme, split)) == G
+    assert module_buchberger(moved, ModuleOrder(degrevlex(rng), scheme)) == G
 
 
 small = st.integers(-3, 3)
@@ -478,5 +586,7 @@ def test_syzygies_contract_on_random_inputs(fs):
     fs = [f for f in fs if not f.is_zero()]
     if len(fs) < 2:
         return
-    for s in syzygy_basis(fs, degrevlex(R2)):
-        assert contract(s, fs).is_zero()
+    order = degrevlex(R2)
+    G = buchberger(fs, order)
+    for s in syzygies(G, order):
+        assert contract(s, G).is_zero()
