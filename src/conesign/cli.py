@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -113,11 +114,20 @@ def load_ideal_file(path: str, characteristic: int = 0,
     return IdealPresentation(rng, gens)
 
 
+# an integer, a/b with b nonzero, or a plain decimal: no exponents, which
+# would let a short coordinate ask for an arbitrarily long integer
+_COORDINATE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]+)?")
+
+
 def parse_point(text: str, rng) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rng.arity:
         raise ValueError(
             f"point has {len(parts)} coordinates, ring has {rng.arity}")
+    for p in parts:
+        if not _COORDINATE.fullmatch(p):
+            raise ValueError(f"bad point coordinate {p!r}: expected an "
+                             "integer, a/b with b nonzero, or a decimal")
     return tuple(Fraction(p) for p in parts)
 
 

@@ -31,6 +31,12 @@ from .poly import Polynomial, RingDescriptor, degrevlex, mono_mul, ring
 _DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def _closed_below(b, boxes) -> bool:
+    """Whether every b − e_i with b_i > 0 is one of the boxes."""
+    return all(tuple(c - 1 if j == i else c for j, c in enumerate(b)) in boxes
+               for i in range(3) if b[i] > 0)
+
+
 @dataclass(frozen=True)
 class PlanePartition:
     """Downward-closed finite set of boxes in N^3."""
@@ -41,13 +47,8 @@ class PlanePartition:
         for b in self.boxes:
             if len(b) != 3 or any(c < 0 for c in b):
                 raise ValueError(f"bad box {b!r}")
-            for i in range(3):
-                if b[i] > 0:
-                    pred = tuple(c - 1 if j == i else c
-                                 for j, c in enumerate(b))
-                    if pred not in self.boxes:
-                        raise ValueError(
-                            f"box set is not downward closed at {b!r}")
+            if not _closed_below(b, self.boxes):
+                raise ValueError(f"box set is not downward closed at {b!r}")
 
     @property
     def size(self) -> int:
@@ -78,17 +79,7 @@ def enumerate_plane_partitions(n: int, bound: int = 8) -> list:
             for b in boxes:
                 for d in _DIRECTIONS:
                     cand = (b[0] + d[0], b[1] + d[1], b[2] + d[2])
-                    if cand in boxes:
-                        continue
-                    ok = True
-                    for i in range(3):
-                        if cand[i] > 0:
-                            pred = tuple(c - 1 if j == i else c
-                                         for j, c in enumerate(cand))
-                            if pred not in boxes:
-                                ok = False
-                                break
-                    if ok:
+                    if cand not in boxes and _closed_below(cand, boxes):
                         grown.add(boxes | {cand})
         level = grown
     parts = [PlanePartition(boxes) for boxes in level]
@@ -103,19 +94,9 @@ def monomial_ideal_of(p: PlanePartition,
     if rng.arity != 3:
         raise ValueError("plane partitions live in three variables")
     caps = [max((b[i] for b in p.boxes), default=0) + 2 for i in range(3)]
-    gens = []
-    for m in itertools.product(*(range(c) for c in caps)):
-        if m in p.boxes:
-            continue
-        minimal = True
-        for i in range(3):
-            if m[i] > 0:
-                pred = tuple(c - 1 if j == i else c for j, c in enumerate(m))
-                if pred not in p.boxes:
-                    minimal = False
-                    break
-        if minimal:
-            gens.append(Polynomial.from_monomial(rng, m))
+    gens = [Polynomial.from_monomial(rng, m)
+            for m in itertools.product(*(range(c) for c in caps))
+            if m not in p.boxes and _closed_below(m, p.boxes)]
     return IdealPresentation(rng, gens)
 
 

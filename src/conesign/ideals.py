@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import InfiniteColengthError, NotHomogeneousError, PointNotOnVarietyError
 from .factor import factor_polynomial, factor_univariate, gram_matrix, is_irreducible
 from .groebner import buchberger, normal_form
-from .linalg import rational_rank, solve_combination
+from .linalg import _echelon, rational_rank, solve_combination
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -415,51 +415,22 @@ def tangent_dimension_at_point(I: IdealPresentation, point) -> int:
     return I.ring.arity - rational_rank(rows)
 
 
-def _poly_rank_mod_prime(rows, P: IdealPresentation) -> int:
-    """Rank of a polynomial matrix over the fraction field of R/P.
-
-    Fraction-free elimination; every entry is kept reduced modulo P.
-    """
-    order = degrevlex(P.ring)
-    gb = P.gb(order)
-    red = lambda f: normal_form(f, gb, order)
-    mat = [[red(e) for e in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if not mat[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        piv = mat[rank][col]
-        for r in range(rank + 1, nrows):
-            if mat[r][col].is_zero():
-                continue
-            factor = mat[r][col]
-            mat[r] = [red(piv * mat[r][c] - factor * mat[rank][c])
-                      for c in range(ncols)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def generic_tangent_dimension(I: IdealPresentation, P: IdealPresentation) -> int:
     """Tangent-space dimension of V(I) at the generic point of V(P).
 
     P must be a prime containing I; the Jacobian of I's generators is
-    row-reduced over the function field of V(P).
+    row-reduced over the function field of V(P) by the fraction-free
+    elimination of `linalg`, keeping every entry in normal form modulo P.
     """
     if I.ring != P.ring:
         raise ValueError("ideal and prime live in different rings")
     if not contains_ideal(P, I):
         raise ValueError("the given prime does not contain the ideal")
-    return I.ring.arity - _poly_rank_mod_prime(jacobian(I), P)
+    order = degrevlex(P.ring)
+    gb = P.gb(order)
+    mod_p = lambda row: [normal_form(e, gb, order) for e in row]
+    rows = [mod_p(row) for row in jacobian(I)]
+    return I.ring.arity - len(_echelon(rows, I.ring.arity, mod_p))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from conesign.cli import CONFIG_ENV, main
+from conesign import ring
+from conesign.cli import CONFIG_ENV, main, parse_point
 
 AXES = "ring x, y, z;\nxy, xz, yz\n"
 PAIR = (
@@ -42,6 +44,15 @@ def files(tmp_path):
         path.write_text(text, encoding="utf-8")
         out[name] = str(path)
     return out
+
+
+def cli_env():
+    """The environment for a CLI subprocess: no config file, this checkout's
+    sources first on the path."""
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_cli(argv, capsys):
@@ -243,6 +254,36 @@ def test_point_arity_mismatch_is_an_input_error(files, capsys):
         capsys,
     )
     assert code == 1
+
+
+BAD_POINTS = ["1/0,0,0", "0,-3/00,0", "1e3,0,0", "1.,0,0", ".5,0,0",
+              "inf,0,0", "nan,0,0", "1_0,0,0", "0x1,0,0", "x,0,0"]
+
+
+@pytest.mark.parametrize("command", [["behrend", "eval", "--ideal"], ["eu", "--variety"]])
+@pytest.mark.parametrize("point", BAD_POINTS)
+def test_malformed_point_coordinates_are_input_errors(files, capsys, command, point):
+    code, out, err = run_cli([*command, files["axes"], "--point", point], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_point_coordinates_are_integers_fractions_or_decimals():
+    rng = ring("x, y, z, w")
+    assert parse_point("1/2, -0.25,+3,-07/014", rng) == (
+        Fraction(1, 2), Fraction(-1, 4), Fraction(3), Fraction(-1, 2))
+
+
+def test_a_huge_exponent_in_a_point_is_rejected_at_once(files):
+    # parsed as a number, the exponent would build 10^300000000 and hang
+    for command in (["behrend", "eval", "--ideal"], ["eu", "--variety"]):
+        run = subprocess.run(
+            [sys.executable, "-m", "conesign.cli", *command, files["axes"],
+             "--point", "1e300000000,0,0"],
+            capture_output=True, text=True, env=cli_env(), timeout=10)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
 
 def test_infinite_colength_is_an_input_error(files, capsys):
@@ -461,11 +502,8 @@ print(json.dumps({"loaded_by_import": loaded_by_import, "codes": codes,
 
 
 def probe_sympy(jobs):
-    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV}
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-c", SYMPY_PROBE, json.dumps(jobs)],
-                         capture_output=True, text=True, env=env, check=True)
+                         capture_output=True, text=True, env=cli_env(), check=True)
     return json.loads(run.stdout)
 
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import monomial_hilbert_count, monomial_saturation, zero_dim_multiplicity
+from oracles import (
+    matrix_rank,
+    monomial_hilbert_count,
+    monomial_saturation,
+    zero_dim_multiplicity,
+)
 
 import conesign.ideals
 from conesign import (
@@ -442,6 +447,54 @@ def test_generic_tangent_equality_on_smooth_examples():
     for rng, text in [(R2, "y"), (R2, "y - x^2"), (R3, "x"), (R3, "x, y")]:
         J = ideal(rng, text)
         assert generic_tangent_dimension(J, J) == dimension(J)
+
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+cubic_exponents = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) <= 3)
+term_dicts = st.dictionaries(cubic_exponents, small_rationals, min_size=1, max_size=5)
+
+
+def value_at(terms, p):
+    return sum((c * p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2]
+                for e, c in terms.items()), Fraction(0))
+
+
+def gradient_at(terms, p):
+    row = []
+    for i in range(3):
+        total = Fraction(0)
+        for e, c in terms.items():
+            if e[i]:
+                rest = [p[j] ** (e[j] - (j == i)) for j in range(3)]
+                total += c * e[i] * rest[0] * rest[1] * rest[2]
+        row.append(total)
+    return row
+
+
+@given(p=st.tuples(small_rationals, small_rationals, small_rationals),
+       gens=st.lists(term_dicts, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_generic_tangent_dimension_at_a_point_matches_the_jacobian_rank(p, gens):
+    # shifting each generator by its value at p puts p on the zero set
+    shifted = []
+    for terms in gens:
+        terms = dict(terms)
+        terms[0, 0, 0] = terms.get((0, 0, 0), 0) - value_at(terms, p)
+        shifted.append(terms)
+    J = IdealPresentation(R3, [Polynomial(R3, t) for t in shifted])
+    P = ideal(R3, ", ".join(f"{v} - ({c})" for v, c in zip("xyz", p)))
+    expected = 3 - matrix_rank([gradient_at(t, p) for t in shifted])
+    assert generic_tangent_dimension(J, P) == expected
+
+
+def test_generic_tangent_dimension_along_the_twisted_cubic():
+    P = I("y - x^2, z - x^3", R3)
+    for text, expected in [
+        ("y - x^2, z - x^3", 1),
+        ("y - x^2, (z - x^3)^2", 2),
+        ("(y - x^2)*(z - x^3), x*(z - x^3)^2, (y - x^2)^3", 3),
+    ]:
+        assert generic_tangent_dimension(I(text, R3), P) == expected
 
 
 # standard monomials and colength

@@ -9,8 +9,10 @@ from oracles import matrix_rank
 
 from conesign.linalg import rational_rank, solve_combination
 
-# few distinct values, many zeros: ranks below full come up often
-entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+# few distinct values, many zeros: ranks below full come up often; the large
+# rationals make the integer rows clear big denominators and remove content
+entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4),
+                           Fraction(10**12 + 1, 7**9), -Fraction(3**20, 2**40)])
 
 
 @st.composite
@@ -44,6 +46,7 @@ def test_solve_combination_reproduces_a_target_in_the_span(case, combine, data):
         assert coeffs is None
         return
     assert coeffs is not None and len(coeffs) == len(vectors)
+    assert all(type(c) is Fraction for c in coeffs)
     assert [sum((c * v[i] for c, v in zip(coeffs, vectors)), Fraction(0))
             for i in range(ncols)] == target
 
@@ -55,3 +58,10 @@ def test_empty_inputs():
     assert solve_combination([], [Fraction(0), Fraction(0)]) == []
     assert solve_combination([], [Fraction(1)]) is None
     assert solve_combination([[], []], []) == [0, 0]
+
+
+def test_solve_combination_divides_exactly():
+    # integer rows must not turn 1/3 into a float
+    coeffs = solve_combination([[Fraction(3)]], [Fraction(1)])
+    assert coeffs == [Fraction(1, 3)]
+    assert type(coeffs[0]) is Fraction
