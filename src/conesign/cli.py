@@ -184,8 +184,16 @@ def _require_rationals(cfg: RunConfig, what: str) -> None:
             f"covers gb/eliminate/saturate/dim)")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so they exit 1
+    like every other bad input; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="conesign",
         description="Normal-cone cycles, Euler obstructions, Behrend "
                     "values, and Hilbert-scheme parity checks for affine "
@@ -349,9 +357,8 @@ def _dispatch(args, cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config()
         if args.seed is not None:
             cfg.seed = args.seed

@@ -99,8 +99,6 @@ def cone_components(J: IdealPresentation) -> list:
     out = []
     for comp in minimal_primes(C):
         image = eliminate(comp.prime, names)
-        image = IdealPresentation(J.ring, [transplant(g, J.ring)
-                                           for g in image.generators])
         dominates = all(radical_contains(J, g) for g in image.generators)
         out.append(ConeComponent(
             cone_prime=comp.prime,

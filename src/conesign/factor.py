@@ -192,11 +192,6 @@ def factor_polynomial(f: Polynomial):
     return out
 
 
-def is_irreducible(f: Polynomial) -> bool:
-    facs = factor_polynomial(f)
-    return len(facs) == 1 and facs[0][1] == 1
-
-
 def factor_univariate(coeffs) -> list:
     """Factor sum(coeffs[k] * T^k) over Q; returns [(coeff_list, exponent)],
     each factor with primitive integer coefficients and a positive leading one."""

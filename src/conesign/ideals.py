@@ -7,7 +7,19 @@ meet R.
 
 All ideals are presented by finite generating sets over an explicit ring.
 Reduced Groebner bases are cached per monomial order, so repeated membership
-tests and equality checks against the same presentation are cheap.
+tests and equality checks against the same presentation are cheap.  An ideal
+built from a reduced basis already in hand carries it on:
+
+- `eliminate` keeps the w-free elements of the reduced block-order basis.
+  They are the reduced degrevlex basis of the elimination ideal, because the
+  block order compares w-free monomials by degrevlex of the smaller ring.
+  `saturate`, `intersect` and the Rees ideal of `cones` inherit this.
+- `homogenize_ideal` homogenizes the reduced degrevlex basis with h last,
+  which gives the reduced degrevlex basis of I^h (Cox-Little-O'Shea,
+  Ideals, Varieties, and Algorithms, ch. 8 sec. 4): h never enters a lead.
+- `minimal_primes` presents each prime by its own reduced basis.
+
+Candidate primes are split or certified by one routine, `_certify_prime`.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfiniteColengthError, NotHomogeneousError, PointNotOnVarietyError
-from .factor import factor_polynomial, factor_univariate, gram_matrix, is_irreducible
+from .factor import factor_polynomial, factor_univariate, gram_matrix
 from .groebner import buchberger, normal_form
 from .linalg import _echelon, rational_rank, solve_combination
 from .poly import (
@@ -53,8 +65,13 @@ class IdealPresentation:
     @classmethod
     def from_reduced_basis(cls, rng: RingDescriptor, basis) -> "IdealPresentation":
         """The ideal generated by `basis`, which must be the reduced degrevlex
-        Groebner basis as `gb()` returns it; nothing checks this.  The basis
-        is cached, so no Buchberger run repeats it."""
+        Groebner basis as `gb()` returns it: monic, interreduced and sorted by
+        ascending lead.  Nothing checks this.  The basis is cached, so no
+        Buchberger run repeats it.
+
+        Callers: `eliminate` (the w-free part of a reduced block-order basis),
+        `homogenize_ideal` (a reduced degrevlex basis homogenized with h
+        last) and `minimal_primes` (each prime's own basis)."""
         I = cls(rng, basis)
         I._gb_cache[degrevlex(rng).signature()] = I.generators
         return I
@@ -147,12 +164,9 @@ def eliminate(I: IdealPresentation, drop_names) -> IdealPresentation:
             column_map.append(None)
         else:
             column_map.append(new_ring.var_index(I.ring.variables[i]))
-    kept = []
-    for g in I.gb(order):
-        if g.support_variables() & drop_idx:
-            continue
-        kept.append(g.remap(new_ring, column_map))
-    return IdealPresentation(new_ring, kept)
+    kept = [g.remap(new_ring, column_map) for g in I.gb(order)
+            if not g.support_variables() & drop_idx]
+    return IdealPresentation.from_reduced_basis(new_ring, kept)
 
 
 def intersect(I: IdealPresentation, J: IdealPresentation) -> IdealPresentation:
@@ -344,13 +358,15 @@ def graded_degree_data(I: IdealPresentation):
     return N, D
 
 
-def homogenize_ideal(I: IdealPresentation, name: str | None = None):
+def homogenize_ideal(I: IdealPresentation):
     """Homogenize with a fresh last variable; returns (ideal, var_name).
 
     Works from the degrevlex reduced basis, so the result is the full
-    homogenization of the ideal, saturated with respect to the new variable.
+    homogenization of the ideal, saturated with respect to the new variable,
+    and the homogenized basis is its reduced degrevlex basis: h never
+    enters a lead.
     """
-    h = _fresh_name(name or "h", I.ring.variables)
+    h = _fresh_name("h", I.ring.variables)
     ext = I.ring.extend((h,))
     gens = []
     for g in I.gb():
@@ -359,7 +375,7 @@ def homogenize_ideal(I: IdealPresentation, name: str | None = None):
         for m, c in g.terms.items():
             terms[tuple(m) + (d - sum(m),)] = c
         gens.append(Polynomial(ext, terms, normalize=False))
-    return IdealPresentation(ext, gens), h
+    return IdealPresentation.from_reduced_basis(ext, gens), h
 
 
 def hilbert_degree(I: IdealPresentation, homogenize: bool = False) -> int:
@@ -502,20 +518,6 @@ class PrimeComponent:
         }
 
 
-def _variable_supports(I: IdealPresentation):
-    return [g.support_variables() for g in I.gb()]
-
-
-def _is_monomial_prime(gb) -> bool:
-    for g in gb:
-        if not g.is_term():
-            return False
-        (m, _), = g.terms.items()
-        if sum(m) != 1:
-            return False
-    return True
-
-
 def _is_linear(gb) -> bool:
     return all(g.total_degree() <= 1 for g in gb)
 
@@ -571,9 +573,7 @@ def _zero_dim_prime_test(I: IdealPresentation):
 def _geometric_flag(I: IdealPresentation) -> str:
     """'certified' when irreducibility over Q provably persists over C."""
     gb = I.gb()
-    if not gb:
-        return "certified"
-    if _is_monomial_prime(gb) or _is_linear(gb):
+    if _is_linear(gb):
         return "certified"
     for g in I.generators:
         for var in g.support_variables():
@@ -596,27 +596,23 @@ def _geometric_flag(I: IdealPresentation) -> str:
 
 
 def _certify_prime(I: IdealPresentation):
-    """('prime',) / ('split', polys) / ('undecided',)."""
+    """('prime',) / ('split', polys) / ('undecided',).
+
+    The reduced basis of a prime has no reducible element, so the first
+    element that factors nontrivially splits I along its factors.  When
+    none does, I is prime if its basis is linear or a single irreducible
+    polynomial; in dimension 0 the minimal polynomials decide.
+    """
     gb = I.gb()
-    if not gb:
+    for g in gb:
+        facs = factor_polynomial(g)
+        if sum(e for _, e in facs) > 1:
+            return ("split", [f for f, _ in facs])
+    if _is_linear(gb) or len(gb) == 1:
         return ("prime",)
-    if _is_monomial_prime(gb) or _is_linear(gb):
-        return ("prime",)
-    if len(gb) == 1:
-        if is_irreducible(gb[0]):
-            return ("prime",)
-        return ("split", [f for f, _ in factor_polynomial(gb[0])])
     if dimension(I) == 0:
         return _zero_dim_prime_test(I)
     return ("undecided",)
-
-
-def _find_split(I: IdealPresentation):
-    for g in I.gb():
-        facs = factor_polynomial(g)
-        if len(facs) > 1 or (facs and facs[0][1] > 1):
-            return [f for f, _ in facs]
-    return None
 
 
 def minimal_primes(I: IdealPresentation) -> list:
@@ -639,11 +635,6 @@ def minimal_primes(I: IdealPresentation) -> list:
         seen.add(sig)
         if K.is_unit_ideal():
             continue
-        split = _find_split(K)
-        if split is not None:
-            for f in split:
-                work.append(K.with_extra((f,)))
-            continue
         verdict = _certify_prime(K)
         if verdict[0] == "split":
             for f in verdict[1]:
@@ -656,32 +647,17 @@ def minimal_primes(I: IdealPresentation) -> list:
 
     # keep the ideals minimal under inclusion
     entries = list(found.values())
-    keep = []
-    for i, (K, status) in enumerate(entries):
-        redundant = False
-        for j, (L, _) in enumerate(entries):
-            if i == j:
-                continue
-            if contains_ideal(K, L) and K.signature() != L.signature():
-                redundant = True
-                break
-        if not redundant:
-            keep.append((K, status))
+    keep = [(K, status) for K, status in entries
+            if not any(L is not K and contains_ideal(K, L) for L, _ in entries)]
 
     comps = []
     primes = [K for K, _ in keep]
     for K, status in keep:
-        dim = dimension(K)
-        Kh, _ = homogenize_ideal(K)
-        Q, _ = graded_degree_data(Kh)
-        deg = sum(Q)
-        mult = multiplicity_along(I, K, [P for P in primes
-                                         if P.signature() != K.signature()])
         comps.append(PrimeComponent(
             prime=K,
-            multiplicity=mult,
-            dimension=dim,
-            degree=deg,
+            multiplicity=multiplicity_along(I, K, [P for P in primes if P is not K]),
+            dimension=dimension(K),
+            degree=hilbert_degree(K, homogenize=True),
             primality=status,
             geometrically_irreducible=_geometric_flag(K),
         ))
@@ -704,17 +680,10 @@ def multiplicity_along(I: IdealPresentation, P: IdealPresentation,
                         if c.prime.signature() != P.signature()]
     Ih, _ = homogenize_ideal(I)
     Ph, _ = homogenize_ideal(P)
-    Ph_in = IdealPresentation(Ih.ring, [transplant(g, Ih.ring)
-                                        for g in Ph.generators])
     J = Ih
     for Q in other_primes:
         Qh, _ = homogenize_ideal(Q)
-        pick = None
-        for g in Qh.generators:
-            cand = transplant(g, Ih.ring)
-            if not Ph_in.contains(cand):
-                pick = cand
-                break
+        pick = next((g for g in Qh.generators if not Ph.contains(g)), None)
         if pick is None:
             raise ValueError("component list contains nested primes")
         J = saturate(J, pick)

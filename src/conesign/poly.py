@@ -21,6 +21,11 @@ from .errors import (
 
 Mono = tuple  # exponent tuple, one slot per ring variable
 
+# the largest exponent the parser accepts after '^'; a larger one is refused
+# as a syntax error, because computing the power (say 3^99999999) runs on for
+# minutes
+MAX_EXPONENT = 1000
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -634,7 +639,11 @@ class _Parser:
         kind, _, _ = self.lx.peek()
         if kind == "^":
             self.lx.next()
-            return base ** self._int()
+            pos = self.lx.peek()[2]
+            k = self._int()
+            if k > MAX_EXPONENT:
+                raise PolynomialSyntaxError(f"exponent above {MAX_EXPONENT}", pos)
+            return base ** k
         return base
 
     def _factor(self) -> Polynomial:

@@ -327,9 +327,47 @@ def test_enumeration_bound_is_inconclusive(capsys):
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
+    code, out, err = run_cli(["frobnicate"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["gb", "--ideal", "pair", "--bogus"],
+                                  # argparse reads -1,0,0 as an option
+                                  ["behrend", "eval", "--ideal", "axes", "--point", "-1,0,0"]])
+def test_usage_errors_exit_1_and_help_exits_0(files, capsys, argv):
+    # exit 2 is kept for exhausted budgets and abstentions
+    code, out, err = run_cli([files.get(a, a) for a in argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
     with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+        main(["gb", "--help"])
+    assert exc.value.code == 0
+    assert "--ideal" in capsys.readouterr().out
+
+
+def test_a_huge_exponent_in_an_ideal_file_is_rejected_at_once(tmp_path):
+    # computed, 3^99999999 would keep the parser busy for minutes
+    path = tmp_path / "huge.ideal"
+    path.write_text("ring x;\nx - 3^99999999\n", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "conesign.cli", "gb", "--ideal", str(path)],
+        capture_output=True, text=True, env=cli_env(), timeout=10)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
+
+def test_eu_on_a_reducible_variety_is_an_input_error(tmp_path, capsys):
+    # the reduced basis (z, x*y) has the reducible element x*y: the variety
+    # is the union of two lines, and the certifier splits it
+    path = tmp_path / "two_lines.ideal"
+    path.write_text("ring x, y, z;\nx*y, z\n", encoding="utf-8")
+    code, out, err = run_cli(["eu", "--variety", str(path), "--point", "0,0,0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: variety is reducible")
 
 
 # ------------------------------------------------- characteristic gating

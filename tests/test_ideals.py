@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    division_remainder,
     matrix_rank,
     monomial_hilbert_count,
     monomial_saturation,
+    s_pair,
     zero_dim_multiplicity,
 )
 
@@ -16,9 +18,11 @@ import conesign.ideals
 from conesign import (
     IdealPresentation,
     InfiniteColengthError,
+    MonomialOrder,
     NotHomogeneousError,
     PointNotOnVarietyError,
     Polynomial,
+    buchberger,
     colength,
     contains_ideal,
     degrevlex,
@@ -341,6 +345,80 @@ def test_from_reduced_basis_runs_no_buchberger(monkeypatch):
     assert L.gb() == G
     assert L.generator_texts() == ["y^2 - x", "x*y - 1", "x^2 - y"]
     assert L == K
+
+
+def counted_buchberger(monkeypatch):
+    """The list of the inputs of every Buchberger run from here on."""
+    calls = []
+    real = conesign.ideals.buchberger
+
+    def counted(gens, order, *args, **kwargs):
+        calls.append(tuple(gens))
+        return real(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(conesign.ideals, "buchberger", counted)
+    return calls
+
+
+def test_derived_ideals_keep_their_reduced_basis(monkeypatch):
+    J = I("y^2 - x^3, x*y - 1")
+    J.gb()
+    calls = counted_buchberger(monkeypatch)
+    Jh, _ = homogenize_ideal(J)
+    graded_degree_data(Jh)
+    assert calls == []
+    # the one run is the elimination order's; the result keeps its w-free part
+    E = eliminate(I("x - y^2, y^3 - 1"), ("y",))
+    assert E.generator_texts() == ["x^3 - 1"]
+    E.gb()
+    assert len(calls) == 1
+
+
+@st.composite
+def small_ideals(draw):
+    """(ring, generators): 1 to 3 generators of up to 3 terms over Q or
+    GF(32003), in 2 or 3 variables with exponents at most 2; some rings
+    already have a variable named h."""
+    rng = ring(draw(st.sampled_from(["x, y", "x, y, z", "x, h", "h, x, y"])),
+               characteristic=draw(st.sampled_from([0, 32003])))
+    mono = st.tuples(*[st.integers(0, 2)] * rng.arity)
+    terms = st.dictionaries(mono, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    polys = st.builds(lambda t: Polynomial(rng, t), terms)
+    return rng, draw(st.lists(polys, min_size=1, max_size=3)), draw(polys)
+
+
+def assert_handed_on_basis_is_reduced(J):
+    # the cached basis is the one Buchberger computes from scratch, and a
+    # Groebner basis by a division routine that shares no code with the package
+    G = J.gb()
+    assert list(G) == buchberger(J.generators, degrevlex(J.ring))
+    p = J.ring.characteristic
+    basis = [g.terms for g in G]
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            assert division_remainder(s_pair(basis[a], basis[b], p), basis, p) == {}
+
+
+@given(case=small_ideals(), drop=st.integers(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_eliminate_saturate_and_homogenize_hand_on_reduced_bases(case, drop):
+    rng, gens, f = case
+    J = IdealPresentation(rng, gens)
+    E = eliminate(J, rng.variables[drop:drop + 1])
+    assert_handed_on_basis_is_reduced(E)
+    # the same elimination ideal through lex with the dropped variable first
+    perm = (drop,) + tuple(i for i in range(rng.arity) if i != drop)
+    column_map = [None if i == drop else i - (i > drop) for i in range(rng.arity)]
+    by_lex = [g.remap(E.ring, column_map) for g in buchberger(gens, MonomialOrder("lex", perm))
+              if drop not in g.support_variables()]
+    assert E == IdealPresentation(E.ring, by_lex)
+    assert_handed_on_basis_is_reduced(saturate(J, f))
+    Jh, h = homogenize_ideal(J)
+    assert h not in rng.variables and Jh.ring.variables[-1] == h
+    assert_handed_on_basis_is_reduced(Jh)
+    # setting h = 1 gives J back
+    assert J == IdealPresentation(rng, [
+        Polynomial(rng, {m[:-1]: c for m, c in g.terms.items()}) for g in Jh.gb()])
 
 
 @pytest.mark.parametrize("text, flag", [

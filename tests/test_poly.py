@@ -18,7 +18,7 @@ from conesign import (
     parse_polynomial,
     ring,
 )
-from conesign.poly import Polynomial
+from conesign.poly import MAX_EXPONENT, Polynomial
 
 R2 = ring("x, y")
 R3 = ring("x, y, z")
@@ -65,6 +65,14 @@ def test_parse_errors_carry_position():
         P("x + t")
     with pytest.raises(PolynomialSyntaxError):
         P("x +")
+
+
+def test_exponents_are_bounded():
+    assert P(f"x^{MAX_EXPONENT}").total_degree() == MAX_EXPONENT
+    for text in (f"x^{MAX_EXPONENT + 1}", "3^99999999", "(x + 1)^99999999"):
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            P(text)
+        assert exc.value.position == text.index("^") + 1
 
 
 def test_print_round_trip():
