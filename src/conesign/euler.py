@@ -187,15 +187,17 @@ def eu_point(V: IdealPresentation, point, primality: str = "check",
              seed: int = 0) -> EuVerdict:
     """Local Euler obstruction of the integral variety V at a point.
 
-    primality: "check" certifies V prime first (reducible input is a
-    ValueError, uncertifiable input raises PrimalityUndecidedError);
+    primality: "check" certifies V prime first (input that splits, being
+    reducible or not reduced, is a ValueError, uncertifiable input raises
+    PrimalityUndecidedError);
     "certified"/"assumed" trust the caller and are recorded in the verdict.
     """
     if primality == "check":
         verdict = _certify_prime(V)
         if verdict[0] == "split":
-            raise ValueError("variety is reducible; Euler obstruction "
-                             "needs an integral variety")
+            raise ValueError("variety is not integral (reducible or not "
+                             "reduced); Euler obstruction needs an integral "
+                             "variety")
         if verdict[0] != "prime":
             raise PrimalityUndecidedError(
                 "could not certify the variety prime; pass an explicit "

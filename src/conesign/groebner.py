@@ -10,14 +10,23 @@ fires between them.  The only module-specific step is that no pair is formed
 between leads at different positions.  `ModuleVector`, `ModuleOrder.key` and
 every public function keep (position, monomial) terms.
 
-Buchberger keeps the basis as monic term dicts beside their leading
-monomials, which the reductions, the pair pruning and the final
-interreduction reuse.  Its S-pairs sit in a heap keyed by the order key of
-each pair's lcm, computed once when the pair is made, and are pruned by the
-Gebauer-Moeller criteria; each S-polynomial is built from the two stored
-monic leads and the heap entry's lcm.  The order's memoised keys serve every
-comparison.  Reduced bases are monic, interreduced, and sorted, hence
-canonical for (ideal or submodule, order).
+Buchberger keeps the basis as term dicts beside their leading monomials,
+which the reductions, the pair pruning and the final interreduction reuse.
+Over Q every basis element and every remainder is a primitive integer term
+dict (coprime coefficients, positive lead), and the one division kernel
+`_reduce_terms` reduces fraction-free: a term c*m falls to g as
+r <- (lc g/d) * r - (c/d) * (m/lt g) * g with d = gcd(c, lc g), and the
+content is removed once per reduction, when a remainder joins the basis.
+Mod p the basis is monic.  Only `_reduce_groebner` makes elements monic over
+`Fraction`, as it emits them; scaling changes no lead, so the pairs, their
+order and the output are those of monic arithmetic.  Its S-pairs sit in a
+heap keyed by the order key of each pair's lcm, computed once when the pair
+is made, and are pruned by the Gebauer-Moeller criteria; each S-polynomial
+is built from the two stored elements and the heap entry's lcm.  The order's
+memoised keys serve every comparison.  Reduced bases are monic,
+interreduced, and sorted, hence canonical for (ideal or submodule, order).
+Normal forms against a given basis hand the same kernel monic divisors,
+made so once per basis.
 
 `module_divider` encodes a module basis and finds its leads once, for many
 normal forms against it; `module_normal_form` is one use of it.
@@ -29,6 +38,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import BoundExceededError, RingMismatchError
 from .poly import (
@@ -53,11 +64,19 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, key, char: int, quotient
     """Full normal form of a term dict against (basis_terms, basis_lts),
     comparing terms by `key`.
 
+    Each divisor is monic, or, over Q, a primitive integer term dict, and
+    then `fterms` holds integers too.  A term c*m falls to element g with
+    lead coefficient lc fraction-free: with d = gcd(c, lc), the work becomes
+    (lc/d) * work - (c/d) * shift * g, and the remainder already emitted and
+    the quotients are scaled by lc/d with it.  So the result is the remainder
+    of a nonzero multiple of `fterms`, and the multiple is 1 when every
+    divisor is monic.
+
     The remainder's terms are inserted in descending order, so its first key
     is its leading term.  With `quotients`, a list of one dict per basis
     element, each cancellation by basis element i records its factor at its
-    shift in quotients[i], so that fterms = sum of quotient * element +
-    remainder.
+    shift in quotients[i], so that (that multiple of) fterms = sum of
+    quotient * element + remainder.
     """
     rem: dict = {}
     work = dict(fterms)
@@ -75,15 +94,19 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, key, char: int, quotient
         g = basis_terms[hit]
         glt = basis_lts[hit]
         glc = g[glt]
-        if char:
-            factor = c * pow(glc, char - 2, char) % char
-        else:
-            factor = c / glc
+        if glc != 1:
+            d = gcd(c, glc)
+            a, c = glc // d, c // d
+            if a != 1:
+                work = {t: v * a for t, v in work.items()}
+                rem = {t: v * a for t, v in rem.items()}
+                if quotients is not None:
+                    quotients[:] = [{s: v * a for s, v in q.items()} for q in quotients]
         shift = mono_div(m, glt)
         if quotients is not None:
             # the cancelled term m falls strictly, so no shift comes twice
-            quotients[hit][shift] = factor
-        _sub_multiple(work, factor, shift, g, char, skip=glt)
+            quotients[hit][shift] = c
+        _sub_multiple(work, c, shift, g, char, skip=glt)
     return rem
 
 
@@ -113,18 +136,26 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     for g in gs:
         if g.ring != f.ring:
             raise RingMismatchError("normal_form across rings")
-    bt = [g.terms for g in gs]
     lts = [g.leading(order)[0] for g in gs]
+    bt = [_monic(g.terms, lt, f.ring) for g, lt in zip(gs, lts)]
     rem = _reduce_terms(f.terms, bt, lts, order.key, f.ring.characteristic)
     return Polynomial(f.ring, rem, normalize=False)
 
 
 def _spair(fi: dict, lti, fj: dict, ltj, l, char: int) -> dict:
-    """S-polynomial of two monic term dicts with leads lti, ltj and lcm l;
-    the leads cancel and are left out."""
+    """S-polynomial of two term dicts with leads lti, ltj and lcm l, both
+    monic or both primitive over Z: (cj/d) * (l/lti) * fi - (ci/d) * (l/ltj)
+    * fj for their lead coefficients ci, cj and d = gcd(ci, cj).  The leads
+    cancel and are left out."""
+    ci, cj = fi[lti], fj[ltj]
+    if ci == cj:
+        ci = cj = 1
+    else:
+        d = gcd(ci, cj)
+        ci, cj = ci // d, cj // d
     out: dict = {}
-    _sub_multiple(out, -1, mono_div(l, lti), fi, char, skip=lti)
-    _sub_multiple(out, 1, mono_div(l, ltj), fj, char, skip=ltj)
+    _sub_multiple(out, -cj, mono_div(l, lti), fi, char, skip=lti)
+    _sub_multiple(out, ci, mono_div(l, ltj), fj, char, skip=ltj)
     return out
 
 
@@ -132,11 +163,9 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     if f.ring != g.ring:
         raise RingMismatchError(f"rings differ: {f.ring.variables} vs {g.ring.variables}")
     rng = f.ring
-    char = rng.characteristic
-    flt, flc = f.leading(order)
-    glt, glc = g.leading(order)
-    out = _spair(_scaled(f.terms, rng.coeff_inv(flc), char), flt,
-                 _scaled(g.terms, rng.coeff_inv(glc), char), glt, mono_lcm(flt, glt), char)
+    flt, glt = f.leading(order)[0], g.leading(order)[0]
+    out = _spair(_monic(f.terms, flt, rng), flt, _monic(g.terms, glt, rng), glt,
+                 mono_lcm(flt, glt), rng.characteristic)
     return Polynomial(rng, out, normalize=False)
 
 
@@ -147,6 +176,25 @@ def _scaled(terms: dict, scale, char: int) -> dict:
     if char:
         return {m: c * scale % char for m, c in terms.items()}
     return {m: c * scale for m, c in terms.items()}
+
+
+def _monic(terms: dict, lt, rng) -> dict:
+    """terms divided by its coefficient at the lead lt; terms itself when
+    that is 1 already."""
+    lc = terms[lt]
+    return terms if lc == 1 else _scaled(terms, rng.coeff_inv(lc), rng.characteristic)
+
+
+def _primitive(terms: dict, lt) -> dict:
+    """The integer term dict over Q with coprime coefficients and a positive
+    coefficient at the lead lt that is a multiple of `terms` (coefficients
+    int or Fraction)."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    nums = [c.numerator * (den // c.denominator) for c in terms.values()]
+    content = gcd(*nums)
+    if terms[lt] < 0:
+        content = -content
+    return {m: n // content for m, n in zip(terms, nums)}
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +240,17 @@ def _update_pairs(lts, pairs, key, seq, positions: int = 0):
 
 
 def _groebner(polys, key, rng, positions: int, max_pairs: int) -> list:
-    """Reduced Groebner basis of nonzero term dicts, as term dicts sorted by
-    ascending lead; `positions` is the rank of a module, 0 for an ideal."""
+    """Reduced Groebner basis of nonzero term dicts, as monic term dicts
+    sorted by ascending lead; `positions` is the rank of a module, 0 for an
+    ideal.  Over Q the basis and every remainder are primitive integer term
+    dicts until the reduced basis is emitted."""
     char = rng.characteristic
     bt, lts = [], []
     pairs: list = []
     seq = itertools.count()
 
     def add(terms, lt):
-        bt.append(_scaled(terms, rng.coeff_inv(terms[lt]), char))
+        bt.append(_monic(terms, lt, rng) if char else _primitive(terms, lt))
         lts.append(lt)
         _update_pairs(lts, pairs, key, seq, positions)
 
@@ -222,9 +272,9 @@ def _groebner(polys, key, rng, positions: int, max_pairs: int) -> list:
 
 
 def _reduce_groebner(terms, lts, key, char: int) -> list:
-    """Minimalize then fully interreduce a monic Groebner basis, given as
-    term dicts with their leading terms; canonical output, sorted by
-    ascending lead."""
+    """Minimalize then fully interreduce a Groebner basis, given as term
+    dicts with their leading terms, monic mod p or primitive over Z;
+    canonical monic output, sorted by ascending lead."""
     keep = []
     for i, lt in enumerate(lts):
         if any(
@@ -236,11 +286,15 @@ def _reduce_groebner(terms, lts, key, char: int) -> list:
     keep.sort(key=lambda i: key(lts[i]))
     reduced = []
     for i in keep:
-        # no other minimal lead divides lts[i], so the remainder keeps it,
-        # with coefficient 1: it is monic already
+        # no other minimal lead divides lts[i], so the remainder keeps it;
+        # mod p with coefficient 1, over Q with the multiple's, divided out
         others = [j for j in keep if j != i]
-        reduced.append(_reduce_terms(terms[i], [terms[j] for j in others],
-                                     [lts[j] for j in others], key, char))
+        rem = _reduce_terms(terms[i], [terms[j] for j in others],
+                            [lts[j] for j in others], key, char)
+        if not char:
+            lc = rem[lts[i]]
+            rem = {m: Fraction(c, lc) for m, c in rem.items()}
+        reduced.append(rem)
     return reduced
 
 
@@ -358,10 +412,12 @@ def module_divider(basis, morder: ModuleOrder):
     basis = [b for b in basis if not b.is_zero()]
     if not basis:
         return dict  # nothing divides: the remainder is a copy of the input
-    rank, char = basis[0].rank, basis[0].ring.characteristic
+    rng, rank = basis[0].ring, basis[0].rank
+    char = rng.characteristic
     key = morder._encoded_key
-    bd = [_encode(rank, b.to_dict()) for b in basis]
-    lts = [max(d, key=key) for d in bd]
+    encoded = [_encode(rank, b.to_dict()) for b in basis]
+    lts = [max(d, key=key) for d in encoded]
+    bd = [_monic(d, lt, rng) for d, lt in zip(encoded, lts)]
 
     def remainder(terms: dict) -> dict:
         return _decode(rank, _reduce_terms(_encode(rank, terms), bd, lts, key, char))

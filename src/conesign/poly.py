@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import comb, lcm, prod
 from operator import add, le, sub
 
 from .errors import (
@@ -25,6 +26,11 @@ Mono = tuple  # exponent tuple, one slot per ring variable
 # as a syntax error, because computing the power (say 3^99999999) runs on for
 # minutes
 MAX_EXPONENT = 1000
+# bounds on what one parsed power may build, checked before multiplying:
+# bounded exponents still nest, as in ((3^1000)^1000)^1000, or expand, as in
+# (x + y + z)^1000 with its 501,501 terms
+MAX_POWER_TERMS = 2000
+MAX_POWER_BITS = 100_000
 
 
 def _is_prime(n: int) -> bool:
@@ -393,8 +399,9 @@ class Polynomial:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
@@ -565,6 +572,35 @@ class _Lexer:
         return tok
 
 
+def _power_size(f: Polynomial, k: int):
+    """Upper bounds on the term count of f^k and, over Q, on the bits of its
+    largest numerator plus those of its common denominator (0 mod p).
+
+    The terms of f^k are at most the multisets of k terms of f, the
+    exponent vectors in the box k times that of f, and the monomials in the
+    variables of f whose degree lies k times within the degree range of f.
+    With F = D*f for the least common denominator D, no coefficient of F^k
+    exceeds the k-th power of the sum of |F|'s coefficients."""
+    if f.is_zero() or k == 0:
+        return 1, 0
+    monos = list(f.terms)
+    lo = [min(col) for col in zip(*monos)]
+    hi = [max(col) for col in zip(*monos)]
+    n = sum(1 for b in hi if b)
+    degs = [sum(m) for m in monos]
+    dlo, dhi = k * min(degs), k * max(degs)
+    terms = min(
+        comb(len(monos) + k - 1, k),
+        prod(k * (b - a) + 1 for a, b in zip(lo, hi)),
+        comb(n + dhi, n) - (comb(n + dlo - 1, n) if dlo else 0),
+    )
+    if f.ring.characteristic:
+        return terms, 0
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    height = sum(abs(c.numerator) * (den // c.denominator) for c in f.terms.values())
+    return terms, k * (height.bit_length() + den.bit_length())
+
+
 def _split_identifier(name: str, rng: RingDescriptor, pos: int):
     """Greedy longest-match decomposition of an identifier into ring variables."""
     out = []
@@ -643,6 +679,11 @@ class _Parser:
             k = self._int()
             if k > MAX_EXPONENT:
                 raise PolynomialSyntaxError(f"exponent above {MAX_EXPONENT}", pos)
+            terms, bits = _power_size(base, k)
+            if terms > MAX_POWER_TERMS or bits > MAX_POWER_BITS:
+                raise PolynomialSyntaxError(
+                    f"power too large: up to {MAX_POWER_TERMS} terms and "
+                    f"{MAX_POWER_BITS} coefficient bits are allowed", pos)
             return base ** k
         return base
 

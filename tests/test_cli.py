@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -359,6 +360,19 @@ def test_a_huge_exponent_in_an_ideal_file_is_rejected_at_once(tmp_path):
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("text", ["x - ((3^1000)^1000)^1000", "(x + y + z)^1000"])
+def test_a_power_too_large_to_build_is_rejected_at_once(tmp_path, capsys, text):
+    # every exponent is allowed, but computing the power would run on
+    path = tmp_path / "large.ideal"
+    path.write_text(f"ring x, y, z;\n{text}\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(["gb", "--ideal", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: power too large")
+
+
 def test_eu_on_a_reducible_variety_is_an_input_error(tmp_path, capsys):
     # the reduced basis (z, x*y) has the reducible element x*y: the variety
     # is the union of two lines, and the certifier splits it
@@ -367,7 +381,17 @@ def test_eu_on_a_reducible_variety_is_an_input_error(tmp_path, capsys):
     code, out, err = run_cli(["eu", "--variety", str(path), "--point", "0,0,0"], capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: variety is reducible")
+    assert err.startswith("error: variety is not integral (reducible or not reduced)")
+
+
+def test_eu_on_a_non_reduced_variety_names_the_failing_condition(files, capsys):
+    # (y^2, x*y) is irreducible, a line with an embedded point, but not
+    # reduced: the certifier splits it along the factor y of y^2
+    code, out, err = run_cli(["eu", "--variety", files["pair"], "--point", "0,0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: variety is not integral (reducible or not reduced)")
+    assert "is reducible" not in err
 
 
 # ------------------------------------------------- characteristic gating

@@ -32,7 +32,7 @@ from conesign import (
     ring,
     spolynomial,
 )
-from conesign.groebner import _update_pairs
+from conesign.groebner import _reduce_terms, _update_pairs
 from conesign.poly import Polynomial
 
 R2 = ring("x, y")
@@ -75,6 +75,43 @@ def test_normal_form_division_identity():
     remainder = parse_polynomial("x + y", R2)
     assert quotient * d + remainder == f
     assert normal_form(f, [d], degrevlex(R2)) == remainder
+
+
+def test_normal_form_by_a_non_monic_list_is_the_plain_division_remainder():
+    # the divisors are no Groebner basis and none is monic: the remainder is
+    # the exact one of plain division, in Fractions, term for term
+    order = degrevlex(R3)
+    divisors = gens("-3*x^2*y + 2/7*z, 5*y^2 - x*z + 1, 4/9*x*z^2 - y", R3)
+    rnd = random.Random(11)
+    monos = ["1", "x", "y", "z", "x*y", "y*z", "x^2", "z^2"]
+    for _ in range(20):
+        f = Polynomial.zero(R3)
+        for _ in range(4):
+            m = parse_polynomial("*".join(rnd.choice(monos) for _ in range(3)), R3)
+            f = f + Polynomial.constant(R3, Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))) * m
+        r = normal_form(f, divisors, order)
+        assert r.terms == division_remainder(f.terms, [g.terms for g in divisors])
+        assert all(isinstance(c, Fraction) for c in r.terms.values())
+
+
+def test_fraction_free_reduction_records_quotients_of_a_multiple():
+    # primitive integer divisors whose leads are not 1: the kernel returns the
+    # remainder of a nonzero multiple c*f, and its quotients are those of c*f
+    order = degrevlex(R3)
+    divisors = gens("6*x^2*y + 4*z - 1, 4*y^2 - 9*x*z, 10*x*z^2 - 3*y", R3)
+    lts = [g.leading(order)[0] for g in divisors]
+    f = parse_polynomial("7*x^3*y^3 + 5*x^2*y*z^2 - 2*x*y^2*z + 3", R3)
+    terms = {m: int(c) for m, c in f.terms.items()}
+    quotients = [{} for _ in divisors]
+    rem = _reduce_terms(terms, [{m: int(c) for m, c in g.terms.items()} for g in divisors],
+                        lts, order.key, 0, quotients)
+    total = Polynomial(R3, rem)
+    for q, g in zip(quotients, divisors):
+        total = total + Polynomial(R3, q) * g
+    lead, c = f.leading(order)
+    multiple = total.terms[lead] / c
+    assert multiple != 1 and total == f * multiple
+    assert Polynomial(R3, rem) == normal_form(f, divisors, order) * multiple
 
 
 def test_normal_form_of_own_generator_is_zero():
@@ -215,14 +252,53 @@ def test_pair_budget_binds():
         buchberger(fs, order, max_pairs=1)
 
 
+def katsura(n):
+    """Generators of katsura-n in u0..un: u_(-i) = u_i, and u_i = 0 for i > n."""
+    def u(i):
+        return f"u{abs(i)}" if abs(i) <= n else None
+
+    lines = [" + ".join(["u0"] + [f"2*u{i}" for i in range(1, n + 1)]) + " - 1"]
+    for m in range(n):
+        products = [f"{u(l)}*{u(m - l)}" for l in range(-n, n + 1) if u(l) and u(m - l)]
+        lines.append(" + ".join(products) + f" - u{m}")
+    return ",".join(lines)
+
+
+def test_katsura4_basis_over_q_is_exact_and_reduces_to_the_char_p_basis():
+    # the engine works on integers over Q; the basis it emits is checked by
+    # division routines that share no code with it, and taken mod p
+    p = 32003
+    names = ", ".join(f"u{i}" for i in range(5))
+    rq, rp = ring(names), ring(names, characteristic=p)
+    fs = gens(katsura(4), rq)
+    G = buchberger(fs, degrevlex(rq))
+    basis = [g.terms for g in G]
+    assert len(basis) == 13
+    for f in fs:
+        assert division_remainder(f.terms, basis) == {}
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            assert division_remainder(s_pair(basis[a], basis[b]), basis) == {}
+    # p divides no denominator, so p is lucky here: the image of the reduced
+    # Q basis is the reduced basis mod p
+    assert all(c.denominator % p for g in basis for c in g.values())
+    image = [{m: c.numerator * pow(c.denominator, -1, p) % p for m, c in g.items()}
+             for g in basis]
+    assert image == [g.terms for g in buchberger(gens(katsura(4), rp), degrevlex(rp))]
+
+
 @st.composite
 def small_ideals(draw):
     """(ring, generators): up to 3 generators of up to 3 terms over Q or
-    GF(32003), in 2 or 3 variables with exponents at most 2."""
-    rng = ring(draw(st.sampled_from(["x, y", "x, y, z"])),
-               characteristic=draw(st.sampled_from([0, 32003])))
+    GF(32003), in 2 or 3 variables with exponents at most 2.  Coefficients
+    are rationals with numerators and denominators up to 10^6; mod p, no
+    denominator is a multiple of p."""
+    p = draw(st.sampled_from([0, 32003]))
+    rng = ring(draw(st.sampled_from(["x, y", "x, y, z"])), characteristic=p)
     mono = st.tuples(*[st.integers(0, 2)] * rng.arity)
-    term_dicts = st.dictionaries(mono, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    coeff = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
+                      st.integers(1, 10**6).filter(lambda d: not p or d % p))
+    term_dicts = st.dictionaries(mono, coeff, min_size=1, max_size=3)
     return rng, [Polynomial(rng, t) for t in draw(st.lists(term_dicts, min_size=1, max_size=3))]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from conesign import (
     parse_polynomial,
     ring,
 )
-from conesign.poly import MAX_EXPONENT, Polynomial
+from conesign.poly import MAX_EXPONENT, MAX_POWER_TERMS, Polynomial
 
 R2 = ring("x, y")
 R3 = ring("x, y, z")
@@ -73,6 +74,34 @@ def test_exponents_are_bounded():
         with pytest.raises(PolynomialSyntaxError) as exc:
             P(text)
         assert exc.value.position == text.index("^") + 1
+
+
+def test_what_a_power_builds_is_bounded():
+    # each exponent is allowed, but the result is too large: refused before
+    # multiplying, at the first exponent that would build too much
+    # ((3^1000)^1000 has about 1.6 million bits)
+    for text, rng in (("x - ((3^1000)^1000)^1000", R2), ("(x + y + z)^1000", R3)):
+        start = time.perf_counter()
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            P(text, rng)
+        assert time.perf_counter() - start < 1
+        assert exc.value.position == text.index(")^") + 2
+
+
+def test_powers_within_the_bound_are_computed():
+    # exact term counts at the edge: (x + y + z)^k has (k + 1)(k + 2)/2 terms
+    # (mod p, where the coefficients stay small)
+    F3 = ring("x, y, z", characteristic=32003)
+    k = max(j for j in range(100) if (j + 1) * (j + 2) // 2 <= MAX_POWER_TERMS)
+    assert len(P(f"(x + y + z)^{k}", F3).terms) == (k + 1) * (k + 2) // 2
+    with pytest.raises(PolynomialSyntaxError):
+        P(f"(x + y + z)^{k + 1}", F3)
+    # the bound counts the variables that occur and the degrees that occur:
+    # C(20, 10) multisets of 10 terms and a box of 101^2 exponents, but only
+    # 101 monomials of degree 100 in x and y
+    assert len(P("((x + y)^10)^10", R3).terms) == 101
+    assert P("(3^1000)^3 x").terms == {(1, 0): Fraction(3**3000)}
+    assert P("(1/2 x - 1)^0") == P("1")
 
 
 def test_print_round_trip():
