@@ -22,9 +22,14 @@ Mod p the basis is monic.  Only `_reduce_groebner` makes elements monic over
 order and the output are those of monic arithmetic.  Its S-pairs sit in a
 heap keyed by the order key of each pair's lcm, computed once when the pair
 is made, and are pruned by the Gebauer-Moeller criteria; each S-polynomial
-is built from the two stored elements and the heap entry's lcm.  The order's
-memoised keys serve every comparison.  Reduced bases are monic,
-interreduced, and sorted, hence canonical for (ideal or submodule, order).
+is built from the two stored elements and the heap entry's lcm.  A run may
+start from a known prefix, a Groebner basis under the run's order passed as
+`_Extending(known, extra)`: the known elements join the basis with no pair
+among them queued, and each extra element is paired with every earlier lead
+by the same update, so only pairs with new elements are formed and pruned
+(Gebauer-Moeller, J. Symb. Comput. 6, 1988).  The order's memoised keys
+serve every comparison.  Reduced bases are monic, interreduced, and sorted,
+hence canonical for (ideal or submodule, order).
 Normal forms against a given basis hand the same kernel monic divisors,
 made so once per basis.
 
@@ -39,12 +44,13 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import BoundExceededError, RingMismatchError
 from .poly import (
     MonomialOrder,
     Polynomial,
+    _integral,
     _KeyMemo,
     mono_coprime,
     mono_div,
@@ -189,12 +195,11 @@ def _primitive(terms: dict, lt) -> dict:
     """The integer term dict over Q with coprime coefficients and a positive
     coefficient at the lead lt that is a multiple of `terms` (coefficients
     int or Fraction)."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    nums = [c.numerator * (den // c.denominator) for c in terms.values()]
-    content = gcd(*nums)
+    nums, _ = _integral(terms)
+    content = gcd(*nums.values())
     if terms[lt] < 0:
         content = -content
-    return {m: n // content for m, n in zip(terms, nums)}
+    return {m: n // content for m, n in nums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +244,16 @@ def _update_pairs(lts, pairs, key, seq, positions: int = 0):
         heapq.heappush(pairs, (key(l), next(seq), i, t, l))
 
 
-def _groebner(polys, key, rng, positions: int, max_pairs: int) -> list:
+def _groebner(polys, key, rng, positions: int, max_pairs: int, known: int = 0) -> list:
     """Reduced Groebner basis of nonzero term dicts, as monic term dicts
     sorted by ascending lead; `positions` is the rank of a module, 0 for an
     ideal.  Over Q the basis and every remainder are primitive integer term
-    dicts until the reduced basis is emitted."""
+    dicts until the reduced basis is emitted.
+
+    The first `known` dicts must already be a Groebner basis under `key`:
+    they join the basis with no pair among them queued, as if every such
+    pair had been reduced to zero, and each later element is paired with
+    them by the usual update."""
     char = rng.characteristic
     bt, lts = [], []
     pairs: list = []
@@ -252,7 +262,8 @@ def _groebner(polys, key, rng, positions: int, max_pairs: int) -> list:
     def add(terms, lt):
         bt.append(_monic(terms, lt, rng) if char else _primitive(terms, lt))
         lts.append(lt)
-        _update_pairs(lts, pairs, key, seq, positions)
+        if len(lts) > known:
+            _update_pairs(lts, pairs, key, seq, positions)
 
     for terms in polys:
         add(terms, max(terms, key=key))
@@ -298,6 +309,19 @@ def _reduce_groebner(terms, lts, key, char: int) -> list:
     return reduced
 
 
+class _Extending(tuple):
+    """Generators for `buchberger` that start with a known Groebner basis:
+    `_Extending(known, extra)` lists the nonzero polynomials of `known`, a
+    Groebner basis under the order of the run, then `extra`.  Buchberger
+    extends that basis by the extra elements instead of starting again."""
+
+    def __new__(cls, known, extra):
+        known = tuple(g for g in known if not g.is_zero())
+        self = super().__new__(cls, known + tuple(extra))
+        self.known = len(known)
+        return self
+
+
 def buchberger(
     gens,
     order: MonomialOrder,
@@ -306,8 +330,10 @@ def buchberger(
     """Reduced Groebner basis (monic, interreduced, sorted by ascending lead).
 
     The reduced basis is the canonical one for (ideal, order); generator order
-    and duplicates in the input do not affect the result.
+    and duplicates in the input do not affect the result.  Given an
+    `_Extending`, the run starts from its known Groebner basis.
     """
+    known = getattr(gens, "known", 0)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -315,7 +341,7 @@ def buchberger(
     for g in gens:
         if g.ring != rng:
             raise RingMismatchError("buchberger over mixed rings")
-    basis = _groebner([g.terms for g in gens], order.key, rng, 0, max_pairs)
+    basis = _groebner([g.terms for g in gens], order.key, rng, 0, max_pairs, known)
     return [Polynomial(rng, t, normalize=False) for t in basis]
 
 

@@ -57,10 +57,6 @@ class PlanePartition:
     def sorted_boxes(self) -> list:
         return sorted(self.boxes)
 
-    def permuted(self, perm) -> "PlanePartition":
-        return PlanePartition(frozenset(tuple(b[perm[i]] for i in range(3))
-                                        for b in self.boxes))
-
     def to_json_dict(self) -> dict:
         return {"boxes": [list(b) for b in self.sorted_boxes()]}
 

@@ -19,6 +19,17 @@ built from a reduced basis already in hand carries it on:
   Ideals, Varieties, and Algorithms, ch. 8 sec. 4): h never enters a lead.
 - `minimal_primes` presents each prime by its own reduced basis.
 
+An ideal built by adding elements to one whose reduced degrevlex basis is
+cached extends that basis: Buchberger starts from it as a known Groebner
+basis and pairs only the new elements.
+
+- `with_extra` does so for its degrevlex basis, which covers the split
+  candidates of `minimal_primes` and the normal cone of `cones`.
+- `_inverting` does so for I + (1 - w*f) in R[w], under both degrevlex and
+  `eliminate`'s block order: each compares w-free monomials by degrevlex
+  of R, so I's reduced basis stays a Groebner basis of I*R[w] under both.
+  `saturate` and `radical_contains` inherit this.
+
 Candidate primes are split or certified by one routine, `_certify_prime`.
 """
 
@@ -31,7 +42,7 @@ from fractions import Fraction
 
 from .errors import InfiniteColengthError, NotHomogeneousError, PointNotOnVarietyError
 from .factor import factor_polynomial, factor_univariate, gram_matrix
-from .groebner import buchberger, normal_form
+from .groebner import _Extending, buchberger, normal_form
 from .linalg import _echelon, rational_rank, solve_combination
 from .poly import (
     MonomialOrder,
@@ -51,7 +62,7 @@ class IdealPresentation:
     Groebner bases), not equality of generating sets.
     """
 
-    __slots__ = ("ring", "generators", "_gb_cache")
+    __slots__ = ("ring", "generators", "_gb_cache", "_extends")
 
     def __init__(self, rng: RingDescriptor, generators):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -61,6 +72,9 @@ class IdealPresentation:
         self.ring = rng
         self.generators = gens
         self._gb_cache = {}
+        # (order signatures, _Extending(basis, extra)): this ideal is
+        # (basis) + (extra), and basis is a Groebner basis under those orders
+        self._extends = None
 
     @classmethod
     def from_reduced_basis(cls, rng: RingDescriptor, basis) -> "IdealPresentation":
@@ -84,7 +98,10 @@ class IdealPresentation:
         key = order.signature()
         cached = self._gb_cache.get(key)
         if cached is None:
-            cached = tuple(buchberger(self.generators, order))
+            gens = self.generators
+            if self._extends is not None and key in self._extends[0]:
+                gens = self._extends[1]
+            cached = tuple(buchberger(gens, order))
             self._gb_cache[key] = cached
         return cached
 
@@ -104,7 +121,15 @@ class IdealPresentation:
         return len(gb) == 1 and gb[0].is_constant()
 
     def with_extra(self, extra) -> "IdealPresentation":
-        return IdealPresentation(self.ring, self.generators + tuple(extra))
+        """The ideal self + (extra).  When self's reduced degrevlex basis is
+        cached, the new ideal's degrevlex basis extends it."""
+        extra = tuple(extra)
+        J = IdealPresentation(self.ring, self.generators + extra)
+        sig = degrevlex(self.ring).signature()
+        basis = self._gb_cache.get(sig)
+        if basis is not None:
+            J._extends = ((sig,), _Extending(basis, extra))
+        return J
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdealPresentation):
@@ -192,9 +217,15 @@ def _inverting(I: IdealPresentation, f: Polynomial):
     w = _fresh_name("w", rng.variables)
     ext = rng.extend((w,))
     wpoly = Polynomial.variable(ext, ext.var_index(w))
-    gens = [transplant(g, ext) for g in I.generators]
-    gens.append(Polynomial.one(ext) - wpoly * transplant(f, ext))
-    return IdealPresentation(ext, gens), w
+    inverse = Polynomial.one(ext) - wpoly * transplant(f, ext)
+    K = IdealPresentation(ext, [transplant(g, ext) for g in I.generators] + [inverse])
+    basis = I._gb_cache.get(degrevlex(rng).signature())
+    if basis is not None:
+        # w-free monomials compare by degrevlex of R under both orders below,
+        # so I's reduced basis stays a Groebner basis of I*R[w] under each
+        orders = (degrevlex(ext).signature(), elimination_order(ext, (w,)).signature())
+        K._extends = (orders, _Extending([transplant(g, ext) for g in basis], (inverse,)))
+    return K, w
 
 
 def saturate(I: IdealPresentation, f: Polynomial) -> IdealPresentation:

@@ -195,9 +195,6 @@ class MonomialOrder:
     def signature(self) -> tuple:
         return (self.kind, self.perm, self.block)
 
-    def greater(self, a: Mono, b: Mono) -> bool:
-        return self.key(a) > self.key(b)
-
     def __repr__(self):
         return f"MonomialOrder({self.kind}, perm={self.perm}, block={self.block})"
 
@@ -231,6 +228,13 @@ def order_from_name(name: str, rng: RingDescriptor) -> MonomialOrder:
     if name == "lex":
         return lex(rng)
     raise ValueError(f"unknown order name {name!r}")
+
+
+def _integral(terms: dict):
+    """(integer numerators, common denominator d) of a term dict over Q, so
+    that terms[m] == numerators[m] / d."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +296,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(mono_degree(m) for m in self.terms)
-
-    def min_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return min(mono_degree(m) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
         degs = {mono_degree(m) for m in self.terms}
@@ -375,9 +374,14 @@ class Polynomial:
             return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()}, normalize=False)
         self._check(other)
         p = self.ring.characteristic
+        # over Q each factor is cleared of denominators once, the integer
+        # numerators are multiplied, and each product term is divided by the
+        # product of the two denominators as it is emitted
+        a, da = (self.terms, 1) if p else _integral(self.terms)
+        b, db = (other.terms, 1) if p else _integral(other.terms)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 m = mono_mul(m1, m2)
                 s = out.get(m, 0) + c1 * c2
                 if p:
@@ -386,6 +390,9 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
+        if not p:
+            den = da * db
+            out = {m: Fraction(c, den) for m, c in out.items()}
         return Polynomial(self.ring, out, normalize=False)
 
     def __rmul__(self, other):

@@ -9,6 +9,7 @@ from the package's own saturation and colength.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +116,35 @@ def rref(rows, p=0):
 
 
 def matrix_rank(rows, p=0):
+    """Rank over GF(p) by `rref`; over Q by integer elimination: each row is
+    scaled to integers, and a row below the pivot row becomes
+    pivot * row - entry * pivot row, divided by the gcd of its entries."""
     if not rows:
         return 0
-    return len(rref(rows, p)[0])
+    if p:
+        return len(rref(rows, p)[0])
+    ints = []
+    for r in rows:
+        r = [Fraction(v) for v in r]
+        den = lcm(*(v.denominator for v in r))
+        ints.append([v.numerator * (den // v.denominator) for v in r])
+    rank = 0
+    for c in range(len(ints[0])):
+        pivot = next((i for i in range(rank, len(ints)) if ints[i][c]), None)
+        if pivot is None:
+            continue
+        ints[rank], ints[pivot] = ints[pivot], ints[rank]
+        top = ints[rank]
+        for i in range(rank + 1, len(ints)):
+            a = ints[i][c]
+            if a:
+                row = [top[c] * x - a * y for x, y in zip(ints[i], top)]
+                g = gcd(*row)
+                ints[i] = [x // g for x in row] if g > 1 else row
+        rank += 1
+        if rank == len(ints):
+            break
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from conesign import (
     ring,
     spolynomial,
 )
-from conesign.groebner import _reduce_terms, _update_pairs
+from conesign.groebner import _Extending, _reduce_terms, _update_pairs
 from conesign.poly import Polynomial
 
 R2 = ring("x, y")
@@ -287,19 +287,25 @@ def test_katsura4_basis_over_q_is_exact_and_reduces_to_the_char_p_basis():
     assert image == [g.terms for g in buchberger(gens(katsura(4), rp), degrevlex(rp))]
 
 
-@st.composite
-def small_ideals(draw):
-    """(ring, generators): up to 3 generators of up to 3 terms over Q or
-    GF(32003), in 2 or 3 variables with exponents at most 2.  Coefficients
+def small_polynomials(rng):
+    """Polynomials of up to 3 terms with exponents at most 2.  Coefficients
     are rationals with numerators and denominators up to 10^6; mod p, no
     denominator is a multiple of p."""
-    p = draw(st.sampled_from([0, 32003]))
-    rng = ring(draw(st.sampled_from(["x, y", "x, y, z"])), characteristic=p)
+    p = rng.characteristic
     mono = st.tuples(*[st.integers(0, 2)] * rng.arity)
     coeff = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
                       st.integers(1, 10**6).filter(lambda d: not p or d % p))
-    term_dicts = st.dictionaries(mono, coeff, min_size=1, max_size=3)
-    return rng, [Polynomial(rng, t) for t in draw(st.lists(term_dicts, min_size=1, max_size=3))]
+    return st.builds(lambda t: Polynomial(rng, t),
+                     st.dictionaries(mono, coeff, min_size=1, max_size=3))
+
+
+@st.composite
+def small_ideals(draw):
+    """(ring, generators): up to 3 small polynomials over Q or GF(32003), in
+    2 or 3 variables."""
+    p = draw(st.sampled_from([0, 32003]))
+    rng = ring(draw(st.sampled_from(["x, y", "x, y, z"])), characteristic=p)
+    return rng, draw(st.lists(small_polynomials(rng), min_size=1, max_size=3))
 
 
 @given(ideal=small_ideals(), rnd=st.randoms(use_true_random=False))
@@ -322,6 +328,37 @@ def test_reduced_basis_is_a_groebner_basis_and_invariant(ideal, rnd):
     shift = Polynomial.from_monomial(rng, [rnd.randint(0, 1) for _ in range(rng.arity)])
     moved.append(rnd.choice(fs) * shift + rnd.choice(fs))
     assert buchberger(moved, order) == G
+
+
+@st.composite
+def extended_ideals(draw):
+    """(ring, generators, extra): a small ideal and 1 or 2 more polynomials."""
+    rng, fs = draw(small_ideals())
+    return rng, fs, draw(st.lists(small_polynomials(rng), min_size=1, max_size=2))
+
+
+@given(case=extended_ideals(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_a_run_from_a_known_basis_equals_the_run_from_scratch(case, rnd):
+    rng, fs, extra = case
+    order = degrevlex(rng)
+    p = rng.characteristic
+    G = buchberger(fs, order)
+    known = list(G)
+    if G and rnd.random() < 0.5:
+        # any Groebner basis may be the known part, not only a reduced one
+        shift = Polynomial.from_monomial(rng, [rnd.randint(0, 1) for _ in range(rng.arity)])
+        known.insert(rnd.randint(0, len(G)), rnd.choice(G) * shift)
+    got = buchberger(_Extending(known, extra), order)
+    assert got == buchberger(G + extra, order)
+    # and a Groebner basis of G + extra by a division routine that shares no
+    # code with the package
+    basis = [g.terms for g in got]
+    for f in fs + extra:
+        assert division_remainder(f.terms, basis, p) == {}
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            assert division_remainder(s_pair(basis[a], basis[b], p), basis, p) == {}
 
 
 # syzygies

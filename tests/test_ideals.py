@@ -170,6 +170,43 @@ def test_radical_membership():
     assert radical_contains(I("x^2 + y^2"), parse_polynomial("x^2 + y^2", R2))
 
 
+# (ideal of k[x, y, z], f, the saturation by f, whether f lies in the radical)
+CACHED_BASIS_CASES = [
+    ("x^2, x*y", "y", "x", False),
+    ("x*y, x*z, y*z", "x + y + z", "x*y, x*z, y*z", False),
+    ("x^2 - y^3, x*y", "x", "1", True),
+    ("y^2 - x^3, x*y - 1", "x", "y^2 - x^3, x*y - 1", False),
+    # the z-axis goes, the monomial curve (t^3, t^4, t^5) stays
+    ("x*z - y^2, y*z - x^3", "y", "x*z - y^2, y*z - x^3, x^2*y - z^2", False),
+    ("x^2*y - z^2, x*y*z", "z", "1", True),
+]
+
+
+@pytest.mark.parametrize("gens, by, sat, in_radical", CACHED_BASIS_CASES)
+def test_saturation_extends_a_cached_basis_to_the_same_answer(monkeypatch, gens, by,
+                                                              sat, in_radical):
+    f = parse_polynomial(by, R3)
+    cold, warm = I(gens, R3), I(gens, R3)
+    G = warm.gb()
+    calls = counted_buchberger(monkeypatch)
+    S, T = saturate(cold, f), saturate(warm, f)
+    assert radical_contains(cold, f) == radical_contains(warm, f) == in_radical
+    assert known_prefixes(calls) == [0, len(G), 0, len(G)]
+    assert S.gb() == T.gb()
+    assert T == I(sat, R3)
+    # checked by a division routine that shares no code with the package:
+    # the saturation contains the ideal, and both bases from the known
+    # prefix (degrevlex over R[w], and the saturation's) are Groebner bases
+    K, _ = conesign.ideals._inverting(warm, f)
+    for J in (T, K):
+        basis = [g.terms for g in J.gb()]
+        for g in J.generators if J is K else G:
+            assert division_remainder(g.terms, basis) == {}
+        for a in range(len(basis)):
+            for b in range(a + 1, len(basis)):
+                assert division_remainder(s_pair(basis[a], basis[b]), basis) == {}
+
+
 # dimension
 
 
@@ -353,11 +390,32 @@ def counted_buchberger(monkeypatch):
     real = conesign.ideals.buchberger
 
     def counted(gens, order, *args, **kwargs):
-        calls.append(tuple(gens))
+        calls.append(gens)
         return real(gens, order, *args, **kwargs)
 
     monkeypatch.setattr(conesign.ideals, "buchberger", counted)
     return calls
+
+
+def known_prefixes(calls):
+    """The length of the known Groebner prefix of each run (0 from scratch)."""
+    return [getattr(gens, "known", 0) for gens in calls]
+
+
+def test_with_extra_extends_a_cached_basis_and_keeps_the_generators(monkeypatch):
+    K = I("x^2 - y, x*y - 1")
+    f = parse_polynomial("x - 1", R2)
+    cold = K.with_extra((f,))  # nothing cached yet: Buchberger from scratch
+    G = K.gb()
+    warm = K.with_extra((f,))
+    calls = counted_buchberger(monkeypatch)
+    assert warm.gb() == cold.gb()
+    assert known_prefixes(calls) == [len(G), 0]
+    assert warm.generators == cold.generators == K.generators + (f,)
+    assert warm == I("x - 1, y - 1")
+    # only the degrevlex basis is known; another order starts from scratch
+    warm.gb(MonomialOrder("lex", (0, 1)))
+    assert known_prefixes(calls)[-1] == 0
 
 
 def test_derived_ideals_keep_their_reduced_basis(monkeypatch):
