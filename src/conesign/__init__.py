@@ -7,10 +7,8 @@ from .behrend import (
     ComponentReport,
     ConstancyCertificate,
     behrend_value,
-    component_open_set_guard,
     constancy_falsifier,
     dominating_cone_multiplicity,
-    smooth_general_value,
 )
 from .cones import (
     Cycle,
@@ -47,10 +45,8 @@ from .groebner import (
     ModuleVector,
     buchberger,
     module_buchberger,
-    module_normal_form,
     module_syzygies,
     normal_form,
-    spolynomial,
 )
 from .hilb import (
     PlanePartition,

@@ -20,13 +20,10 @@ from .ideals import (
     IdealPresentation,
     PrimeComponent,
     contains_ideal,
-    dimension,
     generic_tangent_dimension,
-    intersect,
     is_point_on,
     minimal_primes,
 )
-from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -78,26 +75,6 @@ def behrend_value(J: IdealPresentation, point, seed: int = 0) -> BehrendEvaluati
         else:
             con += signed
     return BehrendEvaluation(point, total, tuple(breakdown), dom, con)
-
-
-def component_open_set_guard(J: IdealPresentation, Z) -> IdealPresentation:
-    """Ideal cutting out the union of the components other than Z.
-
-    A point lies in the open set "away from the other components" exactly
-    when some generator of the guard is nonzero there.  With a single
-    component the guard is the unit ideal (the open set is everything).
-    """
-    Z = Z.prime if isinstance(Z, PrimeComponent) else Z
-    others = [c.prime for c in minimal_primes(J)
-              if c.prime.signature() != Z.signature()]
-    if not contains_ideal(Z, J):
-        raise ValueError("Z is not a component of the ideal")
-    guard = None
-    for other in others:
-        guard = other if guard is None else intersect(guard, other)
-    if guard is None:
-        return IdealPresentation(J.ring, (Polynomial.one(J.ring),))
-    return guard
 
 
 def dominating_cone_multiplicity(J: IdealPresentation, Z) -> int:
@@ -180,14 +157,14 @@ def constancy_falsifier(J: IdealPresentation,
     conditions are necessary, not sufficient: "necessary conditions hold"
     is not a constancy proof (behrend_value can still refute pointwise).
     """
+    inferred = sign is None
+    if not inferred and sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     comps = minimal_primes(J)
     if not comps:
-        return ConstancyCertificate(sign or 1, sign is None, (),
+        return ConstancyCertificate(1 if inferred else sign, inferred, (),
                                     "necessary conditions hold", ())
-    inferred = sign is None
     target = (-1) ** comps[0].dimension if inferred else sign
-    if target not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     reference_certified = (not inferred) or comps[0].primality == "certified"
 
     reports = []
@@ -252,15 +229,3 @@ def constancy_falsifier(J: IdealPresentation,
     return ConstancyCertificate(target, inferred, tuple(reports), overall,
                                 tuple(witnesses))
 
-
-def smooth_general_value(J: IdealPresentation, Z) -> int:
-    """Generic Behrend value along a generically reduced component Z."""
-    if isinstance(Z, PrimeComponent):
-        if Z.multiplicity != 1:
-            raise ValueError("component is not generically reduced")
-        zdim = Z.dimension
-        zprime = Z.prime
-    else:
-        zprime = Z
-        zdim = dimension(zprime)
-    return (-1) ** zdim * dominating_cone_multiplicity(J, zprime)

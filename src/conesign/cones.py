@@ -76,7 +76,6 @@ class ConeComponent:
     image_dimension: int
     dominates: bool
     primality: str
-    geometrically_irreducible: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -107,7 +106,6 @@ def cone_components(J: IdealPresentation) -> list:
             image_dimension=dimension(image),
             dominates=dominates,
             primality=comp.primality,
-            geometrically_irreducible=comp.geometrically_irreducible,
         ))
     return out
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from .linalg import rational_rank
-from .poly import Polynomial, RingDescriptor
+from .poly import Polynomial, RingDescriptor, _integral, _primitive
 
 # the cubic certificate restricts to the lines along each axis through the
 # first _CERTIFICATE_POINTS points with these coordinates off the axis, and
@@ -38,20 +38,11 @@ _CERTIFICATE_POINTS = 25
 _CERTIFICATE_PRIMES = (7, 13, 19, 31, 37, 43)
 
 
-def _cleared(terms: dict) -> dict:
-    """`terms` times the lcm of its denominators, with int coefficients."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return {m: int(c * den) for m, c in terms.items()}
-
-
 def _normalized(rng: RingDescriptor, terms: dict) -> Polynomial:
     """The multiple of `terms` with primitive integer coefficients whose
     lex-leading coefficient is positive."""
-    ints = _cleared(terms)
-    g = math.gcd(*ints.values())
-    if ints[max(ints)] < 0:
-        g = -g
-    return Polynomial(rng, {m: Fraction(c // g) for m, c in ints.items()}, normalize=False)
+    ints = _primitive(terms, max(terms))
+    return Polynomial(rng, {m: Fraction(c) for m, c in ints.items()}, normalize=False)
 
 
 def gram_matrix(q: Polynomial) -> list:
@@ -139,7 +130,7 @@ def _certified_irreducible_cubic(f: Polynomial) -> bool:
 
     The point's coordinate on the axis only shifts t, so it is left at 0."""
     n = f.ring.arity
-    terms = _cleared(f.terms)
+    terms, _ = _integral(f.terms)
     axes = [k for k in range(n) if tuple(3 * (i == k) for i in range(n)) in terms]
     for rest in islice(product(_CERTIFICATE_COORDINATES, repeat=n - 1), _CERTIFICATE_POINTS):
         for axis in axes:
@@ -157,7 +148,7 @@ def _sympy_factor_list(terms: dict, nvars: int) -> list:
     import sympy
 
     gens = sympy.symbols(f"x:{nvars}")
-    poly = sympy.Poly.from_dict(_cleared(terms), *gens, domain=sympy.ZZ)
+    poly = sympy.Poly.from_dict(_integral(terms)[0], *gens, domain=sympy.ZZ)
     _, factors = sympy.factor_list(poly)
     return [({m: int(c) for m, c in g.terms()}, int(e))
             for g, e in factors if g.total_degree() > 0]

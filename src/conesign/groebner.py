@@ -30,13 +30,12 @@ by the same update, so only pairs with new elements are formed and pruned
 (Gebauer-Moeller, J. Symb. Comput. 6, 1988).  The order's memoised keys
 serve every comparison.  Reduced bases are monic, interreduced, and sorted,
 hence canonical for (ideal or submodule, order).
-Normal forms against a given basis hand the same kernel monic divisors,
-made so once per basis.
-
-`module_divider` encodes a module basis and finds its leads once, for many
-normal forms against it; `module_normal_form` is one use of it.
-`module_syzygies` gives the Schreyer syzygies of a Groebner basis, read off
-the quotients of its own S-pair reductions."""
+Division against a given basis, by `normal_form`, `module_divider` and
+`module_syzygies`, hands the same kernel monic divisors, found with their
+leads once per basis by one setup, `_divisors`.  `module_divider` encodes a
+module basis once, for many normal forms against it.  `module_syzygies`
+gives the Schreyer syzygies of a Groebner basis, read off the quotients of
+its own S-pair reductions."""
 
 from __future__ import annotations
 
@@ -50,8 +49,8 @@ from .errors import BoundExceededError, RingMismatchError
 from .poly import (
     MonomialOrder,
     Polynomial,
-    _integral,
     _KeyMemo,
+    _primitive,
     mono_coprime,
     mono_div,
     mono_divides,
@@ -142,8 +141,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     for g in gs:
         if g.ring != f.ring:
             raise RingMismatchError("normal_form across rings")
-    lts = [g.leading(order)[0] for g in gs]
-    bt = [_monic(g.terms, lt, f.ring) for g, lt in zip(gs, lts)]
+    bt, lts = _divisors([g.terms for g in gs], order.key, f.ring)
     rem = _reduce_terms(f.terms, bt, lts, order.key, f.ring.characteristic)
     return Polynomial(f.ring, rem, normalize=False)
 
@@ -165,16 +163,6 @@ def _spair(fi: dict, lti, fj: dict, ltj, l, char: int) -> dict:
     return out
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    if f.ring != g.ring:
-        raise RingMismatchError(f"rings differ: {f.ring.variables} vs {g.ring.variables}")
-    rng = f.ring
-    flt, glt = f.leading(order)[0], g.leading(order)[0]
-    out = _spair(_monic(f.terms, flt, rng), flt, _monic(g.terms, glt, rng), glt,
-                 mono_lcm(flt, glt), rng.characteristic)
-    return Polynomial(rng, out, normalize=False)
-
-
 def _scaled(terms: dict, scale, char: int) -> dict:
     """scale * terms for a nonzero field element; terms itself when scale is 1."""
     if scale == 1:
@@ -191,15 +179,11 @@ def _monic(terms: dict, lt, rng) -> dict:
     return terms if lc == 1 else _scaled(terms, rng.coeff_inv(lc), rng.characteristic)
 
 
-def _primitive(terms: dict, lt) -> dict:
-    """The integer term dict over Q with coprime coefficients and a positive
-    coefficient at the lead lt that is a multiple of `terms` (coefficients
-    int or Fraction)."""
-    nums, _ = _integral(terms)
-    content = gcd(*nums.values())
-    if terms[lt] < 0:
-        content = -content
-    return {m: n // content for m, n in nums.items()}
+def _divisors(dicts, key, rng):
+    """(monic term dicts, their leads under `key`) of nonzero term dicts, the
+    divisors `_reduce_terms` takes."""
+    lts = [max(d, key=key) for d in dicts]
+    return [_monic(d, lt, rng) for d, lt in zip(dicts, lts)], lts
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +371,16 @@ class ModuleVector:
 
 
 class ModuleOrder:
-    """Order on module terms (position, monomial).
+    """Term-over-position order on module terms (position, monomial): compare
+    monomials by `base` first, then prefer the smaller position."""
 
-    scheme 'top': compare monomials first (term over position), then prefer
-    smaller position.  scheme 'pot': position dominates.
-    """
-
-    def __init__(self, base: MonomialOrder, scheme: str = "top"):
-        if scheme not in ("top", "pot"):
-            raise ValueError("scheme must be 'top' or 'pot'")
+    def __init__(self, base: MonomialOrder):
         self.base = base
-        self.scheme = scheme
         # memoised key of an encoded term onehot(pos) + m, for the engine
         self._encoded_key = _KeyMemo(self._decoded_key).__getitem__
 
     def key(self, term):
         pos, m = term
-        if self.scheme == "pot":
-            return (-pos, self.base.key(m))
         return (self.base.key(m), -pos)
 
     def _decoded_key(self, t):
@@ -441,18 +417,12 @@ def module_divider(basis, morder: ModuleOrder):
     rng, rank = basis[0].ring, basis[0].rank
     char = rng.characteristic
     key = morder._encoded_key
-    encoded = [_encode(rank, b.to_dict()) for b in basis]
-    lts = [max(d, key=key) for d in encoded]
-    bd = [_monic(d, lt, rng) for d, lt in zip(encoded, lts)]
+    bd, lts = _divisors([_encode(rank, b.to_dict()) for b in basis], key, rng)
 
     def remainder(terms: dict) -> dict:
         return _decode(rank, _reduce_terms(_encode(rank, terms), bd, lts, key, char))
 
     return remainder
-
-
-def module_normal_form(v: ModuleVector, basis, morder: ModuleOrder) -> ModuleVector:
-    return _vector(v.ring, v.rank, module_divider(basis, morder)(v.to_dict()))
 
 
 def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX_PAIRS):
@@ -476,7 +446,7 @@ def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX
 
 def module_syzygies(gb, order: MonomialOrder):
     """Generators of the syzygy module of a Groebner basis `gb` under
-    ModuleOrder(order, "top"), by Schreyer's theorem: for each pair of leads
+    ModuleOrder(order), by Schreyer's theorem: for each pair of leads
     at one position, m_ij e_i - m_ji e_j - sum_k q_k e_k, where m_ij lt_i is
     their lcm and the q_k are the quotients of their S-vector by `gb`.  A pair
     is skipped when a third lead divides its lcm and both lcms with that lead
@@ -489,12 +459,11 @@ def module_syzygies(gb, order: MonomialOrder):
         raise ValueError("module_syzygies requires nonzero vectors")
     rng, rank = gb[0].ring, gb[0].rank
     char = rng.characteristic
-    key = ModuleOrder(order, "top")._encoded_key
+    key = ModuleOrder(order)._encoded_key
     encoded = [_encode(rank, v.to_dict()) for v in gb]
-    lts = [max(d, key=key) for d in encoded]
-    # the monic basis; component k of its syzygies is scaled back by inv[k]
-    inv = [1 if d[lt] == 1 else rng.coeff_inv(d[lt]) for d, lt in zip(encoded, lts)]
-    bt = [_scaled(d, s, char) for d, s in zip(encoded, inv)]
+    bt, lts = _divisors(encoded, key, rng)
+    # component k of the monic basis's syzygies is scaled back by inv[k]
+    inv = [rng.coeff_inv(d[lt]) for d, lt in zip(encoded, lts)]
     zero, one, minus_one = Polynomial.zero(rng), rng.coeff(1), rng.coeff(-1)
     out = []
     for j, ltj in enumerate(lts):

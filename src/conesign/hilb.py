@@ -115,7 +115,7 @@ def tangent_dimension_hilb(I: IdealPresentation) -> TangentReport:
         raise ValueError("tangent computation implemented over Q only")
     order = degrevlex(I.ring)
     return _tangent_report([ModuleVector((g,)) for g in I.gb(order)], 1,
-                           ModuleOrder(order, "top"))
+                           ModuleOrder(order))
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def quot_tangent_dimension(vectors, rank: int) -> TangentReport:
     rng = vectors[0].ring
     if rng.characteristic != 0:
         raise ValueError("tangent computation implemented over Q only")
-    morder = ModuleOrder(degrevlex(rng), "top")
+    morder = ModuleOrder(degrevlex(rng))
     return _tangent_report(module_buchberger(vectors, morder), rank, morder)
 
 

@@ -145,9 +145,6 @@ class IdealPresentation:
         body = ", ".join(g.to_text() for g in self.generators) or "0"
         return f"IdealPresentation({body})"
 
-    def generator_texts(self) -> list:
-        return [g.to_text() for g in self.generators]
-
 
 def ideal(rng: RingDescriptor, text: str) -> IdealPresentation:
     return IdealPresentation(rng, parse_generators(text, rng))
@@ -602,27 +599,21 @@ def _zero_dim_prime_test(I: IdealPresentation):
 
 
 def _geometric_flag(I: IdealPresentation) -> str:
-    """'certified' when irreducibility over Q provably persists over C."""
+    """'certified' when irreducibility over Q provably persists over C: a
+    linear ideal, or a principal one whose generator is c*x_v + h with h
+    free of x_v (a graph) or a quadratic form of rank at least 3."""
     gb = I.gb()
     if _is_linear(gb):
         return "certified"
-    for g in I.generators:
-        for var in g.support_variables():
-            coeff_terms = {}
-            linear = True
-            for m, c in g.terms.items():
-                if m[var] == 0:
-                    continue
-                if m[var] > 1:
-                    linear = False
-                    break
-                rest = tuple(e if i != var else 0 for i, e in enumerate(m))
-                coeff_terms[rest] = c
-            if linear and list(coeff_terms) == [(0,) * g.ring.arity]:
-                return "certified"
-    if len(gb) == 1 and gb[0].is_homogeneous() and gb[0].total_degree() == 2:
-        if rational_rank(gram_matrix(gb[0])) >= 3:
+    if len(gb) != 1:
+        return "unknown"
+    g, = gb
+    for var in g.support_variables():
+        # x_v itself is the only term of g that contains x_v
+        if [m for m in g.terms if m[var]] == [tuple(int(i == var) for i in range(g.ring.arity))]:
             return "certified"
+    if g.is_homogeneous() and g.total_degree() == 2 and rational_rank(gram_matrix(g)) >= 3:
+        return "certified"
     return "unknown"
 
 

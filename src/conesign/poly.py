@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, le, sub
 
 from .errors import (
@@ -235,6 +235,17 @@ def _integral(terms: dict):
     that terms[m] == numerators[m] / d."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _primitive(terms: dict, lt) -> dict:
+    """The integer term dict over Q with coprime coefficients and a positive
+    coefficient at the lead lt that is a multiple of `terms` (coefficients
+    int or Fraction)."""
+    nums, _ = _integral(terms)
+    content = gcd(*nums.values())
+    if terms[lt] < 0:
+        content = -content
+    return {m: n // content for m, n in nums.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -373,16 +373,11 @@ def s_pair(f, g, p=0):
 # coefficients as above.
 
 
-def module_term_key(scheme):
-    """Sort key of a module term (pos, m) over degrevlex.  'top' compares
-    monomials first and then prefers the smaller position; 'pot' prefers the
-    smaller position first."""
-
-    def key(term):
-        pos, m = term
-        return (grevlex_key(m), -pos) if scheme == "top" else (-pos, grevlex_key(m))
-
-    return key
+def module_term_key(term):
+    """Sort key of a module term (pos, m) over degrevlex, term over position:
+    monomials first, then the smaller position."""
+    pos, m = term
+    return (grevlex_key(m), -pos)
 
 
 def _module_axpy(target, scale, shift, vector, p):

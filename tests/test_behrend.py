@@ -6,7 +6,6 @@ from conesign import (
     PointNotOnVarietyError,
     PrimalityUndecidedError,
     behrend_value,
-    component_open_set_guard,
     constancy_falsifier,
     contains_ideal,
     dimension,
@@ -16,7 +15,6 @@ from conesign import (
     is_point_on,
     minimal_primes,
     ring,
-    smooth_general_value,
 )
 
 R1 = ring("x")
@@ -114,33 +112,6 @@ def test_evaluation_json_shape():
     assert len(doc["contributions"]) == 2
 
 
-# --------------------------------------------------------------- the guard
-
-
-def test_guard_for_one_of_two_lines():
-    guard = component_open_set_guard(ideal(R2, "x*y"), ideal(R2, "x"))
-    assert same_ideal(guard, ideal(R2, "y"))
-
-
-def test_guard_with_a_single_component_is_unit():
-    guard = component_open_set_guard(ideal(R2, "y - x^2"), ideal(R2, "y - x^2"))
-    assert guard.is_unit_ideal()
-
-
-def test_guard_on_three_axes():
-    guard = component_open_set_guard(ideal(R3, "xy, xz, yz"), ideal(R3, "y, z"))
-    assert same_ideal(guard, ideal(R3, "x, y*z"))
-    # the guard vanishes exactly on the union of the other two axes
-    assert is_point_on(guard, (0, 3, 0))
-    assert is_point_on(guard, (0, 0, 3))
-    assert not is_point_on(guard, (3, 0, 0))
-
-
-def test_guard_rejects_non_components():
-    with pytest.raises(ValueError):
-        component_open_set_guard(ideal(R2, "x*y"), ideal(R2, "x - 1"))
-
-
 # ------------------------------------------- dominating cone multiplicity
 
 
@@ -221,8 +192,11 @@ def test_falsifier_explicit_sign_mismatch_on_a_smooth_line():
 
 
 def test_falsifier_rejects_bad_signs():
-    with pytest.raises(ValueError):
-        constancy_falsifier(ideal(R2, "y"), sign=2)
+    # the unit ideal has no component, and the sign is checked all the same
+    for J in (ideal(R2, "y"), ideal(R2, "1")):
+        for sign in (2, 0, 5):
+            with pytest.raises(ValueError):
+                constancy_falsifier(J, sign=sign)
 
 
 def test_falsifier_inconclusive_on_uncertified_primality():
@@ -247,20 +221,6 @@ def test_certificate_json_schema():
 # ----------------------------------------------------- generic route check
 
 
-def test_smooth_general_values():
-    parabola = ideal(R2, "y - x^2")
-    assert smooth_general_value(parabola, parabola) == -1
-    sphere = ideal(R3, "x^2 + y^2 + z^2 - 1")
-    assert smooth_general_value(sphere, sphere) == 1
-    assert smooth_general_value(ideal(R2, "y^2, x*y"), ideal(R2, "y")) == -1
-
-
-def test_smooth_general_value_rejects_fat_components():
-    J = ideal(R1, "x^2")
-    with pytest.raises(ValueError):
-        smooth_general_value(J, minimal_primes(J)[0])
-
-
 def test_two_routes_agree_at_sampled_points():
     cases = [
         (ideal(R2, "y^2, x*y"), ideal(R2, "y"), [(1, 0), (-2, 0)]),
@@ -268,18 +228,21 @@ def test_two_routes_agree_at_sampled_points():
         (ideal(R2, "x*y"), ideal(R2, "x"), [(0, 1), (0, -3)]),
     ]
     for J, Z, points in cases:
-        guard = component_open_set_guard(J, Z)
-        general = smooth_general_value(J, Z)
+        primes = [c.prime for c in minimal_primes(J)]
+        assert Z in primes
+        others = [P for P in primes if P != Z]
+        general = (-1) ** dimension(Z) * dominating_cone_multiplicity(J, Z)
         for p in points:
             assert is_point_on(Z, p)
-            assert not is_point_on(guard, p)
+            # on no other minimal prime
+            assert not any(is_point_on(P, p) for P in others)
             assert behrend_value(J, p).value == general
 
 
 def test_two_routes_agree_on_smooth_corpus():
     for J, points, _ in SMOOTH:
         (comp,) = minimal_primes(J)
-        general = smooth_general_value(J, comp)
+        general = (-1) ** comp.dimension * dominating_cone_multiplicity(J, comp)
         for p in points:
             assert behrend_value(J, p).value == general
 

@@ -367,7 +367,7 @@ def test_minimal_primes_canonical_presentation():
     # returned primes are presented by their reduced basis, not by
     # accumulated split factors
     comps = minimal_primes(I("y^2, x*y"))
-    assert comps[0].prime.generator_texts() == ["y"]
+    assert [g.to_text() for g in comps[0].prime.generators] == ["y"]
 
 
 def test_from_reduced_basis_runs_no_buchberger(monkeypatch):
@@ -380,7 +380,7 @@ def test_from_reduced_basis_runs_no_buchberger(monkeypatch):
     monkeypatch.setattr(conesign.ideals, "buchberger", no_run)
     L = IdealPresentation.from_reduced_basis(K.ring, G)
     assert L.gb() == G
-    assert L.generator_texts() == ["y^2 - x", "x*y - 1", "x^2 - y"]
+    assert [g.to_text() for g in L.generators] == ["y^2 - x", "x*y - 1", "x^2 - y"]
     assert L == K
 
 
@@ -427,7 +427,7 @@ def test_derived_ideals_keep_their_reduced_basis(monkeypatch):
     assert calls == []
     # the one run is the elimination order's; the result keeps its w-free part
     E = eliminate(I("x - y^2, y^3 - 1"), ("y",))
-    assert E.generator_texts() == ["x^3 - 1"]
+    assert [g.to_text() for g in E.generators] == ["x^3 - 1"]
     E.gb()
     assert len(calls) == 1
 
@@ -493,6 +493,17 @@ def test_geometric_flag_of_a_quadric_cone_follows_its_rank(text, flag):
         assert conesign.ideals._geometric_flag(I(moved, R3)) == flag
 
 
+@pytest.mark.parametrize("text, flag", [
+    ("y - x^2", "certified"),
+    # a graph x_v = h in one element of a larger basis proves nothing: each
+    # of these is a prime over Q but two points over C
+    ("y, x^2 - 2", "unknown"),
+    ("x - y^2, y^2 - 2", "unknown"),
+])
+def test_geometric_flag_reads_a_graph_only_in_a_principal_ideal(text, flag):
+    assert conesign.ideals._geometric_flag(I(text)) == flag
+
+
 # multiplicity along a component
 
 
@@ -522,7 +533,7 @@ def test_multiplicity_of_reduced_prime_is_one():
 
 def test_multiplicity_fat_components():
     J = I("x^2*y^3")
-    comps = {tuple(c.prime.generator_texts()): c.multiplicity
+    comps = {tuple(g.to_text() for g in c.prime.generators): c.multiplicity
              for c in minimal_primes(J)}
     assert comps == {("x",): 2, ("y",): 3}
 

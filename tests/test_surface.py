@@ -1,0 +1,60 @@
+"""The package's surface carries nothing that nothing uses.
+
+- Every name a module imports with `from ... import` is used in it.
+- Every public top-level function or class is referenced in the package,
+  beyond its own definition, or named in backticks in the README's "What it
+  computes", where the library API beyond the command line is documented.
+
+`__init__.py` only re-exports, so its imports count as uses of nothing.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "conesign").glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _referenced(tree) -> set:
+    """Names a module reads, calls or imports, as bare names or attributes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _documented() -> set:
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## What it computes", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`(\w+)", section))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
+
+
+def test_every_public_name_has_a_caller_or_is_documented():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    known = _documented().union(*map(_referenced, trees.values()))
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in known]
+    assert unused == []
