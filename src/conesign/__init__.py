@@ -68,7 +68,6 @@ from .ideals import (
     graded_degree_data,
     hilbert_degree,
     hilbert_polynomial_value,
-    homogenize_ideal,
     ideal,
     intersect,
     is_point_on,

@@ -29,10 +29,6 @@ from .errors import (
     ConesignError,
     DegenerateDrawError,
     EuUnsupportedError,
-    InfiniteColengthError,
-    NotHomogeneousError,
-    PointNotOnVarietyError,
-    PolynomialSyntaxError,
     PrimalityUndecidedError,
 )
 from .euler import eu_point
@@ -375,9 +371,7 @@ def main(argv=None) -> int:
             DegenerateDrawError) as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return 2
-    except (PolynomialSyntaxError, NotHomogeneousError, InfiniteColengthError,
-            PointNotOnVarietyError, ConesignError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ConesignError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

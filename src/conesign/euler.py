@@ -22,15 +22,18 @@ from .errors import (
 from .ideals import (
     IdealPresentation,
     _certify_prime,
+    _lead_series,
     colength,
     dimension,
-    graded_degree_data,
-    hilbert_polynomial_value,
     is_point_on,
     jacobian,
     tangent_dimension_at_point,
 )
 from .poly import Polynomial
+
+# the Hilbert-Samuel and hyperplane-section loops stop before this power of
+# the maximal ideal
+_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -66,11 +69,11 @@ def _origin_colength(I: IdealPresentation, k: int) -> int:
     return colength(I.with_extra(_maximal_ideal_power(I.ring, k)))
 
 
-def _tangent_cone_degree(J0: IdealPresentation, cap: int = 40) -> int:
+def _tangent_cone_degree(J0: IdealPresentation) -> int:
     """Multiplicity at the origin via stabilized Hilbert-Samuel differences."""
     lengths = [0, _origin_colength(J0, 1)]
     diffs = []
-    for k in range(2, cap):
+    for k in range(2, _CAP):
         lengths.append(_origin_colength(J0, k))
         diffs.append(lengths[-1] - lengths[-2])
         if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
@@ -78,12 +81,11 @@ def _tangent_cone_degree(J0: IdealPresentation, cap: int = 40) -> int:
     raise BoundExceededError("Hilbert-Samuel differences did not stabilize")
 
 
-def _hyperplane_section_length(J0: IdealPresentation, line: Polynomial,
-                               cap: int = 40) -> int | None:
+def _hyperplane_section_length(J0: IdealPresentation, line: Polynomial) -> int | None:
     """Colength at the origin of J0 + (line); None if it never stabilizes."""
     K = J0.with_extra((line,))
     prev = _origin_colength(K, 1)
-    for N in range(2, cap):
+    for N in range(2, _CAP):
         cur = _origin_colength(K, N)
         if cur == prev:
             return cur
@@ -163,9 +165,10 @@ def cone_over_curve_data(V: IdealPresentation, vertex):
         return None
     J0 = _translate_to_origin(V, vertex)
     gb = J0.gb()
-    if not all(g.is_homogeneous() for g in gb):
+    if J0.is_unit_ideal() or not all(g.is_homogeneous() for g in gb):
         return None
-    if dimension(J0) != 2:
+    Q, D = _lead_series(J0)
+    if D != 2:
         return None
     rows = jacobian(IdealPresentation(J0.ring, gb))
     if len(rows) < n - 2:
@@ -174,13 +177,9 @@ def cone_over_curve_data(V: IdealPresentation, vertex):
     sing = J0.with_extra(minors)
     if dimension(sing) > 0:
         return None
-    Q, _ = graded_degree_data(J0)
-    degree = sum(Q)
-    hp0 = hilbert_polynomial_value(J0, 0)
-    if hp0.denominator != 1:
-        raise ArithmeticError("Hilbert polynomial value is not an integer")
-    genus = 1 - int(hp0)
-    return degree, genus
+    # the Hilbert polynomial sum_i q_i * binomial(s - i + 1, 1) of a curve is
+    # degree * s + 1 - genus; at s = 0 it is sum_i q_i * (1 - i)
+    return sum(Q), 1 - sum(q * (1 - i) for i, q in enumerate(Q))
 
 
 def eu_point(V: IdealPresentation, point, primality: str = "check",

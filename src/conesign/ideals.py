@@ -5,6 +5,13 @@ primality, and multiplicities along components.
 Saturation is one elimination over R[w]: I : f^infinity = (I + (1 - w*f))
 meet R.
 
+Dimension, degree and multiplicity come from one series, the Hilbert
+numerator of the degrevlex leads of the reduced basis.  Under a graded
+order R/I and R/in(I) have the same affine Hilbert function (Cox-Little-
+O'Shea, Ideals, Varieties, and Algorithms, ch. 9 sec. 3), so the series of
+the leads gives the Krull dimension and the degree of the projective
+closure without homogenizing.
+
 All ideals are presented by finite generating sets over an explicit ring.
 Reduced Groebner bases are cached per monomial order, so repeated membership
 tests and equality checks against the same presentation are cheap.  An ideal
@@ -14,9 +21,6 @@ built from a reduced basis already in hand carries it on:
   They are the reduced degrevlex basis of the elimination ideal, because the
   block order compares w-free monomials by degrevlex of the smaller ring.
   `saturate`, `intersect` and the Rees ideal of `cones` inherit this.
-- `homogenize_ideal` homogenizes the reduced degrevlex basis with h last,
-  which gives the reduced degrevlex basis of I^h (Cox-Little-O'Shea,
-  Ideals, Varieties, and Algorithms, ch. 8 sec. 4): h never enters a lead.
 - `minimal_primes` presents each prime by its own reduced basis.
 
 An ideal built by adding elements to one whose reduced degrevlex basis is
@@ -83,18 +87,14 @@ class IdealPresentation:
         ascending lead.  Nothing checks this.  The basis is cached, so no
         Buchberger run repeats it.
 
-        Callers: `eliminate` (the w-free part of a reduced block-order basis),
-        `homogenize_ideal` (a reduced degrevlex basis homogenized with h
-        last) and `minimal_primes` (each prime's own basis)."""
+        Callers: `eliminate` (the w-free part of a reduced block-order basis)
+        and `minimal_primes` (each prime's own basis)."""
         I = cls(rng, basis)
         I._gb_cache[degrevlex(rng).signature()] = I.generators
         return I
 
-    def _order(self, order: MonomialOrder | None) -> MonomialOrder:
-        return order if order is not None else degrevlex(self.ring)
-
     def gb(self, order: MonomialOrder | None = None) -> tuple:
-        order = self._order(order)
+        order = order if order is not None else degrevlex(self.ring)
         key = order.signature()
         cached = self._gb_cache.get(key)
         if cached is None:
@@ -105,13 +105,11 @@ class IdealPresentation:
             self._gb_cache[key] = cached
         return cached
 
-    def signature(self, order: MonomialOrder | None = None) -> tuple:
-        order = self._order(order)
-        return tuple(g.to_text(order) for g in self.gb(order))
+    def signature(self) -> tuple:
+        return tuple(g.to_text() for g in self.gb())
 
-    def contains(self, f: Polynomial, order: MonomialOrder | None = None) -> bool:
-        order = self._order(order)
-        return normal_form(f, self.gb(order), order).is_zero()
+    def contains(self, f: Polynomial) -> bool:
+        return normal_form(f, self.gb(), degrevlex(self.ring)).is_zero()
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -243,29 +241,9 @@ def radical_contains(I: IdealPresentation, f: Polynomial) -> bool:
 
 def dimension(I: IdealPresentation) -> int:
     """Krull dimension of the quotient ring; -1 for the unit ideal."""
-    gb = I.gb()
     if I.is_unit_ideal():
         return -1
-    n = I.ring.arity
-    supports = []
-    order = degrevlex(I.ring)
-    for g in gb:
-        m, _ = g.leading(order)
-        supports.append(frozenset(i for i, e in enumerate(m) if e))
-    appearing = sorted(set().union(*supports)) if supports else []
-    free = n - len(appearing)
-    best = 0
-    for r in range(len(appearing), 0, -1):
-        found = False
-        for combo in itertools.combinations(appearing, r):
-            S = set(combo)
-            if not any(sup <= S for sup in supports):
-                best = r
-                found = True
-                break
-        if found:
-            break
-    return free + best
+    return _lead_series(I)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +332,24 @@ def hilbert_numerator(monos, arity: int) -> list:
     return rec(_minimalize_monomials(monos))
 
 
-def _is_homogeneous_ideal(I: IdealPresentation) -> bool:
-    return all(g.is_homogeneous() for g in I.gb())
+def _lead_series(I: IdealPresentation):
+    """(Q, D) with series(R/in(I)) = Q(t) / (1-t)^D and Q(1) != 0, for the
+    degrevlex leads in(I) of I's reduced basis.
+
+    D is the Krull dimension of R/I and Q(1) the degree of the closure of
+    the scheme cut out by I; for homogeneous I, series(R/I) is the same.
+    The unit ideal, whose scheme is empty, raises ValueError.
+    """
+    order = degrevlex(I.ring)
+    N = hilbert_numerator([g.leading(order)[0] for g in I.gb()], I.ring.arity)
+    if not N:
+        raise ValueError("degree of the empty scheme is undefined")
+    D = I.ring.arity
+    while sum(N) == 0:
+        # divide by 1 - t: the partial sums, whose last one is N(1) = 0
+        N = _ptrim(list(itertools.accumulate(N))[:-1])
+        D -= 1
+    return N, D
 
 
 def graded_degree_data(I: IdealPresentation):
@@ -364,58 +358,16 @@ def graded_degree_data(I: IdealPresentation):
     Requires a homogeneous ideal; Q(1) is the degree of the projective
     scheme cut out by I, and D-1 its projective dimension.
     """
-    gb = I.gb()
-    if I.is_unit_ideal():
-        raise ValueError("degree of the empty scheme is undefined")
-    for g in gb:
-        if not g.is_homogeneous():
-            raise NotHomogeneousError(
-                "graded degree data requires a homogeneous ideal")
-    order = degrevlex(I.ring)
-    lts = [g.leading(order)[0] for g in gb]
-    N = hilbert_numerator(lts, I.ring.arity)
-    D = I.ring.arity
-    while N and sum(N) == 0:
-        partial = []
-        acc = 0
-        for c in N:
-            acc += c
-            partial.append(acc)
-        N = _ptrim(partial[:-1] if partial and partial[-1] == 0 else partial)
-        D -= 1
-    return N, D
+    if not all(g.is_homogeneous() for g in I.gb()):
+        raise NotHomogeneousError(
+            "graded degree data requires a homogeneous ideal")
+    return _lead_series(I)
 
 
-def homogenize_ideal(I: IdealPresentation):
-    """Homogenize with a fresh last variable; returns (ideal, var_name).
-
-    Works from the degrevlex reduced basis, so the result is the full
-    homogenization of the ideal, saturated with respect to the new variable,
-    and the homogenized basis is its reduced degrevlex basis: h never
-    enters a lead.
-    """
-    h = _fresh_name("h", I.ring.variables)
-    ext = I.ring.extend((h,))
-    gens = []
-    for g in I.gb():
-        d = g.total_degree()
-        terms = {}
-        for m, c in g.terms.items():
-            terms[tuple(m) + (d - sum(m),)] = c
-        gens.append(Polynomial(ext, terms, normalize=False))
-    return IdealPresentation.from_reduced_basis(ext, gens), h
-
-
-def hilbert_degree(I: IdealPresentation, homogenize: bool = False) -> int:
-    """Degree of the (closure of the) scheme cut out by I."""
-    if not _is_homogeneous_ideal(I):
-        if not homogenize:
-            raise NotHomogeneousError(
-                "ideal is not homogeneous; pass homogenize=True for the "
-                "projective closure degree")
-        I, _ = homogenize_ideal(I)
-    Q, _ = graded_degree_data(I)
-    return sum(Q)
+def hilbert_degree(I: IdealPresentation) -> int:
+    """Degree of the closure of the scheme cut out by I: the projective
+    closure when I is not homogeneous.  ValueError for the unit ideal."""
+    return sum(_lead_series(I)[0])
 
 
 def _binomial_poly(a: int, k: int) -> Fraction:
@@ -504,11 +456,10 @@ def standard_exponents(leads, arity: int):
             if not any(mono_divides(l, m) for l in leads)]
 
 
-def standard_monomials(I: IdealPresentation,
-                       order: MonomialOrder | None = None) -> list:
+def standard_monomials(I: IdealPresentation) -> list:
     """Monomial basis of R/I when finite, else InfiniteColengthError."""
-    order = order if order is not None else degrevlex(I.ring)
-    out = standard_exponents([g.leading(order)[0] for g in I.gb(order)], I.ring.arity)
+    order = degrevlex(I.ring)
+    out = standard_exponents([g.leading(order)[0] for g in I.gb()], I.ring.arity)
     if out is None:
         raise InfiniteColengthError("quotient ring has infinite dimension")
     out.sort(key=order.key)
@@ -556,7 +507,7 @@ def minimal_polynomial_of_variable(I: IdealPresentation, var: int) -> list:
     Returned as a dense coefficient list, constant term first.
     """
     order = degrevlex(I.ring)
-    basis = standard_monomials(I, order)
+    basis = standard_monomials(I)
     index = {m: k for k, m in enumerate(basis)}
     gb = I.gb(order)
     x = Polynomial.variable(I.ring, var)
@@ -675,11 +626,12 @@ def minimal_primes(I: IdealPresentation) -> list:
     comps = []
     primes = [K for K, _ in keep]
     for K, status in keep:
+        Q, D = _lead_series(K)
         comps.append(PrimeComponent(
             prime=K,
             multiplicity=multiplicity_along(I, K, [P for P in primes if P is not K]),
-            dimension=dimension(K),
-            degree=hilbert_degree(K, homogenize=True),
+            dimension=D,
+            degree=sum(Q),
             primality=status,
             geometrically_irreducible=_geometric_flag(K),
         ))
@@ -691,8 +643,8 @@ def multiplicity_along(I: IdealPresentation, P: IdealPresentation,
                        other_primes=None) -> int:
     """Length of the local ring of V(I) at the generic point of V(P).
 
-    Computed projectively: homogenize, cut away the other components by
-    saturation, and take the ratio of degrees, which is exact for the
+    Computed affinely: cut away the other components by saturation, and
+    take the ratio of the degrees of the closures, which is exact for the
     component-supported part.
     """
     if not contains_ideal(P, I):
@@ -700,17 +652,14 @@ def multiplicity_along(I: IdealPresentation, P: IdealPresentation,
     if other_primes is None:
         other_primes = [c.prime for c in minimal_primes(I)
                         if c.prime.signature() != P.signature()]
-    Ih, _ = homogenize_ideal(I)
-    Ph, _ = homogenize_ideal(P)
-    J = Ih
+    J = I
     for Q in other_primes:
-        Qh, _ = homogenize_ideal(Q)
-        pick = next((g for g in Qh.generators if not Ph.contains(g)), None)
+        pick = next((g for g in Q.gb() if not P.contains(g)), None)
         if pick is None:
             raise ValueError("component list contains nested primes")
         J = saturate(J, pick)
-    QJ, DJ = graded_degree_data(J)
-    QP, DP = graded_degree_data(Ph)
+    QJ, DJ = _lead_series(J)
+    QP, DP = _lead_series(P)
     if DJ != DP:
         raise ArithmeticError("saturation left extra components behind")
     degJ, degP = sum(QJ), sum(QP)

@@ -8,7 +8,7 @@ from the package's own saturation and colength.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 
@@ -307,6 +307,18 @@ def compositions(total, parts):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def monomial_dimension(generator_exponents, nvars):
+    """Krull dimension of R/M for the monomial ideal M: the size of the
+    largest set of variables that contains the support of no generator, or
+    -1 when no set does (a constant generator)."""
+    for size in range(nvars, -1, -1):
+        for chosen in combinations(range(nvars), size):
+            if not any(all(e == 0 or i in chosen for i, e in enumerate(g))
+                       for g in generator_exponents):
+                return size
+    return -1
 
 
 # ---------------------------------------------------------------------------

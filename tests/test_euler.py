@@ -170,6 +170,8 @@ def test_cone_data_rejects_inhomogeneous_input():
     assert cone_over_curve_data(ideal(R3, "x*z - y^2 + x"), (0, 0, 0)) is None
     # two ambient variables cannot hold a cone over a projective curve
     assert cone_over_curve_data(ideal(R2, "y - x^2"), (0, 0)) is None
+    # the unit ideal is homogeneous, but its empty scheme is no cone
+    assert cone_over_curve_data(ideal(R3, "1"), (0, 0, 0)) is None
 
 
 def test_cone_data_translated_vertex():

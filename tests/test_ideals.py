@@ -2,12 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     division_remainder,
     matrix_rank,
+    monomial_dimension,
     monomial_hilbert_count,
     monomial_saturation,
     s_pair,
@@ -32,7 +33,6 @@ from conesign import (
     graded_degree_data,
     hilbert_degree,
     hilbert_polynomial_value,
-    homogenize_ideal,
     ideal,
     intersect,
     jacobian,
@@ -249,11 +249,12 @@ def test_hilbert_degree_conic():
     assert hilbert_degree(I("y*z - x^2", R3)) == 2
 
 
-def test_hilbert_degree_rejects_inhomogeneous():
-    with pytest.raises(NotHomogeneousError):
-        hilbert_degree(I("y - x^2"))
+def test_hilbert_degree_of_an_inhomogeneous_ideal():
     # the projective closure of a parabola is a conic
-    assert hilbert_degree(I("y - x^2"), homogenize=True) == 2
+    assert hilbert_degree(I("y - x^2")) == 2
+    # graded degree data stays projective
+    with pytest.raises(NotHomogeneousError):
+        graded_degree_data(I("y - x^2"))
 
 
 def test_hilbert_polynomial_matches_direct_monomial_count():
@@ -284,13 +285,6 @@ def test_degree_is_additive_over_top_components():
     J2 = I("xy, xz, yz", R3)
     comps2 = minimal_primes(J2)
     assert sum(c.multiplicity * c.degree for c in comps2) == 3
-
-
-def test_homogenize_round_trip():
-    Jh, h = homogenize_ideal(I("y - x^2"))
-    assert h in Jh.ring.variables
-    for g in Jh.gb():
-        assert g.is_homogeneous()
 
 
 # minimal primes
@@ -422,8 +416,8 @@ def test_derived_ideals_keep_their_reduced_basis(monkeypatch):
     J = I("y^2 - x^3, x*y - 1")
     J.gb()
     calls = counted_buchberger(monkeypatch)
-    Jh, _ = homogenize_ideal(J)
-    graded_degree_data(Jh)
+    hilbert_degree(J)
+    dimension(J)
     assert calls == []
     # the one run is the elimination order's; the result keeps its w-free part
     E = eliminate(I("x - y^2, y^3 - 1"), ("y",))
@@ -459,7 +453,7 @@ def assert_handed_on_basis_is_reduced(J):
 
 @given(case=small_ideals(), drop=st.integers(0, 1))
 @settings(max_examples=60, deadline=None)
-def test_eliminate_saturate_and_homogenize_hand_on_reduced_bases(case, drop):
+def test_eliminate_and_saturate_hand_on_reduced_bases(case, drop):
     rng, gens, f = case
     J = IdealPresentation(rng, gens)
     E = eliminate(J, rng.variables[drop:drop + 1])
@@ -471,12 +465,27 @@ def test_eliminate_saturate_and_homogenize_hand_on_reduced_bases(case, drop):
               if drop not in g.support_variables()]
     assert E == IdealPresentation(E.ring, by_lex)
     assert_handed_on_basis_is_reduced(saturate(J, f))
-    Jh, h = homogenize_ideal(J)
-    assert h not in rng.variables and Jh.ring.variables[-1] == h
-    assert_handed_on_basis_is_reduced(Jh)
-    # setting h = 1 gives J back
-    assert J == IdealPresentation(rng, [
-        Polynomial(rng, {m[:-1]: c for m, c in g.terms.items()}) for g in Jh.gb()])
+
+
+@given(case=small_ideals())
+@settings(max_examples=60, deadline=None)
+def test_dimension_and_degree_agree_with_the_leads_and_the_projective_closure(case):
+    rng, gens, _ = case
+    J = IdealPresentation(rng, gens)
+    order = degrevlex(rng)
+    leads = [g.leading(order)[0] for g in J.gb()]
+    assert dimension(J) == monomial_dimension(leads, rng.arity)
+    if dimension(J) < 0:
+        with pytest.raises(ValueError):
+            hilbert_degree(J)
+        return
+    # the projective closure: homogenize the reduced basis with a fresh last
+    # variable (no ring of small_ideals has a w)
+    ext = rng.extend(("w",))
+    Jh = IdealPresentation(ext, [
+        Polynomial(ext, {m + (g.total_degree() - sum(m),): c for m, c in g.terms.items()})
+        for g in J.gb()])
+    assert hilbert_degree(J) == sum(graded_degree_data(Jh)[0])
 
 
 @pytest.mark.parametrize("text, flag", [
@@ -536,6 +545,55 @@ def test_multiplicity_fat_components():
     comps = {tuple(g.to_text() for g in c.prime.generators): c.multiplicity
              for c in minimal_primes(J)}
     assert comps == {("x",): 2, ("y",): 3}
+
+
+def linear_forms_through(point, vectors):
+    """sum_j v_j * (x_j - p_j) in Q[x, y, z] for each coefficient vector v."""
+    out = []
+    for v in vectors:
+        terms = {tuple(int(i == j) for i in range(3)): c for j, c in enumerate(v)}
+        terms[(0, 0, 0)] = -sum(c * q for c, q in zip(v, point))
+        out.append(Polynomial(R3, terms))
+    return out
+
+
+points = st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 3)
+directions = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+
+
+@given(point=points, vectors=st.lists(directions, min_size=1, max_size=3),
+       exponents=st.lists(st.integers(1, 3), min_size=3, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_multiplicity_of_a_product_of_hyperplanes_is_its_exponent(point, vectors, exponents):
+    # distinct hyperplanes through one point: no two directions proportional
+    assume(all(matrix_rank([u, v]) == 2 for u, v in itertools.combinations(vectors, 2)))
+    forms = linear_forms_through(point, vectors)
+    f = Polynomial.one(R3)
+    for form, a in zip(forms, exponents):
+        f = f * form**a
+    J = IdealPresentation(R3, [f])
+    primes = [IdealPresentation(R3, [form]) for form in forms]
+    for P, a in zip(primes, exponents):
+        assert multiplicity_along(J, P, [Q for Q in primes if Q is not P]) == a
+
+
+@given(point=points, line=st.lists(directions, min_size=2, max_size=2),
+       other=st.lists(directions, min_size=1, max_size=2), a=st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_multiplicity_along_a_power_of_a_line(point, line, other, a):
+    # P is a line and Q a plane or another line, both through the point;
+    # neither contains the other
+    assume(matrix_rank(line) == 2 and matrix_rank(other) == len(other))
+    assume(matrix_rank(line + other) == 3)
+    l1, l2 = linear_forms_through(point, line)
+    P = IdealPresentation(R3, [l1, l2])
+    Q = IdealPresentation(R3, linear_forms_through(point, other))
+    power = [l1**i * l2**(a - i) for i in range(a + 1)]
+    J = IdealPresentation(R3, [p * q for p in power for q in Q.generators])
+    # the length of R_P / P^a R_P counts the monomials of degree below a in
+    # two variables
+    assert multiplicity_along(J, P, [Q]) == a * (a + 1) // 2
+    assert multiplicity_along(J, Q, [P]) == 1
 
 
 # tangent machinery
