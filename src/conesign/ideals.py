@@ -424,9 +424,13 @@ def generic_tangent_dimension(I: IdealPresentation, P: IdealPresentation) -> int
         raise ValueError("the given prime does not contain the ideal")
     order = degrevlex(P.ring)
     gb = P.gb(order)
-    mod_p = lambda row: [normal_form(e, gb, order) for e in row]
-    rows = [mod_p(row) for row in jacobian(I)]
-    return I.ring.arity - len(_echelon(rows, I.ring.arity, mod_p))
+
+    def mod_p(row):
+        reduced = ((c, normal_form(e, gb, order)) for c, e in row.items())
+        return {c: e for c, e in reduced if not e.is_zero()}
+
+    rows = [mod_p(dict(enumerate(row))) for row in jacobian(I)]
+    return I.ring.arity - len(_echelon(rows, mod_p))
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +518,7 @@ def minimal_polynomial_of_variable(I: IdealPresentation, var: int) -> list:
     power = Polynomial.one(I.ring)
     vectors = []
     while True:
-        vec = [Fraction(0)] * len(basis)
-        for m, c in normal_form(power, gb, order).terms.items():
-            vec[index[m]] = c
+        vec = {index[m]: c for m, c in normal_form(power, gb, order).terms.items()}
         combo = solve_combination(vectors, vec)
         if combo is not None:
             coeffs = [-c for c in combo] + [Fraction(1)]
@@ -588,13 +590,9 @@ def _certify_prime(I: IdealPresentation):
     return ("undecided",)
 
 
-def minimal_primes(I: IdealPresentation) -> list:
-    """Minimal primes of I over Q, as PrimeComponent records.
-
-    Components whose primality cannot be certified by the implemented
-    rules are still returned, flagged "undecided".  The list is sorted by
-    descending dimension, then ascending degree, then basis text.
-    """
+def _minimal_prime_list(I: IdealPresentation) -> list:
+    """The minimal primes of I, each presented by its reduced basis, as
+    (prime, status) pairs with status "certified" or "undecided"."""
     if I.is_unit_ideal():
         return []
     found = {}
@@ -620,9 +618,18 @@ def minimal_primes(I: IdealPresentation) -> list:
 
     # keep the ideals minimal under inclusion
     entries = list(found.values())
-    keep = [(K, status) for K, status in entries
+    return [(K, status) for K, status in entries
             if not any(L is not K and contains_ideal(K, L) for L, _ in entries)]
 
+
+def minimal_primes(I: IdealPresentation) -> list:
+    """Minimal primes of I over Q, as PrimeComponent records.
+
+    Components whose primality cannot be certified by the implemented
+    rules are still returned, flagged "undecided".  The list is sorted by
+    descending dimension, then ascending degree, then basis text.
+    """
+    keep = _minimal_prime_list(I)
     comps = []
     primes = [K for K, _ in keep]
     for K, status in keep:
@@ -650,8 +657,8 @@ def multiplicity_along(I: IdealPresentation, P: IdealPresentation,
     if not contains_ideal(P, I):
         raise ValueError("multiplicity requested along a non-component")
     if other_primes is None:
-        other_primes = [c.prime for c in minimal_primes(I)
-                        if c.prime.signature() != P.signature()]
+        other_primes = [K for K, _ in _minimal_prime_list(I)
+                        if K.signature() != P.signature()]
     J = I
     for Q in other_primes:
         pick = next((g for g in Q.gb() if not P.contains(g)), None)

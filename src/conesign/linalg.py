@@ -1,12 +1,18 @@
 """Exact rank and linear combinations by one fraction-free elimination.
 
-`_echelon` is the package's only Gaussian elimination.  It works over any
-integral domain: a row below a pivot p becomes reduce(p·row − a·pivot_row),
-with a caller-supplied `reduce` that keeps entries small without changing
-the row's span.  Over Q the rows are primitive integer rows, and `reduce`
-divides out the gcd of the entries.  Over the fraction field of R/P (see
-`ideals.generic_tangent_dimension`) the entries are polynomials, and
-`reduce` takes each to its normal form modulo P.
+`_echelon` is the package's only Gaussian elimination.  Rows are sparse
+{column: value} dicts holding only nonzero entries.  It works over any
+integral domain: a row meeting a pivot row p at column c becomes
+reduce(p[c]·row − row[c]·p), with a caller-supplied `reduce` that keeps
+entries small without changing the row's span.  Over Q the rows are
+primitive integer rows, and `reduce` divides out the gcd of the entries.
+Over the fraction field of R/P (see `ideals.generic_tangent_dimension`) the
+entries are polynomials, and `reduce` takes each to its normal form modulo P.
+
+Rows are eliminated one at a time, and a row only ever meets the pivot rows
+at its own columns.  So the blocks of the row–column graph (for a tangent
+system, at least as fine as any grading the ideal carries) are eliminated
+apart from each other without being looked for.
 """
 
 from __future__ import annotations
@@ -15,70 +21,83 @@ import math
 from fractions import Fraction
 
 
-def _echelon(m, ncols: int, reduce) -> list:
-    """Fraction-free row-echelon form of the rows `m` over an integral
-    domain, in place, choosing pivots among the first `ncols` columns; whole
-    rows are eliminated, so columns beyond them ride along.  A row with
-    entry a under the pivot p becomes reduce(p·row − a·pivot_row): primitive
-    integer rows over Q, normal forms modulo P over R/P.  Entries are tested
-    with `!= 0`.  Returns the pivot columns; row i holds the pivot at column
-    pivots[i]."""
-    pivots = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == len(m):
-            break
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        tail = m[row][col:]
-        pv = tail[0]
-        for r in range(row + 1, len(m)):
-            mr = m[r]
-            a = mr[col]
-            if a != 0:
-                # entries left of col are zero in both rows
-                m[r] = mr[:col] + reduce([pv * x - a * y
-                                          for x, y in zip(mr[col:], tail)])
-        pivots.append(col)
+def _echelon(rows, reduce) -> dict:
+    """Fraction-free row-echelon form over an integral domain of the dict
+    rows `rows`, which hold no zero entry (entries are tested with `!= 0`).
+    `reduce` must drop the entries it takes to zero.
+
+    Shortest rows come first.  Each row is reduced at its least column by
+    the pivot row there, until it finds a column with no pivot row and
+    becomes that column's pivot row, or it is empty and dropped.  Returns
+    {column: pivot row}; its keys are the least columns of the row space's
+    nonzero vectors, the same set for every echelon form.
+    """
+    pivots = {}
+    for row in sorted(rows, key=len):
+        while row:
+            col = min(row)
+            p = pivots.get(col)
+            if p is None:
+                pivots[col] = row
+                break
+            pv, a = p[col], row[col]
+            new = {c: pv * v for c, v in row.items() if c != col}
+            for c, v in p.items():
+                if c != col:
+                    x = new.get(c, 0) - a * v
+                    if x != 0:
+                        new[c] = x
+                    else:
+                        new.pop(c, None)
+            row = reduce(new)
     return pivots
 
 
-def _primitive(row: list) -> list:
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def _entries(row):
+    """The (column, value) pairs of a row given as a dict or a list."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
 
 
-def _integer_row(row) -> list:
-    """The primitive integer row spanning the same line as a row of
-    rationals (ints or Fractions): one lcm of the denominators per row."""
-    d = math.lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (d // x.denominator) for x in row])
+def _primitive(row: dict) -> dict:
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _integer_row(row) -> dict:
+    """The primitive integer dict row spanning the same line as a row of
+    rationals (ints or Fractions), given as a dict or a list: one lcm of the
+    denominators per row, zero entries dropped."""
+    items = [(c, v) for c, v in _entries(row) if v]
+    d = math.lcm(*(v.denominator for _, v in items))
+    return _primitive({c: v.numerator * (d // v.denominator) for c, v in items})
 
 
 def rational_rank(rows) -> int:
-    """Rank over Q of a matrix given as a list of rows of Fractions/ints."""
-    m = [_integer_row(row) for row in rows]
-    return len(_echelon(m, len(m[0]), _primitive)) if m else 0
+    """Rank over Q of a matrix given as rows of Fractions/ints, each a list
+    or a {column: value} dict."""
+    return len(_echelon(map(_integer_row, rows), _primitive))
 
 
 def solve_combination(vectors, target):
     """Coefficients writing target as a combination of vectors, or None.
 
-    All entries are Fractions or ints; vectors is a list of equal-length
-    rows.  The coefficients are Fractions; when the vectors are dependent,
-    the coefficients of the non-pivot vectors are 0.
+    Entries are Fractions or ints; vectors and target are each a list or a
+    {coordinate: value} dict.  The coefficients are Fractions; when the
+    vectors are dependent, the coefficients of the non-pivot vectors are 0.
     """
     k = len(vectors)
-    # augmented transpose: unknowns are the combination coefficients
-    rows = [_integer_row([v[i] for v in vectors] + [target[i]])
-            for i in range(len(target))]
-    pivots = _echelon(rows, k, _primitive)
-    if any(row[k] for row in rows[len(pivots):]):
+    # augmented transpose: unknowns are the combination coefficients, one
+    # row per coordinate, the target in column k
+    eqs = {}
+    for j, v in enumerate(vectors + [target]):
+        for i, c in _entries(v):
+            eqs.setdefault(i, {})[j] = c
+    pivots = _echelon([_integer_row(row) for row in eqs.values()], _primitive)
+    if k in pivots:
         return None
     coeffs = [Fraction(0)] * k
-    for row, c in reversed(list(zip(rows, pivots))):
-        coeffs[c] = Fraction(row[k] - sum(row[j] * coeffs[j] for j in range(c + 1, k)),
-                             row[c])
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        coeffs[c] = Fraction(row.get(k, 0) - sum(v * coeffs[j] for j, v in row.items()
+                                                if c < j < k), row[c])
     return coeffs

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+import conesign.hilb
 from oracles import (
     height_matrix_partitions,
+    matrix_rank,
     module_hom_dimension,
     monomial_hom_dimension,
     staircase_generators,
@@ -229,6 +231,80 @@ def test_tangent_rejects_finite_characteristic():
     R7 = ring("x, y, z", 7)
     with pytest.raises(ValueError):
         tangent_dimension_hilb(ideal(R7, "x, y, z"))
+
+
+def test_tangent_system_divides_each_term_once(monkeypatch):
+    divided = []
+    real = conesign.hilb.module_divider
+
+    def counted(basis, morder):
+        divide = real(basis, morder)
+
+        def remainder(terms):
+            divided.extend(terms)
+            return divide(terms)
+
+        return remainder
+
+    monkeypatch.setattr(conesign.hilb, "module_divider", counted)
+    boxes = {(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (1, 1, 0),
+             (0, 0, 1), (0, 2, 0)}
+    rep = tangent_dimension_hilb(monomial_ideal_of(PlanePartition(frozenset(boxes))))
+    assert (rep.colength, rep.tangent_dim) == (8, 32)
+    assert divided and len(divided) == len(set(divided))
+
+
+# ------------------------------------------- graded non-monomial points
+
+
+def graded_point(d, forms, seed):
+    """m^(d+1) + (forms seeded integer forms of degree d) in Q[x, y, z]."""
+    rnd = random.Random(seed)
+    degree = lambda k: [e for e in itertools.product(range(k + 1), repeat=3) if sum(e) == k]
+    gens = [mono(e) for e in degree(d + 1)]
+    gens += [Polynomial(R3, {e: rnd.randint(-3, 3) for e in degree(d)}) for _ in range(forms)]
+    return IdealPresentation(R3, gens)
+
+
+def linearly_changed(I, seed):
+    """I under the substitution x_i -> sum_j A_ij x_j for a seeded invertible
+    integer matrix A."""
+    rnd = random.Random(seed)
+    A = [[0] * 3]
+    while matrix_rank(A) < 3:
+        A = [[rnd.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+    X = [Polynomial.variable(R3, j) for j in range(3)]
+    lin = [sum((a * x for a, x in zip(row, X)), Polynomial.zero(R3)) for row in A]
+
+    def substituted(g):
+        out = Polynomial.zero(R3)
+        for e, c in g.terms.items():
+            t = Polynomial.constant(R3, c)
+            for form, k in zip(lin, e):
+                t = t * form**k
+            out = out + t
+        return out
+
+    return IdealPresentation(R3, [substituted(g) for g in I.generators])
+
+
+# (d, number of forms, seed, colength, tangent dimension)
+GRADED_POINTS = [(3, 3, 1, 17, 81), (3, 1, 2, 19, 123), (4, 9, 3, 26, 108),
+                 (4, 6, 4, 29, 141)]
+
+
+@pytest.mark.parametrize("d, forms, seed, n, tangent", GRADED_POINTS,
+                         ids=[f"colength-{case[3]}" for case in GRADED_POINTS])
+def test_tangent_at_graded_non_monomial_points(d, forms, seed, n, tangent):
+    I = graded_point(d, forms, seed)
+    assert any(len(g.terms) > 1 for g in I.gb())
+    moved = [linearly_changed(I, seed)]
+    if n < 20:
+        # translated, the ideal carries no grading at all
+        moved.append(IdealPresentation(R3, [g.translate((1, -2, 1)) for g in I.generators]))
+    for J in [I] + moved:
+        rep = tangent_dimension_hilb(J)
+        assert (rep.colength, rep.tangent_dim) == (n, tangent)
 
 
 # ------------------------------------------------------------ parity scan

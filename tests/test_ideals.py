@@ -547,6 +547,20 @@ def test_multiplicity_fat_components():
     assert comps == {("x",): 2, ("y",): 3}
 
 
+def test_multiplicity_along_lists_the_other_primes_without_their_multiplicities(monkeypatch):
+    calls = []
+    real = conesign.ideals.saturate
+
+    def counted(J, f):
+        calls.append(f)
+        return real(J, f)
+
+    monkeypatch.setattr(conesign.ideals, "saturate", counted)
+    # one saturation for each of the other two axes
+    assert multiplicity_along(I("xy, xz, yz", R3), I("x, y", R3)) == 1
+    assert len(calls) == 2
+
+
 def linear_forms_through(point, vectors):
     """sum_j v_j * (x_j - p_j) in Q[x, y, z] for each coefficient vector v."""
     out = []

@@ -51,6 +51,48 @@ def test_solve_combination_reproduces_a_target_in_the_span(case, combine, data):
             for i in range(ncols)] == target
 
 
+def as_dicts(rows):
+    """The rows as {column: value} dicts of their nonzero entries."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+@given(case=matrices(max_rows=5))
+@settings(max_examples=100, deadline=None)
+def test_dict_rows_and_list_rows_have_the_same_rank(case):
+    _, rows = case
+    assert rational_rank(as_dicts(rows)) == rational_rank(rows)
+
+
+@given(blocks=st.lists(matrices(max_rows=3), min_size=1, max_size=3), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rank_of_a_permuted_block_diagonal_matrix_is_the_sum_of_the_block_ranks(blocks, data):
+    width = sum(ncols for ncols, _ in blocks)
+    rows, offset = [], 0
+    for ncols, block in blocks:
+        rows += [[0] * offset + row + [0] * (width - offset - ncols) for row in block]
+        offset += ncols
+    # shuffling rows and columns hides the blocks from the elimination order
+    rows = data.draw(st.permutations(rows))
+    cols = data.draw(st.permutations(range(width)))
+    rows = [[row[c] for c in cols] for row in rows]
+    want = sum(matrix_rank(block) for _, block in blocks)
+    assert rational_rank(rows) == rational_rank(as_dicts(rows)) == matrix_rank(rows) == want
+
+
+def test_solve_combination_leaves_the_non_pivot_vectors_out():
+    # v1 = 2 v0 and v3 = v0 + v2 come after the vectors they depend on, so a
+    # column-by-column elimination of the augmented transpose gives them 0
+    vectors = [[1, 2, 0, 1], [2, 4, 0, 2], [0, 1, 1, 0], [1, 3, 1, 1],
+               [Fraction(1, 2), 0, 0, Fraction(1, 3)], [0, 0, Fraction(-5, 7), 1]]
+    target = [Fraction(4), Fraction(7), Fraction(23, 28), Fraction(47, 12)]
+    want = [3, 0, 1, 0, 2, Fraction(1, 4)]
+    assert solve_combination(vectors, target) == want
+    assert solve_combination(as_dicts(vectors), as_dicts([target])[0]) == want
+    # off the span of the first four
+    assert solve_combination(vectors[:4], [0, 0, 0, 1]) is None
+    assert solve_combination(as_dicts(vectors[:4]), {3: 1}) is None
+
+
 def test_empty_inputs():
     assert rational_rank([]) == 0
     assert rational_rank([[], []]) == 0
