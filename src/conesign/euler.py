@@ -49,10 +49,15 @@ class EuVerdict:
 
 
 def _translate_to_origin(V: IdealPresentation, point) -> IdealPresentation:
+    """V moved so that `point` is the origin, with its degrevlex basis
+    computed, from V's when V has one, so that the ideals the loops below
+    build from it extend that basis."""
     point = tuple(V.ring.coeff(c) for c in point)
     if all(c == 0 for c in point):
         return V
-    return IdealPresentation(V.ring, [g.translate(point) for g in V.generators])
+    J0 = V.translate(point)
+    J0.gb()
+    return J0
 
 
 def _maximal_ideal_power(rng, k: int) -> list:
@@ -70,8 +75,9 @@ def _origin_colength(I: IdealPresentation, k: int) -> int:
 
 
 def _tangent_cone_degree(J0: IdealPresentation) -> int:
-    """Multiplicity at the origin via stabilized Hilbert-Samuel differences."""
-    lengths = [0, _origin_colength(J0, 1)]
+    """Multiplicity at the origin via stabilized Hilbert-Samuel differences.
+    J0 lies in the maximal ideal m, so J0 + m = m has colength 1."""
+    lengths = [0, 1]
     diffs = []
     for k in range(2, _CAP):
         lengths.append(_origin_colength(J0, k))
@@ -82,9 +88,11 @@ def _tangent_cone_degree(J0: IdealPresentation) -> int:
 
 
 def _hyperplane_section_length(J0: IdealPresentation, line: Polynomial) -> int | None:
-    """Colength at the origin of J0 + (line); None if it never stabilizes."""
+    """Colength at the origin of J0 + (line); None if it never stabilizes.
+    J0 and the line lie in the maximal ideal m, so K + m = m has colength 1."""
     K = J0.with_extra((line,))
-    prev = _origin_colength(K, 1)
+    K.gb()  # so that every K + m^N extends K's basis
+    prev = 1
     for N in range(2, _CAP):
         cur = _origin_colength(K, N)
         if cur == prev:

@@ -1,22 +1,32 @@
 """Buchberger Groebner engine for ideals and submodules, multivariate
 division, and syzygy modules.
 
-One engine serves ideals and submodules of R^r alike; it works on term
-dictionaries {exponent tuple: coefficient}.  A module term (pos, m) is stored
-privately as the exponent tuple onehot(pos) + m, so the monomial helpers
-respect positions unchanged: a lead divides a term only at its own position,
-and two leads at one position share that slot, so the product criterion never
-fires between them.  The only module-specific step is that no pair is formed
-between leads at different positions.  `ModuleVector`, `ModuleOrder.key` and
-every public function keep (position, monomial) terms.
+One engine serves ideals and submodules of R^r alike.  Inside it every term
+is one Python int (`_Packing`): a 16-bit field per variable, and for a
+module term (pos, m) the one-hot pos in the low r fields with m above them.
+The top bit of each field is a guard bit, so a product is a + b, a quotient
+a - b, and a | b exactly when ((b | G) - a) & G == G for the mask G of all
+guard bits; lcms and the product criterion come from the same masks, with
+no unpacking.  A lead divides a module term only at its own position, and
+two leads at one position share that field, so the product criterion never
+fires between them; no pair is formed between leads at different positions.
+Every exponent the engine handles stays below 2^15: an input exponent of
+2^15 or more, or a product that reaches it, raises `BoundExceededError`.
+The public functions pack their input and unpack their output, so
+`Polynomial.terms`, `ModuleVector` and `ModuleOrder.key` keep exponent
+tuples and (position, monomial) terms.  Each order object memoises the
+engine's keys of packed terms (`_packing`).
 
-Buchberger keeps the basis as term dicts beside their leading monomials,
+Buchberger keeps the basis as packed term dicts beside their leading terms,
 which the reductions, the pair pruning and the final interreduction reuse.
 Over Q every basis element and every remainder is a primitive integer term
 dict (coprime coefficients, positive lead), and the one division kernel
 `_reduce_terms` reduces fraction-free: a term c*m falls to g as
 r <- (lc g/d) * r - (c/d) * (m/lt g) * g with d = gcd(c, lc g), and the
 content is removed once per reduction, when a remainder joins the basis.
+The kernel takes its next term from a heap of negated order keys, pushing
+each term as it comes new into the work and skipping one that has cancelled
+since (lazy deletion).
 Mod p the basis is monic.  Only `_reduce_groebner` makes elements monic over
 `Fraction`, as it emits them; scaling changes no lead, so the pairs, their
 order and the output are those of monic arithmetic.  Its S-pairs sit in a
@@ -27,47 +37,143 @@ start from a known prefix, a Groebner basis under the run's order passed as
 `_Extending(known, extra)`: the known elements join the basis with no pair
 among them queued, and each extra element is paired with every earlier lead
 by the same update, so only pairs with new elements are formed and pruned
-(Gebauer-Moeller, J. Symb. Comput. 6, 1988).  The order's memoised keys
-serve every comparison.  Reduced bases are monic, interreduced, and sorted,
-hence canonical for (ideal or submodule, order).
-Division against a given basis, by `normal_form`, `module_divider` and
-`module_syzygies`, hands the same kernel monic divisors, found with their
-leads once per basis by one setup, `_divisors`.  `module_divider` encodes a
-module basis once, for many normal forms against it.  `module_syzygies`
-gives the Schreyer syzygies of a Groebner basis, read off the quotients of
-its own S-pair reductions."""
+(Gebauer-Moeller, J. Symb. Comput. 6, 1988).  Reduced bases are monic,
+interreduced, and sorted, hence canonical for (ideal or submodule, order).
+Division against a given basis, by `normal_form` (through `_divider`, which
+other modules use to divide many polynomials by one basis),
+`module_divider` and `module_syzygies`, hands the same kernel monic
+divisors, packed and found with their leads once per basis by one setup,
+`_divisors`.  `module_syzygies` gives the Schreyer syzygies of a Groebner
+basis, read off the quotients of its own S-pair reductions."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import or_
 
 from .errors import BoundExceededError, RingMismatchError
 from .poly import (
     MonomialOrder,
     Polynomial,
     _KeyMemo,
+    _key_function,
     _primitive,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 DEFAULT_MAX_PAIRS = 500_000
+
+# a packed term has one 16-bit field per slot; the top bit of each field is a
+# guard bit, so every exponent the engine handles stays below 2^15
+_FIELD = 16
+_GUARD_BIT = 1 << (_FIELD - 1)
+_MAX_EXPONENT = _GUARD_BIT - 1
+
+
+def _exponent_bound() -> BoundExceededError:
+    return BoundExceededError(
+        f"exponent above {_MAX_EXPONENT} in a Groebner computation")
+
+
+# ---------------------------------------------------------------------------
+# packed terms
+
+
+class _Packing:
+    """The engine's terms of R^rank under one order (rank 0: of R itself),
+    each packed into one int.
+
+    Field k holds bits 16k to 16k + 15.  A module term (pos, m) has the
+    one-hot pos in its low `rank` fields and the exponents of m above them.
+    With every exponent below 2^15 the top bit of each field is free: `guard`
+    sets all of them.  a + b is the product, a - b the quotient (when b
+    divides a), and a | b exactly when ((b | guard) - a) & guard == guard,
+    since a field of b | guard keeps its guard bit after subtracting a's
+    field exactly when that field is no bigger.  A product can carry into a
+    guard bit; `_reduce_terms` checks every term it takes up, so no carry
+    reaches a divisibility test.
+
+    `key` is the memoised heap key of a packed term: its order key negated
+    entry by entry, then the term itself, so the smallest heap key is the
+    biggest term and a heap of keys gives back its terms."""
+
+    __slots__ = ("rank", "guard", "place", "key", "_struct", "_heads")
+
+    def __init__(self, order: MonomialOrder, rank: int):
+        fields = rank + len(order.perm)
+        self.rank = rank
+        self.guard = sum(_GUARD_BIT << _FIELD * k for k in range(fields))
+        self.place = (1 << _FIELD * rank) - 1  # the position fields
+        self._struct = struct.Struct(f"<{fields}H")
+        self._heads = [(0,) * pos + (1,) + (0,) * (rank - pos - 1) for pos in range(rank)]
+        raw = _key_function(*order.signature())
+        fields_of = self.fields
+        if rank:
+            def compute(t):
+                e = fields_of(t)
+                # ModuleOrder.key is (*base key, -pos)
+                return (*[-x for x in raw(e[rank:])], e.index(1), t)
+        else:
+            def compute(t):
+                return (*[-x for x in raw(fields_of(t))], t)
+        self.key = _KeyMemo(compute).__getitem__
+
+    def fields(self, t: int) -> tuple:
+        return self._struct.unpack(t.to_bytes(self._struct.size, "little"))
+
+    def pack(self, terms: dict) -> dict:
+        """{packed term: c} of a term dict {exponent tuple: c}, or for a
+        module {(pos, m): c}; BoundExceededError on an exponent of 2^15 or
+        more."""
+        pack, heads = self._struct.pack, self._heads
+        try:
+            if heads:
+                out = {int.from_bytes(pack(*heads[pos], *m), "little"): c
+                       for (pos, m), c in terms.items()}
+            else:
+                out = {int.from_bytes(pack(*m), "little"): c for m, c in terms.items()}
+        except struct.error:
+            raise _exponent_bound() from None
+        if reduce(or_, out, 0) & self.guard:
+            raise _exponent_bound()
+        return out
+
+    def unpack(self, terms: dict) -> dict:
+        """The term dict of packed terms, inverse to `pack`."""
+        fields, rank = self.fields, self.rank
+        if rank:
+            return {(e.index(1), e[rank:]): c
+                    for e, c in ((fields(t), c) for t, c in terms.items())}
+        return {fields(t): c for t, c in terms.items()}
+
+
+def _packing(order: MonomialOrder, rank: int = 0) -> _Packing:
+    """The packing of R^rank under `order`, made once per order object."""
+    pk = order._packed.get(rank)
+    if pk is None:
+        pk = order._packed[rank] = _Packing(order, rank)
+    return pk
+
+
+def _lcm(a: int, b: int, guard: int) -> int:
+    """lcm of two packed terms: the field of a where it is at least b's."""
+    mask = ((((a | guard) - b) & guard) >> (_FIELD - 1)) * ((1 << _FIELD) - 1)
+    return b ^ ((a ^ b) & mask)
 
 
 # ---------------------------------------------------------------------------
 # division
 
 
-def _reduce_terms(fterms: dict, basis_terms, basis_lts, key, char: int, quotients=None):
-    """Full normal form of a term dict against (basis_terms, basis_lts),
-    comparing terms by `key`.
+def _reduce_terms(fterms: dict, basis_terms, basis_lts, pk: _Packing, char: int,
+                  quotients=None):
+    """Full normal form of a packed term dict against (basis_terms,
+    basis_lts), comparing terms by `pk.key`.
 
     Each divisor is monic, or, over Q, a primitive integer term dict, and
     then `fterms` holds integers too.  A term c*m falls to element g with
@@ -77,27 +183,37 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, key, char: int, quotient
     of a nonzero multiple of `fterms`, and the multiple is 1 when every
     divisor is monic.
 
-    The remainder's terms are inserted in descending order, so its first key
-    is its leading term.  With `quotients`, a list of one dict per basis
-    element, each cancellation by basis element i records its factor at its
-    shift in quotients[i], so that (that multiple of) fterms = sum of
-    quotient * element + remainder.
+    The next term is the top of a heap of heap keys, one pushed for each
+    term that comes new into the work; a term that has cancelled since is
+    skipped when it comes up (lazy deletion, after Yan's geobuckets, J.
+    Symb. Comput. 25, 1998).  A term taken up never comes back, since all it
+    adds is smaller.  The remainder's terms are inserted in descending
+    order, so its first key is its leading term.  With `quotients`, a list of
+    one dict per basis element, each cancellation by basis element i records
+    its factor at its shift in quotients[i], so that (that multiple of)
+    fterms = sum of quotient * element + remainder.
     """
+    key, guard = pk.key, pk.guard
     rem: dict = {}
     work = dict(fterms)
+    heap = [key(m) for m in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        hit = -1
-        for i, lt in enumerate(basis_lts):
-            if mono_divides(lt, m):
-                hit = i
+        m = pop(heap)[-1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        if m & guard:
+            raise _exponent_bound()
+        mg = m | guard
+        for hit, glt in enumerate(basis_lts):
+            if (mg - glt) & guard == guard:
                 break
-        if hit < 0:
+        else:
             rem[m] = c
             continue
         g = basis_terms[hit]
-        glt = basis_lts[hit]
         glc = g[glt]
         if glc != 1:
             d = gcd(c, glc)
@@ -107,28 +223,38 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, key, char: int, quotient
                 rem = {t: v * a for t, v in rem.items()}
                 if quotients is not None:
                     quotients[:] = [{s: v * a for s, v in q.items()} for q in quotients]
-        shift = mono_div(m, glt)
+        shift = m - glt
         if quotients is not None:
             # the cancelled term m falls strictly, so no shift comes twice
             quotients[hit][shift] = c
-        _sub_multiple(work, c, shift, g, char, skip=glt)
+        for t in _sub_multiple(work, c, shift, g, char, skip=glt):
+            push(heap, key(t))
     return rem
 
 
-def _sub_multiple(target: dict, factor, shift, terms: dict, char: int, skip=None):
+def _sub_multiple(target: dict, factor, shift: int, terms: dict, char: int, skip=None) -> list:
     """target -= factor * shift * terms, in place, leaving out the term `skip`
-    of `terms` (a lead that the caller has already cancelled)."""
+    of `terms` (a lead that the caller has already cancelled); returns the
+    terms that are new to `target`."""
+    new = []
+    get = target.get
     for m, c in terms.items():
         if m == skip:
             continue
-        t = mono_mul(m, shift)
-        s = target.get(t, 0) - factor * c
+        t = m + shift
+        s = get(t)
+        if s is None:
+            target[t] = -factor * c % char if char else -factor * c
+            new.append(t)
+            continue
+        s -= factor * c
         if char:
             s %= char
         if s:
             target[t] = s
         else:
-            target.pop(t, None)
+            del target[t]
+    return new
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
@@ -137,20 +263,37 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     No term of the result is divisible by any leading term of the basis, and
     f minus the result lies in the ideal generated by the basis.
     """
+    return _divider(basis, order)(f)
+
+
+def _divider(basis, order: MonomialOrder):
+    """Division by a fixed list of polynomials, as a function from a
+    polynomial to its remainder under `normal_form`.
+
+    The divisors are made monic, packed and their leads found once, for
+    every call that follows.
+    """
     gs = [g for g in basis if not g.is_zero()]
-    for g in gs:
-        if g.ring != f.ring:
+    rng = gs[0].ring if gs else None
+    if any(g.ring != rng for g in gs):
+        raise RingMismatchError("normal_form across rings")
+    pk = _packing(order)
+    bt, lts = _divisors([pk.pack(g.terms) for g in gs], pk, rng)
+
+    def remainder(f: Polynomial) -> Polynomial:
+        if gs and f.ring != rng:
             raise RingMismatchError("normal_form across rings")
-    bt, lts = _divisors([g.terms for g in gs], order.key, f.ring)
-    rem = _reduce_terms(f.terms, bt, lts, order.key, f.ring.characteristic)
-    return Polynomial(f.ring, rem, normalize=False)
+        rem = _reduce_terms(pk.pack(f.terms), bt, lts, pk, f.ring.characteristic)
+        return Polynomial(f.ring, pk.unpack(rem), normalize=False)
+
+    return remainder
 
 
-def _spair(fi: dict, lti, fj: dict, ltj, l, char: int) -> dict:
-    """S-polynomial of two term dicts with leads lti, ltj and lcm l, both
-    monic or both primitive over Z: (cj/d) * (l/lti) * fi - (ci/d) * (l/ltj)
-    * fj for their lead coefficients ci, cj and d = gcd(ci, cj).  The leads
-    cancel and are left out."""
+def _spair(fi: dict, lti: int, fj: dict, ltj: int, l: int, char: int) -> dict:
+    """S-polynomial of two packed term dicts with leads lti, ltj and lcm l,
+    both monic or both primitive over Z: (cj/d) * (l/lti) * fi - (ci/d) *
+    (l/ltj) * fj for their lead coefficients ci, cj and d = gcd(ci, cj).
+    The leads cancel and are left out."""
     ci, cj = fi[lti], fj[ltj]
     if ci == cj:
         ci = cj = 1
@@ -158,8 +301,8 @@ def _spair(fi: dict, lti, fj: dict, ltj, l, char: int) -> dict:
         d = gcd(ci, cj)
         ci, cj = ci // d, cj // d
     out: dict = {}
-    _sub_multiple(out, -cj, mono_div(l, lti), fi, char, skip=lti)
-    _sub_multiple(out, ci, mono_div(l, ltj), fj, char, skip=ltj)
+    _sub_multiple(out, -cj, l - lti, fi, char, skip=lti)
+    _sub_multiple(out, ci, l - ltj, fj, char, skip=ltj)
     return out
 
 
@@ -179,10 +322,10 @@ def _monic(terms: dict, lt, rng) -> dict:
     return terms if lc == 1 else _scaled(terms, rng.coeff_inv(lc), rng.characteristic)
 
 
-def _divisors(dicts, key, rng):
-    """(monic term dicts, their leads under `key`) of nonzero term dicts, the
-    divisors `_reduce_terms` takes."""
-    lts = [max(d, key=key) for d in dicts]
+def _divisors(dicts, pk: _Packing, rng):
+    """(monic packed term dicts, their leads) of nonzero packed term dicts,
+    the divisors `_reduce_terms` takes."""
+    lts = [min(d, key=pk.key) for d in dicts]
     return [_monic(d, lt, rng) for d, lt in zip(dicts, lts)], lts
 
 
@@ -190,54 +333,57 @@ def _divisors(dicts, key, rng):
 # Buchberger with Gebauer-Moeller pair elimination
 
 
-def _update_pairs(lts, pairs, key, seq, positions: int = 0):
-    """Gebauer-Moeller update for the newest lead lts[-1].
+def _update_pairs(lts, pairs, pk: _Packing, seq):
+    """Gebauer-Moeller update for the newest packed lead lts[-1].
 
-    `pairs` is a heap of (key(lcm), seq, i, j, lcm); `seq` counts pushes, so
-    pairs with one lcm leave in the order they came.  Old pairs are pruned
-    against their stored lcm; each lcm(lt_i, lt_new) is computed once.  The
-    first `positions` slots of a module lead are its one-hot position, and no
-    pair is made between leads at different positions.  Updates `pairs` in
-    place.
+    `pairs` is a heap of (order key of the lcm, seq, i, j, lcm); `seq`
+    counts pushes, so pairs with one lcm leave in the order they came.  Old
+    pairs are pruned against their stored lcm; each lcm(lt_i, lt_new) is
+    computed once.  No pair is made between module leads at different
+    positions.  Updates `pairs` in place.
     """
+    guard, place = pk.guard, pk.place
     t = len(lts) - 1
     lt_t = lts[t]
-    lcms = [mono_lcm(lt, lt_t) for lt in lts[:t]]
+    lcms = [_lcm(lt, lt_t, guard) for lt in lts[:t]]
     # criterion B: lt_t strictly divides the lcm of an old pair
     before = len(pairs)
     pairs[:] = [
         p for p in pairs
-        if not (mono_divides(lt_t, p[4]) and lcms[p[2]] != p[4] and lcms[p[3]] != p[4])
+        if not (((p[4] | guard) - lt_t) & guard == guard
+                and lcms[p[2]] != p[4] and lcms[p[3]] != p[4])
     ]
     if len(pairs) < before:
         heapq.heapify(pairs)
     # new pairs: chain criterion M drops an lcm that another new pair's lcm
     # strictly divides; of the pairs sharing an lcm the first is kept, and
-    # none when any of them is coprime (Gebauer-Moeller criterion F with the
-    # product criterion)
-    here = lt_t[:positions]
-    new = [(i, l) for i, l in enumerate(lcms) if lts[i][:positions] == here]
+    # none when any of them is coprime, that is when the lcm is the product
+    # (Gebauer-Moeller criterion F with the product criterion)
+    here = lt_t & place
+    new = [(i, l) for i, l in enumerate(lcms) if lts[i] & place == here]
     distinct = {l for _, l in new}
-    done = {l for i, l in new if mono_coprime(lts[i], lt_t)}
+    done = {l for i, l in new if l == lts[i] + lt_t}
     for i, l in new:
         if l in done:
             continue
         done.add(l)
-        if any(o != l and mono_divides(o, l) for o in distinct):
+        lg = l | guard
+        if any(o != l and (lg - o) & guard == guard for o in distinct):
             continue
-        heapq.heappush(pairs, (key(l), next(seq), i, t, l))
+        # the heap key negated grows with the term: smallest lcm first
+        heapq.heappush(pairs, (tuple([-x for x in pk.key(l)]), next(seq), i, t, l))
 
 
-def _groebner(polys, key, rng, positions: int, max_pairs: int, known: int = 0) -> list:
-    """Reduced Groebner basis of nonzero term dicts, as monic term dicts
-    sorted by ascending lead; `positions` is the rank of a module, 0 for an
-    ideal.  Over Q the basis and every remainder are primitive integer term
-    dicts until the reduced basis is emitted.
+def _groebner(polys, pk: _Packing, rng, max_pairs: int, known: int = 0) -> list:
+    """Reduced Groebner basis of nonzero packed term dicts, as monic packed
+    term dicts sorted by ascending lead.  Over Q the basis and every
+    remainder are primitive integer term dicts until the reduced basis is
+    emitted.
 
-    The first `known` dicts must already be a Groebner basis under `key`:
-    they join the basis with no pair among them queued, as if every such
-    pair had been reduced to zero, and each later element is paired with
-    them by the usual update."""
+    The first `known` dicts must already be a Groebner basis under the
+    order: they join the basis with no pair among them queued, as if every
+    such pair had been reduced to zero, and each later element is paired
+    with them by the usual update."""
     char = rng.characteristic
     bt, lts = [], []
     pairs: list = []
@@ -247,10 +393,10 @@ def _groebner(polys, key, rng, positions: int, max_pairs: int, known: int = 0) -
         bt.append(_monic(terms, lt, rng) if char else _primitive(terms, lt))
         lts.append(lt)
         if len(lts) > known:
-            _update_pairs(lts, pairs, key, seq, positions)
+            _update_pairs(lts, pairs, pk, seq)
 
     for terms in polys:
-        add(terms, max(terms, key=key))
+        add(terms, min(terms, key=pk.key))
 
     processed = 0
     while pairs:
@@ -259,33 +405,35 @@ def _groebner(polys, key, rng, positions: int, max_pairs: int, known: int = 0) -
         processed += 1
         if processed > max_pairs:
             raise BoundExceededError(f"pair bound {max_pairs} exceeded")
-        rem = _reduce_terms(_spair(bt[i], lts[i], bt[j], lts[j], l, char), bt, lts, key, char)
+        rem = _reduce_terms(_spair(bt[i], lts[i], bt[j], lts[j], l, char), bt, lts, pk, char)
         if rem:
             add(rem, next(iter(rem)))
 
-    return _reduce_groebner(bt, lts, key, char)
+    return _reduce_groebner(bt, lts, pk, char)
 
 
-def _reduce_groebner(terms, lts, key, char: int) -> list:
-    """Minimalize then fully interreduce a Groebner basis, given as term
-    dicts with their leading terms, monic mod p or primitive over Z;
+def _reduce_groebner(terms, lts, pk: _Packing, char: int) -> list:
+    """Minimalize then fully interreduce a Groebner basis, given as packed
+    term dicts with their leading terms, monic mod p or primitive over Z;
     canonical monic output, sorted by ascending lead."""
+    guard = pk.guard
     keep = []
     for i, lt in enumerate(lts):
+        lg = lt | guard
         if any(
-            j != i and mono_divides(lts[j], lt) and (lts[j] != lt or j < i)
+            j != i and (lg - lts[j]) & guard == guard and (lts[j] != lt or j < i)
             for j in range(len(lts))
         ):
             continue
         keep.append(i)
-    keep.sort(key=lambda i: key(lts[i]))
+    keep.sort(key=lambda i: pk.key(lts[i]), reverse=True)
     reduced = []
     for i in keep:
         # no other minimal lead divides lts[i], so the remainder keeps it;
         # mod p with coefficient 1, over Q with the multiple's, divided out
         others = [j for j in keep if j != i]
         rem = _reduce_terms(terms[i], [terms[j] for j in others],
-                            [lts[j] for j in others], key, char)
+                            [lts[j] for j in others], pk, char)
         if not char:
             lc = rem[lts[i]]
             rem = {m: Fraction(c, lc) for m, c in rem.items()}
@@ -325,12 +473,13 @@ def buchberger(
     for g in gens:
         if g.ring != rng:
             raise RingMismatchError("buchberger over mixed rings")
-    basis = _groebner([g.terms for g in gens], order.key, rng, 0, max_pairs, known)
-    return [Polynomial(rng, t, normalize=False) for t in basis]
+    pk = _packing(order)
+    basis = _groebner([pk.pack(g.terms) for g in gens], pk, rng, max_pairs, known)
+    return [Polynomial(rng, pk.unpack(t), normalize=False) for t in basis]
 
 
 # ---------------------------------------------------------------------------
-# free-module machinery: vectors in R^r, encoded for the engine above
+# free-module machinery: vectors in R^r, packed for the engine above
 
 
 @dataclass
@@ -372,29 +521,15 @@ class ModuleVector:
 
 class ModuleOrder:
     """Term-over-position order on module terms (position, monomial): compare
-    monomials by `base` first, then prefer the smaller position."""
+    monomials by `base` first, then prefer the smaller position.  The engine
+    keeps its packed keys of R^r on `base`."""
 
     def __init__(self, base: MonomialOrder):
         self.base = base
-        # memoised key of an encoded term onehot(pos) + m, for the engine
-        self._encoded_key = _KeyMemo(self._decoded_key).__getitem__
 
     def key(self, term):
         pos, m = term
-        return (self.base.key(m), -pos)
-
-    def _decoded_key(self, t):
-        return self.key((t.index(1), t[len(t) - len(self.base.perm):]))
-
-
-def _encode(rank: int, terms: dict) -> dict:
-    """Term dict {(pos, m): c} of R^rank with each term as onehot(pos) + m."""
-    heads = [(0,) * pos + (1,) + (0,) * (rank - pos - 1) for pos in range(rank)]
-    return {heads[pos] + m: c for (pos, m), c in terms.items()}
-
-
-def _decode(rank: int, terms: dict) -> dict:
-    return {(t.index(1), t[rank:]): c for t, c in terms.items()}
+        return (*self.base.key(m), -pos)
 
 
 def _vector(rng, rank: int, terms: dict) -> ModuleVector:
@@ -408,19 +543,19 @@ def module_divider(basis, morder: ModuleOrder):
     """Division by a fixed basis of a submodule of R^r, as a function from a
     term dict {(pos, m): c} to its remainder's term dict.
 
-    The basis is encoded and its leads are found once, for every call that
+    The basis is packed and its leads are found once, for every call that
     follows.
     """
     basis = [b for b in basis if not b.is_zero()]
     if not basis:
         return dict  # nothing divides: the remainder is a copy of the input
-    rng, rank = basis[0].ring, basis[0].rank
+    rng = basis[0].ring
     char = rng.characteristic
-    key = morder._encoded_key
-    bd, lts = _divisors([_encode(rank, b.to_dict()) for b in basis], key, rng)
+    pk = _packing(morder.base, basis[0].rank)
+    bd, lts = _divisors([pk.pack(b.to_dict()) for b in basis], pk, rng)
 
     def remainder(terms: dict) -> dict:
-        return _decode(rank, _reduce_terms(_encode(rank, terms), bd, lts, key, char))
+        return pk.unpack(_reduce_terms(pk.pack(terms), bd, lts, pk, char))
 
     return remainder
 
@@ -435,9 +570,9 @@ def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX
         return []
     rng = vecs[0].ring
     rank = vecs[0].rank
-    encoded = [_encode(rank, v.to_dict()) for v in vecs]
-    basis = _groebner(encoded, morder._encoded_key, rng, rank, max_pairs)
-    return [_vector(rng, rank, _decode(rank, t)) for t in reversed(basis)]
+    pk = _packing(morder.base, rank)
+    basis = _groebner([pk.pack(v.to_dict()) for v in vecs], pk, rng, max_pairs)
+    return [_vector(rng, rank, pk.unpack(t)) for t in reversed(basis)]
 
 
 # ---------------------------------------------------------------------------
@@ -459,31 +594,35 @@ def module_syzygies(gb, order: MonomialOrder):
         raise ValueError("module_syzygies requires nonzero vectors")
     rng, rank = gb[0].ring, gb[0].rank
     char = rng.characteristic
-    key = ModuleOrder(order)._encoded_key
-    encoded = [_encode(rank, v.to_dict()) for v in gb]
-    bt, lts = _divisors(encoded, key, rng)
+    pk = _packing(order, rank)
+    guard, place = pk.guard, pk.place
+    packed = [pk.pack(v.to_dict()) for v in gb]
+    bt, lts = _divisors(packed, pk, rng)
     # component k of the monic basis's syzygies is scaled back by inv[k]
-    inv = [rng.coeff_inv(d[lt]) for d, lt in zip(encoded, lts)]
+    inv = [rng.coeff_inv(d[lt]) for d, lt in zip(packed, lts)]
     zero, one, minus_one = Polynomial.zero(rng), rng.coeff(1), rng.coeff(-1)
     out = []
     for j, ltj in enumerate(lts):
         for i, lti in enumerate(lts[:j]):
-            if lti[:rank] != ltj[:rank]:
+            if lti & place != ltj & place:
                 continue
-            l = mono_lcm(lti, ltj)
-            if any(k != i and k != j and mono_divides(lt, l)
-                   and mono_lcm(lti, lt) != l and mono_lcm(ltj, lt) != l
+            l = _lcm(lti, ltj, guard)
+            lg = l | guard
+            if any(k != i and k != j and (lg - lt) & guard == guard
+                   and _lcm(lti, lt, guard) != l and _lcm(ltj, lt, guard) != l
                    for k, lt in enumerate(lts)):
                 continue  # the chain criterion
             # reduce m_ji b_j - m_ij b_i, the negated S-vector, so that its
             # quotients enter the syzygy with their own sign
             syz = [{} for _ in lts]
-            if _reduce_terms(_spair(bt[j], ltj, bt[i], lti, l, char), bt, lts, key, char, syz):
+            if _reduce_terms(_spair(bt[j], ltj, bt[i], lti, l, char), bt, lts, pk, char, syz):
                 raise ValueError("module_syzygies requires a Groebner basis")
-            syz[i][mono_div(l, lti)] = one
-            syz[j][mono_div(l, ltj)] = minus_one
+            syz[i][l - lti] = one
+            syz[j][l - ltj] = minus_one
+            # a shift has no position fields: its monomial is what is left
             out.append(ModuleVector([
-                Polynomial(rng, {t[rank:]: c for t, c in _scaled(d, s, char).items()},
+                Polynomial(rng, {pk.fields(t)[rank:]: c
+                                 for t, c in _scaled(d, s, char).items()},
                            normalize=False) if d else zero
                 for d, s in zip(syz, inv)]))
     return out

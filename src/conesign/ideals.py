@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .errors import InfiniteColengthError, NotHomogeneousError, PointNotOnVarietyError
 from .factor import factor_polynomial, factor_univariate, gram_matrix
-from .groebner import _Extending, buchberger, normal_form
+from .groebner import _Extending, _divider, buchberger, normal_form
 from .linalg import _echelon, rational_rank, solve_combination
 from .poly import (
     MonomialOrder,
@@ -128,6 +128,19 @@ class IdealPresentation:
         if basis is not None:
             J._extends = ((sig,), _Extending(basis, extra))
         return J
+
+    def translate(self, point) -> "IdealPresentation":
+        """The ideal {f(x + point) : f in self}, which moves `point` to the
+        origin.  Translation keeps each polynomial's top-degree form, so the
+        leads under a graded order: a cached degrevlex basis moves to a
+        Groebner basis of the new ideal, which its degrevlex basis extends
+        with no pair queued."""
+        moved = IdealPresentation(self.ring, [g.translate(point) for g in self.generators])
+        sig = degrevlex(self.ring).signature()
+        basis = self._gb_cache.get(sig)
+        if basis is not None:
+            moved._extends = ((sig,), _Extending([g.translate(point) for g in basis], ()))
+        return moved
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdealPresentation):
@@ -422,11 +435,10 @@ def generic_tangent_dimension(I: IdealPresentation, P: IdealPresentation) -> int
         raise ValueError("ideal and prime live in different rings")
     if not contains_ideal(P, I):
         raise ValueError("the given prime does not contain the ideal")
-    order = degrevlex(P.ring)
-    gb = P.gb(order)
+    reduce_mod_p = _divider(P.gb(), degrevlex(P.ring))
 
     def mod_p(row):
-        reduced = ((c, normal_form(e, gb, order)) for c, e in row.items())
+        reduced = ((c, reduce_mod_p(e)) for c, e in row.items())
         return {c: e for c, e in reduced if not e.is_zero()}
 
     rows = [mod_p(dict(enumerate(row))) for row in jacobian(I)]
@@ -510,15 +522,14 @@ def minimal_polynomial_of_variable(I: IdealPresentation, var: int) -> list:
 
     Returned as a dense coefficient list, constant term first.
     """
-    order = degrevlex(I.ring)
     basis = standard_monomials(I)
     index = {m: k for k, m in enumerate(basis)}
-    gb = I.gb(order)
+    reduce_mod_i = _divider(I.gb(), degrevlex(I.ring))
     x = Polynomial.variable(I.ring, var)
     power = Polynomial.one(I.ring)
     vectors = []
     while True:
-        vec = {index[m]: c for m, c in normal_form(power, gb, order).terms.items()}
+        vec = {index[m]: c for m, c in reduce_mod_i(power).terms.items()}
         combo = solve_combination(vectors, vec)
         if combo is not None:
             coeffs = [-c for c in combo] + [Fraction(1)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm, prod
-from operator import add, le, sub
+from operator import add, le
 
 from .errors import (
     PolynomialSyntaxError,
@@ -117,21 +117,8 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(map(le, a, b))
 
 
-def mono_div(a: Mono, b: Mono) -> Mono:
-    """a / b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(map(max, a, b))
-
-
 def mono_degree(a: Mono) -> int:
     return sum(a)
-
-
-def mono_coprime(a: Mono, b: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +140,20 @@ class _KeyMemo(dict):
 
 
 def _key_function(kind: str, perm: tuple, block: int):
-    """Uncached sort key of an order: bigger key = bigger monomial."""
+    """Uncached sort key of an order: bigger key = bigger monomial.  Keys are
+    flat tuples of ints, so a key negates entry by entry."""
     if kind == "lex":
         return lambda expts: tuple(expts[i] for i in perm)
     if kind == "degrevlex":
         rev = perm[::-1]
-        return lambda expts: (sum(expts), tuple(-expts[i] for i in rev))
+        return lambda expts: (sum(expts), *[-expts[i] for i in rev])
     # elimination block order: degrevlex on the leading block, then the rest
     head, tail = perm[:block][::-1], perm[block:][::-1]
     return lambda expts: (
         sum(expts[i] for i in head),
-        tuple(-expts[i] for i in head),
+        *[-expts[i] for i in head],
         sum(expts[i] for i in tail),
-        tuple(-expts[i] for i in tail),
+        *[-expts[i] for i in tail],
     )
 
 
@@ -179,10 +167,12 @@ class MonomialOrder:
     `key(expts)` is the sort key (bigger key = bigger monomial).  Keys are
     memoised per order instance, so an order kept for a whole computation
     computes each monomial's key once; `degrevlex(n)` and `lex(n)` return one
-    shared instance per arity.
+    shared instance per arity.  `_packed` holds the Groebner engine's own
+    memoised keys of packed terms, one table per module rank (0 for ideals),
+    which `groebner` fills.
     """
 
-    __slots__ = ("kind", "perm", "block", "key")
+    __slots__ = ("kind", "perm", "block", "key", "_packed")
 
     def __init__(self, kind: str, perm: tuple, block: int = 0):
         if kind not in ("degrevlex", "lex", "block"):
@@ -191,6 +181,7 @@ class MonomialOrder:
         self.perm = perm
         self.block = block
         self.key = _KeyMemo(_key_function(kind, tuple(perm), block)).__getitem__
+        self._packed = {}
 
     def signature(self) -> tuple:
         return (self.kind, self.perm, self.block)

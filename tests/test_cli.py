@@ -327,6 +327,17 @@ def test_enumeration_bound_is_inconclusive(capsys):
     assert err.startswith("inconclusive:")
 
 
+def test_exponent_bound_of_the_groebner_engine_is_inconclusive(tmp_path, capsys):
+    # each power is within the parser's bound, their product is not within
+    # the engine's: 33 * 1000 >= 2^15
+    path = tmp_path / "tall.ideal"
+    path.write_text("ring x, y;\n" + "*".join(["x^1000"] * 33) + " - y\n")
+    code, out, err = run_cli(["gb", "--ideal", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("inconclusive:")
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     code, out, err = run_cli(["frobnicate"], capsys)
     assert code == 1

@@ -68,6 +68,28 @@ def test_eu_cuspidal_cubic_at_origin():
     assert v.rule == "curve-multiplicity"
 
 
+def test_translated_cusp_runs_no_more_groebner_bases_from_scratch(monkeypatch):
+    # moving the cusp to (1, 1) carries its degrevlex basis along, so the
+    # Hilbert-Samuel and hyperplane-section loops extend known bases there
+    # as at the origin
+    import conesign.ideals as ideals
+
+    fresh = []
+    buchberger = ideals.buchberger
+
+    def counted(gens, order, *args, **kwargs):
+        fresh.append(getattr(gens, "known", 0) == 0)
+        return buchberger(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    runs = {}
+    for text, point in [("y^2 - x^3", (0, 0)), ("(y - 1)^2 - (x - 1)^3", (1, 1))]:
+        fresh.clear()
+        assert eu_point(ideal(R2, text), point).value == 2
+        runs[point] = sum(fresh)
+    assert runs[(1, 1)] <= runs[(0, 0)]
+
+
 def test_eu_point_off_the_variety_is_zero():
     v = eu_point(ideal(R2, "y^2 - x^3"), (1, 2))
     assert v.value == 0

@@ -30,7 +30,13 @@ from conesign import (
     parse_polynomial,
     ring,
 )
-from conesign.groebner import _Extending, _reduce_terms, _update_pairs, module_divider
+from conesign.groebner import (
+    _Extending,
+    _packing,
+    _reduce_terms,
+    _update_pairs,
+    module_divider,
+)
 from conesign.poly import Polynomial
 
 R2 = ring("x, y")
@@ -110,21 +116,57 @@ def test_normal_form_by_a_non_monic_list_is_the_plain_division_remainder():
 def test_fraction_free_reduction_records_quotients_of_a_multiple():
     # primitive integer divisors whose leads are not 1: the kernel returns the
     # remainder of a nonzero multiple c*f, and its quotients are those of c*f
+    # (the kernel takes packed terms; they are unpacked for the checks)
     order = degrevlex(R3)
+    pk = _packing(order)
     divisors = gens("6*x^2*y + 4*z - 1, 4*y^2 - 9*x*z, 10*x*z^2 - 3*y", R3)
-    lts = [g.leading(order)[0] for g in divisors]
+    lts = [pk.pack({g.leading(order)[0]: 1}).popitem()[0] for g in divisors]
     f = parse_polynomial("7*x^3*y^3 + 5*x^2*y*z^2 - 2*x*y^2*z + 3", R3)
-    terms = {m: int(c) for m, c in f.terms.items()}
+    terms = pk.pack({m: int(c) for m, c in f.terms.items()})
     quotients = [{} for _ in divisors]
-    rem = _reduce_terms(terms, [{m: int(c) for m, c in g.terms.items()} for g in divisors],
-                        lts, order.key, 0, quotients)
+    rem = _reduce_terms(terms, [pk.pack({m: int(c) for m, c in g.terms.items()})
+                                for g in divisors], lts, pk, 0, quotients)
+    rem = pk.unpack(rem)
     total = Polynomial(R3, rem)
     for q, g in zip(quotients, divisors):
-        total = total + Polynomial(R3, q) * g
+        total = total + Polynomial(R3, pk.unpack(q)) * g
     lead, c = f.leading(order)
     multiple = total.terms[lead] / c
     assert multiple != 1 and total == f * multiple
     assert Polynomial(R3, rem) == normal_form(f, divisors, order) * multiple
+
+
+def test_a_term_that_cancels_and_comes_back_is_taken_up_once():
+    # x^3 falls to the first divisor, whose tail cancels x*y; y^3 falls to
+    # the second, whose tail brings x*y back before it comes up, so the term
+    # heap holds x*y twice and must take it up once, with y still to come
+    f_text, divisor_text = "x^3 + x*y + y^3 + y", "x^3 + x*y, y^3 - 2*x*y"
+    for p in (0, 32003):
+        rng = ring("x, y", characteristic=p)
+        f, divisors = parse_polynomial(f_text, rng), gens(divisor_text, rng)
+        r = normal_form(f, divisors, degrevlex(rng))
+        assert r.terms == division_remainder(f.terms, [g.terms for g in divisors], p)
+        assert r == parse_polynomial("2*x*y + y", rng)
+
+
+def test_exponents_from_2_to_the_15_exceed_the_engine_bound():
+    order = degrevlex(R3)
+    x, y, z = (Polynomial.variable(R3, v) for v in "xyz")
+    top = 2 ** 15 - 1
+    assert buchberger([x ** top - y], order) == [x ** top - y]
+    assert normal_form(y * x ** top, [x ** top - y], order) == y * y
+    big = x ** (top + 1) - y
+    for run in (lambda: buchberger([big], order),
+                lambda: normal_form(big, [y], order),
+                lambda: normal_form(y, [big], order),
+                lambda: module_buchberger([ModuleVector((big, y))], ModuleOrder(order))):
+        with pytest.raises(BoundExceededError):
+            run()
+    # a product inside the reduction that reaches 2^15 is caught before any
+    # divisibility test reads it: x*y*z^k falls to x*y - z^2, leaving z^(k+2)
+    assert normal_form(x * y * z ** (top - 2), [x * y - z * z], order) == z ** top
+    with pytest.raises(BoundExceededError):
+        normal_form(x * y * z ** (top - 1), [x * y - z * z], order)
 
 
 def test_normal_form_of_own_generator_is_zero():
@@ -252,8 +294,10 @@ def test_cross_characteristic_leading_terms_agree():
 def test_update_pairs_drops_an_equal_lcm_group_with_a_coprime_member():
     # lcm(x*y, y) = lcm(x, y) = x*y, and x, y are coprime: the pair of the
     # new lead y with x*y is redundant too, whichever comes first
+    pk = _packing(degrevlex(R2))
+    lts = [pk.pack({m: 1}).popitem()[0] for m in [(1, 1), (1, 0), (0, 1)]]
     pairs = []
-    _update_pairs([(1, 1), (1, 0), (0, 1)], pairs, degrevlex(R2).key, itertools.count())
+    _update_pairs(lts, pairs, pk, itertools.count())
     assert pairs == []
 
 
@@ -589,6 +633,26 @@ def test_syzygies_of_small_non_monomial_modules_finish(texts):
         assert module_contract(s, G).is_zero()
 
 
+def test_basis_of_the_syzygies_of_a_rank_3_module_is_groebner():
+    # the 23 syzygies, in R^17, of the reduced basis of this rank-3 module
+    # kept about 600 live terms per reduction step; the basis of their
+    # module must pass the S-vector reductions of `module_syzygies`
+    rows = [("z", "0", "2*x^2*y^2*z + 2*x*z^2"),
+            ("-3*x^2*y^2", "2*x*z^2", "x^2 + x*z"),
+            ("-3*x^2*y*z + y", "0", "0"),
+            ("1", "5*x^2*y + 5", "x^2*y*z^2 - 3*x*y^2*z")]
+    order = degrevlex(GF3)
+    morder = ModuleOrder(order)
+    G = module_buchberger([ModuleVector([parse_polynomial(t, GF3) for t in row])
+                           for row in rows], morder)
+    syz = module_syzygies(G, order)
+    assert (len(G), len(syz)) == (17, 23)
+    S = module_buchberger(syz, morder)
+    assert module_syzygies(S, order)
+    divide = module_divider(S, morder)
+    assert all(divide(s.to_dict()) == {} for s in syz)
+
+
 def test_module_syzygies_reject_what_is_not_a_nonzero_groebner_basis():
     order = degrevlex(R2)
     # the S-pair of x^2 + y and x*y leaves y^2
@@ -600,19 +664,20 @@ def test_module_syzygies_reject_what_is_not_a_nonzero_groebner_basis():
 
 
 def test_update_pairs_never_pairs_leads_at_different_positions():
-    # module leads in R^3 over k[x, y], encoded as onehot(pos) + monomial
-    key = ModuleOrder(degrevlex(R2))._encoded_key
+    # packed module leads in R^3 over k[x, y], the one-hot position in the
+    # low three fields, unpacked to field tuples for the check
+    pk = _packing(degrevlex(R2), 3)
     rnd = random.Random(3)
     pushed = 0
     for _ in range(30):
         lts, pairs, seq = [], [], itertools.count()
         for _ in range(8):
             pos = rnd.randrange(3)
-            lts.append(tuple(int(i == pos) for i in range(3))
-                       + (rnd.randint(0, 2), rnd.randint(0, 2)))
-            _update_pairs(lts, pairs, key, seq, positions=3)
+            m = (rnd.randint(0, 2), rnd.randint(0, 2))
+            lts.append(pk.pack({(pos, m): 1}).popitem()[0])
+            _update_pairs(lts, pairs, pk, seq)
             for _, _, i, j, lcm in pairs:
-                assert lts[i][:3] == lts[j][:3] == lcm[:3]
+                assert pk.fields(lts[i])[:3] == pk.fields(lts[j])[:3] == pk.fields(lcm)[:3]
             pushed += len(pairs)
     assert pushed
 

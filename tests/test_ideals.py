@@ -412,6 +412,21 @@ def test_with_extra_extends_a_cached_basis_and_keeps_the_generators(monkeypatch)
     assert known_prefixes(calls)[-1] == 0
 
 
+def test_translate_carries_a_cached_basis_to_the_same_answer(monkeypatch):
+    # the twisted-cubic-like curve moved to (1, 2, -1), with and without its
+    # basis known beforehand
+    point = (Fraction(1), Fraction(2), Fraction(-1))
+    texts = "x*z - y^2 + z, y - x^2 + 3, z^2 - x*y"
+    cold = ideal(R3, texts).translate(point)
+    V = ideal(R3, texts)
+    G = V.gb()
+    warm = V.translate(point)
+    calls = counted_buchberger(monkeypatch)
+    assert warm.gb() == cold.gb()
+    assert known_prefixes(calls) == [len(G), 0]
+    assert cold == IdealPresentation(R3, [g.translate(point) for g in V.generators])
+
+
 def test_derived_ideals_keep_their_reduced_basis(monkeypatch):
     J = I("y^2 - x^3, x*y - 1")
     J.gb()
