@@ -39,12 +39,12 @@ among them queued, and each extra element is paired with every earlier lead
 by the same update, so only pairs with new elements are formed and pruned
 (Gebauer-Moeller, J. Symb. Comput. 6, 1988).  Reduced bases are monic,
 interreduced, and sorted, hence canonical for (ideal or submodule, order).
-Division against a given basis, by `normal_form` (through `_divider`, which
-other modules use to divide many polynomials by one basis),
-`module_divider` and `module_syzygies`, hands the same kernel monic
-divisors, packed and found with their leads once per basis by one setup,
-`_divisors`.  `module_syzygies` gives the Schreyer syzygies of a Groebner
-basis, read off the quotients of its own S-pair reductions."""
+Every public entry passes its input through one step, `_packed_input`,
+which drops zeros, checks one ring and one rank, and packs.  Division by a
+given basis (`normal_form`, `module_syzygies`, and `ideals` and `hilb`
+directly) goes through one builder, `_Divider`, which makes the divisors
+monic and finds their leads once per basis.  `module_syzygies` reads the
+Schreyer syzygies of a Groebner basis off its S-pair reductions' quotients."""
 
 from __future__ import annotations
 
@@ -257,36 +257,55 @@ def _sub_multiple(target: dict, factor, shift: int, terms: dict, char: int, skip
     return new
 
 
+def _packed_input(elements, order: MonomialOrder):
+    """(ring or None, packing, packed term dicts) of the nonzero polynomials,
+    or module vectors under ModuleOrder(order), among `elements`: the input
+    step of every entry to the engine.  They must share one ring, in the
+    order's variables (RingMismatchError), and one rank (ValueError)."""
+    elements = [e for e in elements if not e.is_zero()]
+    rings = {e.ring for e in elements}
+    ranks = {e.rank if isinstance(e, ModuleVector) else 0 for e in elements}
+    if len(rings) > 1 or any(r.arity != len(order.perm) for r in rings):
+        raise RingMismatchError(
+            f"Groebner input over mixed rings or not in {len(order.perm)} variables")
+    if len(ranks) > 1:
+        raise ValueError(f"Groebner input of mixed ranks {sorted(ranks)}")
+    pk = _packing(order, max(ranks, default=0))
+    return (rings.pop() if rings else None), pk, [
+        pk.pack(e.to_dict() if pk.rank else e.terms) for e in elements]
+
+
+class _Divider:
+    """Division by a fixed list of polynomials, or of module vectors under
+    ModuleOrder(order): called on a term dict, {m: c} or {(pos, m): c}, it
+    returns its remainder's term dict.  The divisors pass the input step, and
+    are scaled by `inv` (inverse lead coefficients) to monic, once."""
+
+    def __init__(self, basis, order: MonomialOrder):
+        self.ring, self.pk, packed = _packed_input(basis, order)
+        self.lts = [min(d, key=self.pk.key) for d in packed]
+        lcs = [d[lt] for d, lt in zip(packed, self.lts)]
+        self.inv = [1 if c == 1 else self.ring.coeff_inv(c) for c in lcs]
+        self.divisors = [_scaled(d, s, self.ring.characteristic) for d, s in zip(packed, self.inv)]
+
+    def __call__(self, terms: dict) -> dict:
+        if not self.lts:
+            return dict(terms)  # nothing divides
+        pk = self.pk
+        rem = _reduce_terms(pk.pack(terms), self.divisors, self.lts, pk, self.ring.characteristic)
+        return pk.unpack(rem)
+
+
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     """Remainder of f under multivariate division by `basis`.
 
     No term of the result is divisible by any leading term of the basis, and
     f minus the result lies in the ideal generated by the basis.
     """
-    return _divider(basis, order)(f)
-
-
-def _divider(basis, order: MonomialOrder):
-    """Division by a fixed list of polynomials, as a function from a
-    polynomial to its remainder under `normal_form`.
-
-    The divisors are made monic, packed and their leads found once, for
-    every call that follows.
-    """
-    gs = [g for g in basis if not g.is_zero()]
-    rng = gs[0].ring if gs else None
-    if any(g.ring != rng for g in gs):
+    divide = _Divider(basis, order)
+    if divide.ring is not None and f.ring != divide.ring:
         raise RingMismatchError("normal_form across rings")
-    pk = _packing(order)
-    bt, lts = _divisors([pk.pack(g.terms) for g in gs], pk, rng)
-
-    def remainder(f: Polynomial) -> Polynomial:
-        if gs and f.ring != rng:
-            raise RingMismatchError("normal_form across rings")
-        rem = _reduce_terms(pk.pack(f.terms), bt, lts, pk, f.ring.characteristic)
-        return Polynomial(f.ring, pk.unpack(rem), normalize=False)
-
-    return remainder
+    return Polynomial(f.ring, divide(f.terms), normalize=False)
 
 
 def _spair(fi: dict, lti: int, fj: dict, ltj: int, l: int, char: int) -> dict:
@@ -313,20 +332,6 @@ def _scaled(terms: dict, scale, char: int) -> dict:
     if char:
         return {m: c * scale % char for m, c in terms.items()}
     return {m: c * scale for m, c in terms.items()}
-
-
-def _monic(terms: dict, lt, rng) -> dict:
-    """terms divided by its coefficient at the lead lt; terms itself when
-    that is 1 already."""
-    lc = terms[lt]
-    return terms if lc == 1 else _scaled(terms, rng.coeff_inv(lc), rng.characteristic)
-
-
-def _divisors(dicts, pk: _Packing, rng):
-    """(monic packed term dicts, their leads) of nonzero packed term dicts,
-    the divisors `_reduce_terms` takes."""
-    lts = [min(d, key=pk.key) for d in dicts]
-    return [_monic(d, lt, rng) for d, lt in zip(dicts, lts)], lts
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +395,8 @@ def _groebner(polys, pk: _Packing, rng, max_pairs: int, known: int = 0) -> list:
     seq = itertools.count()
 
     def add(terms, lt):
-        bt.append(_monic(terms, lt, rng) if char else _primitive(terms, lt))
+        bt.append(_scaled(terms, rng.coeff_inv(terms[lt]), char) if char
+                  else _primitive(terms, lt))
         lts.append(lt)
         if len(lts) > known:
             _update_pairs(lts, pairs, pk, seq)
@@ -465,16 +471,10 @@ def buchberger(
     and duplicates in the input do not affect the result.  Given an
     `_Extending`, the run starts from its known Groebner basis.
     """
-    known = getattr(gens, "known", 0)
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    rng, pk, packed = _packed_input(gens, order)
+    if not packed:
         return []
-    rng = gens[0].ring
-    for g in gens:
-        if g.ring != rng:
-            raise RingMismatchError("buchberger over mixed rings")
-    pk = _packing(order)
-    basis = _groebner([pk.pack(g.terms) for g in gens], pk, rng, max_pairs, known)
+    basis = _groebner(packed, pk, rng, max_pairs, getattr(gens, "known", 0))
     return [Polynomial(rng, pk.unpack(t), normalize=False) for t in basis]
 
 
@@ -539,40 +539,16 @@ def _vector(rng, rank: int, terms: dict) -> ModuleVector:
     return ModuleVector(tuple(Polynomial(rng, d, normalize=False) for d in comps))
 
 
-def module_divider(basis, morder: ModuleOrder):
-    """Division by a fixed basis of a submodule of R^r, as a function from a
-    term dict {(pos, m): c} to its remainder's term dict.
-
-    The basis is packed and its leads are found once, for every call that
-    follows.
-    """
-    basis = [b for b in basis if not b.is_zero()]
-    if not basis:
-        return dict  # nothing divides: the remainder is a copy of the input
-    rng = basis[0].ring
-    char = rng.characteristic
-    pk = _packing(morder.base, basis[0].rank)
-    bd, lts = _divisors([pk.pack(b.to_dict()) for b in basis], pk, rng)
-
-    def remainder(terms: dict) -> dict:
-        return pk.unpack(_reduce_terms(pk.pack(terms), bd, lts, pk, char))
-
-    return remainder
-
-
 def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX_PAIRS):
     """Groebner basis of a submodule of R^r; S-pairs only share a position.
 
     Returns interreduced monic vectors sorted by descending leading term.
     """
-    vecs = [v for v in vectors if not v.is_zero()]
-    if not vecs:
+    rng, pk, packed = _packed_input(vectors, morder.base)
+    if not packed:
         return []
-    rng = vecs[0].ring
-    rank = vecs[0].rank
-    pk = _packing(morder.base, rank)
-    basis = _groebner([pk.pack(v.to_dict()) for v in vecs], pk, rng, max_pairs)
-    return [_vector(rng, rank, pk.unpack(t)) for t in reversed(basis)]
+    basis = _groebner(packed, pk, rng, max_pairs)
+    return [_vector(rng, pk.rank, pk.unpack(t)) for t in reversed(basis)]
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +568,9 @@ def module_syzygies(gb, order: MonomialOrder):
         return []
     if any(v.is_zero() for v in gb):
         raise ValueError("module_syzygies requires nonzero vectors")
-    rng, rank = gb[0].ring, gb[0].rank
-    char = rng.characteristic
-    pk = _packing(order, rank)
-    guard, place = pk.guard, pk.place
-    packed = [pk.pack(v.to_dict()) for v in gb]
-    bt, lts = _divisors(packed, pk, rng)
-    # component k of the monic basis's syzygies is scaled back by inv[k]
-    inv = [rng.coeff_inv(d[lt]) for d, lt in zip(packed, lts)]
+    divide = _Divider(gb, order)
+    rng, pk, bt, lts = divide.ring, divide.pk, divide.divisors, divide.lts
+    char, rank, guard, place = rng.characteristic, pk.rank, pk.guard, pk.place
     zero, one, minus_one = Polynomial.zero(rng), rng.coeff(1), rng.coeff(-1)
     out = []
     for j, ltj in enumerate(lts):
@@ -619,10 +590,11 @@ def module_syzygies(gb, order: MonomialOrder):
                 raise ValueError("module_syzygies requires a Groebner basis")
             syz[i][l - lti] = one
             syz[j][l - ltj] = minus_one
-            # a shift has no position fields: its monomial is what is left
+            # a shift has no position fields: its monomial is what is left;
+            # component k of the monic basis's syzygy is scaled back by inv[k]
             out.append(ModuleVector([
                 Polynomial(rng, {pk.fields(t)[rank:]: c
                                  for t, c in _scaled(d, s, char).items()},
                            normalize=False) if d else zero
-                for d, s in zip(syz, inv)]))
+                for d, s in zip(syz, divide.inv)]))
     return out

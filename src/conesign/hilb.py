@@ -5,8 +5,10 @@ index the monomial ideals of finite colength.  The tangent space at a
 finite-colength submodule K of R^r (a point of a Quot scheme) is
 Hom(K, R^r/K).  One routine computes it, as the nullspace of the linear
 system that a generating set of syzygies of K's reduced Groebner basis cuts
-out, with a division handle built once per computation.  The Hilbert scheme
-is its rank-1 case: an ideal I enters as its reduced basis in R^1.
+out, dividing by that basis through one `groebner._Divider` built per
+computation.  It also checks, once for Hilb and Quot, that the coefficients
+are rational and the basis has the rank asked for.  The Hilbert scheme is
+its rank-1 case: an ideal I enters as its reduced basis in R^1.
 
 The system is about 2% nonzero, so its rows are {column: value} dicts from
 the start, and `linalg` eliminates them as such.  The basis is monic, so
@@ -25,8 +27,8 @@ from .errors import BoundExceededError, InfiniteColengthError
 from .groebner import (
     ModuleOrder,
     ModuleVector,
+    _Divider,
     module_buchberger,
-    module_divider,
     module_syzygies,
 )
 from .ideals import IdealPresentation, standard_exponents
@@ -116,8 +118,6 @@ class TangentReport:
 def tangent_dimension_hilb(I: IdealPresentation) -> TangentReport:
     """dim Hom(I, R/I) for a finite-colength ideal, with the parity check:
     the rank-1 case of `quot_tangent_dimension`, on the reduced basis."""
-    if I.ring.characteristic != 0:
-        raise ValueError("tangent computation implemented over Q only")
     order = degrevlex(I.ring)
     return _tangent_report([ModuleVector((g,)) for g in I.gb(order)], 1,
                            ModuleOrder(order))
@@ -215,10 +215,7 @@ def quot_tangent_dimension(vectors, rank: int) -> TangentReport:
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         raise InfiniteColengthError("zero submodule has infinite colength")
-    rng = vectors[0].ring
-    if rng.characteristic != 0:
-        raise ValueError("tangent computation implemented over Q only")
-    morder = ModuleOrder(degrevlex(rng))
+    morder = ModuleOrder(degrevlex(vectors[0].ring))
     return _tangent_report(module_buchberger(vectors, morder), rank, morder)
 
 
@@ -230,9 +227,13 @@ def _tangent_report(mgb, rank: int, morder: ModuleOrder) -> TangentReport:
     basis elements imposes one linear condition per term of the quotient.
     The tangent dimension is the nullity of these conditions.
     """
+    if any(v.ring.characteristic for v in mgb):
+        raise ValueError("tangent computation implemented over Q only")
+    if any(v.rank != rank for v in mgb):
+        raise ValueError(f"vectors of rank {mgb[0].rank} given for rank {rank}")
     std = standard_module_monomials(mgb, rank, morder)
     n, k = len(std), len(mgb)
-    divide = module_divider(mgb, morder)
+    divide = _Divider(mgb, morder.base)
     remainders = {}  # (pos, monomial) -> its remainder; division is linear
 
     def remainder(term):

@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .errors import InfiniteColengthError, NotHomogeneousError, PointNotOnVarietyError
 from .factor import factor_polynomial, factor_univariate, gram_matrix
-from .groebner import _Extending, _divider, buchberger, normal_form
+from .groebner import _Divider, _Extending, buchberger, normal_form
 from .linalg import _echelon, rational_rank, solve_combination
 from .poly import (
     MonomialOrder,
@@ -435,11 +435,11 @@ def generic_tangent_dimension(I: IdealPresentation, P: IdealPresentation) -> int
         raise ValueError("ideal and prime live in different rings")
     if not contains_ideal(P, I):
         raise ValueError("the given prime does not contain the ideal")
-    reduce_mod_p = _divider(P.gb(), degrevlex(P.ring))
+    divide = _Divider(P.gb(), degrevlex(P.ring))
 
     def mod_p(row):
-        reduced = ((c, reduce_mod_p(e)) for c, e in row.items())
-        return {c: e for c, e in reduced if not e.is_zero()}
+        reduced = ((c, divide(e.terms)) for c, e in row.items())
+        return {c: Polynomial(P.ring, r, normalize=False) for c, r in reduced if r}
 
     rows = [mod_p(dict(enumerate(row))) for row in jacobian(I)]
     return I.ring.arity - len(_echelon(rows, mod_p))
@@ -524,12 +524,12 @@ def minimal_polynomial_of_variable(I: IdealPresentation, var: int) -> list:
     """
     basis = standard_monomials(I)
     index = {m: k for k, m in enumerate(basis)}
-    reduce_mod_i = _divider(I.gb(), degrevlex(I.ring))
+    divide = _Divider(I.gb(), degrevlex(I.ring))
     x = Polynomial.variable(I.ring, var)
     power = Polynomial.one(I.ring)
     vectors = []
     while True:
-        vec = {index[m]: c for m, c in reduce_mod_i(power).terms.items()}
+        vec = {index[m]: c for m, c in divide(power.terms).items()}
         combo = solve_combination(vectors, vec)
         if combo is not None:
             coeffs = [-c for c in combo] + [Fraction(1)]

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .poly import _integral
+
 
 def _echelon(rows, reduce) -> dict:
     """Fraction-free row-echelon form over an integral domain of the dict
@@ -67,9 +69,7 @@ def _integer_row(row) -> dict:
     """The primitive integer dict row spanning the same line as a row of
     rationals (ints or Fractions), given as a dict or a list: one lcm of the
     denominators per row, zero entries dropped."""
-    items = [(c, v) for c, v in _entries(row) if v]
-    d = math.lcm(*(v.denominator for _, v in items))
-    return _primitive({c: v.numerator * (d // v.denominator) for c, v in items})
+    return _primitive(_integral({c: v for c, v in _entries(row) if v})[0])
 
 
 def rational_rank(rows) -> int:

@@ -20,6 +20,7 @@ from conesign import (
     BoundExceededError,
     ModuleOrder,
     ModuleVector,
+    RingMismatchError,
     buchberger,
     degrevlex,
     lex,
@@ -31,11 +32,11 @@ from conesign import (
     ring,
 )
 from conesign.groebner import (
+    _Divider,
     _Extending,
     _packing,
     _reduce_terms,
     _update_pairs,
-    module_divider,
 )
 from conesign.poly import Polynomial
 
@@ -466,7 +467,7 @@ def test_three_axes_syzygies_generate_the_module():
     assert contract(target, G).is_zero()
     morder = ModuleOrder(order)
     mgb = module_buchberger(syz, morder)
-    assert module_divider(mgb, morder)(target.to_dict()) == {}
+    assert _Divider(mgb, order)(target.to_dict()) == {}
 
 
 def test_single_generator_has_no_syzygies():
@@ -486,7 +487,7 @@ def test_module_normal_form_reduces_to_zero_inside_module():
     G = gens("xy, xz, yz", R3)
     syz = syzygies(G, order)
     morder = ModuleOrder(order)
-    remainder = module_divider(module_buchberger(syz, morder), morder)
+    remainder = _Divider(module_buchberger(syz, morder), order)
     for s in syz:
         assert remainder(s.to_dict()) == {}
 
@@ -649,7 +650,7 @@ def test_basis_of_the_syzygies_of_a_rank_3_module_is_groebner():
     assert (len(G), len(syz)) == (17, 23)
     S = module_buchberger(syz, morder)
     assert module_syzygies(S, order)
-    divide = module_divider(S, morder)
+    divide = _Divider(S, order)
     assert all(divide(s.to_dict()) == {} for s in syz)
 
 
@@ -661,6 +662,50 @@ def test_module_syzygies_reject_what_is_not_a_nonzero_groebner_basis():
     x = parse_polynomial("x", R2)
     with pytest.raises(ValueError):
         module_syzygies([ModuleVector((x, x)), ModuleVector((Polynomial.zero(R2),) * 2)], order)
+
+
+def vector(rng, *texts):
+    return ModuleVector(tuple(parse_polynomial(t, rng) for t in texts))
+
+
+# a vector over Q[x, y] of rank 2 meets one of another ring or rank
+MIXED = {
+    "other names": vector(ring("u, v"), "u", "v"),
+    "other characteristic": vector(ring("x, y", 7), "x", "y"),
+    "other arity": vector(R3, "x", "z"),
+    "other rank": vector(R2, "x"),
+}
+ORDER = degrevlex(R2)
+ENTRIES = {
+    "buchberger": lambda a, b: buchberger([a, b], ORDER),
+    "normal_form of f": lambda a, b: normal_form(b, [a], ORDER),
+    "normal_form by a basis": lambda a, b: normal_form(a, [a, b], ORDER),
+    "module_buchberger": lambda a, b: module_buchberger([a, b], ModuleOrder(ORDER)),
+    "module_syzygies": lambda a, b: module_syzygies([a, b], ORDER),
+    "division builder": lambda a, b: _Divider([a, b], ORDER),
+}
+
+
+# normal_form divides a polynomial, so it meets no vector as f
+@pytest.mark.parametrize("entry,mix", [(e, m) for e in ENTRIES for m in MIXED
+                                       if (e, m) != ("normal_form of f", "other rank")])
+def test_mixed_input_is_refused(entry, mix):
+    a, b = vector(R2, "x^2", "y"), MIXED[mix]
+    if entry.startswith(("buchberger", "normal_form")):
+        # polynomial entries: first components, or a vector of rank 1
+        a, b = a.components[0], b if mix == "other rank" else b.components[0]
+    with pytest.raises(ValueError if mix == "other rank" else RingMismatchError):
+        ENTRIES[entry](a, b)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_input_outside_the_order_s_variables_is_refused(entry):
+    # an input error, not an exponent bound: three exponents in two fields
+    a = vector(R3, "x*z", "y")
+    if entry.startswith(("buchberger", "normal_form")):
+        a = a.components[0]
+    with pytest.raises(RingMismatchError):
+        ENTRIES[entry](a, a)
 
 
 def test_update_pairs_never_pairs_leads_at_different_positions():

@@ -235,10 +235,10 @@ def test_tangent_rejects_finite_characteristic():
 
 def test_tangent_system_divides_each_term_once(monkeypatch):
     divided = []
-    real = conesign.hilb.module_divider
+    real = conesign.hilb._Divider
 
-    def counted(basis, morder):
-        divide = real(basis, morder)
+    def counted(basis, order):
+        divide = real(basis, order)
 
         def remainder(terms):
             divided.extend(terms)
@@ -246,7 +246,7 @@ def test_tangent_system_divides_each_term_once(monkeypatch):
 
         return remainder
 
-    monkeypatch.setattr(conesign.hilb, "module_divider", counted)
+    monkeypatch.setattr(conesign.hilb, "_Divider", counted)
     boxes = {(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (1, 1, 0),
              (0, 0, 1), (0, 2, 0)}
     rep = tangent_dimension_hilb(monomial_ideal_of(PlanePartition(frozenset(boxes))))
@@ -428,6 +428,22 @@ def test_quot_rejects_infinite_colength():
         quot_tangent_dimension([ModuleVector((mono((1, 0, 0)),))], 1)
     with pytest.raises(InfiniteColengthError):
         quot_tangent_dimension([ModuleVector((Polynomial.zero(R3),))], 1)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_quot_rejects_vectors_of_another_rank(rank):
+    zero = Polynomial.zero(R3)
+    K = [ModuleVector((mono(e), zero)) for e in UNIT]
+    K += [ModuleVector((zero, mono(e))) for e in UNIT]
+    with pytest.raises(ValueError, match=f"rank 2 given for rank {rank}"):
+        quot_tangent_dimension(K, rank)
+
+
+def test_quot_rejects_finite_characteristic():
+    R7 = ring("x, y, z", 7)
+    K = [ModuleVector((g,)) for g in ideal(R7, "x, y, z").generators]
+    with pytest.raises(ValueError, match="over Q only"):
+        quot_tangent_dimension(K, 1)
 
 
 def test_report_json_shape():

@@ -4,6 +4,8 @@
 - Every public top-level function or class is referenced in the package,
   beyond its own definition, or named in backticks in the README's "What it
   computes", where the library API beyond the command line is documented.
+- Every private top-level function or class is referenced in the package
+  beyond its own definition.
 
 `__init__.py` only re-exports, so its imports count as uses of nothing.
 """
@@ -57,4 +59,14 @@ def test_every_public_name_has_a_caller_or_is_documented():
     unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in known]
+    assert unused == []
+
+
+def test_every_private_name_is_used_beyond_its_definition():
+    tops = [(path.stem, node) for path in MODULES for node in _tree(path).body]
+    names = [_referenced(node) for _, node in tops]
+    unused = [f"{module}.{node.name}" for k, (module, node) in enumerate(tops)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_")
+              and not any(node.name in used for j, used in enumerate(names) if j != k)]
     assert unused == []
