@@ -41,7 +41,6 @@ from .euler import (
     eu_point,
 )
 from .groebner import (
-    ModuleOrder,
     ModuleVector,
     buchberger,
     module_buchberger,

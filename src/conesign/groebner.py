@@ -12,10 +12,10 @@ two leads at one position share that field, so the product criterion never
 fires between them; no pair is formed between leads at different positions.
 Every exponent the engine handles stays below 2^15: an input exponent of
 2^15 or more, or a product that reaches it, raises `BoundExceededError`.
-The public functions pack their input and unpack their output, so
-`Polynomial.terms`, `ModuleVector` and `ModuleOrder.key` keep exponent
-tuples and (position, monomial) terms.  Each order object memoises the
-engine's keys of packed terms (`_packing`).
+Module terms are ordered term over position (by monomial, then the smaller
+position first), and only the packing's key says so.  The public functions
+pack their input and unpack their output, so `Polynomial.terms` and
+`ModuleVector` keep exponent tuples and (position, monomial) terms.
 
 Buchberger keeps the basis as packed term dicts beside their leading terms,
 which the reductions, the pair pruning and the final interreduction reuse.
@@ -40,11 +40,12 @@ by the same update, so only pairs with new elements are formed and pruned
 (Gebauer-Moeller, J. Symb. Comput. 6, 1988).  Reduced bases are monic,
 interreduced, and sorted, hence canonical for (ideal or submodule, order).
 Every public entry passes its input through one step, `_packed_input`,
-which drops zeros, checks one ring and one rank, and packs.  Division by a
-given basis (`normal_form`, `module_syzygies`, and `ideals` and `hilb`
-directly) goes through one builder, `_Divider`, which makes the divisors
-monic and finds their leads once per basis.  `module_syzygies` reads the
-Schreyer syzygies of a Groebner basis off its S-pair reductions' quotients."""
+which drops zeros, checks one ring and one rank, and packs.  All work with a
+given basis goes through one builder, `_Divider`, which makes the divisors
+monic and finds their leads once: division of packed or plain term dicts,
+the standard terms below the leads, and the Schreyer syzygies (`_syzygies`,
+read off the S-pair reductions' quotients), which `module_syzygies` unpacks
+and `hilb` uses packed."""
 
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from functools import reduce
 from math import gcd
 from operator import or_
 
-from .errors import BoundExceededError, RingMismatchError
+from .errors import BoundExceededError, InfiniteColengthError, RingMismatchError
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -102,12 +103,13 @@ class _Packing:
     entry by entry, then the term itself, so the smallest heap key is the
     biggest term and a heap of keys gives back its terms."""
 
-    __slots__ = ("rank", "guard", "place", "key", "_struct", "_heads")
+    __slots__ = ("rank", "units", "guard", "place", "key", "_struct", "_heads")
 
     def __init__(self, order: MonomialOrder, rank: int):
         fields = rank + len(order.perm)
         self.rank = rank
-        self.guard = sum(_GUARD_BIT << _FIELD * k for k in range(fields))
+        self.units = [1 << _FIELD * k for k in range(fields)]  # 1 in one field
+        self.guard = sum(self.units) * _GUARD_BIT
         self.place = (1 << _FIELD * rank) - 1  # the position fields
         self._struct = struct.Struct(f"<{fields}H")
         self._heads = [(0,) * pos + (1,) + (0,) * (rank - pos - 1) for pos in range(rank)]
@@ -116,7 +118,7 @@ class _Packing:
         if rank:
             def compute(t):
                 e = fields_of(t)
-                # ModuleOrder.key is (*base key, -pos)
+                # term over position: the monomial first, then the smaller pos
                 return (*[-x for x in raw(e[rank:])], e.index(1), t)
         else:
             def compute(t):
@@ -259,9 +261,9 @@ def _sub_multiple(target: dict, factor, shift: int, terms: dict, char: int, skip
 
 def _packed_input(elements, order: MonomialOrder):
     """(ring or None, packing, packed term dicts) of the nonzero polynomials,
-    or module vectors under ModuleOrder(order), among `elements`: the input
-    step of every entry to the engine.  They must share one ring, in the
-    order's variables (RingMismatchError), and one rank (ValueError)."""
+    or module vectors, among `elements`: the input step of every entry to
+    the engine.  They must share one ring, in the order's variables
+    (RingMismatchError), and one rank (ValueError)."""
     elements = [e for e in elements if not e.is_zero()]
     rings = {e.ring for e in elements}
     ranks = {e.rank if isinstance(e, ModuleVector) else 0 for e in elements}
@@ -276,10 +278,10 @@ def _packed_input(elements, order: MonomialOrder):
 
 
 class _Divider:
-    """Division by a fixed list of polynomials, or of module vectors under
-    ModuleOrder(order): called on a term dict, {m: c} or {(pos, m): c}, it
-    returns its remainder's term dict.  The divisors pass the input step, and
-    are scaled by `inv` (inverse lead coefficients) to monic, once."""
+    """Division by a fixed list of polynomials or module vectors, which pass
+    the input step and are scaled by `inv` (inverse lead coefficients) to
+    monic, once.  `remainder` divides a packed term dict; calling the
+    divider divides a term dict, {m: c} or {(pos, m): c}."""
 
     def __init__(self, basis, order: MonomialOrder):
         self.ring, self.pk, packed = _packed_input(basis, order)
@@ -288,12 +290,36 @@ class _Divider:
         self.inv = [1 if c == 1 else self.ring.coeff_inv(c) for c in lcs]
         self.divisors = [_scaled(d, s, self.ring.characteristic) for d, s in zip(packed, self.inv)]
 
+    def remainder(self, packed: dict) -> dict:
+        return _reduce_terms(packed, self.divisors, self.lts, self.pk, self.ring.characteristic)
+
     def __call__(self, terms: dict) -> dict:
         if not self.lts:
             return dict(terms)  # nothing divides
-        pk = self.pk
-        rem = _reduce_terms(pk.pack(terms), self.divisors, self.lts, pk, self.ring.characteristic)
-        return pk.unpack(rem)
+        return self.pk.unpack(self.remainder(self.pk.pack(terms)))
+
+    def standard_terms(self):
+        """The packed terms that no lead divides, in ascending order, or
+        InfiniteColengthError when there are infinitely many: at each
+        position, those in the box its pure-power leads cut out, finite when
+        every variable has one."""
+        pk, lts = self.pk, self.lts
+        guard, variables = pk.guard, pk.units[pk.rank:]
+        out = []
+        for head in pk.units[:pk.rank] or [0]:
+            at = [lt - head for lt in lts if lt & pk.place == head]
+            if 0 in at:
+                continue  # a constant lead leaves no term at this position
+            # m is a power of the variable u when no other field of m is set
+            caps = [min((m // u for m in at if m % u == 0 and m < u << _FIELD), default=0)
+                    for u in variables]
+            if not all(caps):
+                raise InfiniteColengthError("quotient has infinite colength")
+            for e in itertools.product(*map(range, caps)):
+                t = head + sum(k * u for k, u in zip(e, variables))
+                if not any(((t | guard) - lt) & guard == guard for lt in lts):
+                    out.append(t)
+        return sorted(out, key=pk.key, reverse=True)
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
@@ -519,19 +545,6 @@ class ModuleVector:
         return "(" + ", ".join(c.to_text() for c in self.components) + ")"
 
 
-class ModuleOrder:
-    """Term-over-position order on module terms (position, monomial): compare
-    monomials by `base` first, then prefer the smaller position.  The engine
-    keeps its packed keys of R^r on `base`."""
-
-    def __init__(self, base: MonomialOrder):
-        self.base = base
-
-    def key(self, term):
-        pos, m = term
-        return (*self.base.key(m), -pos)
-
-
 def _vector(rng, rank: int, terms: dict) -> ModuleVector:
     comps = [{} for _ in range(rank)]
     for (pos, m), c in terms.items():
@@ -539,12 +552,13 @@ def _vector(rng, rank: int, terms: dict) -> ModuleVector:
     return ModuleVector(tuple(Polynomial(rng, d, normalize=False) for d in comps))
 
 
-def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX_PAIRS):
-    """Groebner basis of a submodule of R^r; S-pairs only share a position.
+def module_buchberger(vectors, order: MonomialOrder, max_pairs: int = DEFAULT_MAX_PAIRS):
+    """Groebner basis of a submodule of R^r under the term-over-position
+    order on `order`; S-pairs only share a position.
 
     Returns interreduced monic vectors sorted by descending leading term.
     """
-    rng, pk, packed = _packed_input(vectors, morder.base)
+    rng, pk, packed = _packed_input(vectors, order)
     if not packed:
         return []
     basis = _groebner(packed, pk, rng, max_pairs)
@@ -555,23 +569,17 @@ def module_buchberger(vectors, morder: ModuleOrder, max_pairs: int = DEFAULT_MAX
 # syzygies
 
 
-def module_syzygies(gb, order: MonomialOrder):
-    """Generators of the syzygy module of a Groebner basis `gb` under
-    ModuleOrder(order), by Schreyer's theorem: for each pair of leads
-    at one position, m_ij e_i - m_ji e_j - sum_k q_k e_k, where m_ij lt_i is
-    their lcm and the q_k are the quotients of their S-vector by `gb`.  A pair
-    is skipped when a third lead divides its lcm and both lcms with that lead
-    divide it strictly (the chain criterion).  Raises ValueError on a zero
-    vector or on a remainder, that is, when `gb` is not a Groebner basis."""
-    gb = list(gb)
-    if not gb:
-        return []
-    if any(v.is_zero() for v in gb):
-        raise ValueError("module_syzygies requires nonzero vectors")
-    divide = _Divider(gb, order)
+def _syzygies(divide: _Divider) -> list:
+    """The Schreyer syzygies of the divider's monic divisors, each one packed
+    dict of shifts (monomials, no position fields) per divisor: for each pair
+    of leads at one position, m_ij e_i - m_ji e_j - sum_k q_k e_k, where
+    m_ij lt_i is their lcm and the q_k are the quotients of their S-vector.
+    A pair is skipped when a third lead divides its lcm and both lcms with
+    that lead divide it strictly (the chain criterion).  Raises ValueError
+    on a remainder, that is, when the divisors are not a Groebner basis."""
     rng, pk, bt, lts = divide.ring, divide.pk, divide.divisors, divide.lts
-    char, rank, guard, place = rng.characteristic, pk.rank, pk.guard, pk.place
-    zero, one, minus_one = Polynomial.zero(rng), rng.coeff(1), rng.coeff(-1)
+    char, guard, place = rng.characteristic, pk.guard, pk.place
+    one, minus_one = rng.coeff(1), rng.coeff(-1)
     out = []
     for j, ltj in enumerate(lts):
         for i, lti in enumerate(lts[:j]):
@@ -590,11 +598,25 @@ def module_syzygies(gb, order: MonomialOrder):
                 raise ValueError("module_syzygies requires a Groebner basis")
             syz[i][l - lti] = one
             syz[j][l - ltj] = minus_one
-            # a shift has no position fields: its monomial is what is left;
-            # component k of the monic basis's syzygy is scaled back by inv[k]
-            out.append(ModuleVector([
-                Polynomial(rng, {pk.fields(t)[rank:]: c
-                                 for t, c in _scaled(d, s, char).items()},
-                           normalize=False) if d else zero
-                for d, s in zip(syz, divide.inv)]))
+            out.append(syz)
     return out
+
+
+def module_syzygies(gb, order: MonomialOrder):
+    """Generators of the syzygy module of a Groebner basis `gb` under the
+    term-over-position order on `order`, by Schreyer's theorem (`_syzygies`).
+    Raises ValueError on a zero vector or when `gb` is not a Groebner basis."""
+    gb = list(gb)
+    if not gb:
+        return []
+    if any(v.is_zero() for v in gb):
+        raise ValueError("module_syzygies requires nonzero vectors")
+    divide = _Divider(gb, order)
+    rng, rank, fields = divide.ring, divide.pk.rank, divide.pk.fields
+    char, zero = rng.characteristic, Polynomial.zero(rng)
+    # a shift has no position fields: its monomial is what is left;
+    # component k of the monic basis's syzygy is scaled back by inv[k]
+    return [ModuleVector([
+        Polynomial(rng, {fields(t)[rank:]: c for t, c in _scaled(d, s, char).items()},
+                   normalize=False) if d else zero
+        for d, s in zip(syz, divide.inv)]) for syz in _syzygies(divide)]

@@ -5,35 +5,34 @@ index the monomial ideals of finite colength.  The tangent space at a
 finite-colength submodule K of R^r (a point of a Quot scheme) is
 Hom(K, R^r/K).  One routine computes it, as the nullspace of the linear
 system that a generating set of syzygies of K's reduced Groebner basis cuts
-out, dividing by that basis through one `groebner._Divider` built per
-computation.  It also checks, once for Hilb and Quot, that the coefficients
-are rational and the basis has the rank asked for.  The Hilbert scheme is
-its rank-1 case: an ideal I enters as its reduced basis in R^1.
+out.  It takes everything from one `groebner._Divider`, an ideal's own
+division by its reduced basis or one built on a submodule's basis: the
+standard terms, the syzygies and the remainders, all as
+the engine's packed terms, which it treats as opaque ints whose product is
+their sum.  It also checks, once for Hilb and Quot, that the quotient is
+finite, the coefficients are rational and the basis has the rank asked for.
+The Hilbert scheme is its rank-1 case: an ideal I enters as its own reduced
+basis, packed as polynomials.
 
 The system is about 2% nonzero, so its rows are {column: value} dicts from
 the start, and `linalg` eliminates them as such.  The basis is monic, so
-division by it is linear, and each term (position, monomial) that a row
-needs is divided once per computation and its remainder reused.
+division by it is linear, and each term that a row needs is divided once
+per computation and its remainder reused.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BoundExceededError, InfiniteColengthError
-from .groebner import (
-    ModuleOrder,
-    ModuleVector,
-    _Divider,
-    module_buchberger,
-    module_syzygies,
-)
-from .ideals import IdealPresentation, standard_exponents
+from .groebner import _Divider, _syzygies, module_buchberger
+from .ideals import IdealPresentation
 from .linalg import rational_rank
-from .poly import Polynomial, RingDescriptor, degrevlex, mono_mul, ring
+from .poly import Polynomial, RingDescriptor, degrevlex, ring
 
 _DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -118,9 +117,7 @@ class TangentReport:
 def tangent_dimension_hilb(I: IdealPresentation) -> TangentReport:
     """dim Hom(I, R/I) for a finite-colength ideal, with the parity check:
     the rank-1 case of `quot_tangent_dimension`, on the reduced basis."""
-    order = degrevlex(I.ring)
-    return _tangent_report([ModuleVector((g,)) for g in I.gb(order)], 1,
-                           ModuleOrder(order))
+    return _tangent_report(I._division(), 1)
 
 
 @dataclass(frozen=True)
@@ -191,68 +188,43 @@ def parity_scan(n: int, jobs: int = 1, bound: int = 8) -> ScanSummary:
 # ---------------------------------------------------------------------------
 
 
-def standard_module_monomials(mgb, rank: int, morder: ModuleOrder) -> list:
-    """Basis (position, monomial) of R^rank / K below the leading module."""
-    leads = [[] for _ in range(rank)]
-    for v in mgb:
-        pos, m = max(v.to_dict(), key=morder.key)
-        leads[pos].append(m)
-    out = []
-    for pos in range(rank):
-        std = standard_exponents(leads[pos], len(morder.base.perm))
-        if std is None:
-            raise InfiniteColengthError(
-                "quotient ring has infinite dimension" if rank == 1
-                else f"quotient has infinite colength at position {pos}")
-        out.extend((pos, m) for m in std)
-    out.sort(key=morder.key)
-    return out
-
-
 def quot_tangent_dimension(vectors, rank: int) -> TangentReport:
     """dim Hom(K, R^rank/K) for a finite-colength submodule K of R^rank,
     with the parity check against rank * colength."""
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         raise InfiniteColengthError("zero submodule has infinite colength")
-    morder = ModuleOrder(degrevlex(vectors[0].ring))
-    return _tangent_report(module_buchberger(vectors, morder), rank, morder)
+    order = degrevlex(vectors[0].ring)
+    return _tangent_report(_Divider(module_buchberger(vectors, order), order), rank)
 
 
-def _tangent_report(mgb, rank: int, morder: ModuleOrder) -> TangentReport:
-    """dim Hom(K, R^rank/K) from the reduced Groebner basis `mgb` of K.
+def _tangent_report(divide: _Divider, rank: int) -> TangentReport:
+    """dim Hom(K, R^rank/K), given the division by the reduced Groebner
+    basis of K; an ideal's basis stands for K in R^1.
 
     A homomorphism is pinned down by the images of the basis elements in
     R^rank/K, as combinations of the standard terms; each syzygy among the
     basis elements imposes one linear condition per term of the quotient.
-    The tangent dimension is the nullity of these conditions.
+    The tangent dimension is the nullity of these conditions.  Terms are
+    the engine's packed ints, whose product is their sum.
     """
-    if any(v.ring.characteristic for v in mgb):
+    std = divide.standard_terms()
+    if divide.ring.characteristic:
         raise ValueError("tangent computation implemented over Q only")
-    if any(v.rank != rank for v in mgb):
-        raise ValueError(f"vectors of rank {mgb[0].rank} given for rank {rank}")
-    std = standard_module_monomials(mgb, rank, morder)
-    n, k = len(std), len(mgb)
-    divide = _Divider(mgb, morder.base)
-    remainders = {}  # (pos, monomial) -> its remainder; division is linear
-
-    def remainder(term):
-        r = remainders.get(term)
-        if r is None:
-            r = remainders[term] = divide({term: 1})
-        return r
-
+    if (divide.pk.rank or 1) != rank:
+        raise ValueError(f"vectors of rank {divide.pk.rank} given for rank {rank}")
+    n, k = len(std), len(divide.lts)
+    # division is linear, so each term is divided once and its remainder kept
+    remainder = functools.cache(lambda term: divide.remainder({term: 1}))
     rows = []
-    for s in module_syzygies(mgb, morder.base):
+    for s in _syzygies(divide):
         # one equation per quotient term, unknowns the coordinates of phi(g_j)
         per_target = {}
-        for j, a in enumerate(s.components):
-            if a.is_zero():
-                continue
-            for bi, (pos, m) in enumerate(std):
+        for j, a in enumerate(s):
+            for bi, m in enumerate(std):
                 col = j * n + bi
-                for t, c in a.terms.items():
-                    for target, d in remainder((pos, mono_mul(t, m))).items():
+                for t, c in a.items():
+                    for target, d in remainder(t + m).items():
                         row = per_target.setdefault(target, {})
                         row[col] = row.get(col, 0) + c * d
         rows.extend(per_target.values())

@@ -13,8 +13,9 @@ the leads gives the Krull dimension and the degree of the projective
 closure without homogenizing.
 
 All ideals are presented by finite generating sets over an explicit ring.
-Reduced Groebner bases are cached per monomial order, so repeated membership
-tests and equality checks against the same presentation are cheap.  An ideal
+Reduced Groebner bases are cached per monomial order, and division by the
+degrevlex one is set up once, so repeated membership tests, normal forms
+and equality checks against the same presentation are cheap.  An ideal
 built from a reduced basis already in hand carries it on:
 
 - `eliminate` keeps the w-free elements of the reduced block-order basis.
@@ -44,9 +45,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfiniteColengthError, NotHomogeneousError, PointNotOnVarietyError
+from .errors import NotHomogeneousError, PointNotOnVarietyError, RingMismatchError
 from .factor import factor_polynomial, factor_univariate, gram_matrix
-from .groebner import _Divider, _Extending, buchberger, normal_form
+from .groebner import _Divider, _Extending, buchberger
 from .linalg import _echelon, rational_rank, solve_combination
 from .poly import (
     MonomialOrder,
@@ -54,7 +55,6 @@ from .poly import (
     RingDescriptor,
     degrevlex,
     elimination_order,
-    mono_divides,
     parse_generators,
 )
 
@@ -66,7 +66,7 @@ class IdealPresentation:
     Groebner bases), not equality of generating sets.
     """
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_extends")
+    __slots__ = ("ring", "generators", "_gb_cache", "_extends", "_divide")
 
     def __init__(self, rng: RingDescriptor, generators):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -79,6 +79,7 @@ class IdealPresentation:
         # (order signatures, _Extending(basis, extra)): this ideal is
         # (basis) + (extra), and basis is a Groebner basis under those orders
         self._extends = None
+        self._divide = None  # division by the reduced degrevlex basis
 
     @classmethod
     def from_reduced_basis(cls, rng: RingDescriptor, basis) -> "IdealPresentation":
@@ -108,8 +109,17 @@ class IdealPresentation:
     def signature(self) -> tuple:
         return tuple(g.to_text() for g in self.gb())
 
+    def _division(self) -> _Divider:
+        """Division by the reduced degrevlex basis, set up on first use and
+        kept for every later membership test, normal form or quotient."""
+        if self._divide is None:
+            self._divide = _Divider(self.gb(), degrevlex(self.ring))
+        return self._divide
+
     def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self.gb(), degrevlex(self.ring)).is_zero()
+        if f.ring != self.ring:
+            raise RingMismatchError("membership across rings")
+        return not self._division()(f.terms)
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -171,7 +181,7 @@ def contains_ideal(big: IdealPresentation, small: IdealPresentation) -> bool:
     """True when small is a subset of big (same ambient ring)."""
     if big.ring != small.ring:
         raise ValueError("ideal comparison across different rings")
-    return all(big.contains(g) for g in small.generators)
+    return all(map(big.contains, small.generators))
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -435,7 +445,7 @@ def generic_tangent_dimension(I: IdealPresentation, P: IdealPresentation) -> int
         raise ValueError("ideal and prime live in different rings")
     if not contains_ideal(P, I):
         raise ValueError("the given prime does not contain the ideal")
-    divide = _Divider(P.gb(), degrevlex(P.ring))
+    divide = P._division()
 
     def mod_p(row):
         reduced = ((c, divide(e.terms)) for c, e in row.items())
@@ -450,36 +460,11 @@ def generic_tangent_dimension(I: IdealPresentation, P: IdealPresentation) -> int
 # ---------------------------------------------------------------------------
 
 
-def standard_exponents(leads, arity: int):
-    """Exponents divisible by no lead, in ascending lexicographic order, or
-    None when there are infinitely many.
-
-    They lie in the box cut out by the pure-power leads, which exists exactly
-    when every variable has one; a constant lead leaves none.
-    """
-    caps = [None] * arity
-    for m in leads:
-        sup = [i for i, e in enumerate(m) if e]
-        if not sup:
-            return []
-        if len(sup) == 1:
-            i = sup[0]
-            if caps[i] is None or m[i] < caps[i]:
-                caps[i] = m[i]
-    if any(c is None for c in caps):
-        return None
-    return [m for m in itertools.product(*(range(c) for c in caps))
-            if not any(mono_divides(l, m) for l in leads)]
-
-
 def standard_monomials(I: IdealPresentation) -> list:
-    """Monomial basis of R/I when finite, else InfiniteColengthError."""
-    order = degrevlex(I.ring)
-    out = standard_exponents([g.leading(order)[0] for g in I.gb()], I.ring.arity)
-    if out is None:
-        raise InfiniteColengthError("quotient ring has infinite dimension")
-    out.sort(key=order.key)
-    return out
+    """Monomial basis of R/I in ascending degrevlex order when finite, else
+    InfiniteColengthError."""
+    divide = I._division()
+    return [divide.pk.fields(t) for t in divide.standard_terms()]
 
 
 def colength(I: IdealPresentation) -> int:
@@ -524,7 +509,7 @@ def minimal_polynomial_of_variable(I: IdealPresentation, var: int) -> list:
     """
     basis = standard_monomials(I)
     index = {m: k for k, m in enumerate(basis)}
-    divide = _Divider(I.gb(), degrevlex(I.ring))
+    divide = I._division()
     x = Polynomial.variable(I.ring, var)
     power = Polynomial.one(I.ring)
     vectors = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm, prod
-from operator import add, le
+from operator import add
 
 from .errors import (
     PolynomialSyntaxError,
@@ -110,11 +110,6 @@ def ring(text: str, characteristic: int = 0) -> RingDescriptor:
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(add, a, b))
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True when a | b componentwise."""
-    return all(map(le, a, b))
 
 
 def mono_degree(a: Mono) -> int:

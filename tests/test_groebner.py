@@ -18,7 +18,6 @@ from oracles import (
 
 from conesign import (
     BoundExceededError,
-    ModuleOrder,
     ModuleVector,
     RingMismatchError,
     buchberger,
@@ -160,7 +159,7 @@ def test_exponents_from_2_to_the_15_exceed_the_engine_bound():
     for run in (lambda: buchberger([big], order),
                 lambda: normal_form(big, [y], order),
                 lambda: normal_form(y, [big], order),
-                lambda: module_buchberger([ModuleVector((big, y))], ModuleOrder(order))):
+                lambda: module_buchberger([ModuleVector((big, y))], order)):
         with pytest.raises(BoundExceededError):
             run()
     # a product inside the reduction that reaches 2^15 is caught before any
@@ -465,8 +464,7 @@ def test_three_axes_syzygies_generate_the_module():
         )
     )
     assert contract(target, G).is_zero()
-    morder = ModuleOrder(order)
-    mgb = module_buchberger(syz, morder)
+    mgb = module_buchberger(syz, order)
     assert _Divider(mgb, order)(target.to_dict()) == {}
 
 
@@ -486,8 +484,7 @@ def test_module_normal_form_reduces_to_zero_inside_module():
     order = degrevlex(R3)
     G = gens("xy, xz, yz", R3)
     syz = syzygies(G, order)
-    morder = ModuleOrder(order)
-    remainder = _Divider(module_buchberger(syz, morder), order)
+    remainder = _Divider(module_buchberger(syz, order), order)
     for s in syz:
         assert remainder(s.to_dict()) == {}
 
@@ -541,8 +538,7 @@ def test_monomial_syzygies_match_the_pairwise_oracle(case):
         for i, (m, c) in rel.items():
             comps[i] = Polynomial.from_monomial(R3, m, c)
         oracle.append(ModuleVector(tuple(comps)))
-    morder = ModuleOrder(order)
-    assert module_buchberger(syz, morder) == module_buchberger(oracle, morder)
+    assert module_buchberger(syz, order) == module_buchberger(oracle, order)
 
 
 def degree_monomials(d):
@@ -570,7 +566,7 @@ def graded_bases(draw):
     if rank == 1:
         G = buchberger([v.components[0] for v in vectors], order)
         return rng, [ModuleVector((g,)) for g in G]
-    return rng, module_buchberger(vectors, ModuleOrder(order))
+    return rng, module_buchberger(vectors, order)
 
 
 @given(case=graded_bases())
@@ -627,7 +623,7 @@ def test_syzygies_of_small_non_monomial_modules_finish(texts):
     # a Groebner basis of the embedding in R^(r+m) grew without end here
     vectors = [ModuleVector(tuple(parse_polynomial(t, GF3) for t in pair)) for pair in texts]
     order = degrevlex(GF3)
-    G = module_buchberger(vectors, ModuleOrder(order))
+    G = module_buchberger(vectors, order)
     syz = module_syzygies(G, order)
     assert syz
     for s in syz:
@@ -643,12 +639,11 @@ def test_basis_of_the_syzygies_of_a_rank_3_module_is_groebner():
             ("-3*x^2*y*z + y", "0", "0"),
             ("1", "5*x^2*y + 5", "x^2*y*z^2 - 3*x*y^2*z")]
     order = degrevlex(GF3)
-    morder = ModuleOrder(order)
     G = module_buchberger([ModuleVector([parse_polynomial(t, GF3) for t in row])
-                           for row in rows], morder)
+                           for row in rows], order)
     syz = module_syzygies(G, order)
     assert (len(G), len(syz)) == (17, 23)
-    S = module_buchberger(syz, morder)
+    S = module_buchberger(syz, order)
     assert module_syzygies(S, order)
     divide = _Divider(S, order)
     assert all(divide(s.to_dict()) == {} for s in syz)
@@ -680,7 +675,7 @@ ENTRIES = {
     "buchberger": lambda a, b: buchberger([a, b], ORDER),
     "normal_form of f": lambda a, b: normal_form(b, [a], ORDER),
     "normal_form by a basis": lambda a, b: normal_form(a, [a, b], ORDER),
-    "module_buchberger": lambda a, b: module_buchberger([a, b], ModuleOrder(ORDER)),
+    "module_buchberger": lambda a, b: module_buchberger([a, b], ORDER),
     "module_syzygies": lambda a, b: module_syzygies([a, b], ORDER),
     "division builder": lambda a, b: _Divider([a, b], ORDER),
 }
@@ -731,10 +726,10 @@ def test_module_pair_budget_binds():
     x, y = (parse_polynomial(v, R2) for v in "xy")
     one = Polynomial.one(R2)
     vectors = [ModuleVector((x * x - y, x)), ModuleVector((x * y - one, y))]
-    morder = ModuleOrder(degrevlex(R2))
-    assert len(module_buchberger(vectors, morder)) > 2
+    order = degrevlex(R2)
+    assert len(module_buchberger(vectors, order)) > 2
     with pytest.raises(BoundExceededError):
-        module_buchberger(vectors, morder, max_pairs=1)
+        module_buchberger(vectors, order, max_pairs=1)
 
 
 @st.composite
@@ -758,7 +753,7 @@ def small_modules(draw):
 def test_module_basis_is_a_reduced_groebner_basis_and_invariant(module, rnd):
     rng, rank, vectors = module
     p = rng.characteristic
-    G = module_buchberger(vectors, ModuleOrder(degrevlex(rng)))
+    G = module_buchberger(vectors, degrevlex(rng))
     key = module_term_key
     basis = [g.to_dict() for g in G]
     leads = [max(b, key=key) for b in basis]
@@ -782,7 +777,7 @@ def test_module_basis_is_a_reduced_groebner_basis_and_invariant(module, rnd):
         scale = rnd.choice([-1, 2, 3, Fraction(1, 2)])
         moved.append(ModuleVector(tuple(c * scale for c in v.components)))
     rnd.shuffle(moved)
-    assert module_buchberger(moved, ModuleOrder(degrevlex(rng))) == G
+    assert module_buchberger(moved, degrevlex(rng)) == G
 
 
 small = st.integers(-3, 3)

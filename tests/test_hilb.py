@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-import conesign.hilb
 from oracles import (
     height_matrix_partitions,
     matrix_rank,
@@ -30,6 +29,7 @@ from conesign import (
     ring,
     tangent_dimension_hilb,
 )
+from conesign.groebner import _Divider
 from conesign.hilb import _worker_count
 
 R3 = ring("x, y, z")
@@ -234,23 +234,33 @@ def test_tangent_rejects_finite_characteristic():
 
 
 def test_tangent_system_divides_each_term_once(monkeypatch):
-    divided = []
-    real = conesign.hilb._Divider
+    # one division setup per computation, which divides each term once
+    built, divided = [], []
+    init, remainder = _Divider.__init__, _Divider.remainder
 
-    def counted(basis, order):
-        divide = real(basis, order)
+    def counted_init(self, basis, order):
+        built.append(basis)
+        init(self, basis, order)
 
-        def remainder(terms):
-            divided.extend(terms)
-            return divide(terms)
+    def counted(self, packed):
+        divided.extend(packed)
+        return remainder(self, packed)
 
-        return remainder
-
-    monkeypatch.setattr(conesign.hilb, "_Divider", counted)
+    monkeypatch.setattr(_Divider, "__init__", counted_init)
+    monkeypatch.setattr(_Divider, "remainder", counted)
     boxes = {(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (1, 1, 0),
              (0, 0, 1), (0, 2, 0)}
-    rep = tangent_dimension_hilb(monomial_ideal_of(PlanePartition(frozenset(boxes))))
+    I = monomial_ideal_of(PlanePartition(frozenset(boxes)))
+    rep = tangent_dimension_hilb(I)
     assert (rep.colength, rep.tangent_dim) == (8, 32)
+    assert len(built) == 1
+    assert divided and len(divided) == len(set(divided))
+    zero = Polynomial.zero(R3)
+    K = [ModuleVector((g, zero)) for g in I.generators]
+    K += [ModuleVector((zero, mono(e))) for e in UNIT]
+    divided.clear()
+    assert quot_tangent_dimension(K, 2).colength == 9
+    assert len(built) == 2
     assert divided and len(divided) == len(set(divided))
 
 
@@ -393,10 +403,16 @@ def test_quot_one_free_slot_killed():
 
 
 def test_quot_rank_one_agrees_with_the_ideal_route():
+    # the ideal route packs an ideal's basis at rank 0, the Quot route at
+    # rank 1: monomial, permuted, translated and graded inputs meet both
     samples = [ideal(R3, "x, y, z"), ideal(R3, "x^2, y, z"),
-               ideal(R3, "x^2 + y^2, x*y, z")]
+               ideal(R3, "x^2 + y^2, x*y, z"), graded_point(3, 3, 1)]
+    rnd = random.Random(7)
     for p in enumerate_plane_partitions(3):
+        point = [rnd.choice((-1, 1)) for _ in range(3)]
         samples.append(monomial_ideal_of(p))
+        samples.append(monomial_ideal_of(permuted(p, rnd.sample(range(3), 3))))
+        samples.append(monomial_ideal_of(p).translate(point))
     for I in samples:
         direct = tangent_dimension_hilb(I)
         lifted = quot_tangent_dimension(

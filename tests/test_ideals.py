@@ -23,6 +23,7 @@ from conesign import (
     NotHomogeneousError,
     PointNotOnVarietyError,
     Polynomial,
+    RingMismatchError,
     buchberger,
     colength,
     contains_ideal,
@@ -168,6 +169,24 @@ def test_radical_membership():
     assert radical_contains(J, parse_polynomial("x", R2))
     assert not radical_contains(J, parse_polynomial("y", R2))
     assert radical_contains(I("x^2 + y^2"), parse_polynomial("x^2 + y^2", R2))
+
+
+def test_membership_tests_share_one_division_per_ideal(monkeypatch):
+    built = []
+    init = conesign.ideals._Divider.__init__
+
+    def counted(self, basis, order):
+        built.append(basis)
+        init(self, basis, order)
+
+    monkeypatch.setattr(conesign.ideals._Divider, "__init__", counted)
+    J = I("x^2 - y, x*y - 1")
+    assert contains_ideal(J, I("x^3 - 1, y^2 - x, x^2 - y"))
+    assert not J.contains(parse_polynomial("x - 1", R2))
+    assert standard_monomials(J) == [(0, 0), (0, 1), (1, 0)]
+    with pytest.raises(RingMismatchError):
+        J.contains(parse_polynomial("x", R1))
+    assert built == [J.gb()]
 
 
 # (ideal of k[x, y, z], f, the saturation by f, whether f lies in the radical)
