@@ -41,11 +41,15 @@ by the same update, so only pairs with new elements are formed and pruned
 interreduced, and sorted, hence canonical for (ideal or submodule, order).
 Every public entry passes its input through one step, `_packed_input`,
 which drops zeros, checks one ring and one rank, and packs.  All work with a
-given basis goes through one builder, `_Divider`, which makes the divisors
-monic and finds their leads once: division of packed or plain term dicts,
-the standard terms below the leads, and the Schreyer syzygies (`_syzygies`,
-read off the S-pair reductions' quotients), which `module_syzygies` unpacks
-and `hilb` uses packed."""
+given basis goes through one builder, `_Divider`, which normalizes the
+divisors as Buchberger does (monic mod p, primitive integer over Q) and
+finds their leads once: division of packed or plain term dicts, the
+standard terms below the leads, and the Schreyer syzygies (`_syzygies`, read
+off the S-pair reductions' quotients and multipliers), which
+`module_syzygies` scales back and unpacks and `hilb` uses packed.  Over Q no
+division builds a `Fraction`: an exact remainder clears the input's
+denominators once and divides by the multiplier and the denominator once at
+the end."""
 
 from __future__ import annotations
 
@@ -62,6 +66,7 @@ from .errors import BoundExceededError, InfiniteColengthError, RingMismatchError
 from .poly import (
     MonomialOrder,
     Polynomial,
+    _integral,
     _KeyMemo,
     _key_function,
     _primitive,
@@ -174,16 +179,18 @@ def _lcm(a: int, b: int, guard: int) -> int:
 
 def _reduce_terms(fterms: dict, basis_terms, basis_lts, pk: _Packing, char: int,
                   quotients=None):
-    """Full normal form of a packed term dict against (basis_terms,
+    """(remainder, multiplier) of a packed term dict against (basis_terms,
     basis_lts), comparing terms by `pk.key`.
 
-    Each divisor is monic, or, over Q, a primitive integer term dict, and
-    then `fterms` holds integers too.  A term c*m falls to element g with
-    lead coefficient lc fraction-free: with d = gcd(c, lc), the work becomes
-    (lc/d) * work - (c/d) * shift * g, and the remainder already emitted and
-    the quotients are scaled by lc/d with it.  So the result is the remainder
-    of a nonzero multiple of `fterms`, and the multiple is 1 when every
-    divisor is monic.
+    Each divisor is monic mod p, and over Q a primitive integer term dict,
+    and then `fterms` holds integers too.  A term c*m falls to element g
+    with lead coefficient lc fraction-free: with d = gcd(c, lc), the work
+    becomes (lc/d) * work - (c/d) * shift * g, and the remainder already
+    emitted and the quotients are scaled by lc/d with it.  So the remainder
+    returned is that of multiplier * fterms, where the multiplier is the
+    product of the factors lc/d applied, and 1 when every divisor is monic.
+    The selection of terms and divisors does not depend on the scaling, so
+    it is also multiplier times the remainder of plain division.
 
     The next term is the top of a heap of heap keys, one pushed for each
     term that comes new into the work; a term that has cancelled since is
@@ -196,6 +203,7 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, pk: _Packing, char: int,
     fterms = sum of quotient * element + remainder.
     """
     key, guard = pk.key, pk.guard
+    lam = 1
     rem: dict = {}
     work = dict(fterms)
     heap = [key(m) for m in work]
@@ -221,6 +229,7 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, pk: _Packing, char: int,
             d = gcd(c, glc)
             a, c = glc // d, c // d
             if a != 1:
+                lam *= a
                 work = {t: v * a for t, v in work.items()}
                 rem = {t: v * a for t, v in rem.items()}
                 if quotients is not None:
@@ -231,7 +240,7 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, pk: _Packing, char: int,
             quotients[hit][shift] = c
         for t in _sub_multiple(work, c, shift, g, char, skip=glt):
             push(heap, key(t))
-    return rem
+    return rem, lam
 
 
 def _sub_multiple(target: dict, factor, shift: int, terms: dict, char: int, skip=None) -> list:
@@ -277,26 +286,42 @@ def _packed_input(elements, order: MonomialOrder):
         pk.pack(e.to_dict() if pk.rank else e.terms) for e in elements]
 
 
+def _normalized(terms: dict, lt: int, rng) -> dict:
+    """The divisor the kernel takes for a nonzero packed term dict with lead
+    lt: monic mod p, over Q the primitive integer multiple with a positive
+    lead."""
+    char = rng.characteristic
+    return _scaled(terms, rng.coeff_inv(terms[lt]), char) if char else _primitive(terms, lt)
+
+
 class _Divider:
     """Division by a fixed list of polynomials or module vectors, which pass
-    the input step and are scaled by `inv` (inverse lead coefficients) to
-    monic, once.  `remainder` divides a packed term dict; calling the
-    divider divides a term dict, {m: c} or {(pos, m): c}."""
+    the input step and are normalized once (`_normalized`).  `remainder`
+    divides a packed term dict, with integer coefficients over Q, and
+    returns (remainder, multiplier) as `_reduce_terms` does; calling the
+    divider divides a term dict, {m: c} or {(pos, m): c}, and returns its
+    exact remainder."""
 
     def __init__(self, basis, order: MonomialOrder):
         self.ring, self.pk, packed = _packed_input(basis, order)
         self.lts = [min(d, key=self.pk.key) for d in packed]
-        lcs = [d[lt] for d, lt in zip(packed, self.lts)]
-        self.inv = [1 if c == 1 else self.ring.coeff_inv(c) for c in lcs]
-        self.divisors = [_scaled(d, s, self.ring.characteristic) for d, s in zip(packed, self.inv)]
+        self.divisors = [_normalized(d, lt, self.ring) for d, lt in zip(packed, self.lts)]
 
-    def remainder(self, packed: dict) -> dict:
+    def remainder(self, packed: dict):
         return _reduce_terms(packed, self.divisors, self.lts, self.pk, self.ring.characteristic)
 
     def __call__(self, terms: dict) -> dict:
         if not self.lts:
             return dict(terms)  # nothing divides
-        return self.pk.unpack(self.remainder(self.pk.pack(terms)))
+        pk = self.pk
+        if self.ring.characteristic:
+            return pk.unpack(self.remainder(pk.pack(terms))[0])
+        # over Q the denominators are cleared once and the remainder of
+        # lam * den * terms divided by lam * den once
+        nums, den = _integral(terms)
+        rem, lam = self.remainder(pk.pack(nums))
+        den *= lam
+        return {m: Fraction(c, den) for m, c in pk.unpack(rem).items()}
 
     def standard_terms(self):
         """The packed terms that no lead divides, in ascending order, or
@@ -421,8 +446,7 @@ def _groebner(polys, pk: _Packing, rng, max_pairs: int, known: int = 0) -> list:
     seq = itertools.count()
 
     def add(terms, lt):
-        bt.append(_scaled(terms, rng.coeff_inv(terms[lt]), char) if char
-                  else _primitive(terms, lt))
+        bt.append(_normalized(terms, lt, rng))
         lts.append(lt)
         if len(lts) > known:
             _update_pairs(lts, pairs, pk, seq)
@@ -437,7 +461,7 @@ def _groebner(polys, pk: _Packing, rng, max_pairs: int, known: int = 0) -> list:
         processed += 1
         if processed > max_pairs:
             raise BoundExceededError(f"pair bound {max_pairs} exceeded")
-        rem = _reduce_terms(_spair(bt[i], lts[i], bt[j], lts[j], l, char), bt, lts, pk, char)
+        rem, _ = _reduce_terms(_spair(bt[i], lts[i], bt[j], lts[j], l, char), bt, lts, pk, char)
         if rem:
             add(rem, next(iter(rem)))
 
@@ -464,8 +488,8 @@ def _reduce_groebner(terms, lts, pk: _Packing, char: int) -> list:
         # no other minimal lead divides lts[i], so the remainder keeps it;
         # mod p with coefficient 1, over Q with the multiple's, divided out
         others = [j for j in keep if j != i]
-        rem = _reduce_terms(terms[i], [terms[j] for j in others],
-                            [lts[j] for j in others], pk, char)
+        rem, _ = _reduce_terms(terms[i], [terms[j] for j in others],
+                               [lts[j] for j in others], pk, char)
         if not char:
             lc = rem[lts[i]]
             rem = {m: Fraction(c, lc) for m, c in rem.items()}
@@ -570,16 +594,20 @@ def module_buchberger(vectors, order: MonomialOrder, max_pairs: int = DEFAULT_MA
 
 
 def _syzygies(divide: _Divider) -> list:
-    """The Schreyer syzygies of the divider's monic divisors, each one packed
-    dict of shifts (monomials, no position fields) per divisor: for each pair
-    of leads at one position, m_ij e_i - m_ji e_j - sum_k q_k e_k, where
-    m_ij lt_i is their lcm and the q_k are the quotients of their S-vector.
-    A pair is skipped when a third lead divides its lcm and both lcms with
-    that lead divide it strictly (the chain criterion).  Raises ValueError
-    on a remainder, that is, when the divisors are not a Groebner basis."""
+    """The Schreyer syzygies of the divider's divisors, each as (one packed
+    dict of shifts, monomials with no position fields, per divisor; mu).
+    For each pair of leads at one position, with lcm l = m_i lt_i = m_j lt_j,
+    lead coefficients c_i, c_j and d = gcd(c_i, c_j), the S-vector
+    (c_i/d) m_j b_j - (c_j/d) m_i b_i is reduced with its quotients q_k, and
+    its multiplier lam (see `_reduce_terms`) gives the syzygy
+    lam (c_j/d) m_i e_i - lam (c_i/d) m_j e_j + sum_k q_k e_k; over Q all of
+    it is integer.  It is mu = lam c_i c_j / d times the syzygy of the monic
+    divisors with coefficient 1 at m_i e_i, and mod p mu is 1.  A pair is
+    skipped when a third lead divides its lcm and both lcms with that lead
+    divide it strictly (the chain criterion).  Raises ValueError on a
+    remainder, that is, when the divisors are not a Groebner basis."""
     rng, pk, bt, lts = divide.ring, divide.pk, divide.divisors, divide.lts
     char, guard, place = rng.characteristic, pk.guard, pk.place
-    one, minus_one = rng.coeff(1), rng.coeff(-1)
     out = []
     for j, ltj in enumerate(lts):
         for i, lti in enumerate(lts[:j]):
@@ -591,14 +619,18 @@ def _syzygies(divide: _Divider) -> list:
                    and _lcm(lti, lt, guard) != l and _lcm(ltj, lt, guard) != l
                    for k, lt in enumerate(lts)):
                 continue  # the chain criterion
-            # reduce m_ji b_j - m_ij b_i, the negated S-vector, so that its
-            # quotients enter the syzygy with their own sign
+            # reduce the S-vector with the sign that lets its quotients
+            # enter the syzygy with their own
             syz = [{} for _ in lts]
-            if _reduce_terms(_spair(bt[j], ltj, bt[i], lti, l, char), bt, lts, pk, char, syz):
+            rem, lam = _reduce_terms(_spair(bt[j], ltj, bt[i], lti, l, char), bt, lts, pk,
+                                     char, syz)
+            if rem:
                 raise ValueError("module_syzygies requires a Groebner basis")
-            syz[i][l - lti] = one
-            syz[j][l - ltj] = minus_one
-            out.append(syz)
+            ci, cj = bt[i][lti], bt[j][ltj]
+            d = gcd(ci, cj)
+            syz[i][l - lti] = lam * (cj // d)
+            syz[j][l - ltj] = -lam * (ci // d) % char if char else -lam * (ci // d)
+            out.append((syz, lam * ci * cj // d))
     return out
 
 
@@ -612,11 +644,23 @@ def module_syzygies(gb, order: MonomialOrder):
     if any(v.is_zero() for v in gb):
         raise ValueError("module_syzygies requires nonzero vectors")
     divide = _Divider(gb, order)
-    rng, rank, fields = divide.ring, divide.pk.rank, divide.pk.fields
+    rng, pk = divide.ring, divide.pk
     char, zero = rng.characteristic, Polynomial.zero(rng)
-    # a shift has no position fields: its monomial is what is left;
-    # component k of the monic basis's syzygy is scaled back by inv[k]
-    return [ModuleVector([
-        Polynomial(rng, {fields(t)[rank:]: c for t, c in _scaled(d, s, char).items()},
-                   normalize=False) if d else zero
-        for d, s in zip(syz, divide.inv)]) for syz in _syzygies(divide)]
+    # divisor k is scales[k] times gb[k]
+    scales = []
+    for v, g, lt in zip(gb, divide.divisors, divide.lts):
+        (pos, m), = pk.unpack({lt: 1})
+        scales.append(g[lt] * rng.coeff_inv(v.components[pos].terms[m]))
+
+    def component(d: dict, scale, mu) -> Polynomial:
+        # component k of a divisors' syzygy, over gb: times scales[k], and
+        # over mu to the syzygy of the monic divisors (mod p mu is 1); a
+        # shift has no position fields, so its monomial is what is left
+        if not d:
+            return zero
+        scaled = _scaled(d, scale, char) if char else {t: c * scale / mu for t, c in d.items()}
+        return Polynomial(rng, {pk.fields(t)[pk.rank:]: c for t, c in scaled.items()},
+                          normalize=False)
+
+    return [ModuleVector([component(d, s, mu) for d, s in zip(syz, scales)])
+            for syz, mu in _syzygies(divide)]

@@ -12,21 +12,26 @@ the engine's packed terms, which it treats as opaque ints whose product is
 their sum.  It also checks, once for Hilb and Quot, that the quotient is
 finite, the coefficients are rational and the basis has the rank asked for.
 The Hilbert scheme is its rank-1 case: an ideal I enters as its own reduced
-basis, packed as polynomials.
+basis, packed as polynomials.  A monomial ideal of a plane partition
+arrives with its minimal generators as that basis, so it needs no
+Buchberger run.
 
 The system is about 2% nonzero, so its rows are {column: value} dicts from
-the start, and `linalg` eliminates them as such.  The basis is monic, so
-division by it is linear, and each term that a row needs is divided once
-per computation and its remainder reused.
+the start, and `linalg` eliminates them as such.  Over Q the divisors are
+primitive integer term dicts: the syzygies are integer, and each term that
+a row needs is divided once per computation, fraction-free, and its
+remainder kept with its multiplier.  Each syzygy's equations are scaled by
+the lcm of the multipliers they meet, so every row is an integer row and no
+`Fraction` is built in the system.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import BoundExceededError, InfiniteColengthError
 from .groebner import _Divider, _syzygies, module_buchberger
@@ -91,15 +96,21 @@ def enumerate_plane_partitions(n: int, bound: int = 8) -> list:
 
 def monomial_ideal_of(p: PlanePartition,
                       rng: RingDescriptor | None = None) -> IdealPresentation:
-    """The monomial ideal whose standard monomials are the partition's boxes."""
+    """The monomial ideal whose standard monomials are the partition's boxes,
+    given with its reduced basis: its minimal generators, the outer corners
+    b + e_i outside the boxes and closed below (the origin, for the empty
+    partition), sorted by ascending degrevlex lead.  The minimal generators
+    of a monomial ideal are its reduced basis under every order."""
     rng = rng if rng is not None else ring("x, y, z")
     if rng.arity != 3:
         raise ValueError("plane partitions live in three variables")
-    caps = [max((b[i] for b in p.boxes), default=0) + 2 for i in range(3)]
-    gens = [Polynomial.from_monomial(rng, m)
-            for m in itertools.product(*(range(c) for c in caps))
-            if m not in p.boxes and _closed_below(m, p.boxes)]
-    return IdealPresentation(rng, gens)
+    boxes = p.boxes
+    corners = {(b[0] + d[0], b[1] + d[1], b[2] + d[2])
+               for b in boxes for d in _DIRECTIONS} if boxes else {(0, 0, 0)}
+    gens = sorted((m for m in corners if m not in boxes and _closed_below(m, boxes)),
+                  key=degrevlex(rng).key)
+    return IdealPresentation.from_reduced_basis(
+        rng, [Polynomial.from_monomial(rng, m) for m in gens])
 
 
 @dataclass(frozen=True)
@@ -148,8 +159,7 @@ class ScanSummary:
         }
 
 
-def _scan_worker(boxes) -> int:
-    p = PlanePartition(frozenset(tuple(b) for b in boxes))
+def _scan_worker(p: PlanePartition) -> int:
     return tangent_dimension_hilb(monomial_ideal_of(p)).tangent_dim
 
 
@@ -164,13 +174,12 @@ def _worker_count(jobs: int, tasks: int) -> int:
 def parity_scan(n: int, jobs: int = 1, bound: int = 8) -> ScanSummary:
     """Tangent dimensions and parity over every monomial ideal of colength n."""
     parts = enumerate_plane_partitions(n, bound=bound)
-    payloads = [tuple(p.sorted_boxes()) for p in parts]
-    workers = _worker_count(jobs, len(payloads))
+    workers = _worker_count(jobs, len(parts))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            dims = list(pool.map(_scan_worker, payloads))
+            dims = list(pool.map(_scan_worker, parts))
     else:
-        dims = [_scan_worker(b) for b in payloads]
+        dims = [_scan_worker(p) for p in parts]
     rows = []
     violations = []
     for i, t in enumerate(dims):
@@ -214,19 +223,28 @@ def _tangent_report(divide: _Divider, rank: int) -> TangentReport:
     if (divide.pk.rank or 1) != rank:
         raise ValueError(f"vectors of rank {divide.pk.rank} given for rank {rank}")
     n, k = len(std), len(divide.lts)
-    # division is linear, so each term is divided once and its remainder kept
+    # each term is divided once: its remainder is that of a multiple lam of
+    # it, an integer term dict over Q, kept with lam
     remainder = functools.cache(lambda term: divide.remainder({term: 1}))
     rows = []
-    for s in _syzygies(divide):
-        # one equation per quotient term, unknowns the coordinates of phi(g_j)
+    for s, _ in _syzygies(divide):
+        # one equation per quotient term, unknowns the coordinates of phi(g_j);
+        # the syzygy's equations are scaled by the lcm of the multipliers
+        # they meet, so every entry is an integer
+        parts = [(j * n + bi, c, remainder(t + m))
+                 for j, a in enumerate(s) for t, c in a.items()
+                 for bi, m in enumerate(std)]
+        scale = lcm(*{lam for _, _, (_, lam) in parts})
         per_target = {}
-        for j, a in enumerate(s):
-            for bi, m in enumerate(std):
-                col = j * n + bi
-                for t, c in a.items():
-                    for target, d in remainder(t + m).items():
-                        row = per_target.setdefault(target, {})
-                        row[col] = row.get(col, 0) + c * d
+        for col, c, (rem, lam) in parts:
+            c *= scale // lam
+            for target, d in rem.items():
+                row = per_target.setdefault(target, {})
+                x = row.get(col, 0) + c * d
+                if x:
+                    row[col] = x
+                else:
+                    del row[col]
         rows.extend(per_target.values())
     tangent = k * n - rational_rank(rows)
     return TangentReport(colength=n, tangent_dim=tangent,

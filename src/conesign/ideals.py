@@ -88,8 +88,10 @@ class IdealPresentation:
         ascending lead.  Nothing checks this.  The basis is cached, so no
         Buchberger run repeats it.
 
-        Callers: `eliminate` (the w-free part of a reduced block-order basis)
-        and `minimal_primes` (each prime's own basis)."""
+        Callers: `eliminate` (the w-free part of a reduced block-order basis),
+        `minimal_primes` (each prime's own basis) and
+        `hilb.monomial_ideal_of` (the minimal generators of a monomial
+        ideal)."""
         I = cls(rng, basis)
         I._gb_cache[degrevlex(rng).signature()] = I.generators
         return I

@@ -68,8 +68,13 @@ def _primitive(row: dict) -> dict:
 def _integer_row(row) -> dict:
     """The primitive integer dict row spanning the same line as a row of
     rationals (ints or Fractions), given as a dict or a list: one lcm of the
-    denominators per row, zero entries dropped."""
-    return _primitive(_integral({c: v for c, v in _entries(row) if v})[0])
+    denominators per row, zero entries dropped.  A primitive dict row of
+    nonzero ints is returned as it is."""
+    if not isinstance(row, dict) or not all(row.values()):
+        row = {c: v for c, v in _entries(row) if v}
+    if not all(type(v) is int for v in row.values()):
+        row = _integral(row)[0]
+    return _primitive(row)
 
 
 def rational_rank(rows) -> int:

@@ -229,9 +229,9 @@ def _primitive(terms: dict, lt) -> dict:
     int or Fraction)."""
     nums, _ = _integral(terms)
     content = gcd(*nums.values())
-    if terms[lt] < 0:
+    if nums[lt] < 0:
         content = -content
-    return {m: n // content for m, n in nums.items()}
+    return nums if content == 1 else {m: n // content for m, n in nums.items()}
 
 
 # ---------------------------------------------------------------------------

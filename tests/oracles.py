@@ -405,19 +405,25 @@ def _module_axpy(target, scale, shift, vector, p):
             target.pop(t, None)
 
 
-def module_division_remainder(v, divisors, key, p=0):
+def module_division_remainder(v, divisors, key, p=0, quotients=None):
     """Remainder of v on division by `divisors` under the module term order
     `key`: take the largest remaining term, cancel it with the first divisor
     whose lead sits at the same position with a dividing monomial, or move
-    it to the remainder."""
+    it to the remainder.  With `quotients`, a list of one dict per divisor,
+    each cancellation adds its factor at its shift, so that v is the sum of
+    quotient * divisor and the remainder."""
     work, rem = dict(v), {}
-    leads = [(max(g, key=key), g) for g in divisors if g]
+    leads = [(k, max(g, key=key), g) for k, g in enumerate(divisors) if g]
     while work:
         pos, m = t = max(work, key=key)
-        for (lpos, lm), g in leads:
+        for k, (lpos, lm), g in leads:
             if lpos == pos and all(a >= b for a, b in zip(m, lm)):
-                _module_axpy(work, work[t] * _inverse(g[(lpos, lm)], p),
-                             tuple(a - b for a, b in zip(m, lm)), g, p)
+                scale = work[t] * _inverse(g[(lpos, lm)], p)
+                shift = tuple(a - b for a, b in zip(m, lm))
+                if quotients is not None:
+                    q = quotients[k].get(shift, 0) + scale
+                    quotients[k][shift] = q % p if p else q
+                _module_axpy(work, scale, shift, g, p)
                 break
         else:
             rem[t] = work.pop(t)
@@ -432,6 +438,43 @@ def module_s_pair(f, g, key, p=0):
     out = {}
     _module_axpy(out, -_inverse(f[(pos, lf)], p), tuple(a - b for a, b in zip(lcm, lf)), f, p)
     _module_axpy(out, _inverse(g[(pos, lg)], p), tuple(a - b for a, b in zip(lcm, lg)), g, p)
+    return out
+
+
+def schreyer_syzygies(divisors, key, p=0):
+    """Schreyer's syzygies of module vectors that form a Groebner basis under
+    `key`, each a list of one {exponent tuple: coefficient} dict per
+    divisor.  For j = 0, 1, ... and each i < j whose leads share a position,
+    with lcm l, unless a third lead divides l and its lcms with both leads
+    divide l strictly: (l / lt_i) / lc_i at e_i, minus (l / lt_j) / lc_j at
+    e_j, plus the quotients of their S-vector, taken with lt_j first."""
+    leads = [max(g, key=key) for g in divisors]
+
+    def lcm(a, b):
+        return tuple(map(max, a, b))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    out = []
+    for j, (pj, mj) in enumerate(leads):
+        for i, (pi, mi) in enumerate(leads[:j]):
+            if pi != pj:
+                continue
+            l = lcm(mi, mj)
+            if any(k not in (i, j) and pk == pi and divides(mk, l)
+                   and lcm(mi, mk) != l and lcm(mj, mk) != l
+                   for k, (pk, mk) in enumerate(leads)):
+                continue
+            syz = [{} for _ in divisors]
+            rem = module_division_remainder(
+                module_s_pair(divisors[j], divisors[i], key, p), divisors, key, p, syz)
+            assert rem == {}, "not a Groebner basis"
+            for k, sign in ((i, 1), (j, -1)):
+                shift = tuple(a - b for a, b in zip(l, leads[k][1]))
+                c = syz[k].get(shift, 0) + sign * _inverse(divisors[k][leads[k]], p)
+                syz[k][shift] = c % p if p else c
+            out.append([{m: c for m, c in d.items() if c} for d in syz])
     return out
 
 

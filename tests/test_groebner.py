@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -14,6 +14,7 @@ from oracles import (
     module_term_key,
     monomial_syzygies,
     s_pair,
+    schreyer_syzygies,
 )
 
 from conesign import (
@@ -124,8 +125,8 @@ def test_fraction_free_reduction_records_quotients_of_a_multiple():
     f = parse_polynomial("7*x^3*y^3 + 5*x^2*y*z^2 - 2*x*y^2*z + 3", R3)
     terms = pk.pack({m: int(c) for m, c in f.terms.items()})
     quotients = [{} for _ in divisors]
-    rem = _reduce_terms(terms, [pk.pack({m: int(c) for m, c in g.terms.items()})
-                                for g in divisors], lts, pk, 0, quotients)
+    rem, multiplier = _reduce_terms(terms, [pk.pack({m: int(c) for m, c in g.terms.items()})
+                                            for g in divisors], lts, pk, 0, quotients)
     rem = pk.unpack(rem)
     total = Polynomial(R3, rem)
     for q, g in zip(quotients, divisors):
@@ -134,6 +135,37 @@ def test_fraction_free_reduction_records_quotients_of_a_multiple():
     multiple = total.terms[lead] / c
     assert multiple != 1 and total == f * multiple
     assert Polynomial(R3, rem) == normal_form(f, divisors, order) * multiple
+    assert multiplier == multiple
+
+
+@st.composite
+def non_monic_divisions(draw):
+    """(ring, generators, f): one or two integer generators of up to three
+    terms in 2 or 3 variables, and f with Fraction coefficients."""
+    rng = draw(st.sampled_from([R2, R3]))
+    mono = st.tuples(*[st.integers(0, 2)] * rng.arity)
+    terms = st.dictionaries(mono, st.integers(-6, 6).filter(bool), min_size=2, max_size=3)
+    generators = draw(st.lists(st.builds(lambda t: Polynomial(rng, t), terms),
+                               min_size=1, max_size=2))
+    coeff = st.fractions(-5, 5, max_denominator=7).filter(bool)
+    f = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * rng.arity), coeff,
+                             min_size=1, max_size=5))
+    return rng, generators, Polynomial(rng, f)
+
+
+@given(case=non_monic_divisions())
+@settings(max_examples=80, deadline=None)
+def test_division_by_a_basis_with_non_unit_primitive_leads_matches_the_oracle(case):
+    # over Q the divisors are the primitive integer multiples of the basis;
+    # a basis element with a non-integral coefficient has one whose lead is
+    # not 1, so the division runs fraction-free with a multiplier
+    rng, generators, f = case
+    order = degrevlex(rng)
+    basis = buchberger(generators, order)
+    assume(any(c.denominator > 1 for g in basis for c in g.terms.values()))
+    r = _Divider(basis, order)(f.terms)
+    assert r == division_remainder(f.terms, [g.terms for g in basis])
+    assert all(isinstance(c, Fraction) for c in r.values())
 
 
 def test_a_term_that_cancels_and_comes_back_is_taken_up_once():
@@ -647,6 +679,30 @@ def test_basis_of_the_syzygies_of_a_rank_3_module_is_groebner():
     assert module_syzygies(S, order)
     divide = _Divider(S, order)
     assert all(divide(s.to_dict()) == {} for s in syz)
+
+
+@pytest.mark.parametrize("rows", [
+    [("3*x^2 + 2*y", "x*z"), ("5*y^2 - x", "2*z"), ("x*y", "7*y + 1")],
+    [("z", "0", "2*x^2*y^2*z + 2*x*z^2"), ("-3*x^2*y^2", "2*x*z^2", "x^2 + x*z"),
+     ("-3*x^2*y*z + y", "0", "0"), ("1", "5*x^2*y + 5", "x^2*y*z^2 - 3*x*y^2*z")],
+], ids=["rank-2", "rank-3"])
+def test_module_syzygies_over_q_match_the_schreyer_oracle(rows):
+    # the syzygies of a basis over Q, as given and with each vector scaled by
+    # its own constant, are value for value those of the oracle, which
+    # divides by the basis in Fractions; every coefficient is a Fraction
+    order = degrevlex(R3)
+    G = module_buchberger([ModuleVector([parse_polynomial(t, R3) for t in row])
+                           for row in rows], order)
+    assert any(c.denominator > 1 for v in G for p in v.components for c in p.terms.values())
+    scaled = [ModuleVector([Fraction(2 * k + 3, k + 2) * c for c in v.components])
+              for k, v in enumerate(G)]
+    for basis in (G, scaled):
+        syz = module_syzygies(basis, order)
+        oracle = schreyer_syzygies([v.to_dict() for v in basis], module_term_key)
+        assert len(syz) == len(oracle) > 0
+        assert [[c.terms for c in s.components] for s in syz] == oracle
+        assert all(isinstance(c, Fraction)
+                   for s in syz for p in s.components for c in p.terms.values())
 
 
 def test_module_syzygies_reject_what_is_not_a_nonzero_groebner_basis():

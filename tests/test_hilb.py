@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from conesign import (
     ModuleVector,
     PlanePartition,
     Polynomial,
+    buchberger,
     colength,
     enumerate_plane_partitions,
     ideal,
@@ -29,8 +31,12 @@ from conesign import (
     ring,
     tangent_dimension_hilb,
 )
+import conesign.hilb
+import conesign.ideals
 from conesign.groebner import _Divider
 from conesign.hilb import _worker_count
+from conesign.linalg import rational_rank
+from conesign.poly import degrevlex
 
 R3 = ring("x, y, z")
 
@@ -133,6 +139,25 @@ def test_minimal_generators_match_staircase_oracle():
             got = sorted(next(iter(g.terms))
                          for g in monomial_ideal_of(p).generators)
             assert got == want
+
+
+def test_monomial_ideals_carry_their_reduced_basis(monkeypatch):
+    # the minimal generators are the reduced basis under every order: no
+    # Buchberger run gives it, and it is the one a run from scratch gives,
+    # in order; the empty partition gives the unit ideal
+    parts = [PlanePartition(frozenset())]
+    parts += [p for n in range(1, 8) for p in enumerate_plane_partitions(n)]
+    ideals = [monomial_ideal_of(p) for p in parts]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Buchberger run for a monomial ideal")
+
+    monkeypatch.setattr(conesign.ideals, "buchberger", refused)
+    carried = [I.gb() for I in ideals]
+    monkeypatch.undo()
+    for I, G in zip(ideals, carried):
+        assert list(G) == buchberger(I.generators, degrevlex(R3))
+    assert ideals[0].is_unit_ideal()
 
 
 def test_colength_matches_partition_size():
@@ -315,6 +340,37 @@ def test_tangent_at_graded_non_monomial_points(d, forms, seed, n, tangent):
     for J in [I] + moved:
         rep = tangent_dimension_hilb(J)
         assert (rep.colength, rep.tangent_dim) == (n, tangent)
+
+
+def test_tangent_rows_reach_the_rank_as_integers(monkeypatch):
+    # the divisors are primitive integer term dicts and each syzygy's
+    # equations are scaled to clear the multipliers of its remainders, so
+    # no row of a tangent system holds a Fraction
+    seen = []
+
+    def rank(rows):
+        rows = list(rows)
+        seen.append(rows)
+        return rational_rank(rows)
+
+    monkeypatch.setattr(conesign.hilb, "rational_rank", rank)
+    boxes = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)}
+    I = monomial_ideal_of(PlanePartition(frozenset(boxes)))
+    x, y, z = (Polynomial.variable(R3, v) for v in "xyz")
+    zero, half = Polynomial.zero(R3), Polynomial.constant(R3, Fraction(1, 2))
+    K = [ModuleVector((g, zero)) for g in ideal(R3, "x^2 + 3*y^2, x*y, z").generators]
+    K += [ModuleVector((zero, x - half * y)), ModuleVector((zero, y * y)),
+          ModuleVector((zero, z)), ModuleVector((y, 2 * z))]
+    cases = [(tangent_dimension_hilb, (I,), 5, 15),
+             (tangent_dimension_hilb, (I.translate((1, -2, Fraction(1, 3))),), 5, 15),
+             (tangent_dimension_hilb, (graded_point(3, 3, 1),), 17, 81),
+             (quot_tangent_dimension, (K, 2), 4, 20)]
+    for compute, args, n, tangent in cases:
+        seen.clear()
+        rep = compute(*args)
+        assert (rep.colength, rep.tangent_dim) == (n, tangent)
+        assert len(seen) == 1 and seen[0]
+        assert all(type(v) is int for row in seen[0] for v in row.values())
 
 
 # ------------------------------------------------------------ parity scan
