@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--ideal", required=True)
     ps = hsub.add_parser("parity-scan", help="parity over all monomial ideals")
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--jobs", type=int, default=None)
+    # suppressed when absent, so it cannot overwrite a top-level --jobs
+    ps.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     return parser
 
 
@@ -342,8 +343,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
             emit(report.to_json_dict(), cfg)
             return 0
         if args.hilb_command == "parity-scan":
-            jobs = args.jobs if args.jobs is not None else cfg.jobs
-            summary = parity_scan(args.n, jobs=jobs, bound=cfg.max_n)
+            summary = parity_scan(args.n, jobs=cfg.jobs, bound=cfg.max_n)
             rows = [[r.partition_id, r.n, r.tangent_dim,
                      "true" if r.parity else "false"] for r in summary.rows]
             emit(summary.to_json_dict(), cfg, csv_rows=rows,

@@ -11,8 +11,8 @@ sympy, imported on first use, only for the rest.
   small prime that does not divide its leading coefficient.  A
   factorization over Q would restrict to one with a linear factor, which
   has a root modulo every such prime.
-- Everything else (degree 4 and up, cubics without such a certificate, and
-  `factor_univariate`) goes to `sympy.factor_list`.
+- Everything else (degree 4 and up, and cubics without such a
+  certificate) goes to `sympy.factor_list`.
 
 Every factor, native or from sympy, is normalized the same way: primitive
 integer coefficients, and a positive leading coefficient under lex in the
@@ -182,13 +182,3 @@ def factor_polynomial(f: Polynomial):
     out.sort(key=lambda fe: (fe[0].total_degree(), fe[0].to_text()))
     return out
 
-
-def factor_univariate(coeffs) -> list:
-    """Factor sum(coeffs[k] * T^k) over Q; returns [(coeff_list, exponent)],
-    each factor with primitive integer coefficients and a positive leading one."""
-    terms = {(k,): Fraction(c) for k, c in enumerate(coeffs) if c}
-    out = []
-    for g, e in _sympy_factor_list(terms, 1):
-        (top,) = max(g)
-        out.append(([Fraction(g.get((k,), 0)) for k in range(top + 1)], e))
-    return out

@@ -72,6 +72,16 @@ class PlanePartition:
         return {"boxes": [list(b) for b in self.sorted_boxes()]}
 
 
+def _outer_corners(boxes) -> list:
+    """The boxes that can be added to a plane partition, which are the
+    exponents of its monomial ideal's minimal generators: each b + e_i
+    outside the boxes and closed below, or the origin when there are none."""
+    if not boxes:
+        return [(0, 0, 0)]
+    corners = {(b[0] + d[0], b[1] + d[1], b[2] + d[2]) for b in boxes for d in _DIRECTIONS}
+    return [m for m in corners if m not in boxes and _closed_below(m, boxes)]
+
+
 def enumerate_plane_partitions(n: int, bound: int = 8) -> list:
     """All plane partitions of size n, sorted by their box lists."""
     if n < 1:
@@ -79,16 +89,9 @@ def enumerate_plane_partitions(n: int, bound: int = 8) -> list:
     if n > bound:
         raise BoundExceededError(
             f"partition size {n} exceeds the configured bound {bound}")
-    level = {frozenset({(0, 0, 0)})}
-    for _ in range(n - 1):
-        grown = set()
-        for boxes in level:
-            for b in boxes:
-                for d in _DIRECTIONS:
-                    cand = (b[0] + d[0], b[1] + d[1], b[2] + d[2])
-                    if cand not in boxes and _closed_below(cand, boxes):
-                        grown.add(boxes | {cand})
-        level = grown
+    level = {frozenset()}
+    for _ in range(n):
+        level = {boxes | {m} for boxes in level for m in _outer_corners(boxes)}
     parts = [PlanePartition(boxes) for boxes in level]
     parts.sort(key=lambda p: p.sorted_boxes())
     return parts
@@ -98,17 +101,12 @@ def monomial_ideal_of(p: PlanePartition,
                       rng: RingDescriptor | None = None) -> IdealPresentation:
     """The monomial ideal whose standard monomials are the partition's boxes,
     given with its reduced basis: its minimal generators, the outer corners
-    b + e_i outside the boxes and closed below (the origin, for the empty
-    partition), sorted by ascending degrevlex lead.  The minimal generators
-    of a monomial ideal are its reduced basis under every order."""
+    of the partition, sorted by ascending degrevlex lead.  The minimal
+    generators of a monomial ideal are its reduced basis under every order."""
     rng = rng if rng is not None else ring("x, y, z")
     if rng.arity != 3:
         raise ValueError("plane partitions live in three variables")
-    boxes = p.boxes
-    corners = {(b[0] + d[0], b[1] + d[1], b[2] + d[2])
-               for b in boxes for d in _DIRECTIONS} if boxes else {(0, 0, 0)}
-    gens = sorted((m for m in corners if m not in boxes and _closed_below(m, boxes)),
-                  key=degrevlex(rng).key)
+    gens = sorted(_outer_corners(p.boxes), key=degrevlex(rng).key)
     return IdealPresentation.from_reduced_basis(
         rng, [Polynomial.from_monomial(rng, m) for m in gens])
 

@@ -46,9 +46,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotHomogeneousError, PointNotOnVarietyError, RingMismatchError
-from .factor import factor_polynomial, factor_univariate, gram_matrix
+from .factor import factor_polynomial, gram_matrix
 from .groebner import _Divider, _Extending, buchberger
-from .linalg import _echelon, rational_rank, solve_combination
+from .linalg import _echelon, _primitive, rational_rank
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -504,49 +504,33 @@ def _is_linear(gb) -> bool:
     return all(g.total_degree() <= 1 for g in gb)
 
 
-def minimal_polynomial_of_variable(I: IdealPresentation, var: int) -> list:
-    """Monic minimal polynomial of x_var acting on the finite quotient R/I.
+def _minimal_polynomial(I: IdealPresentation, var: int) -> Polynomial:
+    """A constant multiple of the minimal polynomial of x_var acting on the
+    finite quotient R/I: the generator of I meet Q[x_var].
 
-    Returned as a dense coefficient list, constant term first.
+    Division gives lam_k * x^k = rem_k modulo I for k = 0..n, n the
+    colength.  Each row holds rem_k over the standard terms and lam_k in a
+    tag column for x^k, the tags after the standard terms and higher powers
+    first.  A combination of rows with no standard-term entry is a
+    polynomial in x of degree at most n that lies in I, read off its tags.
+    These are the multiples of the minimal polynomial, so the pivot row at
+    the last pivot column, which has the lowest degree among them, is the
+    minimal polynomial times a constant.
     """
-    basis = standard_monomials(I)
-    index = {m: k for k, m in enumerate(basis)}
     divide = I._division()
-    x = Polynomial.variable(I.ring, var)
-    power = Polynomial.one(I.ring)
-    vectors = []
-    while True:
-        vec = {index[m]: c for m, c in divide(power.terms).items()}
-        combo = solve_combination(vectors, vec)
-        if combo is not None:
-            coeffs = [-c for c in combo] + [Fraction(1)]
-            return coeffs
-        vectors.append(vec)
-        power = power * x
-
-
-def _zero_dim_prime_test(I: IdealPresentation):
-    """('prime',) / ('split', polys) / ('undecided',) for 0-dimensional I."""
-    size = colength(I)
-    if size == 1:
-        return ("prime",)
-    best_degree = 0
-    for var in range(I.ring.arity):
-        coeffs = minimal_polynomial_of_variable(I, var)
-        facs = factor_univariate(coeffs)
-        if len(facs) > 1 or facs[0][1] > 1:
-            x = Polynomial.variable(I.ring, var)
-            branch = []
-            for cs, _ in facs:
-                g = Polynomial.zero(I.ring)
-                for k, c in enumerate(cs):
-                    g = g + I.ring.coeff(c) * x**k
-                branch.append(g)
-            return ("split", branch)
-        best_degree = max(best_degree, len(coeffs) - 1)
-    if best_degree == size:
-        return ("prime",)
-    return ("undecided",)
+    std = divide.standard_terms()
+    n = len(std)
+    column = {t: c for c, t in enumerate(std)}
+    unit = divide.pk.units[var]
+    rows = []
+    for k in range(n + 1):
+        rem, lam = divide.remainder({k * unit: 1})
+        row = {column[t]: c for t, c in rem.items()}
+        row[2 * n - k] = lam
+        rows.append(row)
+    pivots = _echelon(rows, _primitive)
+    tags = pivots[max(pivots)]
+    return Polynomial(I.ring, divide.pk.unpack({(2 * n - c) * unit: v for c, v in tags.items()}))
 
 
 def _geometric_flag(I: IdealPresentation) -> str:
@@ -574,7 +558,9 @@ def _certify_prime(I: IdealPresentation):
     The reduced basis of a prime has no reducible element, so the first
     element that factors nontrivially splits I along its factors.  When
     none does, I is prime if its basis is linear or a single irreducible
-    polynomial; in dimension 0 the minimal polynomials decide.
+    polynomial.  In dimension 0 the minimal polynomials of the variables
+    on R/I decide: a reducible one splits I along its factors, and an
+    irreducible one of degree equal to the colength makes R/I a field.
     """
     gb = I.gb()
     for g in gb:
@@ -584,7 +570,14 @@ def _certify_prime(I: IdealPresentation):
     if _is_linear(gb) or len(gb) == 1:
         return ("prime",)
     if dimension(I) == 0:
-        return _zero_dim_prime_test(I)
+        size = colength(I)
+        for var in range(I.ring.arity):
+            m = _minimal_polynomial(I, var)
+            facs = factor_polynomial(m)
+            if sum(e for _, e in facs) > 1:
+                return ("split", [f for f, _ in facs])
+            if m.total_degree() == size:
+                return ("prime",)
     return ("undecided",)
 
 

@@ -1,6 +1,8 @@
-"""Exact rank and linear combinations by one fraction-free elimination.
+"""Exact rank, and the package's one fraction-free elimination.
 
-`_echelon` is the package's only Gaussian elimination.  Rows are sparse
+`_echelon` is the package's only Gaussian elimination: `rational_rank`,
+the generic tangent dimension and the minimal polynomials of `ideals` all
+read their answers off its pivot rows.  Rows are sparse
 {column: value} dicts holding only nonzero entries.  It works over any
 integral domain: a row meeting a pivot row p at column c becomes
 reduce(p[c]·row − row[c]·p), with a caller-supplied `reduce` that keeps
@@ -18,7 +20,6 @@ apart from each other without being looked for.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .poly import _integral
 
@@ -55,11 +56,6 @@ def _echelon(rows, reduce) -> dict:
     return pivots
 
 
-def _entries(row):
-    """The (column, value) pairs of a row given as a dict or a list."""
-    return row.items() if isinstance(row, dict) else enumerate(row)
-
-
 def _primitive(row: dict) -> dict:
     g = math.gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
@@ -71,7 +67,8 @@ def _integer_row(row) -> dict:
     denominators per row, zero entries dropped.  A primitive dict row of
     nonzero ints is returned as it is."""
     if not isinstance(row, dict) or not all(row.values()):
-        row = {c: v for c, v in _entries(row) if v}
+        pairs = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {c: v for c, v in pairs if v}
     if not all(type(v) is int for v in row.values()):
         row = _integral(row)[0]
     return _primitive(row)
@@ -82,27 +79,3 @@ def rational_rank(rows) -> int:
     or a {column: value} dict."""
     return len(_echelon(map(_integer_row, rows), _primitive))
 
-
-def solve_combination(vectors, target):
-    """Coefficients writing target as a combination of vectors, or None.
-
-    Entries are Fractions or ints; vectors and target are each a list or a
-    {coordinate: value} dict.  The coefficients are Fractions; when the
-    vectors are dependent, the coefficients of the non-pivot vectors are 0.
-    """
-    k = len(vectors)
-    # augmented transpose: unknowns are the combination coefficients, one
-    # row per coordinate, the target in column k
-    eqs = {}
-    for j, v in enumerate(vectors + [target]):
-        for i, c in _entries(v):
-            eqs.setdefault(i, {})[j] = c
-    pivots = _echelon([_integer_row(row) for row in eqs.values()], _primitive)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        coeffs[c] = Fraction(row.get(k, 0) - sum(v * coeffs[j] for j, v in row.items()
-                                                if c < j < k), row[c])
-    return coeffs

@@ -33,15 +33,25 @@ MAX_POWER_TERMS = 2000
 MAX_POWER_BITS = 100_000
 
 
+# Miller-Rabin to the first 13 primes decides primality exactly below
+# _PRIME_TEST_BOUND, the least strong pseudoprime to all of them; the first
+# 12 are all fooled by 318665857834031151167461
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin; ValueError from _PRIME_TEST_BOUND on."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"characteristic {n} is too large to test for primality "
+                         f"(the bound is {_PRIME_TEST_BOUND})")
+    if n < 2 or n in _WITNESSES:
+        return n in _WITNESSES
+    # with n - 1 = d * 2^s, d odd, n is a strong probable prime to base a
+    # when a^d = 1 or a^(d * 2^r) = -1 mod n for some r < s
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    return all(x == 1 or n - 1 in (pow(x, 1 << r, n) for r in range(s))
+               for x in (pow(a, (n - 1) >> s, n) for a in _WITNESSES))
 
 
 @dataclass(frozen=True)

@@ -548,3 +548,26 @@ def zero_dim_multiplicity(I, P, other_primes):
             raise ValueError("component list contains nested primes")
         J = saturate(J, pick)
     return colength(J) // colength(P)
+
+
+# ---------------------------------------------------------------------------
+# eliminants by sympy's lex Groebner basis
+
+
+def lex_eliminant(names, generators, var):
+    """The monic generator of I meet Q[var] for the zero-dimensional ideal I
+    generated by the polynomial texts `generators` (with ^ for powers) in
+    the variables `names`, as {exponent: Fraction}: the one element of
+    sympy's reduced lex basis, with `var` the smallest variable, that
+    involves `var` alone."""
+    import sympy
+
+    syms = [sympy.Symbol(v) for v in names]
+    x = syms[names.index(var)]
+    order = [s for s in syms if s != x] + [x]
+    exprs = [sympy.sympify(g.replace("^", "**"), locals=dict(zip(names, syms)))
+             for g in generators]
+    basis = sympy.groebner(exprs, *order, order="lex", domain=sympy.QQ)
+    (g,) = [g for g in basis.exprs if g.free_symbols <= {x}]
+    poly = sympy.Poly(g, x).monic()
+    return {int(k): Fraction(int(c.p), int(c.q)) for (k,), c in poly.terms()}

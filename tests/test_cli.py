@@ -11,8 +11,10 @@ from fractions import Fraction
 
 import pytest
 
+import conesign.cli
 from conesign import ring
-from conesign.cli import CONFIG_ENV, main, parse_point
+from conesign.cli import CONFIG_ENV, build_parser, main, parse_point
+from conesign.hilb import parity_scan
 
 AXES = "ring x, y, z;\nxy, xz, yz\n"
 PAIR = (
@@ -225,6 +227,27 @@ def test_hilb_parity_scan_jobs_output_matches_serial(capsys):
     assert doc1 == doc2
 
 
+@pytest.mark.parametrize("argv, jobs", [
+    (["--jobs", "2", "hilb", "parity-scan", "--n", "3"], 2),
+    (["hilb", "parity-scan", "--n", "3", "--jobs", "2"], 2),
+    # the subcommand's own value wins
+    (["--jobs", "3", "hilb", "parity-scan", "--n", "3", "--jobs", "2"], 2),
+    (["hilb", "parity-scan", "--n", "3"], 1),
+])
+def test_jobs_reaches_parity_scan_from_either_side_of_the_subcommand(
+        argv, jobs, monkeypatch, capsys):
+    assert build_parser().parse_args(argv).jobs == (None if jobs == 1 else jobs)
+    asked = []
+
+    def serial_scan(n, jobs, bound):
+        asked.append(jobs)
+        return parity_scan(n, jobs=1, bound=bound)  # no pool in a test
+
+    monkeypatch.setattr(conesign.cli, "parity_scan", serial_scan)
+    doc = run_json(argv, capsys)
+    assert asked == [jobs] and doc["config"]["jobs"] == jobs
+
+
 # ------------------------------------------------------------- exit codes
 
 
@@ -419,6 +442,17 @@ def test_char_allowed_for_groebner_level_commands(files, capsys):
     ]:
         code, _, err = run_cli(argv, capsys)
         assert code == 0, err
+
+
+def test_a_large_prime_characteristic_is_tested_at_once(files):
+    # trial division of 2^61 - 1 ran for minutes; 2^61 + 1 is divisible by 3
+    for char, code in ((2**61 - 1, 0), (2**61 + 1, 1)):
+        run = subprocess.run(
+            [sys.executable, "-m", "conesign.cli", "--char", str(char), "gb",
+             "--ideal", files["pair"]],
+            capture_output=True, text=True, env=cli_env(), timeout=10)
+        assert run.returncode == code, run.stderr
+        assert "Traceback" not in run.stderr
 
 
 def test_char_rejected_elsewhere(files, capsys):

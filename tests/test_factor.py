@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import sympy_factorization
 
 from conesign import Polynomial, parse_polynomial, ring
-from conesign.factor import factor_polynomial, factor_univariate
+from conesign.factor import factor_polynomial
 
 R2 = ring("x, y")
 
@@ -73,18 +73,6 @@ def test_characteristic_p_is_rejected():
     R7 = ring("x", characteristic=7)
     with pytest.raises(ValueError):
         factor_polynomial(parse_polynomial("x^2 + 1", R7))
-
-
-def test_univariate_factorization():
-    # t^2 - 1 over Q
-    fac = factor_univariate([-1, 0, 1])
-    assert sorted((tuple(c), e) for c, e in fac) == [
-        ((-1, 1), 1),
-        ((1, 1), 1),
-    ]
-    # t^2 + 1 is irreducible
-    fac = factor_univariate([1, 0, 1])
-    assert len(fac) == 1 and fac[0][1] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     division_remainder,
+    lex_eliminant,
     matrix_rank,
     monomial_dimension,
     monomial_hilbert_count,
@@ -15,6 +17,7 @@ from oracles import (
     zero_dim_multiplicity,
 )
 
+import conesign.factor
 import conesign.ideals
 from conesign import (
     IdealPresentation,
@@ -46,6 +49,8 @@ from conesign import (
     standard_monomials,
     tangent_dimension_at_point,
 )
+from conesign.factor import factor_polynomial
+from conesign.ideals import _certify_prime, _is_linear, _minimal_polynomial
 
 R1 = ring("x")
 R2 = ring("x, y")
@@ -381,6 +386,129 @@ def test_minimal_primes_canonical_presentation():
     # accumulated split factors
     comps = minimal_primes(I("y^2, x*y"))
     assert [g.to_text() for g in comps[0].prime.generators] == ["y"]
+
+
+# the zero-dimensional rule: minimal polynomials of the variables on R/I
+
+ZERO_DIMENSIONAL_VERDICTS = [
+    ("x^2 - 2, y", ("prime",)),
+    ("x^2 - y, y^2 - 2", ("prime",)),
+    ("x^4 - 10*x^2 + 1, y - x^3", ("prime",)),
+    ("x^2 + y^2 - 3, x*y - 1", ("split", ["x^2 + x - 1", "x^2 - x - 1"])),
+    ("x^2*y - 1, y^2 - x", ("split", ["x - 1", "x^4 + x^3 + x^2 + x + 1"])),
+    # not prime: (x - y)(x + y) lies in it, yet no minimal polynomial splits
+    ("x^2 - 2, y^2 - 2", ("undecided",)),
+    # a field of degree 4 that no single variable generates
+    ("x^2 - 2, y^2 - 3", ("undecided",)),
+]
+
+
+def verdict_texts(verdict):
+    if verdict[0] != "split":
+        return verdict
+    return ("split", sorted(f.to_text() for f in verdict[1]))
+
+
+@pytest.mark.parametrize("text, want", ZERO_DIMENSIONAL_VERDICTS)
+def test_zero_dimensional_rule_verdicts(text, want):
+    K = I(text)
+    # no basis element factors, so the minimal polynomials decide
+    assert dimension(K) == 0 and len(K.gb()) > 1 and not _is_linear(K.gb())
+    assert all(len(factor_polynomial(g)) == 1 for g in K.gb())
+    assert verdict_texts(_certify_prime(K)) == want
+
+
+def seeded_zero_dimensional(seed):
+    """A zero-dimensional ideal of Q[x, y] or Q[x, y, z] drawn from `seed`,
+    or None: random sparse quadrics, a finite point set with rational and
+    conjugate points, or two square roots, each moved by an integer shear."""
+    rnd = random.Random(seed)
+    rng = R2 if seed % 2 else R3
+    names = rng.variables
+    if seed % 4 == 1:
+        a, b = rnd.sample([2, 3, 5, -1, -2], 2)
+        gens = [f"x^2 - ({a})", f"y^2 - ({b})"] + (["z - x"] if len(names) == 3 else [])
+    elif seed % 4:
+        gens = []
+        for _ in names:
+            terms = []
+            for _ in range(rnd.randint(2, 4)):
+                e = [0] * len(names)
+                for _ in range(rnd.randint(0, 2)):
+                    e[rnd.randrange(len(names))] += 1
+                terms.append(f"({rnd.choice([-3, -2, -1, 1, 2, 3])})"
+                             + "".join(f"*{v}^{k}" for v, k in zip(names, e) if k))
+            gens.append(" + ".join(terms))
+    else:
+        a, b, c = (rnd.randint(-2, 2) for _ in range(3))
+        root = rnd.choice(["(x^2 - 2)", "(x^2 + 1)", "(x - 1)", "(x^2 - x - 1)"])
+        gens = [f"{root}*(x - ({a}))", f"y - ({b})*x - ({c})"] + (["z^2 - x"] if len(names) == 3 else [])
+    shear = rnd.randint(-2, 2)
+    gens = [g.replace("x", f"(x + ({shear})*y)") for g in gens]
+    K = ideal(rng, ", ".join(gens))
+    # colength 1 is a rational point, which the linear rule certifies
+    if K.is_unit_ideal() or dimension(K) != 0 or not 1 < colength(K) <= 8:
+        return None
+    return K
+
+
+SEEDED = [K for K in map(seeded_zero_dimensional, range(80)) if K is not None]
+
+
+def monic_coefficients(f, var):
+    top = max(f.terms, key=lambda m: m[var])
+    return {m[var]: c / f.terms[top] for m, c in f.terms.items()}
+
+
+@pytest.mark.parametrize("K", SEEDED, ids=lambda K: ", ".join(g.to_text() for g in K.gb()))
+def test_minimal_polynomial_is_the_lex_eliminant(K):
+    texts = [g.to_text() for g in K.generators]
+    for var, name in enumerate(K.ring.variables):
+        m = _minimal_polynomial(K, var)
+        assert {i for mono in m.terms for i, e in enumerate(mono) if e} <= {var}
+        assert monic_coefficients(m, var) == lex_eliminant(list(K.ring.variables), texts, name)
+
+
+def test_seeded_corpus_reaches_every_verdict():
+    kinds = {_certify_prime(K)[0] for K in SEEDED}
+    assert len(SEEDED) >= 20 and kinds == {"prime", "split", "undecided"}
+
+
+@pytest.mark.parametrize("K", [I(text) for text, _ in ZERO_DIMENSIONAL_VERDICTS] + SEEDED,
+                         ids=lambda K: ", ".join(g.to_text() for g in K.gb()))
+def test_zero_dimensional_verdict_does_not_depend_on_the_variable_order(K):
+    texts = ", ".join(g.to_text() for g in K.generators)
+    kind = _certify_prime(K)[0]
+    for names in itertools.permutations(K.ring.variables):
+        assert _certify_prime(ideal(ring(", ".join(names)), texts))[0] == kind
+
+
+def test_each_minimal_polynomial_takes_one_echelon_over_colength_plus_one_remainders(monkeypatch):
+    K = I("x^2 - y, y^2 - 2")
+    divide = K._division()
+    counts = {"echelon": 0, "remainder": 0}
+    echelon, remainder = conesign.ideals._echelon, divide.remainder
+
+    def counted_echelon(*args):
+        counts["echelon"] += 1
+        return echelon(*args)
+
+    def counted_remainder(packed):
+        counts["remainder"] += 1
+        return remainder(packed)
+
+    monkeypatch.setattr(conesign.ideals, "_echelon", counted_echelon)
+    monkeypatch.setattr(divide, "remainder", counted_remainder)
+    assert _minimal_polynomial(K, 1).to_text() == "y^2 - 2"
+    assert counts == {"echelon": 1, "remainder": colength(K) + 1}
+
+
+def test_irrational_point_pair_is_certified_without_sympy(monkeypatch):
+    def no_sympy(*args):
+        raise AssertionError("sympy factorization called")
+
+    monkeypatch.setattr(conesign.factor, "_sympy_factor_list", no_sympy)
+    assert _certify_prime(I("x^2 - 2, y")) == ("prime",)
 
 
 def test_from_reduced_basis_runs_no_buchberger(monkeypatch):

@@ -20,7 +20,7 @@ from conesign import (
     parse_polynomial,
     ring,
 )
-from conesign.poly import MAX_EXPONENT, MAX_POWER_TERMS, Polynomial
+from conesign.poly import _PRIME_TEST_BOUND, MAX_EXPONENT, MAX_POWER_TERMS, Polynomial, _is_prime
 
 R2 = ring("x, y")
 R3 = ring("x, y, z")
@@ -37,6 +37,31 @@ def test_ring_rejects_bad_specs():
         ring("")
     with pytest.raises(ValueError):
         ring("x, y", characteristic=4)
+
+
+def test_prime_test_agrees_with_sympy_below_100000():
+    import sympy
+
+    assert [n for n in range(10**5) if _is_prime(n) != sympy.isprime(n)] == []
+
+
+@pytest.mark.parametrize("n, prime", [
+    # Carmichael numbers, which fool the Fermat test to every coprime base
+    (561, False), (1105, False), (1729, False), (41041, False), (825265, False),
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    (3215031751, False), (3825123056546413051, False),
+    (318665857834031151167461, False),
+    (2**31 - 1, True), (2**61 - 1, True), (2**61 + 1, False), (2**64 - 59, True),
+])
+def test_prime_test_is_exact_on_pseudoprimes_and_large_primes(n, prime):
+    assert _is_prime(n) is prime
+
+
+def test_prime_test_refuses_what_its_bases_cannot_decide():
+    # the bound itself is a strong pseudoprime to all 13 bases
+    for n in (_PRIME_TEST_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            ring("x", characteristic=n)
 
 
 def test_parse_cancellation_gives_zero():

@@ -6,6 +6,8 @@
   computes", where the library API beyond the command line is documented.
 - Every private top-level function or class is referenced in the package
   beyond its own definition.
+- Every name the README's "What it computes" documents is defined in the
+  package.
 
 `__init__.py` only re-exports, so its imports count as uses of nothing.
 """
@@ -38,9 +40,13 @@ def _referenced(tree) -> set:
 
 
 def _documented() -> set:
+    """The names the README's "What it computes" documents: the leading
+    name of each code span, so `ideal(ring, text)` documents `ideal`, and
+    the plural s after `ModuleVector`s is no name."""
     text = (ROOT / "README.md").read_text()
     section = text.split("## What it computes", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"`(\w+)", section))
+    spans = re.findall(r"`([^`]+)`", section)
+    return {m.group() for m in map(re.compile(r"\w+").match, spans) if m}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -60,6 +66,14 @@ def test_every_public_name_has_a_caller_or_is_documented():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in known]
     assert unused == []
+
+
+def test_every_documented_name_is_defined():
+    # a deleted function must not leave its documentation behind; methods
+    # count, as `contains` documents IdealPresentation.contains
+    defined = {node.name for path in MODULES for node in ast.walk(_tree(path))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(_documented() - defined) == []
 
 
 def test_every_private_name_is_used_beyond_its_definition():
