@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -250,6 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of `main`, built on first use and kept for the process
+_parser = functools.cache(build_parser)
+
+
 def _dispatch(args, cfg: RunConfig) -> int:
     cmd = args.command
 
@@ -354,7 +359,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = load_config()
         if args.seed is not None:
             cfg.seed = args.seed

@@ -29,16 +29,33 @@ each term as it comes new into the work and skipping one that has cancelled
 since (lazy deletion).
 Mod p the basis is monic.  Only `_reduce_groebner` makes elements monic over
 `Fraction`, as it emits them; scaling changes no lead, so the pairs, their
-order and the output are those of monic arithmetic.  Its S-pairs sit in a
-heap keyed by the order key of each pair's lcm, computed once when the pair
-is made, and are pruned by the Gebauer-Moeller criteria; each S-polynomial
-is built from the two stored elements and the heap entry's lcm.  A run may
-start from a known prefix, a Groebner basis under the run's order passed as
-`_Extending(known, extra)`: the known elements join the basis with no pair
-among them queued, and each extra element is paired with every earlier lead
-by the same update, so only pairs with new elements are formed and pruned
-(Gebauer-Moeller, J. Symb. Comput. 6, 1988).  Reduced bases are monic,
-interreduced, and sorted, hence canonical for (ideal or submodule, order).
+order and the output are those of monic arithmetic.
+
+Buchberger's loop for an ideal is signature-based (`_by_signatures`, after
+F5C): the generators enter one at a time by ascending lead, each as a level
+whose elements carry signatures u*e_i, position over term.  S-pairs leave a
+heap by ascending signature and are reduced regularly, by `_reduce_terms`
+with a signature bound: an element of an earlier level always divides, one
+of the level only at a smaller multiplied signature.  The principal
+syzygies f_j e_i - f_i e_j make the leads of the earlier levels syzygy
+signatures, so a pair whose signature one of them divides falls, as does one
+that a signature reduced to zero before divides, or that a newer element
+rewrites.  Under pair criteria alone katsura-5 reduced 48 of its 66
+S-polynomials to zero and cyclic-6 441 of 620; now they reduce 0 of 26 and
+8 of 163.  A submodule has no principal syzygies, and the rewrite criterion
+alone reduced more than Gebauer-Moeller pruning does (3.76M against 1.38M
+terms on a rank-3 input), so modules keep `_by_pairs`: S-pairs in a heap
+keyed by the order key of each pair's lcm, computed once when the pair is
+made, pruned by the Gebauer-Moeller criteria (J. Symb. Comput. 6, 1988),
+and taken smallest lcm first.  Either loop builds each S-polynomial from the
+two stored elements and the pair's lcm, and counts every pair it forms
+against `max_pairs`, those a criterion drops at once included, so the
+budget binds on small input too.  A run for an ideal may start from a known
+prefix, a Groebner basis under the run's order passed as
+`_Extending(known, extra)`: the known elements are the level before the
+first generator, and no pair among them is formed.  Reduced bases are
+monic, interreduced, and sorted, hence canonical for (ideal or submodule,
+order).
 Every public entry passes its input through one step, `_packed_input`,
 which drops zeros, checks one ring and one rank, and packs.  All work with a
 given basis goes through one builder, `_Divider`, which normalizes the
@@ -178,7 +195,7 @@ def _lcm(a: int, b: int, guard: int) -> int:
 
 
 def _reduce_terms(fterms: dict, basis_terms, basis_lts, pk: _Packing, char: int,
-                  quotients=None):
+                  quotients=None, sigs=None, bound=None):
     """(remainder, multiplier) of a packed term dict against (basis_terms,
     basis_lts), comparing terms by `pk.key`.
 
@@ -201,8 +218,14 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, pk: _Packing, char: int,
     one dict per basis element, each cancellation by basis element i records
     its factor at its shift in quotients[i], so that (that multiple of)
     fterms = sum of quotient * element + remainder.
+
+    With `sigs`, one signature per basis element (a packed monomial, or None
+    for an element of an earlier level), the reduction is regular for the
+    signature `bound`: element i divides m only when sigs[i] is None or
+    (m / lt_i) * sigs[i] is smaller than `bound`.
     """
     key, guard = pk.key, pk.guard
+    top = None if bound is None else key(bound)
     lam = 1
     rem: dict = {}
     work = dict(fterms)
@@ -218,7 +241,9 @@ def _reduce_terms(fterms: dict, basis_terms, basis_lts, pk: _Packing, char: int,
             raise _exponent_bound()
         mg = m | guard
         for hit, glt in enumerate(basis_lts):
-            if (mg - glt) & guard == guard:
+            # a smaller signature has a bigger key
+            if (mg - glt) & guard == guard and (
+                    top is None or sigs[hit] is None or key(m - glt + sigs[hit]) > top):
                 break
         else:
             rem[m] = c
@@ -386,11 +411,17 @@ def _scaled(terms: dict, scale, char: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Buchberger with Gebauer-Moeller pair elimination
+# Buchberger: signatures for ideals, Gebauer-Moeller pair elimination for
+# modules
 
 
-def _update_pairs(lts, pairs, pk: _Packing, seq):
-    """Gebauer-Moeller update for the newest packed lead lts[-1].
+def _pair_bound(max_pairs: int) -> BoundExceededError:
+    return BoundExceededError(f"pair bound {max_pairs} exceeded")
+
+
+def _update_pairs(lts, pairs, pk: _Packing, seq) -> int:
+    """Gebauer-Moeller update for the newest packed lead lts[-1]; returns
+    the number of pairs formed, those the criteria drop at once included.
 
     `pairs` is a heap of (order key of the lcm, seq, i, j, lcm); `seq`
     counts pushes, so pairs with one lcm leave in the order they came.  Old
@@ -428,6 +459,129 @@ def _update_pairs(lts, pairs, pk: _Packing, seq):
             continue
         # the heap key negated grows with the term: smallest lcm first
         heapq.heappush(pairs, (tuple([-x for x in pk.key(l)]), next(seq), i, t, l))
+    return len(new)
+
+
+def _by_pairs(polys, pk: _Packing, rng, max_pairs: int):
+    """(basis, leads) of a Groebner basis of submodule generators by
+    Buchberger's loop with the Gebauer-Moeller update and normal selection."""
+    char = rng.characteristic
+    bt, lts = [], []
+    pairs: list = []
+    seq = itertools.count()
+    formed = 0
+
+    def add(terms, lt):
+        nonlocal formed
+        bt.append(_normalized(terms, lt, rng))
+        lts.append(lt)
+        formed += _update_pairs(lts, pairs, pk, seq)
+        if formed > max_pairs:
+            raise _pair_bound(max_pairs)
+
+    for terms in polys:
+        add(terms, min(terms, key=pk.key))
+
+    while pairs:
+        # normal selection: smallest lcm in the active order
+        _, _, i, j, l = heapq.heappop(pairs)
+        rem, _ = _reduce_terms(_spair(bt[i], lts[i], bt[j], lts[j], l, char), bt, lts, pk, char)
+        if rem:
+            add(rem, next(iter(rem)))
+    return bt, lts
+
+
+def _by_signatures(polys, pk: _Packing, rng, max_pairs: int, known: int):
+    """(basis, leads) of a Groebner basis of ideal generators, one level per
+    generator, by regular reductions in ascending signature (F5C, Eder-Perry,
+    J. Symb. Comput. 45, 2010; Eder-Faugere's survey, J. Symb. Comput. 80,
+    2017).
+
+    The first `known` dicts, a Groebner basis, are level 0; the others enter
+    by ascending lead, each first reduced by the basis so far and dropped
+    when that leaves nothing.  In level i a signature is a packed monomial u
+    for u*e_i, position over term, so every element of an earlier level
+    (signature None) is below all of them.  A pair's signature is its
+    bigger multiplied signature, and the element that gives it is the pair's
+    generator; a pair whose multiplied signatures are equal is dropped.
+    Pairs leave by ascending signature, one per signature, and are dropped
+    when a syzygy signature divides theirs (the leads of the earlier levels,
+    from the principal syzygies, then each signature that reduced to zero)
+    or when a level element newer than the generator has a signature that
+    divides it (the rewrite criterion).  Between levels the elements whose
+    leads another lead divides are dropped; the known prefix is taken as it
+    comes, and the last level is left to `_reduce_groebner`."""
+    char, key, guard = rng.characteristic, pk.key, pk.guard
+    leads = [min(t, key=key) for t in polys]
+    normalized = [_normalized(t, lt, rng) for t, lt in zip(polys, leads)]
+    bt, lts = normalized[:known], leads[:known]
+    formed, grown = 0, False
+    for f, _ in sorted(zip(normalized[known:], leads[known:]), key=lambda e: key(e[1]),
+                       reverse=True):
+        if grown:
+            keep = _minimal(lts, guard)
+            bt, lts, grown = [bt[i] for i in keep], [lts[i] for i in keep], False
+        rem, _ = _reduce_terms(f, bt, lts, pk, char)
+        if not rem:
+            continue
+        start, grown = len(bt), True
+        sigs = [None] * start
+        syz = list(lts)  # syzygy signatures
+        pairs: list = []
+        seq = itertools.count()
+
+        def add(terms, sig):
+            # terms: normalized, lead first
+            nonlocal formed
+            lt = next(iter(terms))
+            t = len(bt)
+            formed += t
+            if formed > max_pairs:
+                raise _pair_bound(max_pairs)
+            for k in range(t):
+                l = _lcm(lt, lts[k], guard)
+                s, gen = l - lt + sig, t
+                if k < start:
+                    if l == lt + lts[k]:
+                        continue  # lts[k], a syzygy signature, divides s
+                else:
+                    sk = l - lts[k] + sigs[k]
+                    if sk == s:
+                        continue
+                    if key(sk) < key(s):
+                        s, gen = sk, k
+                if s & guard:
+                    raise _exponent_bound()
+                sg = s | guard
+                if any((sg - z) & guard == guard for z in syz):
+                    continue
+                # the heap key negated grows with the term: smallest first
+                heapq.heappush(pairs, (tuple([-x for x in key(s)]), next(seq), s, gen,
+                                       k + t - gen, l, len(syz)))
+            bt.append(terms)
+            lts.append(lt)
+            sigs.append(sig)
+
+        # the remainder lists its terms in descending order; equal to f, it
+        # is normalized already
+        add(rem if rem == f else _normalized(rem, next(iter(rem)), rng), 0)
+        last = None
+        while pairs:
+            _, _, s, a, b, l, checked = heapq.heappop(pairs)
+            if s == last:
+                continue
+            sg = s | guard
+            if any((sg - z) & guard == guard for z in syz[checked:]) or any(
+                    (sg - sigs[k]) & guard == guard for k in range(a + 1, len(bt))):
+                continue
+            last = s
+            rem, _ = _reduce_terms(_spair(bt[a], lts[a], bt[b], lts[b], l, char), bt, lts, pk,
+                                   char, sigs=sigs, bound=s)
+            if rem:
+                add(_normalized(rem, next(iter(rem)), rng), s)
+            else:
+                syz.append(s)
+    return bt, lts
 
 
 def _groebner(polys, pk: _Packing, rng, max_pairs: int, known: int = 0) -> list:
@@ -436,52 +590,37 @@ def _groebner(polys, pk: _Packing, rng, max_pairs: int, known: int = 0) -> list:
     remainder are primitive integer term dicts until the reduced basis is
     emitted.
 
-    The first `known` dicts must already be a Groebner basis under the
-    order: they join the basis with no pair among them queued, as if every
-    such pair had been reduced to zero, and each later element is paired
-    with them by the usual update."""
-    char = rng.characteristic
-    bt, lts = [], []
-    pairs: list = []
-    seq = itertools.count()
+    Ideals run `_by_signatures`, whose first `known` dicts must already be
+    a Groebner basis under the order: no pair among them is formed.
+    Modules, which have no principal syzygies to drop reductions to zero
+    with, run `_by_pairs`.  `max_pairs` bounds the pairs formed, those the
+    criteria drop at once included."""
+    if pk.rank:
+        bt, lts = _by_pairs(polys, pk, rng, max_pairs)
+    else:
+        bt, lts = _by_signatures(polys, pk, rng, max_pairs, known)
+    return _reduce_groebner(bt, lts, pk, rng.characteristic)
 
-    def add(terms, lt):
-        bt.append(_normalized(terms, lt, rng))
-        lts.append(lt)
-        if len(lts) > known:
-            _update_pairs(lts, pairs, pk, seq)
 
-    for terms in polys:
-        add(terms, min(terms, key=pk.key))
-
-    processed = 0
-    while pairs:
-        # normal selection: smallest lcm in the active order
-        _, _, i, j, l = heapq.heappop(pairs)
-        processed += 1
-        if processed > max_pairs:
-            raise BoundExceededError(f"pair bound {max_pairs} exceeded")
-        rem, _ = _reduce_terms(_spair(bt[i], lts[i], bt[j], lts[j], l, char), bt, lts, pk, char)
-        if rem:
-            add(rem, next(iter(rem)))
-
-    return _reduce_groebner(bt, lts, pk, char)
+def _minimal(lts, guard: int) -> list:
+    """Indexes of the packed leads that no other lead divides, and of equal
+    leads the first."""
+    keep = []
+    for i, lt in enumerate(lts):
+        lg = lt | guard
+        for j, o in enumerate(lts):
+            if (lg - o) & guard == guard and j != i and (o != lt or j < i):
+                break
+        else:
+            keep.append(i)
+    return keep
 
 
 def _reduce_groebner(terms, lts, pk: _Packing, char: int) -> list:
     """Minimalize then fully interreduce a Groebner basis, given as packed
     term dicts with their leading terms, monic mod p or primitive over Z;
     canonical monic output, sorted by ascending lead."""
-    guard = pk.guard
-    keep = []
-    for i, lt in enumerate(lts):
-        lg = lt | guard
-        if any(
-            j != i and (lg - lts[j]) & guard == guard and (lts[j] != lt or j < i)
-            for j in range(len(lts))
-        ):
-            continue
-        keep.append(i)
+    keep = _minimal(lts, pk.guard)
     keep.sort(key=lambda i: pk.key(lts[i]), reverse=True)
     reduced = []
     for i in keep:

@@ -322,7 +322,8 @@ def monomial_dimension(generator_exponents, nvars):
 
 
 # ---------------------------------------------------------------------------
-# Groebner-basis check by plain division under degrevlex
+# Groebner-basis check by plain division, under degrevlex unless a sort key
+# of another order is given
 #
 # A polynomial is a dict {exponent tuple: coefficient}; coefficients are
 # Fractions, or ints reduced mod p when p is nonzero.
@@ -350,14 +351,15 @@ def _axpy(target, scale, shift, poly, p):
             target.pop(t, None)
 
 
-def division_remainder(f, divisors, p=0):
-    """Remainder of f on division by `divisors` under degrevlex: take the
-    largest remaining term, cancel it with the first divisor whose leading
-    monomial divides it, or move it to the remainder."""
+def division_remainder(f, divisors, p=0, key=grevlex_key):
+    """Remainder of f on division by `divisors` under the order of `key`
+    (degrevlex unless given): take the largest remaining term, cancel it
+    with the first divisor whose leading monomial divides it, or move it to
+    the remainder."""
     work, rem = dict(f), {}
-    leads = [(max(g, key=grevlex_key), g) for g in divisors if g]
+    leads = [(max(g, key=key), g) for g in divisors if g]
     while work:
-        m = max(work, key=grevlex_key)
+        m = max(work, key=key)
         for lt, g in leads:
             if all(a >= b for a, b in zip(m, lt)):
                 _axpy(work, work[m] * _inverse(g[lt], p),
@@ -368,9 +370,10 @@ def division_remainder(f, divisors, p=0):
     return rem
 
 
-def s_pair(f, g, p=0):
-    """S-polynomial of f and g under degrevlex, both leading terms made 1."""
-    lf, lg = max(f, key=grevlex_key), max(g, key=grevlex_key)
+def s_pair(f, g, p=0, key=grevlex_key):
+    """S-polynomial of f and g under the order of `key` (degrevlex unless
+    given), both leading terms made 1."""
+    lf, lg = max(f, key=key), max(g, key=key)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     out = {}
     _axpy(out, -_inverse(f[lf], p), tuple(a - b for a, b in zip(lcm, lf)), f, p)

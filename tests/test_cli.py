@@ -248,6 +248,18 @@ def test_jobs_reaches_parity_scan_from_either_side_of_the_subcommand(
     assert asked == [jobs] and doc["config"]["jobs"] == jobs
 
 
+def test_one_parse_leaks_nothing_into_the_next(monkeypatch, capsys):
+    # `main` reuses one parser for the process: a --jobs given to one call
+    # is gone in the next
+    def serial_scan(n, jobs, bound):
+        return parity_scan(n, jobs=1, bound=bound)  # no pool in a test
+
+    monkeypatch.setattr(conesign.cli, "parity_scan", serial_scan)
+    first = run_json(["--jobs", "2", "hilb", "parity-scan", "--n", "3"], capsys)
+    second = run_json(["hilb", "parity-scan", "--n", "3"], capsys)
+    assert (first["config"]["jobs"], second["config"]["jobs"]) == (2, 1)
+
+
 # ------------------------------------------------------------- exit codes
 
 
