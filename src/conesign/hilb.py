@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import permutations
 from math import lcm
+from operator import itemgetter
 
 from .errors import BoundExceededError, InfiniteColengthError
 from .groebner import _Divider, _syzygies, module_buchberger
@@ -40,6 +41,7 @@ from .linalg import rational_rank
 from .poly import Polynomial, RingDescriptor, degrevlex, ring
 
 _DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_AXIS_PERMUTATIONS = tuple(itemgetter(*axes) for axes in permutations(range(3)))
 
 
 def _closed_below(b, boxes) -> bool:
@@ -60,6 +62,14 @@ class PlanePartition:
                 raise ValueError(f"bad box {b!r}")
             if not _closed_below(b, self.boxes):
                 raise ValueError(f"box set is not downward closed at {b!r}")
+
+    @classmethod
+    def _grown(cls, boxes: frozenset) -> "PlanePartition":
+        """A partition from a box set that is downward closed by
+        construction, so it is not checked again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "boxes", boxes)
+        return p
 
     @property
     def size(self) -> int:
@@ -92,9 +102,7 @@ def enumerate_plane_partitions(n: int, bound: int = 8) -> list:
     level = {frozenset()}
     for _ in range(n):
         level = {boxes | {m} for boxes in level for m in _outer_corners(boxes)}
-    parts = [PlanePartition(boxes) for boxes in level]
-    parts.sort(key=lambda p: p.sorted_boxes())
-    return parts
+    return [PlanePartition._grown(boxes) for boxes in sorted(level, key=sorted)]
 
 
 def monomial_ideal_of(p: PlanePartition,
@@ -157,6 +165,12 @@ class ScanSummary:
         }
 
 
+def _orbit_key(boxes) -> tuple:
+    """An exact key for the orbit of a box set under the permutations of
+    x, y and z: the least of its six sorted box tuples."""
+    return min(tuple(sorted(map(swap, boxes))) for swap in _AXIS_PERMUTATIONS)
+
+
 def _scan_worker(p: PlanePartition) -> int:
     return tangent_dimension_hilb(monomial_ideal_of(p)).tangent_dim
 
@@ -170,14 +184,27 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 
 def parity_scan(n: int, jobs: int = 1, bound: int = 8) -> ScanSummary:
-    """Tangent dimensions and parity over every monomial ideal of colength n."""
+    """Tangent dimensions and parity over every monomial ideal of colength n.
+
+    Permuting x, y and z is an automorphism of A^3, so partitions in one
+    orbit under it have the same tangent dimension: it is computed once per
+    orbit, at the orbit's first partition, and read back for every row.
+    """
     parts = enumerate_plane_partitions(n, bound=bound)
-    workers = _worker_count(jobs, len(parts))
+    keys = [_orbit_key(p.boxes) for p in parts]
+    first = {}
+    for key, p in zip(keys, parts):
+        first.setdefault(key, p)
+    workers = _worker_count(jobs, len(first))
     if workers > 1:
+        # imported only here, so start-up does not pay for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            dims = list(pool.map(_scan_worker, parts))
+            orbit_dims = list(pool.map(_scan_worker, first.values()))
     else:
-        dims = [_scan_worker(p) for p in parts]
+        orbit_dims = [_scan_worker(p) for p in first.values()]
+    dim_of = dict(zip(first, orbit_dims))
+    dims = [dim_of[key] for key in keys]
     rows = []
     violations = []
     for i, t in enumerate(dims):

@@ -552,7 +552,7 @@ def _geometric_flag(I: IdealPresentation) -> str:
     return "unknown"
 
 
-def _certify_prime(I: IdealPresentation):
+def _certify_prime(I: IdealPresentation, irreducible=None):
     """('prime',) / ('split', polys) / ('undecided',).
 
     The reduced basis of a prime has no reducible element, so the first
@@ -561,12 +561,20 @@ def _certify_prime(I: IdealPresentation):
     polynomial.  In dimension 0 the minimal polynomials of the variables
     on R/I decide: a reducible one splits I along its factors, and an
     irreducible one of degree equal to the colength makes R/I a field.
+
+    `irreducible` holds polynomials already found not to factor, which
+    are not factored again; each basis element found not to factor here
+    joins it.
     """
+    irreducible = set() if irreducible is None else irreducible
     gb = I.gb()
     for g in gb:
+        if g in irreducible:
+            continue
         facs = factor_polynomial(g)
         if sum(e for _, e in facs) > 1:
             return ("split", [f for f, _ in facs])
+        irreducible.add(g)
     if _is_linear(gb) or len(gb) == 1:
         return ("prime",)
     if dimension(I) == 0:
@@ -588,6 +596,7 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
         return []
     found = {}
     seen = set()
+    irreducible = set()
     work = [I]
     while work:
         K = work.pop()
@@ -597,7 +606,7 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
         seen.add(sig)
         if K.is_unit_ideal():
             continue
-        verdict = _certify_prime(K)
+        verdict = _certify_prime(K, irreducible)
         if verdict[0] == "split":
             for f in verdict[1]:
                 work.append(K.with_extra((f,)))

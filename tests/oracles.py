@@ -8,7 +8,7 @@ from the package's own saturation and colength.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 
@@ -62,6 +62,15 @@ def height_matrix_partitions(n):
         if len(boxes) == n:
             results.add(frozenset(boxes))
     return results
+
+
+def axis_permutation_orbits(n):
+    """The plane partitions of size n grouped into their orbits under the
+    permutations of the three axes: a set of orbits, each the frozenset of
+    the box sets it holds."""
+    return {frozenset(frozenset(tuple(b[i] for i in perm) for b in boxes)
+                      for perm in permutations(range(3)))
+            for boxes in height_matrix_partitions(n)}
 
 
 def staircase_generators(boxes):

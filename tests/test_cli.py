@@ -653,6 +653,15 @@ def test_sympy_stays_unloaded_on_the_cone_and_points_paths(tmp_path):
     assert not doc["loaded"]
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # a pool starts only for a parity scan with more than one worker, so
+    # start-up leaves its machinery unimported
+    probe = "import sys, conesign.cli; print('concurrent.futures.process' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=cli_env(), check=True)
+    assert run.stdout.strip() == "False"
+
+
 def test_a_quartic_split_loads_sympy_and_finds_the_components(tmp_path):
     path = tmp_path / "quartic.ideal"
     path.write_text("ring x, y;\nx^4 - y^4\n", encoding="utf-8")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    axis_permutation_orbits,
     height_matrix_partitions,
     matrix_rank,
     module_hom_dimension,
@@ -34,7 +35,7 @@ from conesign import (
 import conesign.hilb
 import conesign.ideals
 from conesign.groebner import _Divider
-from conesign.hilb import _worker_count
+from conesign.hilb import _orbit_key, _worker_count
 from conesign.linalg import rational_rank
 from conesign.poly import degrevlex
 
@@ -425,6 +426,63 @@ def test_scan_json_row_schema():
 def test_scan_respects_bounds():
     with pytest.raises(BoundExceededError):
         parity_scan(4, bound=3)
+
+
+def test_scan_rows_match_the_tangent_routine_through_six():
+    for n in range(1, 7):
+        parts = enumerate_plane_partitions(n)
+        summary = parity_scan(n)
+        assert [(r.tangent_dim, r.parity) for r in summary.rows] == [
+            (rep.tangent_dim, rep.parity_holds)
+            for rep in (tangent_dimension_hilb(monomial_ideal_of(p)) for p in parts)]
+
+
+def test_scan_rows_match_the_hom_oracle_through_four():
+    for n in range(1, 5):
+        parts = enumerate_plane_partitions(n)
+        assert [r.tangent_dim for r in parity_scan(n).rows] == [
+            monomial_hom_dimension(staircase_generators(p.boxes)) for p in parts]
+
+
+def test_orbit_keys_group_partitions_into_their_axis_permutation_orbits():
+    counts = []
+    for n in range(1, 9):
+        groups = {}
+        for p in enumerate_plane_partitions(n):
+            groups.setdefault(_orbit_key(p.boxes), set()).add(p.boxes)
+        assert {frozenset(g) for g in groups.values()} == axis_permutation_orbits(n)
+        counts.append(len(groups))
+    assert counts == [1, 1, 2, 4, 6, 11, 19, 33]
+
+
+def test_scan_computes_one_tangent_per_orbit(monkeypatch):
+    seen = []
+    work = conesign.hilb._scan_worker
+
+    def counting(p):
+        seen.append(p.boxes)
+        return work(p)
+
+    monkeypatch.setattr(conesign.hilb, "_scan_worker", counting)
+    summary = parity_scan(8, jobs=1)
+    assert summary.count == 160 and len(seen) == 33
+    assert len({_orbit_key(boxes) for boxes in seen}) == 33
+
+
+def test_enumeration_does_not_check_the_partitions_it_grows(monkeypatch):
+    grown = {n: enumerate_plane_partitions(n) for n in range(1, 7)}
+
+    def refuse(self):
+        raise AssertionError("a grown partition was checked again")
+
+    monkeypatch.setattr(PlanePartition, "__post_init__", refuse)
+    for n, parts in grown.items():
+        assert enumerate_plane_partitions(n) == parts
+    monkeypatch.undo()
+    for parts in grown.values():
+        for p in parts:
+            assert PlanePartition(p.boxes) == p
+            assert hash(PlanePartition(p.boxes)) == hash(p)
 
 
 # ------------------------------------------------------------ quot spaces

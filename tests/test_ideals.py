@@ -709,6 +709,26 @@ def test_multiplicity_fat_components():
     assert comps == {("x",): 2, ("y",): 3}
 
 
+def test_a_decomposition_factors_each_irreducible_basis_element_once(monkeypatch):
+    calls = []
+    real = conesign.ideals.factor_polynomial
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(conesign.ideals, "factor_polynomial", counted)
+    for J, factored in [(I("xy, xz, yz", R3), 6), (I("x^2, x*y, x*z, y*z", R3), 7),
+                        (I("x*y, x*z", R3), 5), (I("(x^2 - y^2)*(x - 2)"), 4)]:
+        calls.clear()
+        conesign.ideals._minimal_prime_list(J)
+        # x, y and z lie in the bases of several candidate primes, and
+        # each is factored once
+        assert len(calls) == factored
+        assert all(sum(e for _, e in real(f)) > 1
+                   for f in {f for f in calls if calls.count(f) > 1})
+
+
 def test_multiplicity_along_lists_the_other_primes_without_their_multiplicities(monkeypatch):
     calls = []
     real = conesign.ideals.saturate
