@@ -215,10 +215,11 @@ def constancy_falsifier(J: IdealPresentation,
                     "component": [g.to_text() for g in c.prime.gb()],
                     "reason": r,
                 })
-            if c.primality == "certified":
-                non_sign = [r for r in reasons if "target sign" not in r]
-                if non_sign or reference_certified:
-                    definite = True
+            # a certified component with a reason besides the sign, or
+            # against a certified reference, settles the verdict
+            if c.primality == "certified" and (len(reasons) > sign_violation
+                                                or reference_certified):
+                definite = True
 
     if definite:
         overall = "Behrend function is NOT constant"

@@ -33,8 +33,8 @@ from .errors import (
     PrimalityUndecidedError,
 )
 from .euler import eu_point
-from .groebner import buchberger
-from .hilb import enumerate_plane_partitions, parity_scan, tangent_dimension_hilb
+from .groebner import DEFAULT_MAX_PAIRS, buchberger
+from .hilb import _MAX_N, enumerate_plane_partitions, parity_scan, tangent_dimension_hilb
 from .ideals import IdealPresentation, dimension, eliminate, minimal_primes, saturate
 from .poly import parse_generators, parse_polynomial, order_from_name, ring
 
@@ -48,12 +48,12 @@ class RunConfig:
     characteristic: int = 0
     jobs: int = 1
     output_format: str = "json"
-    max_n: int = 8
+    max_n: int = _MAX_N
     max_variables: int = 16
-    max_gb_pairs: int = 500_000
+    max_gb_pairs: int = DEFAULT_MAX_PAIRS
 
 
-def load_config(path: str | None = None) -> RunConfig:
+def load_config() -> RunConfig:
     """Defaults, overridden by the JSON file at CONESIGN_CONFIG if set.
 
     The file must hold one JSON object whose keys are `RunConfig` fields and
@@ -61,7 +61,7 @@ def load_config(path: str | None = None) -> RunConfig:
     raises ValueError.
     """
     cfg = RunConfig()
-    path = path if path is not None else os.environ.get(CONFIG_ENV)
+    path = os.environ.get(CONFIG_ENV)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -79,8 +79,7 @@ def load_config(path: str | None = None) -> RunConfig:
     return cfg
 
 
-def load_ideal_file(path: str, characteristic: int = 0,
-                    max_variables: int | None = None) -> IdealPresentation:
+def load_ideal_file(path: str, characteristic: int, max_variables: int) -> IdealPresentation:
     """Ideal file: a `ring x, y, z;` header, then generators.
 
     Generators may be comma-separated or one per line; `#` starts a
@@ -104,7 +103,7 @@ def load_ideal_file(path: str, characteristic: int = 0,
     if header is None:
         raise ValueError(f"{path}: missing ring header")
     rng = ring(header, characteristic=characteristic)
-    if max_variables is not None and rng.arity > max_variables:
+    if rng.arity > max_variables:
         raise ValueError(f"{path}: ring has {rng.arity} variables, "
                          f"more than max_variables = {max_variables}")
     gens = parse_generators("\n".join(body), rng)

@@ -131,9 +131,7 @@ class Cycle:
 def signed_support_cycle(J: IdealPresentation) -> Cycle:
     """Sum of (-1)^(dim image) * multiplicity * [image] over cone components.
 
-    Components sharing an image are merged into a single term; terms with
-    coefficient zero are dropped (cannot happen here: shared image means
-    shared dimension, so contributions share a sign).
+    Components sharing an image are merged into a single term.
     """
     buckets = {}
     for comp in cone_components(J):
@@ -144,7 +142,6 @@ def signed_support_cycle(J: IdealPresentation) -> Cycle:
             buckets[key] = (prime, old + coeff, dim)
         else:
             buckets[key] = (comp.image, coeff, comp.image_dimension)
-    terms = [CycleTerm(prime, coeff, dim)
-             for prime, coeff, dim in buckets.values() if coeff != 0]
+    terms = [CycleTerm(prime, coeff, dim) for prime, coeff, dim in buckets.values()]
     terms.sort(key=lambda t: (-t.dimension, t.prime.signature()))
     return Cycle(tuple(terms))

@@ -34,6 +34,8 @@ from .poly import Polynomial
 # the Hilbert-Samuel and hyperplane-section loops stop before this power of
 # the maximal ideal
 _CAP = 40
+# hyperplanes drawn by `curve_multiplicity` before it gives up
+_DRAWS = 5
 
 
 @dataclass(frozen=True)
@@ -46,18 +48,6 @@ class EuVerdict:
     def to_json_dict(self) -> dict:
         return {"value": self.value, "rule": self.rule,
                 "primality": self.primality}
-
-
-def _translate_to_origin(V: IdealPresentation, point) -> IdealPresentation:
-    """V moved so that `point` is the origin, with its degrevlex basis
-    computed, from V's when V has one, so that the ideals the loops below
-    build from it extend that basis."""
-    point = tuple(V.ring.coeff(c) for c in point)
-    if all(c == 0 for c in point):
-        return V
-    J0 = V.translate(point)
-    J0.gb()
-    return J0
 
 
 def _maximal_ideal_power(rng, k: int) -> list:
@@ -91,7 +81,6 @@ def _hyperplane_section_length(J0: IdealPresentation, line: Polynomial) -> int |
     """Colength at the origin of J0 + (line); None if it never stabilizes.
     J0 and the line lie in the maximal ideal m, so K + m = m has colength 1."""
     K = J0.with_extra((line,))
-    K.gb()  # so that every K + m^N extends K's basis
     prev = 1
     for N in range(2, _CAP):
         cur = _origin_colength(K, N)
@@ -101,8 +90,7 @@ def _hyperplane_section_length(J0: IdealPresentation, line: Polynomial) -> int |
     return None
 
 
-def curve_multiplicity(V: IdealPresentation, point, seed: int = 0,
-                       max_draws: int = 5) -> int:
+def curve_multiplicity(V: IdealPresentation, point, seed: int = 0) -> int:
     """Multiplicity of an integral curve at a point on it.
 
     Two independent computations must agree: the degree of the tangent cone
@@ -115,10 +103,10 @@ def curve_multiplicity(V: IdealPresentation, point, seed: int = 0,
     point = tuple(V.ring.coeff(c) for c in point)
     if not is_point_on(V, point):
         raise PointNotOnVarietyError("point is not on the curve")
-    J0 = _translate_to_origin(V, point)
+    J0 = V.translate(point)
     expected = _tangent_cone_degree(J0)
     rng = random.Random(seed)
-    for _ in range(max_draws):
+    for _ in range(_DRAWS):
         coeffs = [rng.randint(-9, 9) for _ in range(V.ring.arity)]
         if all(c == 0 for c in coeffs):
             continue
@@ -171,7 +159,7 @@ def cone_over_curve_data(V: IdealPresentation, vertex):
     n = V.ring.arity
     if n < 3:
         return None
-    J0 = _translate_to_origin(V, vertex)
+    J0 = V.translate(vertex)
     gb = J0.gb()
     if J0.is_unit_ideal() or not all(g.is_homogeneous() for g in gb):
         return None

@@ -41,6 +41,8 @@ from .linalg import rational_rank
 from .poly import Polynomial, RingDescriptor, degrevlex, ring
 
 _DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# the largest partition size enumerated unless a bound is given
+_MAX_N = 8
 _AXIS_PERMUTATIONS = tuple(itemgetter(*axes) for axes in permutations(range(3)))
 
 
@@ -92,7 +94,7 @@ def _outer_corners(boxes) -> list:
     return [m for m in corners if m not in boxes and _closed_below(m, boxes)]
 
 
-def enumerate_plane_partitions(n: int, bound: int = 8) -> list:
+def enumerate_plane_partitions(n: int, bound: int = _MAX_N) -> list:
     """All plane partitions of size n, sorted by their box lists."""
     if n < 1:
         raise ValueError("partition size must be positive")
@@ -183,7 +185,7 @@ def _worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
-def parity_scan(n: int, jobs: int = 1, bound: int = 8) -> ScanSummary:
+def parity_scan(n: int, jobs: int = 1, bound: int = _MAX_N) -> ScanSummary:
     """Tangent dimensions and parity over every monomial ideal of colength n.
 
     Permuting x, y and z is an automorphism of A^3, so partitions in one

@@ -24,16 +24,23 @@ built from a reduced basis already in hand carries it on:
   `saturate`, `intersect` and the Rees ideal of `cones` inherit this.
 - `minimal_primes` presents each prime by its own reduced basis.
 
-An ideal built by adding elements to one whose reduced degrevlex basis is
-cached extends that basis: Buchberger starts from it as a known Groebner
-basis and pairs only the new elements.
+An ideal derived from another always extends the parent's reduced
+degrevlex basis, which `gb()` computes first if it is missing: Buchberger
+starts from it as a known Groebner basis and pairs only the new elements.
+One method, `IdealPresentation._derived`, builds every such ideal:
 
-- `with_extra` does so for its degrevlex basis, which covers the split
-  candidates of `minimal_primes` and the normal cone of `cones`.
-- `_inverting` does so for I + (1 - w*f) in R[w], under both degrevlex and
+- `with_extra` adds elements, for its degrevlex basis, which covers the
+  split candidates of `minimal_primes` and the normal cone of `cones`.
+- `translate` moves a point to the origin, for its degrevlex basis: the
+  moved basis keeps its leads, so no pair is queued.  At the origin the
+  ideal is its own translate.  `euler` works on these.
+- `_inverting` builds I + (1 - w*f) in R[w], under both degrevlex and
   `eliminate`'s block order: each compares w-free monomials by degrevlex
   of R, so I's reduced basis stays a Groebner basis of I*R[w] under both.
   `saturate` and `radical_contains` inherit this.
+
+Any other order, such as a lex run on a derived ideal, starts from the
+ideal's generators.
 
 Candidate primes are split or certified by one routine, `_certify_prime`.
 """
@@ -130,29 +137,44 @@ class IdealPresentation:
         gb = self.gb()
         return len(gb) == 1 and gb[0].is_constant()
 
-    def with_extra(self, extra) -> "IdealPresentation":
-        """The ideal self + (extra).  When self's reduced degrevlex basis is
-        cached, the new ideal's degrevlex basis extends it."""
+    def _derived(self, rng, move, extra=(), orders=None) -> "IdealPresentation":
+        """The ideal of `rng` generated by `move(g)` for g in self's
+        generators, and `extra`.  `move` must carry self's reduced degrevlex
+        basis to a Groebner basis of the moved ideal under each of `orders`
+        (default: degrevlex of `rng`); each of those runs extends it by
+        `extra`, and any other order starts from the generators."""
         extra = tuple(extra)
-        J = IdealPresentation(self.ring, self.generators + extra)
-        sig = degrevlex(self.ring).signature()
-        basis = self._gb_cache.get(sig)
-        if basis is not None:
-            J._extends = ((sig,), _Extending(basis, extra))
+        J = IdealPresentation(rng, [move(g) for g in self.generators] + list(extra))
+        orders = orders or (degrevlex(rng).signature(),)
+        J._extends = (orders, _Extending(map(move, self.gb()), extra))
         return J
+
+    def with_extra(self, extra) -> "IdealPresentation":
+        """The ideal self + (extra), whose degrevlex basis extends self's."""
+        return self._derived(self.ring, lambda g: g, extra)
 
     def translate(self, point) -> "IdealPresentation":
         """The ideal {f(x + point) : f in self}, which moves `point` to the
-        origin.  Translation keeps each polynomial's top-degree form, so the
-        leads under a graded order: a cached degrevlex basis moves to a
-        Groebner basis of the new ideal, which its degrevlex basis extends
-        with no pair queued."""
-        moved = IdealPresentation(self.ring, [g.translate(point) for g in self.generators])
-        sig = degrevlex(self.ring).signature()
-        basis = self._gb_cache.get(sig)
-        if basis is not None:
-            moved._extends = ((sig,), _Extending([g.translate(point) for g in basis], ()))
-        return moved
+        origin, and self itself when `point` is the origin.  Translation
+        keeps each polynomial's top-degree form, so the leads under a graded
+        order: self's degrevlex basis moves to a Groebner basis of the new
+        ideal, which its degrevlex basis extends with no pair queued."""
+        if all(self.ring.coeff(c) == 0 for c in point):
+            return self
+        return self._derived(self.ring, lambda g: g.translate(point))
+
+    def _inverting(self, f: Polynomial):
+        """(self + (1 - w*f), w) in R[w] for a fresh name w: f is inverted, so
+        the ideal contracts to self : f^infinity in R, and it is the unit
+        ideal exactly when f lies in the radical of self."""
+        w = _fresh_name("w", self.ring.variables)
+        ext = self.ring.extend((w,))
+        wpoly = Polynomial.variable(ext, ext.var_index(w))
+        inverse = Polynomial.one(ext) - wpoly * transplant(f, ext)
+        # w-free monomials compare by degrevlex of R under both orders, so
+        # self's reduced basis stays a Groebner basis of self*R[w] under each
+        orders = (degrevlex(ext).signature(), elimination_order(ext, (w,)).signature())
+        return self._derived(ext, lambda g: transplant(g, ext), (inverse,), orders), w
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdealPresentation):
@@ -229,31 +251,12 @@ def intersect(I: IdealPresentation, J: IdealPresentation) -> IdealPresentation:
     return eliminate(IdealPresentation(ext, gens), (w,))
 
 
-def _inverting(I: IdealPresentation, f: Polynomial):
-    """(I + (1 - w*f), w) in R[w] for a fresh name w: f is inverted, so the
-    ideal contracts to I : f^infinity in R, and it is the unit ideal exactly
-    when f lies in the radical of I."""
-    rng = I.ring
-    w = _fresh_name("w", rng.variables)
-    ext = rng.extend((w,))
-    wpoly = Polynomial.variable(ext, ext.var_index(w))
-    inverse = Polynomial.one(ext) - wpoly * transplant(f, ext)
-    K = IdealPresentation(ext, [transplant(g, ext) for g in I.generators] + [inverse])
-    basis = I._gb_cache.get(degrevlex(rng).signature())
-    if basis is not None:
-        # w-free monomials compare by degrevlex of R under both orders below,
-        # so I's reduced basis stays a Groebner basis of I*R[w] under each
-        orders = (degrevlex(ext).signature(), elimination_order(ext, (w,)).signature())
-        K._extends = (orders, _Extending([transplant(g, ext) for g in basis], (inverse,)))
-    return K, w
-
-
 def saturate(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     """Saturation I : f^infinity = (I + (1 - w*f)) meet R, by one elimination
     of w over R[w]."""
     if f.is_zero():
         raise ValueError("colon by the zero polynomial")
-    K, w = _inverting(I, f)
+    K, w = I._inverting(f)
     return eliminate(K, (w,))
 
 
@@ -261,7 +264,7 @@ def radical_contains(I: IdealPresentation, f: Polynomial) -> bool:
     """Membership of f in the radical of I, by the inverted-element trick."""
     if f.is_zero():
         return True
-    return _inverting(I, f)[0].is_unit_ideal()
+    return I._inverting(f)[0].is_unit_ideal()
 
 
 def dimension(I: IdealPresentation) -> int:

@@ -331,6 +331,37 @@ def monomial_dimension(generator_exponents, nvars):
 
 
 # ---------------------------------------------------------------------------
+# minimal primes of a monomial ideal, with the multiplicity along each
+
+
+def monomial_minimal_primes(generator_exponents, nvars):
+    """Sorted (S, m) pairs for M = (monomials): the minimal primes of M are
+    the coordinate primes (x_i : i in S), S a minimal vertex cover of the
+    generators' supports, and m is the length of R/M localized at one.
+
+    Setting the variables outside S to 1 leaves a monomial ideal of k[x_S]
+    with finite colength, which is that length: as S is minimal, each x_i
+    of S is alone in the support of some generator there.
+    """
+    supports = [{i for i, a in enumerate(g) if a} for g in generator_exponents]
+    if not all(supports):
+        return []  # a constant generator: the unit ideal
+    covers = []
+    for size in range(nvars + 1):
+        for S in combinations(range(nvars), size):
+            if all(s & set(S) for s in supports) and not any(set(c) <= set(S) for c in covers):
+                covers.append(S)
+    out = []
+    for S in covers:
+        local = [tuple(g[i] for i in S) for g in generator_exponents]
+        powers = [min(e[k] for e in local if sum(e) == e[k]) for k in range(len(S))]
+        standard = [e for e in product(*map(range, powers))
+                    if not any(all(a >= b for a, b in zip(e, g)) for g in local)]
+        out.append((S, len(standard)))
+    return sorted(out)
+
+
+# ---------------------------------------------------------------------------
 # Groebner-basis check by plain division, under degrevlex unless a sort key
 # of another order is given
 #

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from oracles import (
     matrix_rank,
     monomial_dimension,
     monomial_hilbert_count,
+    monomial_minimal_primes,
     monomial_saturation,
     s_pair,
     zero_dim_multiplicity,
@@ -215,13 +217,14 @@ def test_saturation_extends_a_cached_basis_to_the_same_answer(monkeypatch, gens,
     calls = counted_buchberger(monkeypatch)
     S, T = saturate(cold, f), saturate(warm, f)
     assert radical_contains(cold, f) == radical_contains(warm, f) == in_radical
-    assert known_prefixes(calls) == [0, len(G), 0, len(G)]
+    # the one run from scratch is cold's own basis, which every R[w] run extends
+    assert known_prefixes(calls) == [0] + [len(G)] * 4
     assert S.gb() == T.gb()
     assert T == I(sat, R3)
     # checked by a division routine that shares no code with the package:
     # the saturation contains the ideal, and both bases from the known
     # prefix (degrevlex over R[w], and the saturation's) are Groebner bases
-    K, _ = conesign.ideals._inverting(warm, f)
+    K, _ = warm._inverting(f)
     for J in (T, K):
         basis = [g.terms for g in J.gb()]
         for g in J.generators if J is K else G:
@@ -363,6 +366,64 @@ def test_minimal_primes_are_inclusion_minimal_and_contain_input():
             for b in comps:
                 if a is not b:
                     assert not contains_ideal(a.prime, b.prime)
+
+
+RINGS = {2: R2, 3: R3, 4: ring("x, y, z, u")}
+
+
+def seeded_monomial_ideal(rnd, sizes):
+    """(number of variables, generator exponents) of a random monomial ideal
+    with 1 to 4 nonconstant generators."""
+    n = rnd.choice(sizes)
+    exps = []
+    for _ in range(rnd.randint(1, 4)):
+        exps.append(tuple(rnd.randint(0, 3) for _ in range(n)))
+        if not any(exps[-1]):
+            exps[-1] = tuple(int(i == 0) for i in range(n))
+    return n, exps
+
+
+def test_minimal_primes_of_monomial_ideals_match_the_oracle():
+    for seed in range(60):
+        n, exps = seeded_monomial_ideal(random.Random(seed), (2, 3, 4))
+        rng = RINGS[n]
+        comps = minimal_primes(
+            IdealPresentation(rng, [Polynomial.from_monomial(rng, e) for e in exps]))
+        # every prime must be a coordinate prime, read off as its variables
+        assert all(g.is_term() and g.total_degree() == 1 for c in comps for g in c.prime.gb())
+        got = sorted((tuple(sorted(i for g in c.prime.gb() for i in g.support_variables())),
+                      c.multiplicity) for c in comps)
+        assert got == monomial_minimal_primes(exps, n), seed
+        assert all(c.dimension == n - len(c.prime.gb()) for c in comps)
+
+
+def unimodular(rnd, n):
+    """A seeded integer matrix of determinant +-1: shears, then a permutation."""
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        i, j = rnd.sample(range(n), 2)
+        c = rnd.choice((-2, -1, 1, 2))
+        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+    rnd.shuffle(A)
+    return A
+
+
+def test_coordinate_change_and_translation_keep_dimensions_and_multiplicities():
+    # after x -> A*x with A unimodular and a translation, the components are
+    # no longer coordinate primes, but their dimensions and multiplicities stay
+    for seed in range(40):
+        rnd = random.Random(seed)
+        n, exps = seeded_monomial_ideal(rnd, (2, 3))
+        rng = RINGS[n]
+        forms = [sum((c * Polynomial.variable(rng, j) for j, c in enumerate(row)),
+                     Polynomial.zero(rng)) for row in unimodular(rnd, n)]
+        gens = [math.prod((f ** a for f, a in zip(forms, e)), start=Polynomial.one(rng))
+                for e in exps]
+        point = [rnd.randint(-2, 2) for _ in range(n)]
+        moved = IdealPresentation(rng, gens).translate(point)
+        got = sorted((c.dimension, c.multiplicity) for c in minimal_primes(moved))
+        want = sorted((n - len(S), m) for S, m in monomial_minimal_primes(exps, n))
+        assert got == want, seed
 
 
 def test_minimal_primes_zero_dimensional_splitting():
@@ -546,32 +607,35 @@ def known_prefixes(calls):
 def test_with_extra_extends_a_cached_basis_and_keeps_the_generators(monkeypatch):
     K = I("x^2 - y, x*y - 1")
     f = parse_polynomial("x - 1", R2)
-    cold = K.with_extra((f,))  # nothing cached yet: Buchberger from scratch
+    calls = counted_buchberger(monkeypatch)
+    first = K.with_extra((f,))  # K's basis is computed here, once
     G = K.gb()
     warm = K.with_extra((f,))
-    calls = counted_buchberger(monkeypatch)
-    assert warm.gb() == cold.gb()
-    assert known_prefixes(calls) == [len(G), 0]
-    assert warm.generators == cold.generators == K.generators + (f,)
-    assert warm == I("x - 1, y - 1")
+    assert warm.gb() == first.gb()
+    assert known_prefixes(calls) == [0, len(G), len(G)]
+    assert warm.generators == first.generators == K.generators + (f,)
+    # the same answer as Buchberger from the generators
+    assert warm.gb() == IdealPresentation(R2, warm.generators).gb() == I("x - 1, y - 1").gb()
     # only the degrevlex basis is known; another order starts from scratch
     warm.gb(MonomialOrder("lex", (0, 1)))
     assert known_prefixes(calls)[-1] == 0
 
 
 def test_translate_carries_a_cached_basis_to_the_same_answer(monkeypatch):
-    # the twisted-cubic-like curve moved to (1, 2, -1), with and without its
-    # basis known beforehand
+    # the twisted-cubic-like curve moved to (1, 2, -1), twice
     point = (Fraction(1), Fraction(2), Fraction(-1))
-    texts = "x*z - y^2 + z, y - x^2 + 3, z^2 - x*y"
-    cold = ideal(R3, texts).translate(point)
-    V = ideal(R3, texts)
+    V = ideal(R3, "x*z - y^2 + z, y - x^2 + 3, z^2 - x*y")
+    calls = counted_buchberger(monkeypatch)
+    first = V.translate(point)  # V's basis is computed here, once
     G = V.gb()
     warm = V.translate(point)
-    calls = counted_buchberger(monkeypatch)
-    assert warm.gb() == cold.gb()
-    assert known_prefixes(calls) == [len(G), 0]
-    assert cold == IdealPresentation(R3, [g.translate(point) for g in V.generators])
+    assert warm.gb() == first.gb()
+    assert known_prefixes(calls) == [0, len(G), len(G)]
+    assert warm.generators == tuple(g.translate(point) for g in V.generators)
+    # the same answer as Buchberger from the moved generators
+    assert warm.gb() == IdealPresentation(R3, warm.generators).gb()
+    # at the origin the ideal is its own translate
+    assert V.translate((0, 0, 0)) is V
 
 
 def test_derived_ideals_keep_their_reduced_basis(monkeypatch):

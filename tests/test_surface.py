@@ -8,6 +8,8 @@
   beyond its own definition.
 - Every name the README's "What it computes" documents is defined in the
   package.
+- Only `IdealPresentation` touches the caches by which a derived ideal
+  extends its parent's basis.
 
 `__init__.py` only re-exports, so its imports count as uses of nothing.
 """
@@ -84,3 +86,25 @@ def test_every_private_name_is_used_beyond_its_definition():
               and node.name.startswith("_")
               and not any(node.name in used for j, used in enumerate(names) if j != k)]
     assert unused == []
+
+
+def test_only_ideal_presentation_touches_its_basis_caches():
+    # whether a derived ideal starts from its parent's reduced basis is
+    # decided in one class, so no other code reads or writes what it keeps
+    private = {"_gb_cache", "_extends"}
+
+    def uses(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr in private
+                or isinstance(n, ast.Name) and n.id in private
+                or isinstance(n, ast.Constant) and n.value in private]
+
+    inside, outside = [], []
+    for path in sorted((ROOT / "src" / "conesign").glob("*.py")):
+        tree = _tree(path)
+        owner = [n for n in tree.body if isinstance(n, ast.ClassDef)
+                 and n.name == "IdealPresentation" and path.name == "ideals.py"]
+        mine = {id(n) for cls in owner for n in uses(cls)}
+        for n in uses(tree):
+            (inside if id(n) in mine else outside).append(f"{path.name}:{n.lineno}")
+    assert inside and outside == []
