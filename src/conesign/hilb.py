@@ -101,9 +101,21 @@ def enumerate_plane_partitions(n: int, bound: int = _MAX_N) -> list:
     if n > bound:
         raise BoundExceededError(
             f"partition size {n} exceeds the configured bound {bound}")
-    level = {frozenset()}
+    # each box set of a level with its outer corners.  Adding corner m keeps
+    # the other corners, which stay outside and closed below, and can open
+    # only the boxes m + e_i, the only ones whose closure below needs m
+    level = {frozenset(): [(0, 0, 0)]}
     for _ in range(n):
-        level = {boxes | {m} for boxes in level for m in _outer_corners(boxes)}
+        grown = {}
+        for boxes, corners in level.items():
+            for m in corners:
+                bigger = boxes | {m}
+                if bigger in grown:
+                    continue
+                grown[bigger] = [c for c in corners if c != m] + [
+                    b for b in ((m[0] + d[0], m[1] + d[1], m[2] + d[2]) for d in _DIRECTIONS)
+                    if _closed_below(b, bigger)]
+        level = grown
     return [PlanePartition._grown(boxes) for boxes in sorted(level, key=sorted)]
 
 

@@ -615,128 +615,167 @@ def _power_size(f: Polynomial, k: int):
     return terms, k * (height.bit_length() + den.bit_length())
 
 
-def _split_identifier(name: str, rng: RingDescriptor, pos: int):
-    """Greedy longest-match decomposition of an identifier into ring variables."""
-    out = []
-    i = 0
-    names = sorted(rng.variables, key=len, reverse=True)
-    while i < len(name):
-        for v in names:
-            if name.startswith(v, i):
-                out.append(v)
-                i += len(v)
-                break
-        else:
-            raise UnknownVariableError(
-                f"cannot read {name[i:]!r} as ring variables {rng.variables}", pos + i
-            )
-    return out
+def _check_power(terms: int, bits: int, pos: int):
+    if terms > MAX_POWER_TERMS or bits > MAX_POWER_BITS:
+        raise PolynomialSyntaxError(
+            f"power too large: up to {MAX_POWER_TERMS} terms and "
+            f"{MAX_POWER_BITS} coefficient bits are allowed", pos)
+
+
+def _integer(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise PolynomialSyntaxError(
+            f"integer literal of {len(digits)} digits is too long", pos) from None
 
 
 class _Parser:
-    """Recursive descent for: sums of products; '*' optional; '^' powers; a/b rationals."""
+    """Recursive descent for: sums of products; '*' optional; '^' powers; a/b rationals.
+
+    The text is read into one {exponent tuple: coefficient} dict, in time
+    linear in its terms: each product is added into that dict in place.  A
+    product keeps its single-term factors (literals, juxtaposed variables and
+    their powers) as one coefficient and one exponent vector; only a factor of
+    several terms, a parenthesized sum or a power of one, is multiplied as a
+    `Polynomial`.  Coefficients stay ints and Fractions over Q, and are
+    reduced as they are read mod p, until one `Polynomial(rng, terms)`
+    normalizes them.
+    """
 
     def __init__(self, text: str, rng: RingDescriptor):
         self.lx = _Lexer(text)
         self.ring = rng
+        # (name, index) with the longest names first, for splitting identifiers
+        self._names = sorted(((v, i) for i, v in enumerate(rng.variables)),
+                             key=lambda vi: len(vi[0]), reverse=True)
+        self._idents = {}
 
     def parse(self) -> Polynomial:
-        f = self._expr()
+        terms = self._expr()
         kind, _, pos = self.lx.peek()
         if kind != "end":
             raise PolynomialSyntaxError("trailing input", pos)
-        return f
+        return Polynomial(self.ring, terms)
 
-    def _expr(self) -> Polynomial:
-        kind, _, _ = self.lx.peek()
-        negate = False
+    def _expr(self) -> dict:
+        terms = {}
+        kind = self.lx.peek()[0]
         if kind in ("+", "-"):
             self.lx.next()
-            negate = kind == "-"
-        f = self._term()
-        if negate:
-            f = -f
         while True:
-            kind, _, _ = self.lx.peek()
-            if kind == "+":
-                self.lx.next()
-                f = f + self._term()
-            elif kind == "-":
-                self.lx.next()
-                f = f - self._term()
-            else:
-                return f
+            self._term(terms, -1 if kind == "-" else 1)
+            kind = self.lx.peek()[0]
+            if kind not in ("+", "-"):
+                return terms
+            self.lx.next()
 
-    def _term(self) -> Polynomial:
-        f = self._factor()
+    def _term(self, terms: dict, coeff) -> None:
+        """Add coeff times the product of the factors that follow into terms."""
+        p = self.ring.characteristic
+        expts = [0] * self.ring.arity
+        product = None  # of the factors that do not have exactly one term
         while True:
-            kind, _, _ = self.lx.peek()
+            kind, val, pos = self.lx.next()
+            if kind == "ident":
+                indices = self._variables(val, pos)
+                for i in indices:
+                    expts[i] += 1
+                # a trailing '^' binds to the last juxtaposed variable: xy^2 = x*y^2
+                k, _ = self._exponent()
+                if k is not None:
+                    expts[indices[-1]] += k - 1
+            elif kind == "int":
+                c = self._literal(val, pos)
+                k, kpos = self._exponent()
+                if k is not None:
+                    if not p:
+                        _check_power(1, k * (abs(c.numerator).bit_length()
+                                             + c.denominator.bit_length()), kpos)
+                    c = pow(c, k, p) if p else c ** k
+                coeff = coeff * c % p if p else coeff * c
+            elif kind == "(":
+                f = Polynomial(self.ring, self._expr())
+                kind, _, pos = self.lx.next()
+                if kind != ")":
+                    raise PolynomialSyntaxError("expected ')'", pos)
+                k, kpos = self._exponent()
+                if k is not None:
+                    _check_power(*_power_size(f, k), kpos)
+                    f = f ** k
+                if len(f.terms) == 1:
+                    [(m, c)] = f.terms.items()
+                    expts = list(map(add, expts, m))
+                    coeff = coeff * c % p if p else coeff * c
+                else:
+                    product = f if product is None else product * f
+            else:
+                raise PolynomialSyntaxError("expected a factor", pos)
+            kind = self.lx.peek()[0]
             if kind == "*":
                 self.lx.next()
-                f = f * self._factor()
-            elif kind in ("int", "ident", "("):
-                f = f * self._factor()  # implicit multiplication
-            else:
-                return f
+            elif kind not in ("int", "ident", "("):
+                break
+        m = tuple(expts)
+        if product is None:
+            terms[m] = terms.get(m, 0) + coeff
+        else:
+            for m, c in (product * Polynomial(self.ring, {m: coeff})).terms.items():
+                terms[m] = terms.get(m, 0) + c
 
     def _int(self) -> int:
         kind, val, pos = self.lx.next()
         if kind != "int":
             raise PolynomialSyntaxError("expected an integer", pos)
-        return int(val)
+        return _integer(val, pos)
 
-    def _power_suffix(self, base: Polynomial) -> Polynomial:
-        kind, _, _ = self.lx.peek()
-        if kind == "^":
+    def _literal(self, digits: str, pos: int):
+        """The integer or a/b starting at pos: an int or a Fraction over Q,
+        reduced mod p."""
+        value = _integer(digits, pos)
+        if self.lx.peek()[0] == "/":
             self.lx.next()
-            pos = self.lx.peek()[2]
-            k = self._int()
-            if k > MAX_EXPONENT:
-                raise PolynomialSyntaxError(f"exponent above {MAX_EXPONENT}", pos)
-            terms, bits = _power_size(base, k)
-            if terms > MAX_POWER_TERMS or bits > MAX_POWER_BITS:
-                raise PolynomialSyntaxError(
-                    f"power too large: up to {MAX_POWER_TERMS} terms and "
-                    f"{MAX_POWER_BITS} coefficient bits are allowed", pos)
-            return base ** k
-        return base
+            den = self._int()
+            if den == 0:
+                raise PolynomialSyntaxError("zero denominator", pos)
+            value = Fraction(value, den)
+        if not self.ring.characteristic:
+            return value
+        try:
+            return self.ring.coeff(value)
+        except ZeroDivisionError:
+            raise PolynomialSyntaxError(
+                "denominator not invertible in this characteristic", pos) from None
 
-    def _factor(self) -> Polynomial:
-        kind, val, pos = self.lx.peek()
-        if kind == "int":
-            self.lx.next()
-            num = int(val)
-            k2, _, _ = self.lx.peek()
-            if k2 == "/":
-                self.lx.next()
-                den = self._int()
-                if den == 0:
-                    raise PolynomialSyntaxError("zero denominator", pos)
-                try:
-                    const = Polynomial.constant(self.ring, Fraction(num, den))
-                except ZeroDivisionError:
-                    raise PolynomialSyntaxError(
-                        "denominator not invertible in this characteristic", pos
-                    ) from None
-                return self._power_suffix(const)
-            return self._power_suffix(Polynomial.constant(self.ring, num))
-        if kind == "(":
-            self.lx.next()
-            f = self._expr()
-            k2, _, p2 = self.lx.next()
-            if k2 != ")":
-                raise PolynomialSyntaxError("expected ')'", p2)
-            return self._power_suffix(f)
-        if kind == "ident":
-            self.lx.next()
-            vars_ = _split_identifier(val, self.ring, pos)
-            f = Polynomial.one(self.ring)
-            for v in vars_[:-1]:
-                f = f * Polynomial.variable(self.ring, v)
-            last = Polynomial.variable(self.ring, vars_[-1])
-            # a trailing '^' binds to the last juxtaposed variable: xy^2 = x*y^2
-            return f * self._power_suffix(last)
-        raise PolynomialSyntaxError("expected a factor", pos)
+    def _exponent(self):
+        """(k, position of k) for a '^ k' that follows, else (None, None)."""
+        if self.lx.peek()[0] != "^":
+            return None, None
+        self.lx.next()
+        pos = self.lx.peek()[2]
+        k = self._int()
+        if k > MAX_EXPONENT:
+            raise PolynomialSyntaxError(f"exponent above {MAX_EXPONENT}", pos)
+        return k, pos
+
+    def _variables(self, name: str, pos: int) -> tuple:
+        """The indices of the ring variables an identifier juxtaposes, by
+        greedy longest match, worked out once per identifier and parse."""
+        indices = self._idents.get(name)
+        if indices is None:
+            found, i = [], 0
+            while i < len(name):
+                for v, j in self._names:
+                    if name.startswith(v, i):
+                        found.append(j)
+                        i += len(v)
+                        break
+                else:
+                    raise UnknownVariableError(
+                        f"cannot read {name[i:]!r} as ring variables {self.ring.variables}",
+                        pos + i)
+            indices = self._idents[name] = tuple(found)
+        return indices
 
 
 def parse_polynomial(text: str, rng: RingDescriptor) -> Polynomial:

@@ -362,6 +362,87 @@ def monomial_minimal_primes(generator_exponents, nvars):
 
 
 # ---------------------------------------------------------------------------
+# polynomial text in varied surface syntax
+#
+# `render_polynomial` writes a term dict as text for the package's parser,
+# without the package's printer: a parse of the text must give the dict back
+
+
+def _render_monomial(m, names, rnd):
+    """m in the variables `names`, each factor written x, x^1 or x^e, joined
+    by '*', a space or nothing (juxtaposed: xy^2); '' for the constant."""
+    factors = [name if e == 1 and rnd.random() < 0.6 else f"{name}^{e}"
+               for name, e in zip(names, m) if e]
+    text = factors[0] if factors else ""
+    for f in factors[1:]:
+        text += rnd.choice(("*", " * ", " ", "")) + f
+    return text
+
+
+def _render_term(c, m, names, rnd):
+    """A positive coefficient c times the monomial m."""
+    coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    mono = _render_monomial(m, names, rnd)
+    if not mono:
+        return coeff
+    if c == 1 and rnd.random() < 0.5:
+        return mono
+    return coeff + rnd.choice(("*", " * ", " ", "")) + mono
+
+
+def _render_sum(pieces, names, rnd, depth):
+    """The sum of the (monomial, Fraction) pieces, in their order.  Runs of
+    up to three pieces may be written as a parenthesized sub-sum, negated or
+    not, times their common monomial on either side."""
+    signed = []  # (sign, text), each text a positive summand
+    i = 0
+    while i < len(pieces):
+        size = rnd.randint(1, 3)
+        group, i = pieces[i:i + size], i + size
+        if len(group) > 1 and depth < 2 and rnd.random() < 0.5:
+            common = tuple(map(min, *(m for m, _ in group)))
+            sign = rnd.choice((1, -1))
+            inner = [(tuple(a - b for a, b in zip(m, common)), sign * c) for m, c in group]
+            body = "(" + _render_sum(inner, names, rnd, depth + 1) + ")"
+            factor = _render_monomial(common, names, rnd)
+            if factor:
+                join = rnd.choice(("*", " ", ""))
+                body = factor + join + body if rnd.random() < 0.5 else body + join + factor
+            signed.append((sign, body))
+        else:
+            signed += [(1 if c > 0 else -1, _render_term(abs(c), m, names, rnd))
+                       for m, c in group]
+    if not signed:
+        return "0"
+    sign, text = signed[0]
+    out = ("-" if sign < 0 else rnd.choice(("", "+", "+ "))) + text
+    for sign, text in signed[1:]:
+        out += rnd.choice((" {} ", "{}", "{} ", " {}")).format("-" if sign < 0 else "+") + text
+    return out
+
+
+def render_polynomial(terms, names, rnd):
+    """Text for {exponent tuple: nonzero Fraction} over the single-letter
+    variables `names`, drawn by the random.Random rnd: explicit and implicit
+    '*', juxtaposed variables, a/b coefficients, '^1', spaces, a leading
+    sign, parenthesized sub-sums, and like terms that cancel (some of a
+    term's coefficient written apart, or a term and its negative)."""
+    pieces = []
+    for m, c in terms.items():
+        if rnd.random() < 0.3:
+            d = Fraction(rnd.randint(-9, 9), rnd.randint(1, 4))
+            pieces += [(m, d), (m, c - d)]
+        else:
+            pieces.append((m, c))
+    for _ in range(rnd.randint(0, 2)):
+        m = tuple(rnd.randint(0, 2) for _ in names)
+        d = Fraction(rnd.randint(1, 9), rnd.randint(1, 4))
+        pieces += [(m, d), (m, -d)]
+    rnd.shuffle(pieces)
+    return _render_sum([(m, c) for m, c in pieces if c], names, rnd, 0)
+
+
+# ---------------------------------------------------------------------------
 # Groebner-basis check by plain division, under degrevlex unless a sort key
 # of another order is given
 #

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grevlex_key
+from oracles import grevlex_key, render_polynomial
 from conesign import (
     MonomialOrder,
     PolynomialSyntaxError,
@@ -128,6 +129,43 @@ def test_powers_within_the_bound_are_computed():
     assert len(P("((x + y)^10)^10", R3).terms) == 101
     assert P("(3^1000)^3 x").terms == {(1, 0): Fraction(3**3000)}
     assert P("(1/2 x - 1)^0") == P("1")
+
+
+def test_integer_literals_too_long_to_read_are_syntax_errors():
+    # Python refuses to convert more than 4300 digits; the parser says where
+    digits = "1" + "0" * 5000
+    for text in (f"x - {digits}", f"x + 1/{digits}", f"x^{digits}"):
+        with pytest.raises(PolynomialSyntaxError, match="5001 digits") as exc:
+            P(text)
+        assert exc.value.position == text.index(digits)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_reads_back_rendered_term_dicts(seed):
+    # the text comes from a renderer that shares no code with the package;
+    # each seed draws 25 term dicts over Q and reads each one over Q and
+    # mod 32003, where every denominator the renderer writes is invertible
+    rnd = random.Random(seed)
+    F3 = ring("x, y, z", characteristic=32003)
+    for _ in range(25):
+        want = {}
+        for _ in range(rnd.randint(0, 8)):
+            m = tuple(rnd.randint(0, 3) for _ in range(3))
+            want[m] = Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 9), rnd.randint(1, 4))
+        text = render_polynomial(want, "xyz", rnd)
+        assert parse_polynomial(text, R3).terms == want, text
+        assert parse_polynomial(text, F3).terms == {
+            m: c.numerator * pow(c.denominator, -1, 32003) % 32003 for m, c in want.items()
+        }, text
+
+
+def test_parse_time_is_linear_in_the_terms():
+    # each term is added into one dict in place; adding polynomials term by
+    # term copied the sum once per term, and 8,000 terms took seconds
+    text = " + ".join(f"{i + 1}*x^{i % 20}*y^{i // 20 % 20}*z^{i // 400}" for i in range(8000))
+    start = time.perf_counter()
+    assert len(parse_polynomial(text, R3).terms) == 8000
+    assert time.perf_counter() - start < 1
 
 
 def test_large_powers_over_q_parse_quickly():
