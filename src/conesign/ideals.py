@@ -12,6 +12,13 @@ O'Shea, Ideals, Varieties, and Algorithms, ch. 9 sec. 3), so the series of
 the leads gives the Krull dimension and the degree of the projective
 closure without homogenizing.
 
+The multiplicities of a decomposition come from one chain of saturations,
+`_multiplicities`: the primes are taken by descending dimension, each is
+saturated away by an element in none of the later primes, and its
+multiplicity times its degree is what the top-dimensional degree loses.
+k primes take k - 1 saturations, and `multiplicity_along` is the first
+entry of the same chain.
+
 All ideals are presented by finite generating sets over an explicit ring.
 Reduced Groebner bases are cached per monomial order, and division by the
 degrevlex one is set up once, so repeated membership tests, normal forms
@@ -603,10 +610,11 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
     work = [I]
     while work:
         K = work.pop()
-        sig = K.signature()
-        if sig in seen:
+        # a reduced basis is canonical, and polynomials hash by their terms
+        basis = K.gb()
+        if basis in seen:
             continue
-        seen.add(sig)
+        seen.add(basis)
         if K.is_unit_ideal():
             continue
         verdict = _certify_prime(K, irreducible)
@@ -617,7 +625,7 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
         status = "certified" if verdict[0] == "prime" else "undecided"
         # canonical presentation: downstream cone computations and JSON
         # output both key off the generator list
-        found[sig] = (IdealPresentation.from_reduced_basis(K.ring, K.gb()), status)
+        found[basis] = (IdealPresentation.from_reduced_basis(K.ring, basis), status)
 
     # keep the ideals minimal under inclusion
     entries = list(found.values())
@@ -633,13 +641,13 @@ def minimal_primes(I: IdealPresentation) -> list:
     descending dimension, then ascending degree, then basis text.
     """
     keep = _minimal_prime_list(I)
-    comps = []
     primes = [K for K, _ in keep]
-    for K, status in keep:
-        Q, D = _lead_series(K)
+    series = [_lead_series(K) for K in primes]
+    comps = []
+    for (K, status), (Q, D), m in zip(keep, series, _multiplicities(I, primes, series)):
         comps.append(PrimeComponent(
             prime=K,
-            multiplicity=multiplicity_along(I, K, [P for P in primes if P is not K]),
+            multiplicity=m,
             dimension=D,
             degree=sum(Q),
             primality=status,
@@ -653,27 +661,88 @@ def multiplicity_along(I: IdealPresentation, P: IdealPresentation,
                        other_primes=None) -> int:
     """Length of the local ring of V(I) at the generic point of V(P).
 
-    Computed affinely: cut away the other components by saturation, and
-    take the ratio of the degrees of the closures, which is exact for the
-    component-supported part.
+    `other_primes` are the other minimal primes of I, found by a
+    decomposition when omitted; the multiplicity comes from the chain of
+    `_multiplicities`.
     """
     if not contains_ideal(P, I):
         raise ValueError("multiplicity requested along a non-component")
     if other_primes is None:
-        other_primes = [K for K, _ in _minimal_prime_list(I)
-                        if K.signature() != P.signature()]
-    J = I
-    for Q in other_primes:
-        pick = next((g for g in Q.gb() if not P.contains(g)), None)
-        if pick is None:
-            raise ValueError("component list contains nested primes")
-        J = saturate(J, pick)
-    QJ, DJ = _lead_series(J)
-    QP, DP = _lead_series(P)
-    if DJ != DP:
-        raise ArithmeticError("saturation left extra components behind")
-    degJ, degP = sum(QJ), sum(QP)
-    if degJ % degP:
-        raise ArithmeticError("degree ratio is not an integer")
-    return degJ // degP
+        basis = P.gb()
+        other_primes = [K for K, _ in _minimal_prime_list(I) if K.gb() != basis]
+    primes = [P, *other_primes]
+    return _multiplicities(I, primes, [_lead_series(K) for K in primes])[0]
 
+
+def _top_part(J: IdealPresentation):
+    """(dimension, degree) of J's top-dimensional part; (-1, 0) for the
+    unit ideal."""
+    if J.is_unit_ideal():
+        return -1, 0
+    Q, D = _lead_series(J)
+    return D, sum(Q)
+
+
+def _avoiding(P: IdealPresentation, later) -> Polynomial:
+    """An element of the prime P that lies in none of the primes `later`.
+
+    An element of P's reduced basis b_0..b_(s-1) when one will do, else
+    the first g_c = sum_t c^t b_t, c = 1, 2, ..., that does.  For each Q
+    in `later` the normal form of g_c modulo Q is a polynomial in c of
+    degree at most s - 1, nonzero when P is not inside Q, so at most
+    s - 1 values of c put g_c in Q and c never passes
+    len(later) * (s - 1) + 1 over Q.
+    """
+    basis = P.gb()
+    for g in basis:
+        if not any(Q.contains(g) for Q in later):
+            return g
+    if any(all(map(Q.contains, basis)) for Q in later):
+        raise ValueError("component list contains nested primes")
+    for c in range(1, len(later) * (len(basis) - 1) + 2):
+        g = sum((b * c**t for t, b in enumerate(basis)), Polynomial.zero(P.ring))
+        if not any(Q.contains(g) for Q in later):
+            return g
+    raise ArithmeticError("no element avoids the later primes")
+
+
+def _multiplicities(I: IdealPresentation, primes, series) -> list:
+    """The multiplicity of I along each of `primes`, the minimal primes of
+    I, in their order, from one chain of len(primes) - 1 saturations;
+    `series` holds the `_lead_series` of each prime.
+
+    The primes are taken by descending dimension (a stable sort), and J
+    starts at I.  deg J, from the affine series of its leads, counts only
+    J's top-dimensional components, each by its multiplicity times its
+    degree.  At P_i, dim J = dim P_i, and J is saturated by an element of
+    P_i in none of the later primes: that removes P_i with every embedded
+    component over it and keeps the later primes.  So m_i * deg P_i is
+    deg J less the degree of the saturation when the saturation keeps
+    dimension dim P_i, and deg J otherwise.
+
+    A nested pair has the larger prime first, so a later prime containing
+    P_i raises ValueError; a component missing from `primes` or a
+    non-integral ratio raises ArithmeticError.
+    """
+    if not primes:
+        return []
+    chain = sorted(range(len(primes)), key=lambda i: -series[i][1])
+    out = [0] * len(primes)
+    J = I
+    dim, deg = _top_part(J)
+    for step, i in enumerate(chain):
+        QP, DP = series[i]
+        if dim != DP:
+            raise ArithmeticError("saturation left extra components behind")
+        top = deg
+        later = [primes[j] for j in chain[step + 1:]]
+        if later:
+            J = saturate(J, _avoiding(primes[i], later))
+            dim, deg = _top_part(J)
+            if dim == DP:
+                top -= deg
+        m, rest = divmod(top, sum(QP))
+        if rest:
+            raise ArithmeticError("degree ratio is not an integer")
+        out[i] = m
+    return out

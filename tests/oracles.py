@@ -9,7 +9,7 @@ from the package's own saturation and colength.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +359,32 @@ def monomial_minimal_primes(generator_exponents, nvars):
                     if not any(all(a >= b for a, b in zip(e, g)) for g in local)]
         out.append((S, len(standard)))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# products of powers of linear primes, with the multiplicity along each
+#
+# A linear prime is given by rows (c_1, ..., c_n, c_0), one for each affine
+# form c_1*x_1 + ... + c_n*x_n + c_0 among its generators, with a common zero.
+
+
+def linear_prime_contains(big, small):
+    """Whether the linear prime `big` contains `small`: every row of small
+    is a combination of big's rows."""
+    return matrix_rank(list(big) + list(small)) == matrix_rank(big)
+
+
+def linear_product_multiplicities(primes, exponents):
+    """The multiplicity of I = prod_j P_j^(a_j) along each linear prime P_j,
+    none containing another; those P_j are exactly I's minimal primes.
+
+    At the generic point of P_j every other factor is the unit ideal.  In
+    coordinates where P_j's forms are h_j of the variables, h_j the rank of
+    its rows, the local ring there is R/P_j^(a_j) over the function field
+    of the rest: its length counts the monomials of degree below a_j in
+    h_j variables, C(a_j + h_j - 1, h_j).
+    """
+    return [comb(a + h - 1, h) for h, a in zip(map(matrix_rank, primes), exponents)]
 
 
 # ---------------------------------------------------------------------------

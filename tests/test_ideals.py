@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from oracles import (
     division_remainder,
     lex_eliminant,
+    linear_prime_contains,
+    linear_product_multiplicities,
     matrix_rank,
     monomial_dimension,
     monomial_hilbert_count,
@@ -854,6 +856,125 @@ def test_multiplicity_along_a_power_of_a_line(point, line, other, a):
     # two variables
     assert multiplicity_along(J, P, [Q]) == a * (a + 1) // 2
     assert multiplicity_along(J, Q, [P]) == 1
+
+
+def counting_saturations(monkeypatch):
+    """The polynomials each later `saturate` call of `ideals` saturates by."""
+    calls = []
+    real = conesign.ideals.saturate
+
+    def counted(J, f):
+        calls.append(f)
+        return real(J, f)
+
+    monkeypatch.setattr(conesign.ideals, "saturate", counted)
+    return calls
+
+
+def test_a_decomposition_reads_its_multiplicities_off_one_chain_of_saturations(monkeypatch):
+    calls = counting_saturations(monkeypatch)
+    # k primes take k - 1 saturations; the embedded origin of the second
+    # ideal goes with the first line saturated away
+    for text, want in [("xy, xz, yz", [1, 1, 1]), ("x^2, x*y, x*z, y*z", [1, 1])]:
+        calls.clear()
+        assert [c.multiplicity for c in minimal_primes(I(text, R3))] == want
+        assert len(calls) == len(want) - 1
+
+
+def test_the_first_of_three_axes_is_saturated_away_by_a_sum(monkeypatch):
+    calls = counting_saturations(monkeypatch)
+    minimal_primes(I("xy, xz, yz", R3))
+    # each basis element of the first axis lies on one of the other two
+    assert sorted(len(f.terms) for f in calls) == [1, 2]
+
+
+def test_the_unit_ideal_has_no_component_and_takes_no_saturation(monkeypatch):
+    calls = counting_saturations(monkeypatch)
+    assert minimal_primes(I("x*y, x*y - 1")) == []
+    assert minimal_primes(ideal(R3, "1")) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("P, others", [("x", ["x, y"]), ("x, y", ["x"]), ("x", ["x"])])
+def test_nested_primes_in_a_multiplicity_raise(P, others):
+    with pytest.raises(ValueError, match="nested primes"):
+        multiplicity_along(I("x*y"), I(P), [I(Q) for Q in others])
+
+
+DIRECTIONS = [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)]
+
+
+def seeded_linear_primes(rnd):
+    """Rows (c_x, c_y, c_z, c_0) of 2 or 3 linear primes of Q[x, y, z],
+    none containing another.  Their forms come from a pool of four: x + a*z,
+    y + b*z and z, each shifted by a constant, and one more.  The reduced
+    basis of the prime of the first two is those two forms, and each lies
+    in any other prime that shares it, so such primes can reach the
+    combined pick of a multiplicity, as the three axes do."""
+    a, b = rnd.randint(-1, 1), rnd.randint(-1, 1)
+    pool = [v + (rnd.randint(-1, 1),)
+            for v in [(1, 0, a), (0, 1, b), (0, 0, 1), rnd.choice(DIRECTIONS)]]
+    while True:
+        primes = []
+        for _ in range(rnd.choice((2, 3, 3, 3))):
+            size = rnd.choice((1, 2, 2, 2, 2, 3))
+            rows = rnd.sample(pool, size)
+            # independent directions, so the forms have a common zero
+            if matrix_rank([r[:3] for r in rows]) == size:
+                primes.append(rows)
+        if len(primes) > 1 and not any(linear_prime_contains(P, Q)
+                                       for P, Q in itertools.permutations(primes, 2)):
+            return primes
+
+
+def affine_form(row):
+    terms = {tuple(int(i == j) for i in range(3)): c for j, c in enumerate(row[:3])}
+    terms[(0, 0, 0)] = row[3]
+    return Polynomial(R3, terms)
+
+
+def linear_prime_product(primes, exponents):
+    """prod_j P_j^(a_j), generated by the products of one generator of
+    each power."""
+    powers = [[math.prod(f, start=Polynomial.one(R3))
+               for f in itertools.combinations_with_replacement(map(affine_form, P), a)]
+              for P, a in zip(primes, exponents)]
+    return IdealPresentation(R3, [math.prod(f, start=Polynomial.one(R3))
+                                  for f in itertools.product(*powers)])
+
+
+def test_products_of_powers_of_linear_primes_match_the_oracle(monkeypatch):
+    calls = counting_saturations(monkeypatch)
+    fallbacks = 0
+    for seed in range(40):
+        rnd = random.Random(seed)
+        rows = seeded_linear_primes(rnd)
+        exponents = [rnd.randint(1, 2) for _ in rows]
+        primes = [IdealPresentation(R3, map(affine_form, P)) for P in rows]
+        calls.clear()
+        comps = minimal_primes(linear_prime_product(rows, exponents))
+        got = {c.prime.gb(): c.multiplicity for c in comps}
+        want = dict(zip((P.gb() for P in primes), linear_product_multiplicities(rows, exponents)))
+        assert got == want, seed
+        bases = {g for P in primes for g in P.gb()}
+        fallbacks += any(f not in bases for f in calls)
+    # the corpus reaches the pick of a combination of basis elements
+    assert fallbacks
+
+
+def test_the_order_of_the_other_primes_does_not_change_a_multiplicity():
+    for seed in range(20):
+        rnd = random.Random(seed)
+        rows = seeded_linear_primes(rnd)
+        exponents = [rnd.randint(1, 2) for _ in rows]
+        J = linear_prime_product(rows, exponents)
+        primes = [IdealPresentation(R3, map(affine_form, P)) for P in rows]
+        want = linear_product_multiplicities(rows, exponents)
+        for P, a in zip(primes, want):
+            others = [Q for Q in primes if Q is not P]
+            for _ in range(2):
+                rnd.shuffle(others)
+                assert multiplicity_along(J, P, others) == a, seed
 
 
 # tangent machinery
