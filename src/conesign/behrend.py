@@ -212,7 +212,7 @@ def constancy_falsifier(J: IdealPresentation,
         if reasons:
             for r in reasons:
                 witnesses.append({
-                    "component": [g.to_text() for g in c.prime.gb()],
+                    "component": list(c.prime.signature()),
                     "reason": r,
                 })
             # a certified component with a reason besides the sign, or

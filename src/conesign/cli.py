@@ -272,13 +272,13 @@ def _dispatch(args, cfg: RunConfig) -> int:
         drop = tuple(v.strip() for v in args.drop.split(",") if v.strip())
         out = eliminate(I, drop)
         emit({"variables": list(out.ring.variables),
-              "generators": [g.to_text() for g in out.gb()]}, cfg)
+              "generators": list(out.signature())}, cfg)
         return 0
     if cmd == "saturate":
         I = load_ideal(args.ideal, cfg.characteristic)
         f = parse_polynomial(args.by, I.ring)
         out = saturate(I, f)
-        emit({"generators": [g.to_text() for g in out.gb()]}, cfg)
+        emit({"generators": list(out.signature())}, cfg)
         return 0
     if cmd == "dim":
         I = load_ideal(args.ideal, cfg.characteristic)
@@ -289,7 +289,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
         I = load_ideal(args.ideal)
         comps = minimal_primes(I)
         payload = {"components": [c.to_json_dict() for c in comps]}
-        rows = [[i, ";".join(c.to_json_dict()["generators"]), c.multiplicity,
+        rows = [[i, ";".join(c.prime.signature()), c.multiplicity,
                  c.dimension, c.degree, c.primality]
                 for i, c in enumerate(comps)]
         emit(payload, cfg, csv_rows=rows,

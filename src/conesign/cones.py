@@ -43,12 +43,9 @@ def rees_ideal(J: IdealPresentation):
     from the reduced basis of J, never from the raw generator list, so
     equal ideals always produce identical cone output.
     """
-    basis = [g for g in J.gb() if not g.is_zero()]
-    k = len(basis)
-    names = cone_variable_names(J.ring, k)
+    basis = J.gb()
+    names = cone_variable_names(J.ring, len(basis))
     ext = J.ring.extend(names)
-    if k == 0:
-        return IdealPresentation(ext, ()), names
     tname = _fresh_name("t", ext.variables)
     big = ext.extend((tname,))
     t = Polynomial.variable(big, tname)
@@ -79,9 +76,9 @@ class ConeComponent:
 
     def to_json_dict(self) -> dict:
         return {
-            "cone_prime": [g.to_text() for g in self.cone_prime.gb()],
+            "cone_prime": list(self.cone_prime.signature()),
             "multiplicity": self.multiplicity,
-            "image": [g.to_text() for g in self.image.gb()],
+            "image": list(self.image.signature()),
             "image_dim": self.image_dimension,
             "dominates": self.dominates,
             "primality_status": self.primality,
@@ -124,7 +121,7 @@ class Cycle:
     terms: tuple
 
     def to_json_dict(self) -> dict:
-        return {"terms": [{"prime": [g.to_text() for g in t.prime.gb()],
+        return {"terms": [{"prime": list(t.prime.signature()),
                            "coeff": t.coefficient} for t in self.terms]}
 
 
@@ -133,15 +130,11 @@ def signed_support_cycle(J: IdealPresentation) -> Cycle:
 
     Components sharing an image are merged into a single term.
     """
-    buckets = {}
+    coeffs = {}
     for comp in cone_components(J):
-        key = comp.image.signature()
-        coeff = (-1) ** comp.image_dimension * comp.multiplicity
-        if key in buckets:
-            prime, old, dim = buckets[key]
-            buckets[key] = (prime, old + coeff, dim)
-        else:
-            buckets[key] = (comp.image, coeff, comp.image_dimension)
-    terms = [CycleTerm(prime, coeff, dim) for prime, coeff, dim in buckets.values()]
+        # equal images have equal dimensions, so this keys on the image
+        key = (comp.image, comp.image_dimension)
+        coeffs[key] = coeffs.get(key, 0) + (-1) ** comp.image_dimension * comp.multiplicity
+    terms = [CycleTerm(prime, coeff, dim) for (prime, dim), coeff in coeffs.items()]
     terms.sort(key=lambda t: (-t.dimension, t.prime.signature()))
     return Cycle(tuple(terms))

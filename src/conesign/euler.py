@@ -234,7 +234,7 @@ class ConstructibleEvaluation:
     def to_json_dict(self) -> dict:
         return {
             "value": self.value,
-            "terms": [{"prime": [g.to_text() for g in prime.gb()],
+            "terms": [{"prime": list(prime.signature()),
                        "coeff": coeff,
                        "eu": verdict.to_json_dict()}
                       for prime, coeff, verdict in self.per_term],

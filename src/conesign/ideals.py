@@ -76,8 +76,11 @@ from .poly import (
 class IdealPresentation:
     """An ideal of a polynomial ring, given by generators.
 
-    Equality means equality of ideals (compared through canonical reduced
-    Groebner bases), not equality of generating sets.
+    Equality means equality of ideals, not of generating sets: two
+    presentations are equal when they share a ring and a reduced degrevlex
+    basis, which is canonical.  Hashing, like equality, goes through the
+    ring and the reduced-basis tuple, whose polynomials hash and compare by
+    their terms; no basis is rendered as text for either.
     """
 
     __slots__ = ("ring", "generators", "_gb_cache", "_extends", "_divide")
@@ -123,6 +126,8 @@ class IdealPresentation:
         return cached
 
     def signature(self) -> tuple:
+        """The reduced degrevlex basis as a tuple of texts: the one rendering
+        of an ideal that reports print and that their sorts key on."""
         return tuple(g.to_text() for g in self.gb())
 
     def _division(self) -> _Divider:
@@ -186,12 +191,10 @@ class IdealPresentation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdealPresentation):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
-        return self.signature() == other.signature()
+        return self.ring == other.ring and self.gb() == other.gb()
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.signature()))
+        return hash((self.ring, self.gb()))
 
     def __repr__(self) -> str:
         body = ", ".join(g.to_text() for g in self.generators) or "0"
@@ -295,20 +298,6 @@ def _padd(a, b):
     return out
 
 
-def _pshiftmul(a, k):
-    return [0] * k + list(a)
-
-
-def _pmul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, c in enumerate(a):
-        if c == 0:
-            continue
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return out
-
-
 def _ptrim(a):
     while a and a[-1] == 0:
         a.pop()
@@ -350,8 +339,8 @@ def hilbert_numerator(monos, arity: int) -> list:
             pivot = max(range(arity), key=lambda i: counts[i])
             if counts[pivot] <= 1:
                 res = [1]
-                for m in ms:
-                    res = _pmul(res, _padd([1], _pshiftmul([-1], sum(m))))
+                for m in ms:  # times 1 - t^deg(m)
+                    res = _padd(res, [0] * sum(m) + [-c for c in res])
             else:
                 added = [m for m in ms if m[pivot] == 0]
                 unit = tuple(1 if i == pivot else 0 for i in range(arity))
@@ -359,7 +348,7 @@ def hilbert_numerator(monos, arity: int) -> list:
                 colon = _minimalize_monomials(
                     [tuple(e - 1 if i == pivot else e for i, e in enumerate(m))
                      if m[pivot] else m for m in ms])
-                res = _padd(rec(added), _pshiftmul(rec(colon), 1))
+                res = _padd(rec(added), [0] + rec(colon))
         res = _ptrim(list(res))
         memo[key] = res
         return res
@@ -501,7 +490,7 @@ class PrimeComponent:
 
     def to_json_dict(self) -> dict:
         return {
-            "generators": [g.to_text() for g in self.prime.gb()],
+            "generators": list(self.prime.signature()),
             "multiplicity": self.multiplicity,
             "dimension": self.dimension,
             "degree": self.degree,
@@ -604,7 +593,7 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
     (prime, status) pairs with status "certified" or "undecided"."""
     if I.is_unit_ideal():
         return []
-    found = {}
+    found = []
     seen = set()
     irreducible = set()
     work = [I]
@@ -625,12 +614,11 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
         status = "certified" if verdict[0] == "prime" else "undecided"
         # canonical presentation: downstream cone computations and JSON
         # output both key off the generator list
-        found[basis] = (IdealPresentation.from_reduced_basis(K.ring, basis), status)
+        found.append((IdealPresentation.from_reduced_basis(K.ring, basis), status))
 
     # keep the ideals minimal under inclusion
-    entries = list(found.values())
-    return [(K, status) for K, status in entries
-            if not any(L is not K and contains_ideal(K, L) for L, _ in entries)]
+    return [(K, status) for K, status in found
+            if not any(L is not K and contains_ideal(K, L) for L, _ in found)]
 
 
 def minimal_primes(I: IdealPresentation) -> list:
@@ -668,8 +656,7 @@ def multiplicity_along(I: IdealPresentation, P: IdealPresentation,
     if not contains_ideal(P, I):
         raise ValueError("multiplicity requested along a non-component")
     if other_primes is None:
-        basis = P.gb()
-        other_primes = [K for K, _ in _minimal_prime_list(I) if K.gb() != basis]
+        other_primes = [K for K, _ in _minimal_prime_list(I) if K != P]
     primes = [P, *other_primes]
     return _multiplicities(I, primes, [_lead_series(K) for K in primes])[0]
 

@@ -556,9 +556,9 @@ class _Lexer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():  # exactly the digits that int() reads
                 j = i
-                while j < n and t[j].isdigit():
+                while j < n and t[j].isdecimal():
                     j += 1
                 self.tokens.append(("int", t[i:j], i))
                 i = j

@@ -322,6 +322,27 @@ def test_a_huge_exponent_in_a_point_is_rejected_at_once(files):
         assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
 
+def test_reports_are_byte_identical_across_hash_seeds(files, tmp_path):
+    # ideals and polynomials hash through strings (variable names), so a
+    # merge or a cache keyed on them must not let the hash seed reach stdout
+    embedded = tmp_path / "embedded.ideal"
+    embedded.write_text("ring x, y, z;\nx^2, xy, xz, yz\n", encoding="utf-8")
+    commands = [["cycle", "--ideal", files["axes"]],
+                ["behrend", "eval", "--ideal", files["axes"], "--point", "0,0,0"],
+                ["falsify", "--ideal", str(embedded)],
+                ["mincomp", "--ideal", str(embedded)]]
+
+    def outputs(seed):
+        env = {**cli_env(), "PYTHONHASHSEED": seed}
+        runs = [subprocess.run([sys.executable, "-m", "conesign.cli", *command],
+                               capture_output=True, env=env, timeout=60)
+                for command in commands]
+        assert [run.returncode for run in runs] == [0] * len(commands)
+        return [run.stdout for run in runs]
+
+    assert outputs("0") == outputs("1")
+
+
 def test_infinite_colength_is_an_input_error(files, capsys):
     code, _, _ = run_cli(["hilb", "tangent", "--ideal", files["thin"]], capsys)
     assert code == 1

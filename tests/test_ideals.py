@@ -54,7 +54,7 @@ from conesign import (
     tangent_dimension_at_point,
 )
 from conesign.factor import factor_polynomial
-from conesign.ideals import _certify_prime, _is_linear, _minimal_polynomial
+from conesign.ideals import _certify_prime, _is_linear, _minimal_polynomial, hilbert_numerator
 
 R1 = ring("x")
 R2 = ring("x, y")
@@ -399,6 +399,18 @@ def test_minimal_primes_of_monomial_ideals_match_the_oracle():
         assert all(c.dimension == n - len(c.prime.gb()) for c in comps)
 
 
+def test_hilbert_numerator_matches_monomial_counts():
+    # series(R/M) = N(t) / (1 - t)^n: the degree-d coefficient is
+    # sum_i N_i * C(d - i + n - 1, n - 1), the count of standard monomials
+    for seed in range(60):
+        n, exps = seeded_monomial_ideal(random.Random(seed), (2, 3, 4, 5))
+        N = hilbert_numerator(exps, n)
+        for d in range(max(map(sum, exps)) + 3):
+            got = sum(c * math.comb(d - i + n - 1, n - 1)
+                      for i, c in enumerate(N) if i <= d)
+            assert got == monomial_hilbert_count(exps, n, d), (seed, d)
+
+
 def unimodular(rnd, n):
     """A seeded integer matrix of determinant +-1: shears, then a permutation."""
     A = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -572,6 +584,24 @@ def test_irrational_point_pair_is_certified_without_sympy(monkeypatch):
 
     monkeypatch.setattr(conesign.factor, "_sympy_factor_list", no_sympy)
     assert _certify_prime(I("x^2 - 2, y")) == ("prime",)
+
+
+def test_ideals_compare_and_hash_by_basis_without_rendering_it(monkeypatch):
+    # x^3 = x*(x^2 - y) + x*y, so A and B present one ideal
+    A = I("x^2 - y, x*y")
+    B = I("x*y + x^2 - y, x*y, x^3")
+    C = I("x, y")
+    Z2, Z3 = IdealPresentation(R2, ()), IdealPresentation(R3, [Polynomial.zero(R3)])
+
+    def no_text(self, order=None):
+        raise AssertionError("an ideal was rendered as text")
+
+    monkeypatch.setattr(Polynomial, "to_text", no_text)
+    assert A == B and hash(A) == hash(B) and A != C
+    assert B in {A} and C not in {A, Z2} and {A, C} == {B, C}
+    # the zero ideals of two rings share the empty basis, not the ring
+    assert Z2 != Z3 and Z2 == IdealPresentation(R2, [Polynomial.zero(R2)])
+    assert len({Z2, Z3, A, B, C}) == 4
 
 
 def test_from_reduced_basis_runs_no_buchberger(monkeypatch):

@@ -140,6 +140,20 @@ def test_integer_literals_too_long_to_read_are_syntax_errors():
         assert exc.value.position == text.index(digits)
 
 
+def test_digits_that_int_cannot_read_are_unexpected_characters():
+    # superscripts and circled digits are str.isdigit() but not int() digits
+    for text, ch in (("x^²", "²"), ("³x", "³"), ("x + ①", "①"), ("2^¹", "¹")):
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            P(text)
+        assert str(exc.value) == f"unexpected character {ch!r} (at position {text.index(ch)})"
+    # Arabic-Indic digits are decimal, so int() reads them
+    assert P("x^٣") == P("x^3")
+    assert P("١٢x") == P("12x")
+    # inside a name a superscript is a letter-like character, not a number
+    with pytest.raises(UnknownVariableError):
+        P("x²")
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_parse_reads_back_rendered_term_dicts(seed):
     # the text comes from a renderer that shares no code with the package;

@@ -10,6 +10,7 @@
   package.
 - Only `IdealPresentation` touches the caches by which a derived ideal
   extends its parent's basis.
+- Only `IdealPresentation.signature` renders a reduced basis as text.
 
 `__init__.py` only re-exports, so its imports count as uses of nothing.
 """
@@ -108,3 +109,33 @@ def test_only_ideal_presentation_touches_its_basis_caches():
         for n in uses(tree):
             (inside if id(n) in mine else outside).append(f"{path.name}:{n.lineno}")
     assert inside and outside == []
+
+
+def test_only_signature_renders_a_reduced_basis():
+    # reports show an ideal as its signature(), so how one looks is decided
+    # in one place; a comprehension over X.gb() calling to_text() on each
+    # element is such a rendering
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+    def renders(node):
+        elt = getattr(node, "elt", None)
+        return isinstance(node, comprehensions) and any(
+            isinstance(gen.iter, ast.Call) and isinstance(gen.iter.func, ast.Attribute)
+            and gen.iter.func.attr == "gb" and isinstance(gen.target, ast.Name)
+            and isinstance(elt, ast.Call) and isinstance(elt.func, ast.Attribute)
+            and elt.func.attr == "to_text" and isinstance(elt.func.value, ast.Name)
+            and elt.func.value.id == gen.target.id
+            for gen in node.generators)
+
+    def sites(node, scope):
+        """The dotted scope of each rendering under node."""
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if renders(node):
+            yield ".".join(scope)
+        for child in ast.iter_child_nodes(node):
+            yield from sites(child, scope)
+
+    found = [f"{path.name}:{site}" for path in sorted((ROOT / "src" / "conesign").glob("*.py"))
+             for site in sites(_tree(path), ())]
+    assert found == ["ideals.py:IdealPresentation.signature"]
