@@ -1,11 +1,20 @@
 """Polynomial factorization over Q: exact native rules up to degree 3, with
 sympy, imported on first use, only for the rest.
 
+The monomial content comes out first: the least power of each variable
+over all terms is a factor with that exponent, so a monomial splits into
+its variables directly.  Only the quotient goes through the rules below,
+so x*y - y = y*(x - 1) is a variable times a linear form and needs no Gram
+matrix.
+
 - Degree 1 is irreducible.
-- Degree 2 is decided by the Gram matrix of the homogenized quadric.  Rank
-  >= 3 is irreducible and rank 1 is c*l^2.  Rank 2 splits over Q exactly
-  when -det of a nonzero principal 2x2 minor is a rational square; the
-  two linear factors are then solved for exactly.
+- Degree 2 is decided by the Gram matrix of the homogenized quadric, over
+  the variables that occur and the homogenizing one; the variables that
+  do not occur would add zero rows and columns, which change neither the
+  rank nor the first nonzero principal 2x2 minor.  Rank >= 3 is
+  irreducible and rank 1 is c*l^2.  Rank 2 splits over Q exactly when -det
+  of a nonzero principal 2x2 minor is a rational square; the two linear
+  factors are then solved for exactly.
 - Degree 3 is certified irreducible when its restriction to a line through
   a small integer point, along an axis, is a cubic with no root modulo a
   small prime that does not divide its leading coefficient.  A
@@ -18,7 +27,7 @@ Every factor, native or from sympy, is normalized the same way: primitive
 integer coefficients, and a positive leading coefficient under lex in the
 ring's variable order.  Only characteristic-zero input is supported; the
 splitting logic that consumes these factorizations never runs over prime
-fields.  Monomials are factored into their variables directly.
+fields.
 """
 
 from __future__ import annotations
@@ -45,29 +54,30 @@ def _normalized(rng: RingDescriptor, terms: dict) -> Polynomial:
     return Polynomial(rng, {m: Fraction(c) for m, c in ints.items()}, normalize=False)
 
 
-def gram_matrix(q: Polynomial) -> list:
-    """Symmetric Gram matrix G over Q of the homogenization of q, whose total
-    degree is at most 2: q(x) = X^T G X at X = (x, 1).  The last row and
-    column belong to the homogenizing variable."""
-    n = q.ring.arity
+def gram_matrix(q: Polynomial) -> tuple:
+    """(support, G): the variables that occur in q, ascending, and the
+    symmetric Gram matrix G over Q of the homogenization of q, whose total
+    degree is at most 2, over them: q(x) = X^T G X at X = (x_support, 1).
+    The last row and column belong to the homogenizing variable.  The
+    variables left out would add only zero rows and columns."""
+    support = sorted(q.support_variables())
+    n = len(support)
     gram = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     for m, c in q.terms.items():
-        i, j = ([k for k, e in enumerate(m) for _ in range(e)] + [n, n])[:2]
+        i, j = ([k for k, v in enumerate(support) for _ in range(m[v])] + [n, n])[:2]
         if i == j:
             gram[i][i] = c
         else:
             gram[i][j] = gram[j][i] = c / 2
-    return gram
+    return support, gram
 
 
-def _linear_form(rng: RingDescriptor, coeffs) -> Polynomial:
-    """Dehomogenize coefficients over (x, homogenizing variable), normalized."""
+def _linear_form(rng: RingDescriptor, support, coeffs) -> Polynomial:
+    """Dehomogenize coefficients over (the variables `support`, the
+    homogenizing variable) into a normalized linear form of rng."""
     n = rng.arity
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            terms[tuple(int(i == k) for i in range(n))] = c
-    return _normalized(rng, terms)
+    units = [tuple(int(i == v) for i in range(n)) for v in support] + [(0,) * n]
+    return _normalized(rng, {u: c for u, c in zip(units, coeffs) if c})
 
 
 def _rational_sqrt(q: Fraction):
@@ -78,10 +88,10 @@ def _rational_sqrt(q: Fraction):
 
 
 def _factor_quadric(f: Polynomial) -> list:
-    gram = gram_matrix(f)
+    support, gram = gram_matrix(f)
     rank = rational_rank(gram)
     if rank == 1:
-        return [(_linear_form(f.ring, next(row for row in gram if any(row))), 2)]
+        return [(_linear_form(f.ring, support, next(row for row in gram if any(row))), 2)]
     if rank >= 3:
         return [(_normalized(f.ring, f.terms), 1)]
     size = len(gram)
@@ -109,7 +119,7 @@ def _factor_quadric(f: Polynomial) -> list:
             ri, rj = 2 * gram[i][k], 2 * gram[j][k]
             l1[k] = (ri * b1 - a1 * rj) / det
             l2[k] = (a2 * rj - b2 * ri) / det
-    return [(_linear_form(f.ring, l1), 1), (_linear_form(f.ring, l2), 1)]
+    return [(_linear_form(f.ring, support, l1), 1), (_linear_form(f.ring, support, l2), 1)]
 
 
 def _line_cubic(terms: dict, axis: int, point) -> tuple:
@@ -159,26 +169,28 @@ def factor_polynomial(f: Polynomial):
 
     Constant factors are dropped.  Factors have primitive integer
     coefficients and a positive lex-leading coefficient; exponents are
-    positive ints.  The list is sorted by degree, then text.
+    positive ints.  A monomial's factors are its variables in ring order;
+    any other list is sorted by degree, then text.
     """
     if f.ring.characteristic != 0:
         raise ValueError("factorization implemented over Q only")
     if f.is_zero() or f.is_constant():
         return []
+    # the monomial content: the least power of each variable over all terms
+    content = tuple(map(min, zip(*f.terms)))
+    out = [(Polynomial.variable(f.ring, i), e) for i, e in enumerate(content) if e]
     if f.is_term():
-        (m, _), = f.terms.items()
-        out = []
-        for i, e in enumerate(m):
-            if e:
-                out.append((Polynomial.variable(f.ring, i), e))
         return out
+    if out:
+        f = Polynomial(f.ring, {tuple(a - b for a, b in zip(m, content)): c
+                                for m, c in f.terms.items()}, normalize=False)
     degree = f.total_degree()
     if degree == 1 or (degree == 3 and _certified_irreducible_cubic(f)):
-        out = [(_normalized(f.ring, f.terms), 1)]
+        out.append((_normalized(f.ring, f.terms), 1))
     elif degree == 2:
-        out = _factor_quadric(f)
+        out += _factor_quadric(f)
     else:
-        out = [(_normalized(f.ring, g), e) for g, e in _sympy_factor_list(f.terms, f.ring.arity)]
-    out.sort(key=lambda fe: (fe[0].total_degree(), fe[0].to_text()))
+        out += [(_normalized(f.ring, g), e) for g, e in _sympy_factor_list(f.terms, f.ring.arity)]
+    if len(out) > 1:
+        out.sort(key=lambda fe: (fe[0].total_degree(), fe[0].to_text()))
     return out
-

@@ -546,7 +546,7 @@ def _geometric_flag(I: IdealPresentation) -> str:
         # x_v itself is the only term of g that contains x_v
         if [m for m in g.terms if m[var]] == [tuple(int(i == var) for i in range(g.ring.arity))]:
             return "certified"
-    if g.is_homogeneous() and g.total_degree() == 2 and rational_rank(gram_matrix(g)) >= 3:
+    if g.is_homogeneous() and g.total_degree() == 2 and rational_rank(gram_matrix(g)[1]) >= 3:
         return "certified"
     return "unknown"
 
@@ -590,7 +590,15 @@ def _certify_prime(I: IdealPresentation, irreducible=None):
 
 def _minimal_prime_list(I: IdealPresentation) -> list:
     """The minimal primes of I, each presented by its reduced basis, as
-    (prime, status) pairs with status "certified" or "undecided"."""
+    (prime, status, series) triples: status is "certified" or "undecided",
+    and series the prime's `_lead_series`.
+
+    A candidate K is dropped when another candidate L lies inside it.  A
+    prime L properly inside K has dim L > dim K, since every proper quotient
+    of an affine domain has lower dimension; so a certified L of dimension
+    at most dim K is never tested.  An undecided L may not be prime and is
+    tested against every K.
+    """
     if I.is_unit_ideal():
         return []
     found = []
@@ -614,11 +622,13 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
         status = "certified" if verdict[0] == "prime" else "undecided"
         # canonical presentation: downstream cone computations and JSON
         # output both key off the generator list
-        found.append((IdealPresentation.from_reduced_basis(K.ring, basis), status))
+        P = IdealPresentation.from_reduced_basis(K.ring, basis)
+        found.append((P, status, _lead_series(P)))
 
     # keep the ideals minimal under inclusion
-    return [(K, status) for K, status in found
-            if not any(L is not K and contains_ideal(K, L) for L, _ in found)]
+    return [(K, status, series) for K, status, series in found
+            if not any(L is not K and (L_status != "certified" or L_series[1] > series[1])
+                       and contains_ideal(K, L) for L, L_status, L_series in found)]
 
 
 def minimal_primes(I: IdealPresentation) -> list:
@@ -629,10 +639,10 @@ def minimal_primes(I: IdealPresentation) -> list:
     descending dimension, then ascending degree, then basis text.
     """
     keep = _minimal_prime_list(I)
-    primes = [K for K, _ in keep]
-    series = [_lead_series(K) for K in primes]
+    primes = [K for K, _, _ in keep]
+    series = [s for _, _, s in keep]
     comps = []
-    for (K, status), (Q, D), m in zip(keep, series, _multiplicities(I, primes, series)):
+    for (K, status, (Q, D)), m in zip(keep, _multiplicities(I, primes, series)):
         comps.append(PrimeComponent(
             prime=K,
             multiplicity=m,
@@ -656,7 +666,7 @@ def multiplicity_along(I: IdealPresentation, P: IdealPresentation,
     if not contains_ideal(P, I):
         raise ValueError("multiplicity requested along a non-component")
     if other_primes is None:
-        other_primes = [K for K, _ in _minimal_prime_list(I) if K != P]
+        other_primes = [K for K, _, _ in _minimal_prime_list(I) if K != P]
     primes = [P, *other_primes]
     return _multiplicities(I, primes, [_lead_series(K) for K in primes])[0]
 

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from oracles import sympy_factorization
 
+import conesign.factor
 from conesign import Polynomial, parse_polynomial, ring
-from conesign.factor import factor_polynomial
+from conesign.factor import factor_polynomial, gram_matrix
 
 R2 = ring("x, y")
 
@@ -81,6 +82,8 @@ def test_characteristic_p_is_rejected():
 R3 = ring("x, y, z")
 # the same polynomials read in a ring whose variable order is not sympy's
 ZBA = ring("z, b, a")
+# and in a ring where unused variables sit between x, y and z
+R7 = ring("x, e1, y, e2, z, e3, e4")
 
 coeffs = st.sampled_from([0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)])
 points = st.tuples(*[st.sampled_from([0, 1, -1, 2, Fraction(1, 2)])] * 3)
@@ -111,9 +114,16 @@ def quadrics(draw):
 
 
 @st.composite
+def monomials(draw):
+    m = draw(st.tuples(*[st.integers(0, 2)] * 3).filter(any))
+    return Polynomial(R3, {m: draw(coeffs.filter(bool))})
+
+
+@st.composite
 def factor_inputs(draw):
     kind = draw(st.sampled_from(["linear", "linear2", "square", "quadric", "x2-2y2",
-                                 "fermat", "cusp", "linear*quadric"]))
+                                 "fermat", "cusp", "linear*quadric", "monomial*linear",
+                                 "monomial*quadric", "spread"]))
     point = draw(points)
     if kind == "linear":
         return draw(linear_forms())
@@ -129,11 +139,24 @@ def factor_inputs(draw):
         return P3("x^3 + y^3 + z^3").translate(point)
     if kind == "cusp":
         return P3("y^2 - x^3").translate(point)
+    if kind == "monomial*linear":
+        return draw(monomials()) * draw(linear_forms())
+    if kind == "monomial*quadric":
+        return draw(monomials()) * draw(quadrics())
+    if kind == "spread":
+        # a monomial content, a linear form or quadric, and unused variables
+        # between the used ones
+        f = draw(monomials()) * draw(st.one_of(linear_forms(), quadrics()))
+        return f.remap(R7, [R7.var_index(v) for v in R3.variables])
     return draw(linear_forms()) * draw(quadrics())
 
 
 def P3(text):
     return parse_polynomial(text, R3)
+
+
+def P7(text):
+    return parse_polynomial(text, R7)
 
 
 def as_items(factors):
@@ -149,7 +172,10 @@ def up_to_sign(items):
 @given(f=factor_inputs())
 @settings(max_examples=100, deadline=None)
 def test_native_factorization_agrees_with_sympy(f):
-    assert as_items(factor_polynomial(f)) == sympy_factorization(R3.variables, f.terms)
+    # R7 keeps the order of x, y and z, so sympy's signs are the ring's
+    assert as_items(factor_polynomial(f)) == sympy_factorization(f.ring.variables, f.terms)
+    if f.ring == R7:
+        return
     g = Polynomial(ZBA, f.terms)
     assert up_to_sign(as_items(factor_polynomial(g))) == up_to_sign(
         sympy_factorization(ZBA.variables, g.terms))
@@ -172,6 +198,40 @@ def test_quadric_rules():
     assert texts(factor_polynomial(P3("x^2 - 2*y^2 + 2*x + 1"))) == [
         ("x^2 - 2*y^2 + 2*x + 1", 1)]
     assert is_irreducible(P3("x*y - z^2 + 1"))
+
+
+def test_the_monomial_content_comes_out_before_the_quadric_rule(monkeypatch):
+    calls = []
+    real = conesign.factor._factor_quadric
+
+    def counted(f):
+        calls.append(f.to_text())
+        return real(f)
+
+    monkeypatch.setattr(conesign.factor, "_factor_quadric", counted)
+    assert texts(factor_polynomial(P7("x*e1 - e1"))) == [("e1", 1), ("x - 1", 1)]
+    assert texts(factor_polynomial(P7("x^2*e4^2 - e2^2*e4^2"))) == [
+        ("e4", 2), ("x + e2", 1), ("x - e2", 1)]
+    assert texts(factor_polynomial(P7("z*e3^3 + z*e4"))) == [("e3^3 + e4", 1), ("z", 1)]
+    assert calls == ["x^2 - e2^2"]
+
+
+def test_factors_come_in_ring_order_for_a_monomial_and_by_degree_then_text_otherwise():
+    def ordered(text):
+        return [(g.to_text(), e) for g, e in factor_polynomial(P7(text))]
+
+    assert ordered("x*e1^2") == [("x", 1), ("e1", 2)]
+    assert ordered("x*e1 - e1") == [("e1", 1), ("x - 1", 1)]
+    assert ordered("x^3*z - x*y^2*z") == [("x", 1), ("x + y", 1), ("x - y", 1), ("z", 1)]
+    assert ordered("e4*x^3 + e4*y^3") == [("e4", 1), ("x + y", 1), ("x^2 - x*y + y^2", 1)]
+
+
+def test_the_gram_matrix_spans_the_variables_that_occur():
+    support, gram = gram_matrix(P7("x*e2 - 2*e4^2 + 3*e2 + 1"))
+    assert support == [0, 3, 6]
+    half = Fraction(1, 2)
+    assert gram == [[0, half, 0, 0], [half, 0, 0, Fraction(3, 2)], [0, 0, -2, 0],
+                    [0, Fraction(3, 2), 0, 1]]
 
 
 def test_cubic_certificate_and_fallback():

@@ -463,6 +463,46 @@ def test_minimal_primes_canonical_presentation():
     assert [g.to_text() for g in comps[0].prime.generators] == ["y"]
 
 
+# (x^2 - 2, y^2 - 2) is not prime, as (x - y)(x + y) lies in it, but no rule
+# splits it; it lies in the certified (x - y, y^2 - 2) of the same dimension
+UNDECIDED_INSIDE_A_PRIME = "x^2 - 2, (y - x)*(y^2 - 2)"
+
+
+def test_minimality_tests_a_certified_prime_only_against_candidates_of_lower_dimension(
+        monkeypatch):
+    # a prime L properly inside K has dim L > dim K, so a certified L of
+    # dimension at most dim K is never tested; an undecided one always is
+    verdicts, pairs = {}, []
+    real_certify, real_contains = _certify_prime, conesign.ideals.contains_ideal
+
+    def certify(K, irreducible=None):
+        verdicts[K.gb()] = verdict = real_certify(K, irreducible)
+        return verdict
+
+    def contains(big, small):
+        pairs.append((big, small))
+        return real_contains(big, small)
+
+    monkeypatch.setattr(conesign.ideals, "_certify_prime", certify)
+    monkeypatch.setattr(conesign.ideals, "contains_ideal", contains)
+    # testing every ordered pair of candidates would make 6, 6, 5, 6, 2 and 10
+    for J, tested in [(I("xy, xz, yz", R3), 0), (I("x*y, x*z", R3), 2),
+                      (I("x^2, x*y, x*z, y*z", R3), 1), (I("(x^2 - y^2)*(x - 2)"), 0),
+                      (I(UNDECIDED_INSIDE_A_PRIME), 1), (I("x*y*z, x^2*z", R3), 3)]:
+        verdicts.clear()
+        pairs.clear()
+        conesign.ideals._minimal_prime_list(J)
+        assert len(pairs) == tested
+        for big, small in pairs:
+            assert verdicts[small.gb()][0] != "prime" or dimension(small) > dimension(big)
+
+
+def test_an_undecided_candidate_removes_a_candidate_of_its_dimension_that_contains_it():
+    kept = conesign.ideals._minimal_prime_list(I(UNDECIDED_INSIDE_A_PRIME))
+    assert [(sorted(g.to_text() for g in K.gb()), status, series[1])
+            for K, status, series in kept] == [(["x^2 - 2", "y^2 - 2"], "undecided", 0)]
+
+
 # the zero-dimensional rule: minimal polynomials of the variables on R/I
 
 ZERO_DIMENSIONAL_VERDICTS = [
