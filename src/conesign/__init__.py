@@ -25,7 +25,6 @@ from .errors import (
     DegenerateDrawError,
     EuUnsupportedError,
     InfiniteColengthError,
-    NotHomogeneousError,
     PointNotOnVarietyError,
     PolynomialSyntaxError,
     PrimalityUndecidedError,
@@ -33,18 +32,15 @@ from .errors import (
     UnknownVariableError,
 )
 from .euler import (
-    ConstructibleEvaluation,
     EuVerdict,
     cone_over_curve_data,
     curve_multiplicity,
-    eu_cycle,
     eu_point,
 )
 from .groebner import (
     ModuleVector,
     buchberger,
     module_buchberger,
-    module_syzygies,
     normal_form,
 )
 from .hilb import (
@@ -64,15 +60,10 @@ from .ideals import (
     dimension,
     eliminate,
     generic_tangent_dimension,
-    graded_degree_data,
-    hilbert_degree,
-    hilbert_polynomial_value,
     ideal,
-    intersect,
     is_point_on,
     jacobian,
     minimal_primes,
-    multiplicity_along,
     radical_contains,
     saturate,
     standard_monomials,

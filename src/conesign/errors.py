@@ -21,10 +21,6 @@ class UnknownVariableError(PolynomialSyntaxError):
     pass
 
 
-class NotHomogeneousError(ConesignError):
-    """A graded computation was requested on non-homogeneous input."""
-
-
 class InfiniteColengthError(ConesignError):
     """A finite-colength quotient was expected but the quotient is infinite-dimensional."""
 

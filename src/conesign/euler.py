@@ -222,37 +222,3 @@ def eu_point(V: IdealPresentation, point, primality: str = "check",
     raise EuUnsupportedError(
         "no implemented Euler-obstruction rule applies at this point",
         EuVerdict(None, "unsupported", status))
-
-
-@dataclass(frozen=True)
-class ConstructibleEvaluation:
-    cycle: object
-    point: tuple
-    value: int
-    per_term: tuple  # (prime, coefficient, EuVerdict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "terms": [{"prime": list(prime.signature()),
-                       "coeff": coeff,
-                       "eu": verdict.to_json_dict()}
-                      for prime, coeff, verdict in self.per_term],
-        }
-
-
-def eu_cycle(cycle, point, primality: str = "check",
-             seed: int = 0) -> ConstructibleEvaluation:
-    """Z-linear extension of eu_point over a cycle's terms.
-
-    Any unsupported term whose support contains the point aborts the whole
-    evaluation; partial sums are never reported.
-    """
-    per_term = []
-    total = 0
-    for term in cycle.terms:
-        verdict = eu_point(term.prime, point, primality=primality, seed=seed)
-        per_term.append((term.prime, term.coefficient, verdict))
-        total += term.coefficient * verdict.value
-    point = tuple(point)
-    return ConstructibleEvaluation(cycle, point, total, tuple(per_term))

@@ -61,9 +61,9 @@ which drops zeros, checks one ring and one rank, and packs.  All work with a
 given basis goes through one builder, `_Divider`, which normalizes the
 divisors as Buchberger does (monic mod p, primitive integer over Q) and
 finds their leads once: division of packed or plain term dicts, the
-standard terms below the leads, and the Schreyer syzygies (`_syzygies`, read
-off the S-pair reductions' quotients and multipliers), which
-`module_syzygies` scales back and unpacks and `hilb` uses packed.  Over Q no
+standard terms below the leads, and the Schreyer syzygies of the
+normalized divisors (`_syzygies`, read off the S-pair reductions' quotients
+and multipliers), which `hilb` uses packed.  Over Q no
 division builds a `Fraction`: an exact remainder clears the input's
 denominators once and divides by the multiplier and the denominator once at
 the end."""
@@ -764,42 +764,10 @@ def _syzygies(divide: _Divider) -> list:
             rem, lam = _reduce_terms(_spair(bt[j], ltj, bt[i], lti, l, char), bt, lts, pk,
                                      char, syz)
             if rem:
-                raise ValueError("module_syzygies requires a Groebner basis")
+                raise ValueError("syzygies require a Groebner basis")
             ci, cj = bt[i][lti], bt[j][ltj]
             d = gcd(ci, cj)
             syz[i][l - lti] = lam * (cj // d)
             syz[j][l - ltj] = -lam * (ci // d) % char if char else -lam * (ci // d)
             out.append((syz, lam * ci * cj // d))
     return out
-
-
-def module_syzygies(gb, order: MonomialOrder):
-    """Generators of the syzygy module of a Groebner basis `gb` under the
-    term-over-position order on `order`, by Schreyer's theorem (`_syzygies`).
-    Raises ValueError on a zero vector or when `gb` is not a Groebner basis."""
-    gb = list(gb)
-    if not gb:
-        return []
-    if any(v.is_zero() for v in gb):
-        raise ValueError("module_syzygies requires nonzero vectors")
-    divide = _Divider(gb, order)
-    rng, pk = divide.ring, divide.pk
-    char, zero = rng.characteristic, Polynomial.zero(rng)
-    # divisor k is scales[k] times gb[k]
-    scales = []
-    for v, g, lt in zip(gb, divide.divisors, divide.lts):
-        (pos, m), = pk.unpack({lt: 1})
-        scales.append(g[lt] * rng.coeff_inv(v.components[pos].terms[m]))
-
-    def component(d: dict, scale, mu) -> Polynomial:
-        # component k of a divisors' syzygy, over gb: times scales[k], and
-        # over mu to the syzygy of the monic divisors (mod p mu is 1); a
-        # shift has no position fields, so its monomial is what is left
-        if not d:
-            return zero
-        scaled = _scaled(d, scale, char) if char else {t: c * scale / mu for t, c in d.items()}
-        return Polynomial(rng, {pk.fields(t)[pk.rank:]: c for t, c in scaled.items()},
-                          normalize=False)
-
-    return [ModuleVector([component(d, s, mu) for d, s in zip(syz, scales)])
-            for syz, mu in _syzygies(divide)]

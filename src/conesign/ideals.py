@@ -1,6 +1,6 @@
-"""Ideal-level operations: elimination, intersection, saturation, dimension,
-Hilbert-series degree data, tangent spaces, minimal primes with certified
-primality, and multiplicities along components.
+"""Ideal-level operations: elimination, saturation, dimension and degree,
+tangent spaces, minimal primes with certified primality, and their
+multiplicities.
 
 Saturation is one elimination over R[w]: I : f^infinity = (I + (1 - w*f))
 meet R.
@@ -16,8 +16,7 @@ The multiplicities of a decomposition come from one chain of saturations,
 `_multiplicities`: the primes are taken by descending dimension, each is
 saturated away by an element in none of the later primes, and its
 multiplicity times its degree is what the top-dimensional degree loses.
-k primes take k - 1 saturations, and `multiplicity_along` is the first
-entry of the same chain.
+k primes take k - 1 saturations.
 
 All ideals are presented by finite generating sets over an explicit ring.
 Reduced Groebner bases are cached per monomial order, and division by the
@@ -28,7 +27,7 @@ built from a reduced basis already in hand carries it on:
 - `eliminate` keeps the w-free elements of the reduced block-order basis.
   They are the reduced degrevlex basis of the elimination ideal, because the
   block order compares w-free monomials by degrevlex of the smaller ring.
-  `saturate`, `intersect` and the Rees ideal of `cones` inherit this.
+  `saturate` and the Rees ideal of `cones` inherit this.
 - `minimal_primes` presents each prime by its own reduced basis.
 
 An ideal derived from another always extends the parent's reduced
@@ -55,11 +54,9 @@ Candidate primes are split or certified by one routine, `_certify_prime`.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NotHomogeneousError, PointNotOnVarietyError, RingMismatchError
+from .errors import PointNotOnVarietyError, PrimalityUndecidedError, RingMismatchError
 from .factor import factor_polynomial, gram_matrix
 from .groebner import _Divider, _Extending, buchberger
 from .linalg import _echelon, _primitive, rational_rank
@@ -246,21 +243,6 @@ def eliminate(I: IdealPresentation, drop_names) -> IdealPresentation:
     return IdealPresentation.from_reduced_basis(new_ring, kept)
 
 
-def intersect(I: IdealPresentation, J: IdealPresentation) -> IdealPresentation:
-    if I.ring != J.ring:
-        raise ValueError("intersection requires a common ring")
-    if I.is_zero_ideal() or J.is_zero_ideal():
-        return IdealPresentation(I.ring, ())
-    rng = I.ring
-    w = _fresh_name("w", rng.variables)
-    ext = rng.extend((w,))
-    wpoly = Polynomial.variable(ext, ext.var_index(w))
-    one = Polynomial.one(ext)
-    gens = [wpoly * transplant(g, ext) for g in I.generators]
-    gens += [(one - wpoly) * transplant(g, ext) for g in J.generators]
-    return eliminate(IdealPresentation(ext, gens), (w,))
-
-
 def saturate(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     """Saturation I : f^infinity = (I + (1 - w*f)) meet R, by one elimination
     of w over R[w]."""
@@ -285,7 +267,7 @@ def dimension(I: IdealPresentation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert series of monomial quotients, degrees, projective Hilbert polynomial
+# Hilbert series of monomial quotients, dimension and degree
 # ---------------------------------------------------------------------------
 
 
@@ -374,42 +356,6 @@ def _lead_series(I: IdealPresentation):
         N = _ptrim(list(itertools.accumulate(N))[:-1])
         D -= 1
     return N, D
-
-
-def graded_degree_data(I: IdealPresentation):
-    """(Q, D) with series(R/I) = Q(t) / (1-t)^D and Q(1) != 0.
-
-    Requires a homogeneous ideal; Q(1) is the degree of the projective
-    scheme cut out by I, and D-1 its projective dimension.
-    """
-    if not all(g.is_homogeneous() for g in I.gb()):
-        raise NotHomogeneousError(
-            "graded degree data requires a homogeneous ideal")
-    return _lead_series(I)
-
-
-def hilbert_degree(I: IdealPresentation) -> int:
-    """Degree of the closure of the scheme cut out by I: the projective
-    closure when I is not homogeneous.  ValueError for the unit ideal."""
-    return sum(_lead_series(I)[0])
-
-
-def _binomial_poly(a: int, k: int) -> Fraction:
-    num = 1
-    for j in range(k):
-        num *= a - j
-    return Fraction(num, math.factorial(k))
-
-
-def hilbert_polynomial_value(I: IdealPresentation, s: int) -> Fraction:
-    """Value at s of the Hilbert polynomial of the graded quotient."""
-    Q, D = graded_degree_data(I)
-    if D == 0:
-        return Fraction(0)
-    total = Fraction(0)
-    for i, q in enumerate(Q):
-        total += q * _binomial_poly(s - i + D - 1, D - 1)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +583,24 @@ def minimal_primes(I: IdealPresentation) -> list:
     Components whose primality cannot be certified by the implemented
     rules are still returned, flagged "undecided".  The list is sorted by
     descending dimension, then ascending degree, then basis text.
+
+    An undecided component may not be prime, and then the chain of
+    saturations need not close: the multiplicities' ArithmeticError or
+    ValueError becomes PrimalityUndecidedError.
     """
     keep = _minimal_prime_list(I)
     primes = [K for K, _, _ in keep]
     series = [s for _, _, s in keep]
+    try:
+        multiplicities = _multiplicities(I, primes, series)
+    except (ArithmeticError, ValueError) as exc:
+        if all(status == "certified" for _, status, _ in keep):
+            raise
+        raise PrimalityUndecidedError(
+            "a component of uncertified primality leaves the multiplicities "
+            "undefined") from exc
     comps = []
-    for (K, status, (Q, D)), m in zip(keep, _multiplicities(I, primes, series)):
+    for (K, status, (Q, D)), m in zip(keep, multiplicities):
         comps.append(PrimeComponent(
             prime=K,
             multiplicity=m,
@@ -653,22 +611,6 @@ def minimal_primes(I: IdealPresentation) -> list:
         ))
     comps.sort(key=lambda c: (-c.dimension, c.degree, c.prime.signature()))
     return comps
-
-
-def multiplicity_along(I: IdealPresentation, P: IdealPresentation,
-                       other_primes=None) -> int:
-    """Length of the local ring of V(I) at the generic point of V(P).
-
-    `other_primes` are the other minimal primes of I, found by a
-    decomposition when omitted; the multiplicity comes from the chain of
-    `_multiplicities`.
-    """
-    if not contains_ideal(P, I):
-        raise ValueError("multiplicity requested along a non-component")
-    if other_primes is None:
-        other_primes = [K for K, _, _ in _minimal_prime_list(I) if K != P]
-    primes = [P, *other_primes]
-    return _multiplicities(I, primes, [_lead_series(K) for K in primes])[0]
 
 
 def _top_part(J: IdealPresentation):

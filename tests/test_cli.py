@@ -377,6 +377,19 @@ def test_undecided_falsifier_is_inconclusive(files, capsys):
     assert json.loads(out)["result"]["overall"] == "inconclusive"
 
 
+@pytest.mark.parametrize("command", ["mincomp", "cycle", "cone", "falsify"])
+def test_an_undecided_component_without_a_multiplicity_is_inconclusive(tmp_path, command):
+    # the kept component (x^2 - 2, y^2 - 2) is undecided and not prime, so
+    # the multiplicities of the decomposition do not exist
+    path = tmp_path / "undecided.ideal"
+    path.write_text("ring x, y;\nx^2 - 2, (y - x)*(y^2 - 2)\n", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "conesign.cli", command, "--ideal", str(path)],
+        capture_output=True, text=True, env=cli_env(), timeout=60)
+    assert run.returncode == 2
+    assert run.stderr.startswith("inconclusive:") and "Traceback" not in run.stderr
+
+
 def test_enumeration_bound_is_inconclusive(capsys):
     code, _, err = run_cli(["hilb", "enumerate", "--n", "9"], capsys)
     assert code == 2

@@ -5,21 +5,17 @@ from fractions import Fraction
 import pytest
 
 from conesign import (
-    Cycle,
-    CycleTerm,
     EuUnsupportedError,
     PointNotOnVarietyError,
     PrimalityUndecidedError,
     cone_over_curve_data,
     curve_multiplicity,
-    eu_cycle,
     eu_point,
-    hilbert_polynomial_value,
     ideal,
     ring,
-    signed_support_cycle,
     tangent_dimension_at_point,
 )
+from conesign.ideals import _lead_series
 
 R2 = ring("x, y")
 R3 = ring("x, y, z")
@@ -177,8 +173,8 @@ def test_multiplicity_deterministic_for_a_seed():
 
 def test_cone_data_quadric_cone():
     J = ideal(R3, "x*z - y^2")
-    for s in range(5):
-        assert hilbert_polynomial_value(J, s) == 2 * s + 1
+    # the Hilbert polynomial 2s + 1 of a conic, which gives the genus 0
+    assert _lead_series(J) == ([1, 1], 2)
     assert cone_over_curve_data(J, (0, 0, 0)) == (2, 0)
 
 
@@ -255,89 +251,30 @@ def test_eu_is_one_at_sampled_smooth_points():
         assert v.rule == "nonsingular"
 
 
-# --------------------------------------------------------------- eu_cycle
+# ------------------------------------------ eu_point on the cycles' primes
 
 
-def point_prime():
-    return ideal(R2, "x, y")
-
-
-def axis_prime():
-    return ideal(R2, "y")
-
-
-def test_cycle_two_origins_minus_axis():
-    c = Cycle((
-        CycleTerm(point_prime(), 2, 0),
-        CycleTerm(axis_prime(), -1, 1),
-    ))
-    ev = eu_cycle(c, (0, 0))
-    assert ev.value == 2 * 1 - 1 * 1 == 1
-    assert [v.value for _, _, v in ev.per_term] == [1, 1]
-
-
-def test_cycle_of_double_point_line_scheme():
-    c = signed_support_cycle(ideal(R2, "y^2, x*y"))
-    assert eu_cycle(c, (0, 0)).value == 1
-    assert eu_cycle(c, (1, 0)).value == -1
-
-
-def test_cycle_of_coordinate_axes_scheme():
-    c = signed_support_cycle(ideal(R3, "xy, xz, yz"))
-    assert eu_cycle(c, (0, 0, 0)).value == -3 + 2 == -1
-    assert eu_cycle(c, (1, 0, 0)).value == -1
-
-
-def test_cycle_outside_every_support_is_zero():
-    c = signed_support_cycle(ideal(R3, "xy, xz, yz"))
-    assert eu_cycle(c, (1, 1, 1)).value == 0
-
-
-def test_cycle_evaluation_is_additive():
-    parabola = ideal(R2, "y - x^2")
-    c1 = Cycle((
-        CycleTerm(point_prime(), 2, 0),
-        CycleTerm(axis_prime(), -1, 1),
-    ))
-    c2 = Cycle((
-        CycleTerm(axis_prime(), 3, 1),
-        CycleTerm(parabola, 1, 1),
-    ))
-    merged = Cycle((
-        CycleTerm(point_prime(), 2, 0),
-        CycleTerm(axis_prime(), 2, 1),
-        CycleTerm(parabola, 1, 1),
-    ))
-    for p in [(0, 0), (1, 0), (2, 4)]:
-        assert (
-            eu_cycle(merged, p).value
-            == eu_cycle(c1, p).value + eu_cycle(c2, p).value
-        )
-
-
-def test_cycle_aborts_on_unsupported_term_at_the_point():
-    # no rule covers a surface that is not a cone at its singular point
-    umbrella = ideal(R3, "x^2 - y^2*z")
-    c = Cycle((CycleTerm(umbrella, 1, 2),))
-    with pytest.raises(EuUnsupportedError):
-        eu_cycle(c, (0, 0, 0))
-
-
-def test_cycle_tolerates_unsupported_term_away_from_the_point():
-    umbrella = ideal(R3, "x^2 - y^2*z")
-    plane = ideal(R3, "z")
-    c = Cycle((CycleTerm(umbrella, 1, 2), CycleTerm(plane, 1, 2)))
-    ev = eu_cycle(c, (1, 2, 0))
-    assert ev.value == 0 + 1
-    assert [v.rule for _, _, v in ev.per_term] == ["outside", "nonsingular"]
-
-
-def test_cycle_json_reports_per_term_verdicts():
-    c = Cycle((CycleTerm(axis_prime(), -1, 1),))
-    doc = eu_cycle(c, (0, 0)).to_json_dict()
-    assert doc["value"] == -1
-    assert doc["terms"][0]["coeff"] == -1
-    assert doc["terms"][0]["eu"]["rule"] == "nonsingular"
+@pytest.mark.parametrize("rng, text, point, value, rule", [
+    # the primes of the signed support cycles of (y^2, xy) and the three axes
+    (R2, "x, y", (0, 0), 1, "nonsingular"),
+    (R2, "x, y", (1, 0), 0, "outside"),
+    (R2, "y", (0, 0), 1, "nonsingular"),
+    (R2, "y", (1, 0), 1, "nonsingular"),
+    (R3, "y, z", (0, 0, 0), 1, "nonsingular"),
+    (R3, "y, z", (1, 0, 0), 1, "nonsingular"),
+    (R3, "x, y", (1, 0, 0), 0, "outside"),
+    (R3, "x, y, z", (1, 1, 1), 0, "outside"),
+    (R2, "y - x^2", (0, 0), 1, "nonsingular"),
+    (R2, "y - x^2", (1, 0), 0, "outside"),
+    (R2, "y - x^2", (2, 4), 1, "nonsingular"),
+    # no rule covers the umbrella at its singular point, but away from it
+    # the outside rule still applies
+    (R3, "x^2 - y^2*z", (1, 2, 0), 0, "outside"),
+    (R3, "z", (1, 2, 0), 1, "nonsingular"),
+])
+def test_eu_point_on_primes_of_a_cycle(rng, text, point, value, rule):
+    v = eu_point(ideal(rng, text), point)
+    assert (v.value, v.rule) == (value, rule)
 
 
 # ------------------------------------------------------ unsupported cases

@@ -27,7 +27,6 @@ from conesign import (
     elimination_order,
     lex,
     module_buchberger,
-    module_syzygies,
     normal_form,
     parse_generators,
     parse_polynomial,
@@ -39,7 +38,9 @@ from conesign.groebner import (
     _Extending,
     _packing,
     _reduce_terms,
+    _syzygies,
     _update_pairs,
+    _vector,
 )
 from conesign.poly import Polynomial
 
@@ -600,13 +601,6 @@ def test_a_run_from_a_known_basis_under_lex_and_a_block_order_equals_the_run_fro
 # syzygies
 
 
-def contract(syz: ModuleVector, generators):
-    total = Polynomial.zero(generators[0].ring)
-    for comp, g in zip(syz.components, generators):
-        total = total + comp * g
-    return total
-
-
 def module_contract(syz: ModuleVector, vectors) -> ModuleVector:
     total = [Polynomial.zero(vectors[0].ring)] * vectors[0].rank
     for coeff, v in zip(syz.components, vectors):
@@ -614,16 +608,27 @@ def module_contract(syz: ModuleVector, vectors) -> ModuleVector:
     return ModuleVector(tuple(total))
 
 
-def syzygies(G, order):
-    """Syzygies of a polynomial Groebner basis, as the rank-1 module case."""
-    return module_syzygies([ModuleVector((g,)) for g in G], order)
+def schreyer(G, order):
+    """(divisors, syzygies) of a Groebner basis G of module vectors, or of
+    polynomials taken as vectors of rank 1: the divider's normalized
+    divisors, as ModuleVectors, and the Schreyer syzygies of `_syzygies`,
+    which are stated for those divisors, each as a ModuleVector over them."""
+    G = [g if isinstance(g, ModuleVector) else ModuleVector((g,)) for g in G]
+    divide = _Divider(G, order)
+    rng, pk = divide.ring, divide.pk
+
+    def shifts(d):
+        # a shift has no position fields, so its monomial is what is left
+        return Polynomial(rng, {pk.fields(t)[pk.rank:]: c for t, c in d.items()})
+
+    return ([_vector(rng, pk.rank, pk.unpack(d)) for d in divide.divisors],
+            [ModuleVector([shifts(d) for d in syz]) for syz, _ in _syzygies(divide)])
 
 
 def test_koszul_syzygy_of_two_variables():
-    G = gens("x, y")
-    syz = syzygies(G, degrevlex(R2))
+    D, syz = schreyer(gens("x, y"), degrevlex(R2))
     assert len(syz) == 1
-    assert contract(syz[0], G).is_zero()
+    assert module_contract(syz[0], D).is_zero()
     comps = [c.to_text() for c in syz[0].components]
     assert comps in (["y", "-x"], ["-y", "x"])
 
@@ -631,9 +636,9 @@ def test_koszul_syzygy_of_two_variables():
 def test_three_axes_syzygies_generate_the_module():
     G = gens("xy, xz, yz", R3)
     order = degrevlex(R3)
-    syz = syzygies(G, order)
+    D, syz = schreyer(G, order)
     for s in syz:
-        assert contract(s, G).is_zero()
+        assert module_contract(s, D).is_zero()
     # the relation (z, 0, -x) must lie in the module they generate
     target = ModuleVector(
         (
@@ -642,33 +647,32 @@ def test_three_axes_syzygies_generate_the_module():
             parse_polynomial("-x", R3),
         )
     )
-    assert contract(target, G).is_zero()
+    assert module_contract(target, D).is_zero()
     mgb = module_buchberger(syz, order)
     assert _Divider(mgb, order)(target.to_dict()) == {}
 
 
 def test_single_generator_has_no_syzygies():
-    assert syzygies(gens("x^2 + y"), degrevlex(R2)) == []
+    assert schreyer(gens("x^2 + y"), degrevlex(R2))[1] == []
 
 
 @pytest.mark.parametrize("rng,text", CORPUS)
 def test_every_syzygy_contracts_to_zero(rng, text):
     order = degrevlex(rng)
-    G = buchberger(gens(text, rng), order)
-    for s in syzygies(G, order):
-        assert contract(s, G).is_zero()
+    D, syz = schreyer(buchberger(gens(text, rng), order), order)
+    for s in syz:
+        assert module_contract(s, D).is_zero()
 
 
 def test_module_normal_form_reduces_to_zero_inside_module():
     order = degrevlex(R3)
-    G = gens("xy, xz, yz", R3)
-    syz = syzygies(G, order)
+    _, syz = schreyer(gens("xy, xz, yz", R3), order)
     remainder = _Divider(module_buchberger(syz, order), order)
     for s in syz:
         assert remainder(s.to_dict()) == {}
 
 
-def test_module_syzygies_contract_to_zero_vector():
+def test_syzygies_of_module_vectors_contract_to_zero():
     order = degrevlex(R3)
     x, y, z = (parse_polynomial(v, R3) for v in "xyz")
     zero = Polynomial.zero(R3)
@@ -678,11 +682,10 @@ def test_module_syzygies_contract_to_zero_vector():
         ModuleVector((zero, x)),
         ModuleVector((y, x)),
     ]
-    for rel in module_syzygies(vectors, order):
-        total = [zero, zero]
-        for coeff, vec in zip(rel.components, vectors):
-            total = [t + coeff * c for t, c in zip(total, vec.components)]
-        assert all(t.is_zero() for t in total)
+    D, syz = schreyer(vectors, order)
+    assert syz
+    for rel in syz:
+        assert module_contract(rel, D).is_zero()
 
 
 @st.composite
@@ -705,14 +708,12 @@ def test_monomial_syzygies_match_the_pairwise_oracle(case):
         comps[pos] = Polynomial.from_monomial(R3, m, c)
         vectors.append(ModuleVector(tuple(comps)))
     order = degrevlex(R3)
-    syz = module_syzygies(vectors, order)
+    D, syz = schreyer(vectors, order)
     for rel in syz:
-        total = [zero] * rank
-        for coeff, vec in zip(rel.components, vectors):
-            total = [t + coeff * c for t, c in zip(total, vec.components)]
-        assert all(t.is_zero() for t in total)
+        assert module_contract(rel, D).is_zero()
+    # each divisor is its vector's monomial with the coefficient 1
     oracle = []
-    for rel in monomial_syzygies(terms):
+    for rel in monomial_syzygies([(pos, m, c) for v in D for (pos, m), c in v.to_dict().items()]):
         comps = [zero] * len(terms)
         for i, (m, c) in rel.items():
             comps[i] = Polynomial.from_monomial(R3, m, c)
@@ -755,11 +756,11 @@ def test_syzygies_generate_the_syzygy_module_in_each_degree(case):
     # dense multiplication map (+)_k R_{d - deg g_k} -> R^r_d
     rng, G = case
     p = rng.characteristic
-    syz = module_syzygies(G, degrevlex(rng))
-    basis = [g.to_dict() for g in G]
+    D, syz = schreyer(G, degrevlex(rng))
+    basis = [g.to_dict() for g in D]
     degs = [max(sum(m) for _, m in b) for b in basis]
     for s in syz:
-        assert module_contract(s, G).is_zero()
+        assert module_contract(s, D).is_zero()
     sdegs = [max(sum(m) + degs[k] for k, comp in enumerate(s.components) for m in comp.terms)
              for s in syz]
     for d in range(max(degs) + 3):
@@ -802,17 +803,16 @@ def test_syzygies_of_small_non_monomial_modules_finish(texts):
     # a Groebner basis of the embedding in R^(r+m) grew without end here
     vectors = [ModuleVector(tuple(parse_polynomial(t, GF3) for t in pair)) for pair in texts]
     order = degrevlex(GF3)
-    G = module_buchberger(vectors, order)
-    syz = module_syzygies(G, order)
+    D, syz = schreyer(module_buchberger(vectors, order), order)
     assert syz
     for s in syz:
-        assert module_contract(s, G).is_zero()
+        assert module_contract(s, D).is_zero()
 
 
 def test_basis_of_the_syzygies_of_a_rank_3_module_is_groebner():
     # the 23 syzygies, in R^17, of the reduced basis of this rank-3 module
     # kept about 600 live terms per reduction step; the basis of their
-    # module must pass the S-vector reductions of `module_syzygies`
+    # module must pass the S-vector reductions of `_syzygies`
     rows = [("z", "0", "2*x^2*y^2*z + 2*x*z^2"),
             ("-3*x^2*y^2", "2*x*z^2", "x^2 + x*z"),
             ("-3*x^2*y*z + y", "0", "0"),
@@ -820,10 +820,10 @@ def test_basis_of_the_syzygies_of_a_rank_3_module_is_groebner():
     order = degrevlex(GF3)
     G = module_buchberger([ModuleVector([parse_polynomial(t, GF3) for t in row])
                            for row in rows], order)
-    syz = module_syzygies(G, order)
+    _, syz = schreyer(G, order)
     assert (len(G), len(syz)) == (17, 23)
     S = module_buchberger(syz, order)
-    assert module_syzygies(S, order)
+    assert schreyer(S, order)[1]
     divide = _Divider(S, order)
     assert all(divide(s.to_dict()) == {} for s in syz)
 
@@ -833,10 +833,11 @@ def test_basis_of_the_syzygies_of_a_rank_3_module_is_groebner():
     [("z", "0", "2*x^2*y^2*z + 2*x*z^2"), ("-3*x^2*y^2", "2*x*z^2", "x^2 + x*z"),
      ("-3*x^2*y*z + y", "0", "0"), ("1", "5*x^2*y + 5", "x^2*y*z^2 - 3*x*y^2*z")],
 ], ids=["rank-2", "rank-3"])
-def test_module_syzygies_over_q_match_the_schreyer_oracle(rows):
-    # the syzygies of a basis over Q, as given and with each vector scaled by
-    # its own constant, are value for value those of the oracle, which
-    # divides by the basis in Fractions; every coefficient is a Fraction
+def test_syzygies_over_q_match_the_schreyer_oracle(rows):
+    # the syzygies of the divisors of a basis over Q, as given and with each
+    # vector scaled by its own constant, are integer, and over their factor
+    # mu value for value those of the oracle, which divides by the divisors
+    # in Fractions
     order = degrevlex(R3)
     G = module_buchberger([ModuleVector([parse_polynomial(t, R3) for t in row])
                            for row in rows], order)
@@ -844,22 +845,20 @@ def test_module_syzygies_over_q_match_the_schreyer_oracle(rows):
     scaled = [ModuleVector([Fraction(2 * k + 3, k + 2) * c for c in v.components])
               for k, v in enumerate(G)]
     for basis in (G, scaled):
-        syz = module_syzygies(basis, order)
-        oracle = schreyer_syzygies([v.to_dict() for v in basis], module_term_key)
+        divide = _Divider(basis, order)
+        pk = divide.pk
+        syz = _syzygies(divide)
+        oracle = schreyer_syzygies([pk.unpack(d) for d in divide.divisors], module_term_key)
         assert len(syz) == len(oracle) > 0
-        assert [[c.terms for c in s.components] for s in syz] == oracle
-        assert all(isinstance(c, Fraction)
-                   for s in syz for p in s.components for c in p.terms.values())
+        assert [[{pk.fields(t)[pk.rank:]: Fraction(c, mu) for t, c in d.items()} for d in s]
+                for s, mu in syz] == oracle
+        assert all(type(c) is int for s, mu in syz for d in s for c in (mu, *d.values()))
 
 
-def test_module_syzygies_reject_what_is_not_a_nonzero_groebner_basis():
-    order = degrevlex(R2)
+def test_syzygies_reject_what_is_not_a_groebner_basis():
     # the S-pair of x^2 + y and x*y leaves y^2
-    with pytest.raises(ValueError):
-        syzygies(gens("x^2 + y, x*y"), order)
-    x = parse_polynomial("x", R2)
-    with pytest.raises(ValueError):
-        module_syzygies([ModuleVector((x, x)), ModuleVector((Polynomial.zero(R2),) * 2)], order)
+    with pytest.raises(ValueError, match="Groebner basis"):
+        schreyer(gens("x^2 + y, x*y"), degrevlex(R2))
 
 
 def vector(rng, *texts):
@@ -879,7 +878,6 @@ ENTRIES = {
     "normal_form of f": lambda a, b: normal_form(b, [a], ORDER),
     "normal_form by a basis": lambda a, b: normal_form(a, [a, b], ORDER),
     "module_buchberger": lambda a, b: module_buchberger([a, b], ORDER),
-    "module_syzygies": lambda a, b: module_syzygies([a, b], ORDER),
     "division builder": lambda a, b: _Divider([a, b], ORDER),
 }
 
@@ -1020,6 +1018,6 @@ def test_syzygies_contract_on_random_inputs(fs):
     if len(fs) < 2:
         return
     order = degrevlex(R2)
-    G = buchberger(fs, order)
-    for s in syzygies(G, order):
-        assert contract(s, G).is_zero()
+    D, syz = schreyer(buchberger(fs, order), order)
+    for s in syz:
+        assert module_contract(s, D).is_zero()

@@ -27,9 +27,9 @@ from conesign import (
     IdealPresentation,
     InfiniteColengthError,
     MonomialOrder,
-    NotHomogeneousError,
     PointNotOnVarietyError,
     Polynomial,
+    PrimalityUndecidedError,
     RingMismatchError,
     buchberger,
     colength,
@@ -38,14 +38,9 @@ from conesign import (
     dimension,
     eliminate,
     generic_tangent_dimension,
-    graded_degree_data,
-    hilbert_degree,
-    hilbert_polynomial_value,
     ideal,
-    intersect,
     jacobian,
     minimal_primes,
-    multiplicity_along,
     parse_polynomial,
     radical_contains,
     ring,
@@ -54,7 +49,14 @@ from conesign import (
     tangent_dimension_at_point,
 )
 from conesign.factor import factor_polynomial
-from conesign.ideals import _certify_prime, _is_linear, _minimal_polynomial, hilbert_numerator
+from conesign.ideals import (
+    _certify_prime,
+    _is_linear,
+    _lead_series,
+    _minimal_polynomial,
+    _multiplicities,
+    hilbert_numerator,
+)
 
 R1 = ring("x")
 R2 = ring("x, y")
@@ -67,6 +69,17 @@ def I(text, rng=R2):
 
 def same_ideal(A, B):
     return A.signature() == B.signature()
+
+
+def degree(J):
+    """The degree of the closure of the scheme cut out by J, the projective
+    closure when J is not homogeneous."""
+    return sum(_lead_series(J)[0])
+
+
+def multiplicities(J, primes):
+    """The multiplicity of J along each of `primes`, its minimal primes."""
+    return _multiplicities(J, primes, [_lead_series(P) for P in primes])
 
 
 # elimination
@@ -99,12 +112,7 @@ def test_eliminate_composes():
     assert once.signature() == both.signature()
 
 
-# intersection, saturation
-
-
-def test_intersect_two_lines():
-    out = intersect(I("x"), I("y"))
-    assert [g.to_text() for g in out.gb()] == ["x*y"]
+# saturation
 
 
 def test_saturate_principal_power():
@@ -263,46 +271,49 @@ def test_dimension_more_cases():
     assert dimension(I("y - x^2")) == 1
 
 
-# graded degree data and Hilbert polynomial
+# the lead series: dimension, degree and Hilbert polynomial
 
 
-def test_hilbert_degree_hyperplane():
-    assert hilbert_degree(I("x", R3)) == 1
+def test_degree_of_a_hyperplane():
+    assert degree(I("x", R3)) == 1
 
 
-def test_hilbert_degree_three_lines():
-    assert hilbert_degree(I("xy, xz, yz", R3)) == 3
+def test_degree_of_three_lines():
+    assert degree(I("xy, xz, yz", R3)) == 3
 
 
-def test_hilbert_degree_conic():
-    assert hilbert_degree(I("y*z - x^2", R3)) == 2
+def test_degree_of_a_conic():
+    assert degree(I("y*z - x^2", R3)) == 2
 
 
-def test_hilbert_degree_of_an_inhomogeneous_ideal():
+def test_degree_of_an_inhomogeneous_ideal():
     # the projective closure of a parabola is a conic
-    assert hilbert_degree(I("y - x^2")) == 2
-    # graded degree data stays projective
-    with pytest.raises(NotHomogeneousError):
-        graded_degree_data(I("y - x^2"))
+    assert degree(I("y - x^2")) == 2
 
 
-def test_hilbert_polynomial_matches_direct_monomial_count():
-    # brute-force count of degree-s standard monomials, far past the
-    # numerator degree so the polynomial regime applies
+def test_lead_series_gives_the_hilbert_polynomial():
+    # series Q(t) / (1-t)^D has, in degree s, the value
+    # sum_i q_i * binomial(s - i + D - 1, D - 1); against a brute-force count
+    # of degree-s standard monomials, far past the numerator degree so the
+    # polynomial regime applies
+    def value(J, s):
+        Q, D = _lead_series(J)
+        return sum(q * math.comb(s - i + D - 1, D - 1) for i, q in enumerate(Q))
+
     J = I("xy, xz, yz", R3)
     gens = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
     for s in (3, 4, 7):
-        assert hilbert_polynomial_value(J, s) == monomial_hilbert_count(gens, 3, s)
+        assert value(J, s) == monomial_hilbert_count(gens, 3, s)
     Jc = I("y*z - x^2", R3)
     # smooth conic: values 2s + 1
     for s in (2, 5):
-        assert hilbert_polynomial_value(Jc, s) == 2 * s + 1
+        assert value(Jc, s) == 2 * s + 1
 
 
-def test_graded_degree_data_shapes():
-    Q, D = graded_degree_data(I("xy, xz, yz", R3))
+def test_lead_series_shapes():
+    Q, D = _lead_series(I("xy, xz, yz", R3))
     assert sum(Q) == 3 and D == 1
-    Q, D = graded_degree_data(I("x", R3))
+    Q, D = _lead_series(I("x", R3))
     assert sum(Q) == 1 and D == 2
 
 
@@ -310,7 +321,7 @@ def test_degree_is_additive_over_top_components():
     # union of a line and a conic in the plane (homogeneous in 3 vars)
     J = I("x*(y*z - x^2)", R3)
     comps = minimal_primes(J)
-    assert sum(c.multiplicity * c.degree for c in comps) == hilbert_degree(J)
+    assert sum(c.multiplicity * c.degree for c in comps) == degree(J)
     J2 = I("xy, xz, yz", R3)
     comps2 = minimal_primes(J2)
     assert sum(c.multiplicity * c.degree for c in comps2) == 3
@@ -501,6 +512,29 @@ def test_an_undecided_candidate_removes_a_candidate_of_its_dimension_that_contai
     kept = conesign.ideals._minimal_prime_list(I(UNDECIDED_INSIDE_A_PRIME))
     assert [(sorted(g.to_text() for g in K.gb()), status, series[1])
             for K, status, series in kept] == [(["x^2 - 2", "y^2 - 2"], "undecided", 0)]
+
+
+def test_an_undecided_component_that_leaves_its_multiplicity_open_abstains():
+    # the kept (x^2 - 2, y^2 - 2) has degree 4, which does not divide the
+    # scheme's degree: no multiplicity exists, because it is not prime
+    with pytest.raises(PrimalityUndecidedError) as exc:
+        minimal_primes(I(UNDECIDED_INSIDE_A_PRIME))
+    assert isinstance(exc.value.__cause__, ArithmeticError)
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, ValueError])
+def test_certified_components_whose_multiplicities_fail_still_raise(monkeypatch, error):
+    # with every component certified prime the chain must close, so a
+    # failure there is a fault and not an abstention
+    def fail(*args):
+        raise error("chain did not close")
+
+    monkeypatch.setattr(conesign.ideals, "_multiplicities", fail)
+    with pytest.raises(error, match="chain did not close"):
+        minimal_primes(I("xy, xz, yz", R3))
+    # and the same failure with an undecided component abstains
+    with pytest.raises(PrimalityUndecidedError):
+        minimal_primes(I("x^2 - 2, y^2 - 3"))
 
 
 # the zero-dimensional rule: minimal polynomials of the variables on R/I
@@ -714,7 +748,7 @@ def test_derived_ideals_keep_their_reduced_basis(monkeypatch):
     J = I("y^2 - x^3, x*y - 1")
     J.gb()
     calls = counted_buchberger(monkeypatch)
-    hilbert_degree(J)
+    degree(J)
     dimension(J)
     assert calls == []
     # the one run is the elimination order's; the result keeps its w-free part
@@ -775,7 +809,7 @@ def test_dimension_and_degree_agree_with_the_leads_and_the_projective_closure(ca
     assert dimension(J) == monomial_dimension(leads, rng.arity)
     if dimension(J) < 0:
         with pytest.raises(ValueError):
-            hilbert_degree(J)
+            degree(J)
         return
     # the projective closure: homogenize the reduced basis with a fresh last
     # variable (no ring of small_ideals has a w)
@@ -783,7 +817,7 @@ def test_dimension_and_degree_agree_with_the_leads_and_the_projective_closure(ca
     Jh = IdealPresentation(ext, [
         Polynomial(ext, {m + (g.total_degree() - sum(m),): c for m, c in g.terms.items()})
         for g in J.gb()])
-    assert hilbert_degree(J) == sum(graded_degree_data(Jh)[0])
+    assert degree(J) == degree(Jh)
 
 
 @pytest.mark.parametrize("text, flag", [
@@ -817,14 +851,14 @@ def test_geometric_flag_reads_a_graph_only_in_a_principal_ideal(text, flag):
 def test_multiplicity_double_line():
     J = ideal(R1, "x^2")
     P = ideal(R1, "x")
-    assert multiplicity_along(J, P) == 2
+    assert [(c.prime, c.multiplicity) for c in minimal_primes(J)] == [(P, 2)]
     assert zero_dim_multiplicity(J, P, []) == 2
 
 
 def test_multiplicity_embedded_point_does_not_count():
     J = I("x^2, x*y")
     P = I("x")
-    assert multiplicity_along(J, P) == 1
+    assert [(c.prime, c.multiplicity) for c in minimal_primes(J)] == [(P, 1)]
     # hand localization: slice with y = 1, where the embedded point is
     # invisible; the slice of J is (x^2, x) = (x), colength 1 over P's slice
     slice_J = ideal(R1, "x^2, x")
@@ -835,7 +869,7 @@ def test_multiplicity_embedded_point_does_not_count():
 def test_multiplicity_of_reduced_prime_is_one():
     for rng, text in [(R2, "y"), (R3, "x, y"), (R2, "y^2 - x^3")]:
         P = ideal(rng, text)
-        assert multiplicity_along(P, P) == 1
+        assert [(c.prime, c.multiplicity) for c in minimal_primes(P)] == [(P, 1)]
 
 
 def test_multiplicity_fat_components():
@@ -865,20 +899,6 @@ def test_a_decomposition_factors_each_irreducible_basis_element_once(monkeypatch
                    for f in {f for f in calls if calls.count(f) > 1})
 
 
-def test_multiplicity_along_lists_the_other_primes_without_their_multiplicities(monkeypatch):
-    calls = []
-    real = conesign.ideals.saturate
-
-    def counted(J, f):
-        calls.append(f)
-        return real(J, f)
-
-    monkeypatch.setattr(conesign.ideals, "saturate", counted)
-    # one saturation for each of the other two axes
-    assert multiplicity_along(I("xy, xz, yz", R3), I("x, y", R3)) == 1
-    assert len(calls) == 2
-
-
 def linear_forms_through(point, vectors):
     """sum_j v_j * (x_j - p_j) in Q[x, y, z] for each coefficient vector v."""
     out = []
@@ -905,8 +925,7 @@ def test_multiplicity_of_a_product_of_hyperplanes_is_its_exponent(point, vectors
         f = f * form**a
     J = IdealPresentation(R3, [f])
     primes = [IdealPresentation(R3, [form]) for form in forms]
-    for P, a in zip(primes, exponents):
-        assert multiplicity_along(J, P, [Q for Q in primes if Q is not P]) == a
+    assert multiplicities(J, primes) == exponents[:len(primes)]
 
 
 @given(point=points, line=st.lists(directions, min_size=2, max_size=2),
@@ -924,8 +943,8 @@ def test_multiplicity_along_a_power_of_a_line(point, line, other, a):
     J = IdealPresentation(R3, [p * q for p in power for q in Q.generators])
     # the length of R_P / P^a R_P counts the monomials of degree below a in
     # two variables
-    assert multiplicity_along(J, P, [Q]) == a * (a + 1) // 2
-    assert multiplicity_along(J, Q, [P]) == 1
+    assert multiplicities(J, [P, Q]) == [a * (a + 1) // 2, 1]
+    assert multiplicities(J, [Q, P]) == [1, a * (a + 1) // 2]
 
 
 def counting_saturations(monkeypatch):
@@ -968,7 +987,7 @@ def test_the_unit_ideal_has_no_component_and_takes_no_saturation(monkeypatch):
 @pytest.mark.parametrize("P, others", [("x", ["x, y"]), ("x, y", ["x"]), ("x", ["x"])])
 def test_nested_primes_in_a_multiplicity_raise(P, others):
     with pytest.raises(ValueError, match="nested primes"):
-        multiplicity_along(I("x*y"), I(P), [I(Q) for Q in others])
+        multiplicities(I("x*y"), [I(P)] + [I(Q) for Q in others])
 
 
 DIRECTIONS = [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)]
@@ -1044,7 +1063,7 @@ def test_the_order_of_the_other_primes_does_not_change_a_multiplicity():
             others = [Q for Q in primes if Q is not P]
             for _ in range(2):
                 rnd.shuffle(others)
-                assert multiplicity_along(J, P, others) == a, seed
+                assert multiplicities(J, [P, *others])[0] == a, seed
 
 
 # tangent machinery
