@@ -4,6 +4,23 @@ The cone of V(J) inside affine space is presented in an extended ring with
 one fresh variable per generator of J, through the Rees-algebra kernel.
 Component data (multiplicities, images under the projection back to the
 base, domination flags) feeds the Euler-obstruction and Behrend layers.
+
+Both the images and the domination flags are read off the decomposition of
+the cone, with no elimination and no radical test against J (Fulton,
+Intersection Theory, ch. 4 and B.6):
+
+- The cone ideal Rees(J) + J*R[e] is homogeneous in the e-grading, and so
+  is each component the decomposition keeps: factors of homogeneous
+  elements are homogeneous, and a zero-dimensional minimal polynomial in
+  some e_i is a power of e_i.  The reduced degrevlex basis of an
+  e-homogeneous ideal is e-homogeneous, so an e-free polynomial reduces
+  only by e-free basis elements.  These are the reduced basis of the
+  ideal's intersection with R, which is the image: the e's come last, so
+  degrevlex compares e-free monomials as degrevlex of R does.
+- The cone is conical over V(J) and holds V(J) as its zero section, so
+  V(J) is the union of the images.  A component dominates exactly when its
+  image lies in the radical of every other component's image, which is its
+  own radical when the component is certified prime.
 """
 
 from __future__ import annotations
@@ -13,6 +30,7 @@ from dataclasses import dataclass
 from .ideals import (
     IdealPresentation,
     _fresh_name,
+    contains_ideal,
     dimension,
     eliminate,
     minimal_primes,
@@ -85,17 +103,44 @@ class ConeComponent:
         }
 
 
+def _image(P: IdealPresentation, base: RingDescriptor) -> IdealPresentation:
+    """P meet `base` for an e-homogeneous P in base[e]: the e-free elements
+    of P's reduced basis, which are that intersection's reduced basis."""
+    n = base.arity
+    columns = list(range(n)) + [None] * (P.ring.arity - n)
+    return IdealPresentation.from_reduced_basis(
+        base, [g.remap(base, columns) for g in P.gb()
+               if all(i < n for i in g.support_variables())])
+
+
+def _inside_radical(small: IdealPresentation, big: IdealPresentation, prime: bool) -> bool:
+    """Whether `small` lies in the radical of `big`, which is prime when
+    `prime` holds and then is its own radical."""
+    if prime:
+        return contains_ideal(big, small)
+    return all(radical_contains(big, g) for g in small.generators)
+
+
 def cone_components(J: IdealPresentation) -> list:
     """Minimal primes of the normal cone with multiplicities and images.
 
     A component dominates when its image closure equals the support of J
-    itself (radical equality).
+    itself (radical equality).  Each component is homogeneous in the cone
+    variables, so its image is the e-free part of its reduced basis; the
+    images cover the zero section V(J), so a component dominates exactly
+    when its image lies in the radical of every other image (Fulton,
+    Intersection Theory, ch. 4 and B.6).  Inclusion decides against a
+    certified component, whose image is prime, and a radical test against
+    an undecided one.
     """
-    C, names = normal_cone_ideal(J)
+    C, _ = normal_cone_ideal(J)
+    comps = minimal_primes(C)
+    images = [_image(comp.prime, J.ring) for comp in comps]
     out = []
-    for comp in minimal_primes(C):
-        image = eliminate(comp.prime, names)
-        dominates = all(radical_contains(J, g) for g in image.generators)
+    for i, (comp, image) in enumerate(zip(comps, images)):
+        dominates = all(
+            _inside_radical(image, other, other_comp.primality == "certified")
+            for j, (other_comp, other) in enumerate(zip(comps, images)) if j != i)
         out.append(ConeComponent(
             cone_prime=comp.prime,
             multiplicity=comp.multiplicity,

@@ -253,8 +253,9 @@ def saturate(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
 
 
 def radical_contains(I: IdealPresentation, f: Polynomial) -> bool:
-    """Membership of f in the radical of I, by the inverted-element trick."""
-    if f.is_zero():
+    """Membership of f in the radical of I, by the inverted-element trick;
+    a member of I itself needs no run over R[w]."""
+    if I.contains(f):
         return True
     return I._inverting(f)[0].is_unit_ideal()
 

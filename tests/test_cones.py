@@ -1,5 +1,10 @@
+import dataclasses
+import itertools
+import random
+
 import pytest
 
+import conesign.cones
 from conesign import (
     IdealPresentation,
     cone_components,
@@ -7,6 +12,7 @@ from conesign import (
     dimension,
     eliminate,
     ideal,
+    minimal_primes,
     normal_cone_ideal,
     parse_polynomial,
     radical_contains,
@@ -203,6 +209,89 @@ def test_cone_images_contain_the_ideal_and_dominate_consistently(J):
         assert contains_ideal(c.image, J)
         is_dominant = all(radical_contains(J, g) for g in c.image.generators)
         assert c.dominates == is_dominant
+
+
+def _monomial_family(seed, count):
+    """`count` seeded monomial ideals of k[x, y] or k[x, y, z], each with at
+    most three generators of exponents at most 2, its variables permuted and
+    translated by a point of {-1, 0, 1}^n."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rng = rnd.choice((R2, R3))
+        n = rng.arity
+        exponents = {tuple(rnd.randint(0, 2) for _ in range(n)) for _ in range(rnd.randint(1, 3))}
+        exponents.discard((0,) * n)
+        if not exponents:
+            continue
+        text = ", ".join("*".join(f"{v}^{e}" for v, e in zip(rng.variables, m) if e)
+                         for m in sorted(exponents))
+        perm = rnd.choice(list(itertools.permutations(range(n))))
+        J = ideal(rng, text)
+        J = IdealPresentation(rng, [g.remap(rng, perm) for g in J.generators])
+        out.append(J.translate(tuple(rnd.choice((-1, 0, 1)) for _ in range(n))))
+    return out
+
+
+# the last member's cone has an undecided component
+EQUIVALENCE_FAMILY = CORPUS + _monomial_family(0, 24) + [ideal(R3, "x^2, xy, xz, yz")]
+
+
+def assert_images_and_dominance_match_elimination(J, comps):
+    """Each image is the elimination of the cone variables from its
+    component, and a component dominates exactly when its image lies in the
+    radical of J."""
+    _, names = normal_cone_ideal(J)
+    for c in comps:
+        expected = eliminate(c.cone_prime, names)
+        assert c.image == expected
+        assert c.image.signature() == expected.signature()
+        assert c.dominates == all(radical_contains(J, g) for g in c.image.generators)
+
+
+@pytest.mark.parametrize("J", EQUIVALENCE_FAMILY,
+                         ids=[f"family{i}" for i in range(len(EQUIVALENCE_FAMILY))])
+def test_cone_images_and_dominance_match_elimination_and_radicals(J):
+    assert_images_and_dominance_match_elimination(J, cone_components(J))
+
+
+def test_the_equivalence_family_reaches_an_undecided_component():
+    comps = cone_components(EQUIVALENCE_FAMILY[-1])
+    assert [c.primality for c in comps].count("undecided") == 1
+
+
+def test_dominance_over_an_undecided_component_is_decided_by_radicals(monkeypatch):
+    # (y^2, xy) has the dominating component over the line y = 0 and one
+    # over the origin, cut out by x and y; presenting the second by the
+    # non-radical (x, y^2), as an undecided component may be, gives it the
+    # image (x, y^2), which holds the first image (y) only up to radical
+    J = ideal(R2, "y^2, x*y")
+    cone, _ = normal_cone_ideal(J)
+    real = minimal_primes(cone)
+    assert [c.prime.signature() for c in real][1] == ("y", "x")
+    fat = ideal(cone.ring, "x, y^2")
+    comps = [real[0], dataclasses.replace(real[1], prime=fat, primality="undecided")]
+    monkeypatch.setattr(conesign.cones, "minimal_primes", lambda C: comps)
+    out = cone_components(J)
+    assert [c.image.signature() for c in out] == [("y",), ("x", "y^2")]
+    assert [c.dominates for c in out] == [True, False]
+    assert_images_and_dominance_match_elimination(J, out)
+
+
+@pytest.mark.parametrize("text", ["xy, xz, yz", "y^2, x*y"])
+def test_cone_components_eliminate_only_for_the_rees_ideal(monkeypatch, text):
+    calls = {"eliminate": 0, "radical_contains": 0}
+    for name in calls:
+        real = getattr(conesign.cones, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(conesign.cones, name, counted)
+    comps = cone_components(ideal(R3 if "z" in text else R2, text))
+    assert all(c.primality == "certified" for c in comps)
+    assert calls == {"eliminate": 1, "radical_contains": 0}
 
 
 def test_cycle_embedded_point_pair():

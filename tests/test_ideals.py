@@ -188,6 +188,20 @@ def test_radical_membership():
     assert radical_contains(I("x^2 + y^2"), parse_polynomial("x^2 + y^2", R2))
 
 
+def test_radical_membership_of_a_member_needs_no_run_over_r_w(monkeypatch):
+    J = I("x^2, x*y")
+    J.gb()
+    calls = counted_buchberger(monkeypatch)
+    assert radical_contains(J, parse_polynomial("x^2 - 3*x*y", R2))
+    assert radical_contains(J, parse_polynomial("0", R2))
+    assert calls == []
+    # non-members still take the run over R[w], and are decided by it
+    x = parse_polynomial("x", R2)
+    assert radical_contains(I("x^2"), x)
+    assert not radical_contains(I("x*y"), x)
+    assert not radical_contains(J, parse_polynomial("y", R2))
+
+
 def test_membership_tests_share_one_division_per_ideal(monkeypatch):
     built = []
     init = conesign.ideals._Divider.__init__
