@@ -66,7 +66,6 @@ from .ideals import (
     minimal_primes,
     radical_contains,
     saturate,
-    standard_monomials,
     tangent_dimension_at_point,
     transplant,
 )

@@ -35,8 +35,8 @@ from .errors import (
 from .euler import eu_point
 from .groebner import DEFAULT_MAX_PAIRS, buchberger
 from .hilb import _MAX_N, enumerate_plane_partitions, parity_scan, tangent_dimension_hilb
-from .ideals import IdealPresentation, dimension, eliminate, minimal_primes, saturate
-from .poly import parse_generators, parse_polynomial, order_from_name, ring
+from .ideals import IdealPresentation, dimension, eliminate, ideal, minimal_primes, saturate
+from .poly import parse_polynomial, order_from_name, ring
 
 CONFIG_ENV = "CONESIGN_CONFIG"
 
@@ -106,8 +106,7 @@ def load_ideal_file(path: str, characteristic: int, max_variables: int) -> Ideal
     if rng.arity > max_variables:
         raise ValueError(f"{path}: ring has {rng.arity} variables, "
                          f"more than max_variables = {max_variables}")
-    gens = parse_generators("\n".join(body), rng)
-    return IdealPresentation(rng, gens)
+    return ideal(rng, "\n".join(body))
 
 
 # an integer, a/b with b nonzero, or a plain decimal: no exponents, which

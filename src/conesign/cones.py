@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .ideals import (
     IdealPresentation,
     _fresh_name,
+    _restricted,
     contains_ideal,
     dimension,
     eliminate,
@@ -103,16 +104,6 @@ class ConeComponent:
         }
 
 
-def _image(P: IdealPresentation, base: RingDescriptor) -> IdealPresentation:
-    """P meet `base` for an e-homogeneous P in base[e]: the e-free elements
-    of P's reduced basis, which are that intersection's reduced basis."""
-    n = base.arity
-    columns = list(range(n)) + [None] * (P.ring.arity - n)
-    return IdealPresentation.from_reduced_basis(
-        base, [g.remap(base, columns) for g in P.gb()
-               if all(i < n for i in g.support_variables())])
-
-
 def _inside_radical(small: IdealPresentation, big: IdealPresentation, prime: bool) -> bool:
     """Whether `small` lies in the radical of `big`, which is prime when
     `prime` holds and then is its own radical."""
@@ -135,7 +126,7 @@ def cone_components(J: IdealPresentation) -> list:
     """
     C, _ = normal_cone_ideal(J)
     comps = minimal_primes(C)
-    images = [_image(comp.prime, J.ring) for comp in comps]
+    images = [_restricted(comp.prime.gb(), J.ring) for comp in comps]
     out = []
     for i, (comp, image) in enumerate(zip(comps, images)):
         dominates = all(

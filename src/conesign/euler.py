@@ -161,7 +161,7 @@ def cone_over_curve_data(V: IdealPresentation, vertex):
         return None
     J0 = V.translate(vertex)
     gb = J0.gb()
-    if J0.is_unit_ideal() or not all(g.is_homogeneous() for g in gb):
+    if not all(g.is_homogeneous() for g in gb):
         return None
     Q, D = _lead_series(J0)
     if D != 2:

@@ -38,7 +38,7 @@ from .errors import BoundExceededError, InfiniteColengthError
 from .groebner import _Divider, _syzygies, module_buchberger
 from .ideals import IdealPresentation
 from .linalg import rational_rank
-from .poly import Polynomial, RingDescriptor, degrevlex, ring
+from .poly import Polynomial, degrevlex, ring
 
 _DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # the largest partition size enumerated unless a bound is given
@@ -119,15 +119,13 @@ def enumerate_plane_partitions(n: int, bound: int = _MAX_N) -> list:
     return [PlanePartition._grown(boxes) for boxes in sorted(level, key=sorted)]
 
 
-def monomial_ideal_of(p: PlanePartition,
-                      rng: RingDescriptor | None = None) -> IdealPresentation:
-    """The monomial ideal whose standard monomials are the partition's boxes,
-    given with its reduced basis: its minimal generators, the outer corners
-    of the partition, sorted by ascending degrevlex lead.  The minimal
-    generators of a monomial ideal are its reduced basis under every order."""
-    rng = rng if rng is not None else ring("x, y, z")
-    if rng.arity != 3:
-        raise ValueError("plane partitions live in three variables")
+def monomial_ideal_of(p: PlanePartition) -> IdealPresentation:
+    """The monomial ideal of k[x, y, z] whose standard monomials are the
+    partition's boxes, given with its reduced basis: its minimal generators,
+    the outer corners of the partition, sorted by ascending degrevlex lead.
+    The minimal generators of a monomial ideal are its reduced basis under
+    every order."""
+    rng = ring("x, y, z")
     gens = sorted(_outer_corners(p.boxes), key=degrevlex(rng).key)
     return IdealPresentation.from_reduced_basis(
         rng, [Polynomial.from_monomial(rng, m) for m in gens])

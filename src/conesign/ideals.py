@@ -5,12 +5,14 @@ multiplicities.
 Saturation is one elimination over R[w]: I : f^infinity = (I + (1 - w*f))
 meet R.
 
-Dimension, degree and multiplicity come from one series, the Hilbert
-numerator of the degrevlex leads of the reduced basis.  Under a graded
-order R/I and R/in(I) have the same affine Hilbert function (Cox-Little-
-O'Shea, Ideals, Varieties, and Algorithms, ch. 9 sec. 3), so the series of
-the leads gives the Krull dimension and the degree of the projective
-closure without homogenizing.
+Dimension, degree, multiplicity and colength come from one series, the
+Hilbert numerator of the degrevlex leads of the reduced basis.  Under a
+graded order R/I and R/in(I) have the same affine Hilbert function (Cox-
+Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 9 sec. 3), so the
+series of the leads gives the Krull dimension, the degree of the
+projective closure and, in dimension 0, the colength, without
+homogenizing or dividing.  The unit ideal has the empty series and
+dimension -1.
 
 The multiplicities of a decomposition come from one chain of saturations,
 `_multiplicities`: the primes are taken by descending dimension, each is
@@ -27,7 +29,9 @@ built from a reduced basis already in hand carries it on:
 - `eliminate` keeps the w-free elements of the reduced block-order basis.
   They are the reduced degrevlex basis of the elimination ideal, because the
   block order compares w-free monomials by degrevlex of the smaller ring.
-  `saturate` and the Rees ideal of `cones` inherit this.
+  `saturate` and the Rees ideal of `cones` inherit this.  One helper,
+  `_restricted`, keeps and moves such elements; the cone images of `cones`
+  use it too.
 - `minimal_primes` presents each prime by its own reduced basis.
 
 An ideal derived from another always extends the parent's reduced
@@ -56,7 +60,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import PointNotOnVarietyError, PrimalityUndecidedError, RingMismatchError
+from .errors import (
+    InfiniteColengthError,
+    PointNotOnVarietyError,
+    PrimalityUndecidedError,
+    RingMismatchError,
+)
 from .factor import factor_polynomial, gram_matrix
 from .groebner import _Divider, _Extending, buchberger
 from .linalg import _echelon, _primitive, rational_rank
@@ -102,10 +111,10 @@ class IdealPresentation:
         ascending lead.  Nothing checks this.  The basis is cached, so no
         Buchberger run repeats it.
 
-        Callers: `eliminate` (the w-free part of a reduced block-order basis),
-        `minimal_primes` (each prime's own basis) and
-        `hilb.monomial_ideal_of` (the minimal generators of a monomial
-        ideal)."""
+        Callers: `_restricted` (the part of a reduced basis in a subring's
+        variables, for `eliminate` and the cone images), `minimal_primes`
+        (each prime's own basis) and `hilb.monomial_ideal_of` (the minimal
+        generators of a monomial ideal)."""
         I = cls(rng, basis)
         I._gb_cache[degrevlex(rng).signature()] = I.generators
         return I
@@ -138,9 +147,6 @@ class IdealPresentation:
         if f.ring != self.ring:
             raise RingMismatchError("membership across rings")
         return not self._division()(f.terms)
-
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
 
     def is_unit_ideal(self) -> bool:
         gb = self.gb()
@@ -203,9 +209,22 @@ def ideal(rng: RingDescriptor, text: str) -> IdealPresentation:
 
 
 def transplant(f: Polynomial, target: RingDescriptor) -> Polynomial:
-    """Rewrite f in a ring that contains all of f's variables by name."""
-    column_map = [target.var_index(v) for v in f.ring.variables]
-    return f.remap(target, column_map)
+    """Rewrite f by name in a ring that holds every variable f uses;
+    ValueError when f uses one the ring lacks."""
+    held = set(target.variables)
+    return f.remap(target, [target.var_index(v) if v in held else None
+                            for v in f.ring.variables])
+
+
+def _restricted(basis, target: RingDescriptor) -> IdealPresentation:
+    """The ideal of `target` generated by the elements of `basis` that use
+    only target's variables, moved there by name.  Both callers pass a
+    reduced basis whose such elements are the reduced degrevlex basis of
+    its intersection with `target`, so that basis comes cached."""
+    held = set(target.variables)
+    return IdealPresentation.from_reduced_basis(target, [
+        transplant(g, target) for g in basis
+        if all(g.ring.variables[i] in held for i in g.support_variables())])
 
 
 def contains_ideal(big: IdealPresentation, small: IdealPresentation) -> bool:
@@ -225,22 +244,20 @@ def _fresh_name(base: str, taken) -> str:
 
 
 def eliminate(I: IdealPresentation, drop_names) -> IdealPresentation:
-    """Intersect I with the subring omitting drop_names."""
+    """Intersect I with the subring omitting drop_names, which must be
+    distinct variables of I's ring (ValueError otherwise); I itself when
+    there are none."""
     drop_names = tuple(drop_names)
+    unknown = sorted(set(drop_names) - set(I.ring.variables))
+    if unknown:
+        raise ValueError(f"cannot eliminate {', '.join(unknown)}: not a variable "
+                         f"of the ring {', '.join(I.ring.variables)}")
+    repeated = sorted({v for v in drop_names if drop_names.count(v) > 1})
+    if repeated:
+        raise ValueError(f"cannot eliminate {', '.join(repeated)}: named more than once")
     if not drop_names:
-        return IdealPresentation(I.ring, I.generators)
-    order = elimination_order(I.ring, drop_names)
-    drop_idx = {I.ring.var_index(v) for v in drop_names}
-    new_ring = I.ring.drop(drop_names)
-    column_map = []
-    for i in range(I.ring.arity):
-        if i in drop_idx:
-            column_map.append(None)
-        else:
-            column_map.append(new_ring.var_index(I.ring.variables[i]))
-    kept = [g.remap(new_ring, column_map) for g in I.gb(order)
-            if not g.support_variables() & drop_idx]
-    return IdealPresentation.from_reduced_basis(new_ring, kept)
+        return I
+    return _restricted(I.gb(elimination_order(I.ring, drop_names)), I.ring.drop(drop_names))
 
 
 def saturate(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
@@ -262,9 +279,17 @@ def radical_contains(I: IdealPresentation, f: Polynomial) -> bool:
 
 def dimension(I: IdealPresentation) -> int:
     """Krull dimension of the quotient ring; -1 for the unit ideal."""
-    if I.is_unit_ideal():
-        return -1
     return _lead_series(I)[1]
+
+
+def colength(I: IdealPresentation) -> int:
+    """dim_k R/I, when finite: the number of standard monomials of I's
+    degrevlex leads, which is Q(1) for the lead series Q(t) / (1-t)^D when
+    D <= 0 (0 for the unit ideal).  Positive D raises InfiniteColengthError."""
+    Q, D = _lead_series(I)
+    if D > 0:
+        raise InfiniteColengthError("quotient has infinite colength")
+    return sum(Q)
 
 
 # ---------------------------------------------------------------------------
@@ -302,39 +327,30 @@ def hilbert_numerator(monos, arity: int) -> list:
     Splits on the most shared variable; base cases are the empty ideal,
     a principal ideal, and pairwise coprime generators.
     """
-    memo = {}
 
     def rec(ms):
-        key = tuple(sorted(ms))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         if not ms:
+            return [1]
+        if any(sum(m) == 0 for m in ms):
+            return []
+        counts = [0] * arity
+        for m in ms:
+            for i, e in enumerate(m):
+                if e:
+                    counts[i] += 1
+        pivot = max(range(arity), key=lambda i: counts[i])
+        if counts[pivot] <= 1:
             res = [1]
-        elif any(sum(m) == 0 for m in ms):
-            res = []
-        else:
-            counts = [0] * arity
-            for m in ms:
-                for i, e in enumerate(m):
-                    if e:
-                        counts[i] += 1
-            pivot = max(range(arity), key=lambda i: counts[i])
-            if counts[pivot] <= 1:
-                res = [1]
-                for m in ms:  # times 1 - t^deg(m)
-                    res = _padd(res, [0] * sum(m) + [-c for c in res])
-            else:
-                added = [m for m in ms if m[pivot] == 0]
-                unit = tuple(1 if i == pivot else 0 for i in range(arity))
-                added = _minimalize_monomials(added + [unit])
-                colon = _minimalize_monomials(
-                    [tuple(e - 1 if i == pivot else e for i, e in enumerate(m))
-                     if m[pivot] else m for m in ms])
-                res = _padd(rec(added), [0] + rec(colon))
-        res = _ptrim(list(res))
-        memo[key] = res
-        return res
+            for m in ms:  # times 1 - t^deg(m)
+                res = _padd(res, [0] * sum(m) + [-c for c in res])
+            return _ptrim(res)
+        added = [m for m in ms if m[pivot] == 0]
+        unit = tuple(1 if i == pivot else 0 for i in range(arity))
+        added = _minimalize_monomials(added + [unit])
+        colon = _minimalize_monomials(
+            [tuple(e - 1 if i == pivot else e for i, e in enumerate(m))
+             if m[pivot] else m for m in ms])
+        return _ptrim(_padd(rec(added), [0] + rec(colon)))
 
     return rec(_minimalize_monomials(monos))
 
@@ -344,13 +360,14 @@ def _lead_series(I: IdealPresentation):
     degrevlex leads in(I) of I's reduced basis.
 
     D is the Krull dimension of R/I and Q(1) the degree of the closure of
-    the scheme cut out by I; for homogeneous I, series(R/I) is the same.
-    The unit ideal, whose scheme is empty, raises ValueError.
+    the scheme cut out by I, or its colength when D = 0; for homogeneous I,
+    series(R/I) is the same.  The unit ideal, whose scheme is empty, has
+    ([], -1).
     """
     order = degrevlex(I.ring)
     N = hilbert_numerator([g.leading(order)[0] for g in I.gb()], I.ring.arity)
     if not N:
-        raise ValueError("degree of the empty scheme is undefined")
+        return [], -1
     D = I.ring.arity
     while sum(N) == 0:
         # divide by 1 - t: the partial sums, whose last one is N(1) = 0
@@ -401,22 +418,6 @@ def generic_tangent_dimension(I: IdealPresentation, P: IdealPresentation) -> int
 
     rows = [mod_p(dict(enumerate(row))) for row in jacobian(I)]
     return I.ring.arity - len(_echelon(rows, mod_p))
-
-
-# ---------------------------------------------------------------------------
-# Standard monomials and colength
-# ---------------------------------------------------------------------------
-
-
-def standard_monomials(I: IdealPresentation) -> list:
-    """Monomial basis of R/I in ascending degrevlex order when finite, else
-    InfiniteColengthError."""
-    divide = I._division()
-    return [divide.pk.fields(t) for t in divide.standard_terms()]
-
-
-def colength(I: IdealPresentation) -> int:
-    return len(standard_monomials(I))
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +524,9 @@ def _certify_prime(I: IdealPresentation, irreducible=None):
         irreducible.add(g)
     if _is_linear(gb) or len(gb) == 1:
         return ("prime",)
-    if dimension(I) == 0:
-        size = colength(I)
+    Q, D = _lead_series(I)
+    if D == 0:
+        size = sum(Q)
         for var in range(I.ring.arity):
             m = _minimal_polynomial(I, var)
             facs = factor_polynomial(m)
@@ -614,15 +616,6 @@ def minimal_primes(I: IdealPresentation) -> list:
     return comps
 
 
-def _top_part(J: IdealPresentation):
-    """(dimension, degree) of J's top-dimensional part; (-1, 0) for the
-    unit ideal."""
-    if J.is_unit_ideal():
-        return -1, 0
-    Q, D = _lead_series(J)
-    return D, sum(Q)
-
-
 def _avoiding(P: IdealPresentation, later) -> Polynomial:
     """An element of the prime P that lies in none of the primes `later`.
 
@@ -669,18 +662,18 @@ def _multiplicities(I: IdealPresentation, primes, series) -> list:
     chain = sorted(range(len(primes)), key=lambda i: -series[i][1])
     out = [0] * len(primes)
     J = I
-    dim, deg = _top_part(J)
+    Q, D = _lead_series(J)
     for step, i in enumerate(chain):
         QP, DP = series[i]
-        if dim != DP:
+        if D != DP:
             raise ArithmeticError("saturation left extra components behind")
-        top = deg
+        top = sum(Q)
         later = [primes[j] for j in chain[step + 1:]]
         if later:
             J = saturate(J, _avoiding(primes[i], later))
-            dim, deg = _top_part(J)
-            if dim == DP:
-                top -= deg
+            Q, D = _lead_series(J)
+            if D == DP:
+                top -= sum(Q)
         m, rest = divmod(top, sum(QP))
         if rest:
             raise ArithmeticError("degree ratio is not an integer")

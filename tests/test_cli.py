@@ -356,6 +356,14 @@ def test_nonpositive_jobs_is_an_input_error(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("drop, named", [("w", "w"), ("x,x", "x"), ("y,w,z", "w")])
+def test_eliminating_an_unknown_or_repeated_name_is_an_input_error(files, capsys, drop, named):
+    code, out, err = run_cli(["eliminate", "--ideal", files["axes"], "--drop", drop], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot eliminate {named}:")
+
+
 def test_saturation_by_zero_is_an_input_error(files, capsys):
     code, out, err = run_cli(["saturate", "--ideal", files["pair"], "--by", "0"], capsys)
     assert code == 1

@@ -167,12 +167,6 @@ def test_colength_matches_partition_size():
             assert colength(monomial_ideal_of(p)) == n
 
 
-def test_ideal_of_requires_three_variables():
-    p = PlanePartition(frozenset({(0, 0, 0)}))
-    with pytest.raises(ValueError):
-        monomial_ideal_of(p, ring("x, y"))
-
-
 # --------------------------------------------------------- tangent spaces
 
 

@@ -39,13 +39,13 @@ def _tree(path):
 
 
 def _referenced(tree) -> set:
-    """Names a module reads, calls or imports, as bare names or attributes."""
+    """Names a module reads, calls or imports, as bare names or through
+    `from ... import`.  An attribute does not count: `args.ideal` names a
+    parsed option, not the function `ideal`."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
     return out
