@@ -77,13 +77,12 @@ def behrend_value(J: IdealPresentation, point, seed: int = 0) -> BehrendEvaluati
     return BehrendEvaluation(point, total, tuple(breakdown), dom, con)
 
 
-def dominating_cone_multiplicity(J: IdealPresentation, Z) -> int:
+def dominating_cone_multiplicity(J: IdealPresentation, Z: IdealPresentation) -> int:
     """Total multiplicity of the cone components of Z that dominate Z.
 
     Z is taken with its reduced structure: the cone is computed from the
     component's own prime, not from J.
     """
-    Z = Z.prime if isinstance(Z, PrimeComponent) else Z
     if not contains_ideal(Z, J):
         raise ValueError("Z is not a component of the ideal")
     m = 0

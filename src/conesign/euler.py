@@ -183,8 +183,8 @@ def eu_point(V: IdealPresentation, point, primality: str = "check",
     """Local Euler obstruction of the integral variety V at a point.
 
     primality: "check" certifies V prime first (input that splits, being
-    reducible or not reduced, is a ValueError, uncertifiable input raises
-    PrimalityUndecidedError);
+    empty, reducible or not reduced, is a ValueError, uncertifiable input
+    raises PrimalityUndecidedError);
     "certified"/"assumed" trust the caller and are recorded in the verdict.
     """
     if primality == "check":

@@ -21,10 +21,11 @@ multiplicity times its degree is what the top-dimensional degree loses.
 k primes take k - 1 saturations.
 
 All ideals are presented by finite generating sets over an explicit ring.
-Reduced Groebner bases are cached per monomial order, and division by the
-degrevlex one is set up once, so repeated membership tests, normal forms
-and equality checks against the same presentation are cheap.  An ideal
-built from a reduced basis already in hand carries it on:
+An ideal keeps one basis, its reduced degrevlex one, and division by it is
+set up once, so repeated membership tests, normal forms and equality
+checks against the same presentation are cheap.  Work under any other
+order is one Buchberger run that nothing keeps.  An ideal built from a
+reduced basis already in hand carries it on:
 
 - `eliminate` keeps the w-free elements of the reduced block-order basis.
   They are the reduced degrevlex basis of the elimination ideal, because the
@@ -34,23 +35,20 @@ built from a reduced basis already in hand carries it on:
   use it too.
 - `minimal_primes` presents each prime by its own reduced basis.
 
-An ideal derived from another always extends the parent's reduced
-degrevlex basis, which `gb()` computes first if it is missing: Buchberger
-starts from it as a known Groebner basis and pairs only the new elements.
-One method, `IdealPresentation._derived`, builds every such ideal:
+An ideal derived from another extends the parent's reduced degrevlex
+basis, which `gb()` computes first if it is missing: Buchberger starts
+from it as a known Groebner basis and pairs only the new elements.  One
+method, `IdealPresentation._derived`, builds every such ideal:
 
 - `with_extra` adds elements, for its degrevlex basis, which covers the
   split candidates of `minimal_primes` and the normal cone of `cones`.
 - `translate` moves a point to the origin, for its degrevlex basis: the
   moved basis keeps its leads, so no pair is queued.  At the origin the
   ideal is its own translate.  `euler` works on these.
-- `_inverting` builds I + (1 - w*f) in R[w], under both degrevlex and
-  `eliminate`'s block order: each compares w-free monomials by degrevlex
-  of R, so I's reduced basis stays a Groebner basis of I*R[w] under both.
-  `saturate` and `radical_contains` inherit this.
 
-Any other order, such as a lex run on a derived ideal, starts from the
-ideal's generators.
+`saturate` extends I's reduced basis in the same way, under the block
+order of its one run over R[w].  Radical membership is a saturation:
+f lies in the radical of I exactly when I : f^infinity is the unit ideal.
 
 Candidate primes are split or certified by one routine, `_certify_prime`.
 """
@@ -70,7 +68,6 @@ from .factor import factor_polynomial, gram_matrix
 from .groebner import _Divider, _Extending, buchberger
 from .linalg import _echelon, _primitive, rational_rank
 from .poly import (
-    MonomialOrder,
     Polynomial,
     RingDescriptor,
     degrevlex,
@@ -89,7 +86,7 @@ class IdealPresentation:
     their terms; no basis is rendered as text for either.
     """
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_extends", "_divide")
+    __slots__ = ("ring", "generators", "_basis", "_extends", "_divide")
 
     def __init__(self, rng: RingDescriptor, generators):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -98,9 +95,9 @@ class IdealPresentation:
                 raise ValueError("generator ring mismatch")
         self.ring = rng
         self.generators = gens
-        self._gb_cache = {}
-        # (order signatures, _Extending(basis, extra)): this ideal is
-        # (basis) + (extra), and basis is a Groebner basis under those orders
+        self._basis = None  # the reduced degrevlex basis, once computed
+        # _Extending(basis, extra): this ideal is (basis) + (extra), and basis
+        # is a degrevlex Groebner basis
         self._extends = None
         self._divide = None  # division by the reduced degrevlex basis
 
@@ -116,20 +113,16 @@ class IdealPresentation:
         (each prime's own basis) and `hilb.monomial_ideal_of` (the minimal
         generators of a monomial ideal)."""
         I = cls(rng, basis)
-        I._gb_cache[degrevlex(rng).signature()] = I.generators
+        I._basis = I.generators
         return I
 
-    def gb(self, order: MonomialOrder | None = None) -> tuple:
-        order = order if order is not None else degrevlex(self.ring)
-        key = order.signature()
-        cached = self._gb_cache.get(key)
-        if cached is None:
-            gens = self.generators
-            if self._extends is not None and key in self._extends[0]:
-                gens = self._extends[1]
-            cached = tuple(buchberger(gens, order))
-            self._gb_cache[key] = cached
-        return cached
+    def gb(self) -> tuple:
+        """The reduced degrevlex basis, computed on first use: from the known
+        prefix of a derived ideal, else from the generators."""
+        if self._basis is None:
+            self._basis = tuple(buchberger(self._extends or self.generators,
+                                           degrevlex(self.ring)))
+        return self._basis
 
     def signature(self) -> tuple:
         """The reduced degrevlex basis as a tuple of texts: the one rendering
@@ -152,21 +145,19 @@ class IdealPresentation:
         gb = self.gb()
         return len(gb) == 1 and gb[0].is_constant()
 
-    def _derived(self, rng, move, extra=(), orders=None) -> "IdealPresentation":
-        """The ideal of `rng` generated by `move(g)` for g in self's
-        generators, and `extra`.  `move` must carry self's reduced degrevlex
-        basis to a Groebner basis of the moved ideal under each of `orders`
-        (default: degrevlex of `rng`); each of those runs extends it by
-        `extra`, and any other order starts from the generators."""
+    def _derived(self, move, extra=()) -> "IdealPresentation":
+        """The ideal generated by `move(g)` for g in self's generators, and
+        `extra`.  `move` must carry self's reduced degrevlex basis to a
+        Groebner basis of the moved ideal, which the new ideal's degrevlex
+        basis extends by `extra`."""
         extra = tuple(extra)
-        J = IdealPresentation(rng, [move(g) for g in self.generators] + list(extra))
-        orders = orders or (degrevlex(rng).signature(),)
-        J._extends = (orders, _Extending(map(move, self.gb()), extra))
+        J = IdealPresentation(self.ring, [move(g) for g in self.generators] + list(extra))
+        J._extends = _Extending(map(move, self.gb()), extra)
         return J
 
     def with_extra(self, extra) -> "IdealPresentation":
         """The ideal self + (extra), whose degrevlex basis extends self's."""
-        return self._derived(self.ring, lambda g: g, extra)
+        return self._derived(lambda g: g, extra)
 
     def translate(self, point) -> "IdealPresentation":
         """The ideal {f(x + point) : f in self}, which moves `point` to the
@@ -176,20 +167,7 @@ class IdealPresentation:
         ideal, which its degrevlex basis extends with no pair queued."""
         if all(self.ring.coeff(c) == 0 for c in point):
             return self
-        return self._derived(self.ring, lambda g: g.translate(point))
-
-    def _inverting(self, f: Polynomial):
-        """(self + (1 - w*f), w) in R[w] for a fresh name w: f is inverted, so
-        the ideal contracts to self : f^infinity in R, and it is the unit
-        ideal exactly when f lies in the radical of self."""
-        w = _fresh_name("w", self.ring.variables)
-        ext = self.ring.extend((w,))
-        wpoly = Polynomial.variable(ext, ext.var_index(w))
-        inverse = Polynomial.one(ext) - wpoly * transplant(f, ext)
-        # w-free monomials compare by degrevlex of R under both orders, so
-        # self's reduced basis stays a Groebner basis of self*R[w] under each
-        orders = (degrevlex(ext).signature(), elimination_order(ext, (w,)).signature())
-        return self._derived(ext, lambda g: transplant(g, ext), (inverse,), orders), w
+        return self._derived(lambda g: g.translate(point))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdealPresentation):
@@ -257,24 +235,30 @@ def eliminate(I: IdealPresentation, drop_names) -> IdealPresentation:
         raise ValueError(f"cannot eliminate {', '.join(repeated)}: named more than once")
     if not drop_names:
         return I
-    return _restricted(I.gb(elimination_order(I.ring, drop_names)), I.ring.drop(drop_names))
+    order = elimination_order(I.ring, drop_names)
+    return _restricted(buchberger(I.generators, order), I.ring.drop(drop_names))
 
 
 def saturate(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     """Saturation I : f^infinity = (I + (1 - w*f)) meet R, by one elimination
-    of w over R[w]."""
+    of a fresh variable w over R[w]: f is inverted there, so the result is
+    the unit ideal exactly when f lies in the radical of I."""
     if f.is_zero():
         raise ValueError("colon by the zero polynomial")
-    K, w = I._inverting(f)
-    return eliminate(K, (w,))
+    w = _fresh_name("w", I.ring.variables)
+    ext = I.ring.extend((w,))
+    wpoly = Polynomial.variable(ext, ext.var_index(w))
+    inverse = Polynomial.one(ext) - wpoly * transplant(f, ext)
+    # the block order compares w-free monomials by degrevlex of R, so I's
+    # reduced basis stays a Groebner basis of I*R[w] under it
+    known = _Extending((transplant(g, ext) for g in I.gb()), (inverse,))
+    return _restricted(buchberger(known, elimination_order(ext, (w,))), I.ring)
 
 
 def radical_contains(I: IdealPresentation, f: Polynomial) -> bool:
-    """Membership of f in the radical of I, by the inverted-element trick;
-    a member of I itself needs no run over R[w]."""
-    if I.contains(f):
-        return True
-    return I._inverting(f)[0].is_unit_ideal()
+    """Membership of f in the radical of I: f lies in I, or I : f^infinity
+    is the unit ideal (Rabinowitsch)."""
+    return I.contains(f) or saturate(I, f).is_unit_ideal()
 
 
 def dimension(I: IdealPresentation) -> int:
@@ -509,12 +493,16 @@ def _certify_prime(I: IdealPresentation, irreducible=None):
     on R/I decide: a reducible one splits I along its factors, and an
     irreducible one of degree equal to the colength makes R/I a field.
 
+    The unit ideal is not prime: it splits into no factors.
+
     `irreducible` holds polynomials already found not to factor, which
     are not factored again; each basis element found not to factor here
     joins it.
     """
     irreducible = set() if irreducible is None else irreducible
     gb = I.gb()
+    if any(g.is_constant() for g in gb):
+        return ("split", [])
     for g in gb:
         if g in irreducible:
             continue

@@ -191,7 +191,7 @@ def test_criterion_9_property_suites():
     # normal form is a projection
     for I in GB_CORPUS:
         order = degrevlex(I.ring)
-        gb = I.gb(order)
+        gb = I.gb()
         one = Polynomial.one(I.ring)
         samples = [g * g + g + one for g in I.generators]
         samples += [a * b for a in I.generators for b in I.generators]

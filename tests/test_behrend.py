@@ -128,7 +128,7 @@ def test_fat_point_is_caught_upstream_not_here():
     J = ideal(R1, "x^2")
     comp = minimal_primes(J)[0]
     assert comp.multiplicity == 2
-    assert dominating_cone_multiplicity(J, comp) == 1
+    assert dominating_cone_multiplicity(J, comp.prime) == 1
 
 
 def test_dominating_multiplicity_along_the_axis():
@@ -242,7 +242,7 @@ def test_two_routes_agree_at_sampled_points():
 def test_two_routes_agree_on_smooth_corpus():
     for J, points, _ in SMOOTH:
         (comp,) = minimal_primes(J)
-        general = (-1) ** comp.dimension * dominating_cone_multiplicity(J, comp)
+        general = (-1) ** comp.dimension * dominating_cone_multiplicity(J, comp.prime)
         for p in points:
             assert behrend_value(J, p).value == general
 

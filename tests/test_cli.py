@@ -482,6 +482,16 @@ def test_eu_on_a_non_reduced_variety_names_the_failing_condition(files, capsys):
     assert "is reducible" not in err
 
 
+def test_eu_on_the_unit_ideal_is_an_input_error(tmp_path, capsys):
+    # the unit ideal cuts out the empty variety, which is not integral
+    path = tmp_path / "unit.ideal"
+    path.write_text("ring x, y;\n1\n", encoding="utf-8")
+    code, out, err = run_cli(["eu", "--variety", str(path), "--point", "0,0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: variety is not integral")
+
+
 # ------------------------------------------------- characteristic gating
 
 

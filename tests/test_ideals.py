@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     division_remainder,
+    grevlex_key,
     lex_eliminant,
     linear_prime_contains,
     linear_product_multiplicities,
@@ -217,6 +218,49 @@ def test_radical_membership_of_a_member_needs_no_run_over_r_w(monkeypatch):
     assert not radical_contains(J, parse_polynomial("y", R2))
 
 
+def seeded_monomial_radical_case(seed):
+    """(generators, terms, point): the exponents of 1 to 3 generators of a
+    monomial ideal M of Q[x, y, z], the (coefficient, exponents) terms of f,
+    and a point of {-1, 0, 1}^3.  Half of f's terms are the support of a
+    generator of M times a monomial, so they lie in the radical of M."""
+    rnd = random.Random(seed)
+    mono = lambda: tuple(rnd.randint(0, 2) for _ in range(3))
+    gens = [m for m in (mono() for _ in range(rnd.randint(1, 3))) if any(m)] or [(1, 0, 0)]
+    terms = []
+    for _ in range(rnd.randint(1, 3)):
+        m = mono()
+        if rnd.random() < 0.5:
+            g = rnd.choice(gens)
+            m = tuple(min(a + (b > 0), 2) for a, b in zip(m, g))
+        terms.append((rnd.choice([-2, -1, 1, 3]), m))
+    return gens, terms, tuple(rnd.randint(-1, 1) for _ in range(3))
+
+
+def in_monomial_radical(gens, terms):
+    """A monomial lies in the radical of (gens) exactly when the support of
+    some generator lies inside its own, and a polynomial exactly when each of
+    its terms does."""
+    return all(any(all(e or not g for e, g in zip(m, gen)) for gen in gens)
+               for _, m in terms)
+
+
+def test_radical_membership_of_monomial_ideals_plain_and_translated():
+    answers, through_saturation = set(), 0
+    for seed in range(60):
+        gens, terms, point = seeded_monomial_radical_case(seed)
+        want = in_monomial_radical(gens, terms)
+        for shift in ((0, 0, 0), point):
+            # x -> x + a, written out as text, moves M and f by the same point
+            var = [f"({v} + ({a}))" for v, a in zip("xyz", shift)]
+            power = lambda m: "*".join(f"{v}^{e}" for v, e in zip(var, m) if e) or "1"
+            M = I(", ".join(power(m) for m in gens), R3)
+            f = parse_polynomial(" + ".join(f"({c})*{power(m)}" for c, m in terms), R3)
+            assert radical_contains(M, f) == want
+            answers.add(want)
+            through_saturation += want and not M.contains(f)
+    assert answers == {True, False} and through_saturation > 0
+
+
 def test_membership_tests_share_one_division_per_ideal(monkeypatch):
     built = []
     init = conesign.ideals._Divider.__init__
@@ -254,24 +298,32 @@ def test_saturation_extends_a_cached_basis_to_the_same_answer(monkeypatch, gens,
     f = parse_polynomial(by, R3)
     cold, warm = I(gens, R3), I(gens, R3)
     G = warm.gb()
-    calls = counted_buchberger(monkeypatch)
+    runs, real = [], conesign.ideals.buchberger
+
+    def kept(gens, order, *args, **kwargs):
+        runs.append((gens, real(gens, order, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(conesign.ideals, "buchberger", kept)
     S, T = saturate(cold, f), saturate(warm, f)
     assert radical_contains(cold, f) == radical_contains(warm, f) == in_radical
     # the one run from scratch is cold's own basis, which every R[w] run extends
-    assert known_prefixes(calls) == [0] + [len(G)] * 4
+    assert known_prefixes([gens for gens, _ in runs]) == [0] + [len(G)] * 4
     assert S.gb() == T.gb()
     assert T == I(sat, R3)
     # checked by a division routine that shares no code with the package:
-    # the saturation contains the ideal, and both bases from the known
-    # prefix (degrevlex over R[w], and the saturation's) are Groebner bases
-    K, _ = warm._inverting(f)
-    for J in (T, K):
-        basis = [g.terms for g in J.gb()]
-        for g in J.generators if J is K else G:
-            assert division_remainder(g.terms, basis) == {}
+    # the saturation contains the ideal, and each basis over R[w] built from
+    # the known prefix is a Groebner basis under the block order, w first
+    block = lambda e: (grevlex_key(e[3:]), grevlex_key(e[:3]))
+    checks = [([g.terms for g in T.gb()], G, grevlex_key)]
+    checks += [([g.terms for g in basis], gens, block) for gens, basis in runs[1:]]
+    for basis, gens, key in checks:
+        for g in gens:
+            assert division_remainder(g.terms, basis, key=key) == {}
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
-                assert division_remainder(s_pair(basis[a], basis[b]), basis) == {}
+                assert division_remainder(s_pair(basis[a], basis[b], key=key), basis,
+                                          key=key) == {}
 
 
 # dimension
@@ -682,6 +734,12 @@ def test_each_minimal_polynomial_takes_one_echelon_over_colength_plus_one_remain
     assert counts == {"echelon": 1, "remainder": colength(K) + 1}
 
 
+def test_the_unit_ideal_is_not_certified_prime():
+    # its basis (1) is linear, but the unit ideal splits into no primes
+    assert _certify_prime(I("1")) == ("split", [])
+    assert _certify_prime(I("x - 1, x")) == ("split", [])
+
+
 def test_irrational_point_pair_is_certified_without_sympy(monkeypatch):
     def no_sympy(*args):
         raise AssertionError("sympy factorization called")
@@ -752,9 +810,6 @@ def test_with_extra_extends_a_cached_basis_and_keeps_the_generators(monkeypatch)
     assert warm.generators == first.generators == K.generators + (f,)
     # the same answer as Buchberger from the generators
     assert warm.gb() == IdealPresentation(R2, warm.generators).gb() == I("x - 1, y - 1").gb()
-    # only the degrevlex basis is known; another order starts from scratch
-    warm.gb(MonomialOrder("lex", (0, 1)))
-    assert known_prefixes(calls)[-1] == 0
 
 
 def test_translate_carries_a_cached_basis_to_the_same_answer(monkeypatch):
@@ -786,6 +841,19 @@ def test_derived_ideals_keep_their_reduced_basis(monkeypatch):
     assert [g.to_text() for g in E.generators] == ["x^3 - 1"]
     E.gb()
     assert len(calls) == 1
+
+
+def test_eliminate_of_a_derived_ideal_matches_a_fresh_presentation():
+    # V's reduced degrevlex basis, which both derived ideals extend, is no
+    # Groebner basis under the orders that eliminate a variable: elimination
+    # starts from their generators
+    V = ideal(R3, "x*z - y^2 + z, y - x^2 + 3, z^2 - x*y")
+    for J in (V.with_extra((parse_polynomial("x*y*z", R3),)), V.translate((1, 2, -1))):
+        fresh = IdealPresentation(R3, J.generators)
+        for drop in ("x", "y", "z"):
+            assert eliminate(J, (drop,)) == eliminate(fresh, (drop,))
+    E = eliminate(V.with_extra((parse_polynomial("x*y*z", R3),)), ("y",))
+    assert E == ideal(ring("x, z"), "z, x^2 - 3")
 
 
 @st.composite
