@@ -189,6 +189,9 @@ def eu_point(V: IdealPresentation, point, primality: str = "check",
     """
     if primality == "check":
         verdict = _certify_prime(V)
+        if verdict == ("split", []):
+            raise ValueError("variety is empty (the unit ideal); Euler "
+                             "obstruction needs an integral variety")
         if verdict[0] == "split":
             raise ValueError("variety is not integral (reducible or not "
                              "reduced); Euler obstruction needs an integral "

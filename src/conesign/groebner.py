@@ -31,31 +31,30 @@ Mod p the basis is monic.  Only `_reduce_groebner` makes elements monic over
 `Fraction`, as it emits them; scaling changes no lead, so the pairs, their
 order and the output are those of monic arithmetic.
 
-Buchberger's loop for an ideal is signature-based (`_by_signatures`, after
-F5C): the generators enter one at a time by ascending lead, each as a level
-whose elements carry signatures u*e_i, position over term.  S-pairs leave a
-heap by ascending signature and are reduced regularly, by `_reduce_terms`
-with a signature bound: an element of an earlier level always divides, one
-of the level only at a smaller multiplied signature.  The principal
-syzygies f_j e_i - f_i e_j make the leads of the earlier levels syzygy
-signatures, so a pair whose signature one of them divides falls, as does one
-that a signature reduced to zero before divides, or that a newer element
-rewrites.  Under pair criteria alone katsura-5 reduced 48 of its 66
-S-polynomials to zero and cyclic-6 441 of 620; now they reduce 0 of 26 and
-8 of 163.  A submodule has no principal syzygies, and the rewrite criterion
-alone reduced more than Gebauer-Moeller pruning does (3.76M against 1.38M
-terms on a rank-3 input), so modules keep `_by_pairs`: S-pairs in a heap
-keyed by the order key of each pair's lcm, computed once when the pair is
-made, pruned by the Gebauer-Moeller criteria (J. Symb. Comput. 6, 1988),
-and taken smallest lcm first.  Either loop builds each S-polynomial from the
-two stored elements and the pair's lcm, and counts every pair it forms
-against `max_pairs`, those a criterion drops at once included, so the
-budget binds on small input too.  A run for an ideal may start from a known
-prefix, a Groebner basis under the run's order passed as
-`_Extending(known, extra)`: the known elements are the level before the
-first generator, and no pair among them is formed.  Reduced bases are
-monic, interreduced, and sorted, hence canonical for (ideal or submodule,
-order).
+One Buchberger loop serves ideals and submodules, signature-based
+(`_by_signatures`, after F5C): the generators enter one at a time by
+ascending lead, each as a level whose elements carry signatures u*e_i,
+position over term.  S-pairs, formed only between leads at one position,
+leave a heap by ascending signature and are reduced regularly, by
+`_reduce_terms` with a signature bound: an element of an earlier level
+always divides, one of the level only at a smaller multiplied signature.
+For an ideal the principal syzygies f_j e_i - f_i e_j make the leads of the
+earlier levels syzygy signatures, so a pair whose signature one of them
+divides falls; in every run so does one that a signature reduced to zero
+before divides, or that a newer element rewrites.  Under pair criteria
+alone katsura-5 reduced 48 of its 66 S-polynomials to zero and cyclic-6 441
+of 620; now they reduce 0 of 26 and 8 of 163.  A submodule has no principal
+syzygies, so only the signatures that reduced to zero and the rewrite
+criterion drop its pairs; that leaves it more reductions than
+Gebauer-Moeller pruning would, on module bases that no workload builds.
+The loop builds each S-polynomial from the two stored elements and the pair's
+lcm, and counts every pair it forms against `max_pairs`, those a criterion
+drops at once included, so the budget binds on small input too.  A run for
+an ideal may start from a known prefix, a Groebner basis under the run's
+order passed as `_Extending(known, extra)`: the known elements are the
+level before the first generator, and no pair among them is formed.
+Reduced bases are monic, interreduced, and sorted, hence canonical for
+(ideal or submodule, order).
 Every public entry passes its input through one step, `_packed_input`,
 which drops zeros, checks one ring and one rank, and packs.  All work with a
 given basis goes through one builder, `_Divider`, which normalizes the
@@ -121,9 +120,13 @@ class _Packing:
     guard bit; `_reduce_terms` checks every term it takes up, so no carry
     reaches a divisibility test.
 
-    `key` is the memoised heap key of a packed term: its order key negated
-    entry by entry, then the term itself, so the smallest heap key is the
-    biggest term and a heap of keys gives back its terms."""
+    `key` is the memoised heap key of a packed term: the order key of its
+    monomial negated entry by entry, then the term itself, so the smallest
+    heap key is the biggest term and a heap of keys gives back its terms.
+    Two module terms with one monomial differ only in their position fields,
+    and the one at the smaller position is the smaller int, so the bigger
+    term: the order is term over position.  A monomial with no position
+    field, such as a signature, gets its key the same way."""
 
     __slots__ = ("rank", "units", "guard", "place", "key", "_struct", "_heads")
 
@@ -137,14 +140,9 @@ class _Packing:
         self._heads = [(0,) * pos + (1,) + (0,) * (rank - pos - 1) for pos in range(rank)]
         raw = _key_function(*order.signature())
         fields_of = self.fields
-        if rank:
-            def compute(t):
-                e = fields_of(t)
-                # term over position: the monomial first, then the smaller pos
-                return (*[-x for x in raw(e[rank:])], e.index(1), t)
-        else:
-            def compute(t):
-                return (*[-x for x in raw(fields_of(t))], t)
+
+        def compute(t):
+            return (*[-x for x in raw(fields_of(t)[rank:])], t)
         self.key = _KeyMemo(compute).__getitem__
 
     def fields(self, t: int) -> tuple:
@@ -316,7 +314,12 @@ def _normalized(terms: dict, lt: int, rng) -> dict:
     lt: monic mod p, over Q the primitive integer multiple with a positive
     lead."""
     char = rng.characteristic
-    return _scaled(terms, rng.coeff_inv(terms[lt]), char) if char else _primitive(terms, lt)
+    if not char:
+        return _primitive(terms, lt)
+    if terms[lt] == 1:
+        return terms
+    scale = rng.coeff_inv(terms[lt])
+    return {m: c * scale % char for m, c in terms.items()}
 
 
 class _Divider:
@@ -401,99 +404,17 @@ def _spair(fi: dict, lti: int, fj: dict, ltj: int, l: int, char: int) -> dict:
     return out
 
 
-def _scaled(terms: dict, scale, char: int) -> dict:
-    """scale * terms for a nonzero field element; terms itself when scale is 1."""
-    if scale == 1:
-        return terms
-    if char:
-        return {m: c * scale % char for m, c in terms.items()}
-    return {m: c * scale for m, c in terms.items()}
-
-
 # ---------------------------------------------------------------------------
-# Buchberger: signatures for ideals, Gebauer-Moeller pair elimination for
-# modules
+# Buchberger: one signature-based loop for ideals and submodules
 
 
 def _pair_bound(max_pairs: int) -> BoundExceededError:
     return BoundExceededError(f"pair bound {max_pairs} exceeded")
 
 
-def _update_pairs(lts, pairs, pk: _Packing, seq) -> int:
-    """Gebauer-Moeller update for the newest packed lead lts[-1]; returns
-    the number of pairs formed, those the criteria drop at once included.
-
-    `pairs` is a heap of (order key of the lcm, seq, i, j, lcm); `seq`
-    counts pushes, so pairs with one lcm leave in the order they came.  Old
-    pairs are pruned against their stored lcm; each lcm(lt_i, lt_new) is
-    computed once.  No pair is made between module leads at different
-    positions.  Updates `pairs` in place.
-    """
-    guard, place = pk.guard, pk.place
-    t = len(lts) - 1
-    lt_t = lts[t]
-    lcms = [_lcm(lt, lt_t, guard) for lt in lts[:t]]
-    # criterion B: lt_t strictly divides the lcm of an old pair
-    before = len(pairs)
-    pairs[:] = [
-        p for p in pairs
-        if not (((p[4] | guard) - lt_t) & guard == guard
-                and lcms[p[2]] != p[4] and lcms[p[3]] != p[4])
-    ]
-    if len(pairs) < before:
-        heapq.heapify(pairs)
-    # new pairs: chain criterion M drops an lcm that another new pair's lcm
-    # strictly divides; of the pairs sharing an lcm the first is kept, and
-    # none when any of them is coprime, that is when the lcm is the product
-    # (Gebauer-Moeller criterion F with the product criterion)
-    here = lt_t & place
-    new = [(i, l) for i, l in enumerate(lcms) if lts[i] & place == here]
-    distinct = {l for _, l in new}
-    done = {l for i, l in new if l == lts[i] + lt_t}
-    for i, l in new:
-        if l in done:
-            continue
-        done.add(l)
-        lg = l | guard
-        if any(o != l and (lg - o) & guard == guard for o in distinct):
-            continue
-        # the heap key negated grows with the term: smallest lcm first
-        heapq.heappush(pairs, (tuple([-x for x in pk.key(l)]), next(seq), i, t, l))
-    return len(new)
-
-
-def _by_pairs(polys, pk: _Packing, rng, max_pairs: int):
-    """(basis, leads) of a Groebner basis of submodule generators by
-    Buchberger's loop with the Gebauer-Moeller update and normal selection."""
-    char = rng.characteristic
-    bt, lts = [], []
-    pairs: list = []
-    seq = itertools.count()
-    formed = 0
-
-    def add(terms, lt):
-        nonlocal formed
-        bt.append(_normalized(terms, lt, rng))
-        lts.append(lt)
-        formed += _update_pairs(lts, pairs, pk, seq)
-        if formed > max_pairs:
-            raise _pair_bound(max_pairs)
-
-    for terms in polys:
-        add(terms, min(terms, key=pk.key))
-
-    while pairs:
-        # normal selection: smallest lcm in the active order
-        _, _, i, j, l = heapq.heappop(pairs)
-        rem, _ = _reduce_terms(_spair(bt[i], lts[i], bt[j], lts[j], l, char), bt, lts, pk, char)
-        if rem:
-            add(rem, next(iter(rem)))
-    return bt, lts
-
-
 def _by_signatures(polys, pk: _Packing, rng, max_pairs: int, known: int):
-    """(basis, leads) of a Groebner basis of ideal generators, one level per
-    generator, by regular reductions in ascending signature (F5C, Eder-Perry,
+    """(basis, leads) of a Groebner basis of ideal or submodule generators,
+    one level per generator, by regular reductions in ascending signature (F5C, Eder-Perry,
     J. Symb. Comput. 45, 2010; Eder-Faugere's survey, J. Symb. Comput. 80,
     2017).
 
@@ -501,7 +422,8 @@ def _by_signatures(polys, pk: _Packing, rng, max_pairs: int, known: int):
     by ascending lead, each first reduced by the basis so far and dropped
     when that leaves nothing.  In level i a signature is a packed monomial u
     for u*e_i, position over term, so every element of an earlier level
-    (signature None) is below all of them.  A pair's signature is its
+    (signature None) is below all of them.  Pairs form only between leads at
+    one position (`pk.place` is 0 for an ideal).  A pair's signature is its
     bigger multiplied signature, and the element that gives it is the pair's
     generator; a pair whose multiplied signatures are equal is dropped.
     Pairs leave by ascending signature, one per signature, and are dropped
@@ -511,7 +433,7 @@ def _by_signatures(polys, pk: _Packing, rng, max_pairs: int, known: int):
     divides it (the rewrite criterion).  Between levels the elements whose
     leads another lead divides are dropped; the known prefix is taken as it
     comes, and the last level is left to `_reduce_groebner`."""
-    char, key, guard = rng.characteristic, pk.key, pk.guard
+    char, key, guard, place = rng.characteristic, pk.key, pk.guard, pk.place
     leads = [min(t, key=key) for t in polys]
     normalized = [_normalized(t, lt, rng) for t, lt in zip(polys, leads)]
     bt, lts = normalized[:known], leads[:known]
@@ -535,12 +457,18 @@ def _by_signatures(polys, pk: _Packing, rng, max_pairs: int, known: int):
             nonlocal formed
             lt = next(iter(terms))
             t = len(bt)
-            formed += t
+            here = lt & place
+            mates = [k for k in range(t) if lts[k] & place == here]
+            formed += len(mates)
             if formed > max_pairs:
                 raise _pair_bound(max_pairs)
-            for k in range(t):
+            for k in mates:
                 l = _lcm(lt, lts[k], guard)
                 s, gen = l - lt + sig, t
+                # a submodule has no principal syzygies, and these criteria
+                # need no branch for it: every module lead has a position
+                # field, which no signature has, and two leads at one
+                # position never have their sum as their lcm
                 if k < start:
                     if l == lt + lts[k]:
                         continue  # lts[k], a syzygy signature, divides s
@@ -590,15 +518,10 @@ def _groebner(polys, pk: _Packing, rng, max_pairs: int, known: int = 0) -> list:
     remainder are primitive integer term dicts until the reduced basis is
     emitted.
 
-    Ideals run `_by_signatures`, whose first `known` dicts must already be
-    a Groebner basis under the order: no pair among them is formed.
-    Modules, which have no principal syzygies to drop reductions to zero
-    with, run `_by_pairs`.  `max_pairs` bounds the pairs formed, those the
-    criteria drop at once included."""
-    if pk.rank:
-        bt, lts = _by_pairs(polys, pk, rng, max_pairs)
-    else:
-        bt, lts = _by_signatures(polys, pk, rng, max_pairs, known)
+    The first `known` dicts must already be a Groebner basis under the
+    order: no pair among them is formed.  `max_pairs` bounds the pairs
+    formed, those the criteria drop at once included."""
+    bt, lts = _by_signatures(polys, pk, rng, max_pairs, known)
     return _reduce_groebner(bt, lts, pk, rng.characteristic)
 
 

@@ -534,10 +534,9 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
     prime L properly inside K has dim L > dim K, since every proper quotient
     of an affine domain has lower dimension; so a certified L of dimension
     at most dim K is never tested.  An undecided L may not be prime and is
-    tested against every K.
+    tested against every K.  The unit ideal splits into no factors, so it
+    leaves nothing.
     """
-    if I.is_unit_ideal():
-        return []
     found = []
     seen = set()
     irreducible = set()
@@ -549,8 +548,6 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
         if basis in seen:
             continue
         seen.add(basis)
-        if K.is_unit_ideal():
-            continue
         verdict = _certify_prime(K, irreducible)
         if verdict[0] == "split":
             for f in verdict[1]:

@@ -1,8 +1,19 @@
 """Tests for Behrend-function values and the constancy falsifier."""
 
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
+from test_cli_fuzz import COUNT, SEED, ideal_files
+
 from conesign import (
+    BoundExceededError,
+    ConesignError,
+    DegenerateDrawError,
+    EuUnsupportedError,
+    IdealPresentation,
     PointNotOnVarietyError,
     PrimalityUndecidedError,
     behrend_value,
@@ -11,11 +22,14 @@ from conesign import (
     dimension,
     dominating_cone_multiplicity,
     eu_point,
+    generic_tangent_dimension,
     ideal,
     is_point_on,
     minimal_primes,
     ring,
+    transplant,
 )
+from conesign.cli import load_ideal_file
 
 R1 = ring("x")
 R2 = ring("x, y")
@@ -286,3 +300,73 @@ def test_value_survives_an_extra_ambient_coordinate():
                 behrend_value(J, p).value
                 == behrend_value(lifted, p + (0,)).value
             )
+
+
+# ---------------------------------------------------------- theorem ties
+
+# the paper's ideals: axes, fat, pair, mixed, double, cubic and cusp
+PAPER = [ideal(R3, "x*y, x*z, y*z"), ideal(R3, "x^2, x*y, x*z, y*z"), ideal(R2, "y^2, x*y"),
+         ideal(R3, "x*y, x*z"), ideal(R1, "x^2"), ideal(R3, "x^3 + y^3 + z^3"),
+         ideal(R2, "y^2 - x^3")]
+# the errors with which a computation abstains
+UNDECIDED = (PrimalityUndecidedError, EuUnsupportedError, BoundExceededError,
+             DegenerateDrawError)
+
+
+def times_a_line(J):
+    """J in a ring with one more variable t, which it leaves free: Y x A^1."""
+    rng = ring(", ".join(J.ring.variables + ("t",)))
+    return IdealPresentation(rng, tuple(transplant(g, rng) for g in J.generators))
+
+
+def test_falsifier_numbers_obey_the_theorems_that_tie_them(tmp_path):
+    # For a certified prime Z of V(J):
+    # (a) multiplicity 1 means J is reduced at the generic point of Z, which
+    #     in characteristic 0 means smooth there, so by the Jacobian
+    #     criterion the generic tangent dimension is dim Z, and otherwise
+    #     larger;
+    # (b) Z is generically smooth, and there its normal cone is the normal
+    #     bundle, so a decided dominating cone multiplicity is 1;
+    # and for every scheme Y, (c) nu on Y x A^1 at (p, t) is -nu_Y(p), as the
+    # Behrend function is multiplicative and nu of A^1 is -1 (Behrend, Ann.
+    # of Math. 170, 2009, section 1), wherever both sides decide
+    schemes = [(J, 2) for J in PAPER]
+    for i, text in enumerate(ideal_files(SEED, COUNT)):
+        path = tmp_path / f"fuzz{i}.ideal"
+        path.write_text(text, encoding="utf-8")
+        try:
+            schemes.append((load_ideal_file(str(path), 0, 16), 1))
+        except (ConesignError, ValueError):
+            continue  # not well formed
+    rnd = random.Random(0)
+    reached = Counter()
+    for J, npoints in schemes:
+        try:
+            comps = minimal_primes(J)
+        except PrimalityUndecidedError:
+            comps = []
+        for c in comps:
+            if c.primality != "certified":
+                continue
+            reduced = c.multiplicity == 1
+            assert reduced == (generic_tangent_dimension(J, c.prime) == c.dimension), J
+            reached["a", reduced] += 1
+            try:
+                m = dominating_cone_multiplicity(J, c.prime)
+            except PrimalityUndecidedError:
+                continue
+            assert m == 1, J
+            reached["b"] += 1
+        points = [p for p in itertools.product((0, 1, -1), repeat=J.ring.arity)
+                  if is_point_on(J, p)]
+        for p in points[:npoints]:
+            t = rnd.randint(-2, 2)
+            try:
+                nu = behrend_value(J, p).value
+                nu_product = behrend_value(times_a_line(J), p + (t,)).value
+            except UNDECIDED:
+                continue
+            assert nu_product == -nu, (J, p, t)
+            reached["c"] += 1
+    # every tie is met, and (a) on both sides
+    assert set(reached) == {("a", True), ("a", False), "b", "c"}

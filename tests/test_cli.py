@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import conesign.cli
+import conesign.euler
 from conesign import ring
 from conesign.cli import CONFIG_ENV, build_parser, main, parse_point
 from conesign.hilb import parity_scan
@@ -489,7 +490,30 @@ def test_eu_on_the_unit_ideal_is_an_input_error(tmp_path, capsys):
     code, out, err = run_cli(["eu", "--variety", str(path), "--point", "0,0"], capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: variety is not integral")
+    assert err.startswith("error: variety is empty (the unit ideal)")
+
+
+@pytest.mark.parametrize("give_up, reason", [
+    ("draws", "hyperplane sections kept disagreeing"),
+    ("cap", "Hilbert-Samuel differences did not stabilize"),
+])
+def test_eu_where_curve_multiplicity_gives_up_is_inconclusive(tmp_path, capsys, monkeypatch,
+                                                              give_up, reason):
+    # the cusp y^2 - x^3 has multiplicity 2 at the origin, and each patch
+    # makes one of curve_multiplicity's two computations give up
+    if give_up == "draws":
+        # every drawn hyperplane disagrees with the tangent-cone degree
+        monkeypatch.setattr(conesign.euler, "_hyperplane_section_length", lambda J0, line: 3)
+    else:
+        # three equal Hilbert-Samuel differences take the powers of the
+        # maximal ideal up to the fourth, and a cap of 4 stops at the third
+        monkeypatch.setattr(conesign.euler, "_CAP", 4)
+    path = tmp_path / "cusp.ideal"
+    path.write_text("ring x, y;\ny^2 - x^3\n", encoding="utf-8")
+    code, out, err = run_cli(["eu", "--variety", str(path), "--point", "0,0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("inconclusive:") and reason in err
 
 
 # ------------------------------------------------- characteristic gating

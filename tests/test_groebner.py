@@ -39,7 +39,6 @@ from conesign.groebner import (
     _packing,
     _reduce_terms,
     _syzygies,
-    _update_pairs,
     _vector,
 )
 from conesign.poly import Polynomial
@@ -325,16 +324,6 @@ def test_cross_characteristic_leading_terms_agree():
         assert sorted(g.leading(order_q)[0] for g in gq) == sorted(
             g.leading(order_p)[0] for g in gp
         )
-
-
-def test_update_pairs_drops_an_equal_lcm_group_with_a_coprime_member():
-    # lcm(x*y, y) = lcm(x, y) = x*y, and x, y are coprime: the pair of the
-    # new lead y with x*y is redundant too, whichever comes first
-    pk = _packing(degrevlex(R2))
-    lts = [pk.pack({m: 1}).popitem()[0] for m in [(1, 1), (1, 0), (0, 1)]]
-    pairs = []
-    _update_pairs(lts, pairs, pk, itertools.count())
-    assert pairs == []
 
 
 def test_pair_budget_binds():
@@ -902,25 +891,6 @@ def test_input_outside_the_order_s_variables_is_refused(entry):
         a = a.components[0]
     with pytest.raises(RingMismatchError):
         ENTRIES[entry](a, a)
-
-
-def test_update_pairs_never_pairs_leads_at_different_positions():
-    # packed module leads in R^3 over k[x, y], the one-hot position in the
-    # low three fields, unpacked to field tuples for the check
-    pk = _packing(degrevlex(R2), 3)
-    rnd = random.Random(3)
-    pushed = 0
-    for _ in range(30):
-        lts, pairs, seq = [], [], itertools.count()
-        for _ in range(8):
-            pos = rnd.randrange(3)
-            m = (rnd.randint(0, 2), rnd.randint(0, 2))
-            lts.append(pk.pack({(pos, m): 1}).popitem()[0])
-            _update_pairs(lts, pairs, pk, seq)
-            for _, _, i, j, lcm in pairs:
-                assert pk.fields(lts[i])[:3] == pk.fields(lts[j])[:3] == pk.fields(lcm)[:3]
-            pushed += len(pairs)
-    assert pushed
 
 
 def test_module_pair_budget_binds():
