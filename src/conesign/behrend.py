@@ -11,14 +11,13 @@ uncertified prime is reported as inconclusive rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cones import cone_components
 from .errors import PointNotOnVarietyError, PrimalityUndecidedError
 from .euler import eu_point
 from .ideals import (
     IdealPresentation,
-    PrimeComponent,
     contains_ideal,
     generic_tangent_dimension,
     is_point_on,
@@ -26,13 +25,11 @@ from .ideals import (
 )
 
 
-@dataclass(frozen=True)
-class BehrendEvaluation:
-    point: tuple
-    value: int
-    breakdown: tuple   # (ConeComponent, eu_value, signed contribution)
-    dominant_total: int
-    contracted_total: int
+class BehrendEvaluation(namedtuple("BehrendEvaluation", [
+        "point", "value",
+        "breakdown",  # (ConeComponent, eu_value, signed contribution) triples
+        "dominant_total", "contracted_total"])):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,17 +97,12 @@ def dominating_cone_multiplicity(J: IdealPresentation, Z: IdealPresentation) -> 
     return m
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    component: PrimeComponent
-    generically_reduced: bool
-    dim_Z: int
-    generic_tangent_dim: int
-    sign_dim: int
-    sign_tangent: int
-    dominating_cone_mult: int
-    verdict: str        # "pass" or "violation"
-    reasons: tuple
+class ComponentReport(namedtuple("ComponentReport", [
+        "component", "generically_reduced", "dim_Z", "generic_tangent_dim",
+        "sign_dim", "sign_tangent", "dominating_cone_mult",
+        "verdict",  # "pass" or "violation"
+        "reasons"])):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,14 +118,12 @@ class ComponentReport:
         }
 
 
-@dataclass(frozen=True)
-class ConstancyCertificate:
-    sign: int
-    sign_inferred: bool
-    reports: tuple
-    overall: str        # "necessary conditions hold" |
-                        # "Behrend function is NOT constant" | "inconclusive"
-    witnesses: tuple
+class ConstancyCertificate(namedtuple("ConstancyCertificate", [
+        "sign", "sign_inferred", "reports",
+        "overall",  # "necessary conditions hold" |
+                    # "Behrend function is NOT constant" | "inconclusive"
+        "witnesses"])):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

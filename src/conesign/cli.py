@@ -13,15 +13,14 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .behrend import behrend_value, constancy_falsifier
 from .cones import cone_components, signed_support_cycle
@@ -40,43 +39,44 @@ from .poly import parse_polynomial, order_from_name, ring
 
 CONFIG_ENV = "CONESIGN_CONFIG"
 
+# the run configuration's keys and default values
+CONFIG_DEFAULTS = {
+    "order": "degrevlex",
+    "seed": 0,
+    "characteristic": 0,
+    "jobs": 1,
+    "output_format": "json",
+    "max_n": _MAX_N,
+    "max_variables": 16,
+    "max_gb_pairs": DEFAULT_MAX_PAIRS,
+}
+_FORMATS = ("json", "csv", "text")
 
-@dataclass
-class RunConfig:
-    order: str = "degrevlex"
-    seed: int = 0
-    characteristic: int = 0
-    jobs: int = 1
-    output_format: str = "json"
-    max_n: int = _MAX_N
-    max_variables: int = 16
-    max_gb_pairs: int = DEFAULT_MAX_PAIRS
 
+def load_config() -> SimpleNamespace:
+    """`CONFIG_DEFAULTS`, overridden by the JSON file at CONESIGN_CONFIG if
+    set, as a namespace with one attribute per key.
 
-def load_config() -> RunConfig:
-    """Defaults, overridden by the JSON file at CONESIGN_CONFIG if set.
-
-    The file must hold one JSON object whose keys are `RunConfig` fields and
-    whose values have the field's type (a bool is not an int); anything else
-    raises ValueError.
+    The file must hold one JSON object whose keys are keys of
+    `CONFIG_DEFAULTS` and whose values have the type of the default (a bool
+    is not an int); anything else raises ValueError.
     """
-    cfg = RunConfig()
+    cfg = dict(CONFIG_DEFAULTS)
     path = os.environ.get(CONFIG_ENV)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"config {path}: expected a JSON object")
-        names = {f.name for f in fields(RunConfig)}
         for key, value in data.items():
-            if key not in names:
+            if key not in CONFIG_DEFAULTS:
                 raise ValueError(f"config {path}: unknown key {key!r}")
-            kind = type(getattr(cfg, key))
+            kind = type(CONFIG_DEFAULTS[key])
             if type(value) is not kind:
                 raise ValueError(
                     f"config {path}: {key} must be {kind.__name__}, got {json.dumps(value)}")
-            setattr(cfg, key, value)
-    return cfg
+            cfg[key] = value
+    return SimpleNamespace(**cfg)
 
 
 def load_ideal_file(path: str, characteristic: int, max_variables: int) -> IdealPresentation:
@@ -150,29 +150,29 @@ def _as_text(value, indent: int = 0) -> str:
     return f"{pad}{value}"
 
 
-def emit(payload: dict, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
-    report = {"config": asdict(cfg), "seed": cfg.seed, "result": payload}
+def emit(payload: dict, cfg: SimpleNamespace, csv_rows=None, csv_header=None) -> None:
+    """Write the report in `cfg.output_format`, which `main` has checked;
+    csv needs `csv_rows` and `csv_header`."""
     if cfg.output_format == "json":
+        report = {"config": vars(cfg), "seed": cfg.seed, "result": payload}
         sys.stdout.write(json.dumps(report, sort_keys=True, default=str))
         sys.stdout.write("\n")
     elif cfg.output_format == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output is not available for this subcommand")
+        # imported here, so only a csv report pays for the module
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
         for row in csv_rows:
             writer.writerow(row)
         sys.stdout.write(buf.getvalue())
-    elif cfg.output_format == "text":
+    else:
         sys.stdout.write(_as_text(payload))
         sys.stdout.write(f"\n# seed={cfg.seed} order={cfg.order} "
                          f"char={cfg.characteristic}\n")
-    else:
-        raise ValueError(f"unknown output format {cfg.output_format!r}")
 
 
-def _require_rationals(cfg: RunConfig, what: str) -> None:
+def _require_rationals(cfg: SimpleNamespace, what: str) -> None:
     if cfg.characteristic != 0:
         raise ValueError(
             f"{what} requires characteristic 0 (cross-check mode only "
@@ -197,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order", choices=["degrevlex", "lex"], default=None)
     parser.add_argument("--char", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--format", choices=["json", "csv", "text"],
-                        default=None)
+    parser.add_argument("--format", choices=_FORMATS, default=None)
+    # the subcommands that emit csv rows set this
+    parser.set_defaults(has_csv=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def ideal_cmd(name, help_text):
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ideal_cmd("saturate", "saturate by a polynomial")
     p.add_argument("--by", required=True, help="polynomial text")
     ideal_cmd("dim", "Krull dimension of the quotient")
-    ideal_cmd("mincomp", "minimal primes with multiplicities")
+    ideal_cmd("mincomp", "minimal primes with multiplicities").set_defaults(has_csv=True)
     ideal_cmd("cone", "normal cone components")
     ideal_cmd("cycle", "signed support cycle of the normal cone")
 
@@ -240,12 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     hsub = p.add_subparsers(dest="hilb_command", required=True)
     pe = hsub.add_parser("enumerate", help="plane partitions of size n")
     pe.add_argument("--n", type=int, required=True)
+    pe.set_defaults(has_csv=True)
     pt = hsub.add_parser("tangent", help="tangent dimension at an ideal")
     pt.add_argument("--ideal", required=True)
     ps = hsub.add_parser("parity-scan", help="parity over all monomial ideals")
     ps.add_argument("--n", type=int, required=True)
     # suppressed when absent, so it cannot overwrite a top-level --jobs
     ps.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    ps.set_defaults(has_csv=True)
     return parser
 
 
@@ -253,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _dispatch(args, cfg: RunConfig) -> int:
+def _dispatch(args, cfg: SimpleNamespace) -> int:
     cmd = args.command
 
     def load_ideal(path, characteristic=0):
@@ -369,6 +372,11 @@ def main(argv=None) -> int:
             cfg.jobs = args.jobs
         if args.format is not None:
             cfg.output_format = args.format
+        # refused before any work, which a bad format would only waste
+        if cfg.output_format not in _FORMATS:
+            raise ValueError(f"unknown output format {cfg.output_format!r}")
+        if cfg.output_format == "csv" and not args.has_csv:
+            raise ValueError("csv output is not available for this subcommand")
         return _dispatch(args, cfg)
     except (EuUnsupportedError, PrimalityUndecidedError, BoundExceededError,
             DegenerateDrawError) as exc:

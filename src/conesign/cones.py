@@ -25,7 +25,7 @@ Intersection Theory, ch. 4 and B.6):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ideals import (
     IdealPresentation,
@@ -82,16 +82,12 @@ def normal_cone_ideal(J: IdealPresentation):
     return R.with_extra(transplant(g, ext) for g in J.gb()), names
 
 
-@dataclass(frozen=True)
-class ConeComponent:
+class ConeComponent(namedtuple("ConeComponent", [
+        "cone_prime", "multiplicity", "image", "image_dimension", "dominates",
+        "primality"])):
     """One irreducible component of a normal cone, with projection data."""
 
-    cone_prime: IdealPresentation
-    multiplicity: int
-    image: IdealPresentation
-    image_dimension: int
-    dominates: bool
-    primality: str
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,18 +139,13 @@ def cone_components(J: IdealPresentation) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class CycleTerm:
-    prime: IdealPresentation
-    coefficient: int
-    dimension: int
+CycleTerm = namedtuple("CycleTerm", "prime coefficient dimension")
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(namedtuple("Cycle", "terms")):
     """Formal integer combination of prime ideals (pairwise distinct)."""
 
-    terms: tuple
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"prime": list(t.prime.signature()),

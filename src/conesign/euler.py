@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BoundExceededError,
@@ -38,12 +38,12 @@ _CAP = 40
 _DRAWS = 5
 
 
-@dataclass(frozen=True)
-class EuVerdict:
-    value: int | None
-    rule: str        # outside | nonsingular | curve-multiplicity |
-                     # plane-cone | aluffi-cone | unsupported
-    primality: str   # certified | assumed
+class EuVerdict(namedtuple("EuVerdict", [
+        "value",      # an int, or None when unsupported
+        "rule",       # outside | nonsingular | curve-multiplicity |
+                      # plane-cone | aluffi-cone | unsupported
+        "primality"])):  # certified | assumed
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"value": self.value, "rule": self.rule,

@@ -72,7 +72,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -594,20 +594,20 @@ def buchberger(
 # free-module machinery: vectors in R^r, packed for the engine above
 
 
-@dataclass
-class ModuleVector:
+class ModuleVector(namedtuple("ModuleVector", "components")):
     """Element of a free module R^r, stored componentwise."""
 
-    components: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.components = tuple(self.components)
-        if not self.components:
+    def __new__(cls, components):
+        components = tuple(components)
+        if not components:
             raise ValueError("rank-0 module vector")
-        rng = self.components[0].ring
-        for c in self.components:
+        rng = components[0].ring
+        for c in components:
             if c.ring != rng:
                 raise RingMismatchError("module vector over mixed rings")
+        return tuple.__new__(cls, (components,))
 
     @property
     def rank(self) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 from math import lcm
 from operator import itemgetter
@@ -52,26 +52,24 @@ def _closed_below(b, boxes) -> bool:
                for i in range(3) if b[i] > 0)
 
 
-@dataclass(frozen=True)
-class PlanePartition:
+class PlanePartition(namedtuple("PlanePartition", "boxes")):
     """Downward-closed finite set of boxes in N^3."""
 
-    boxes: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        for b in self.boxes:
+    def __new__(cls, boxes: frozenset):
+        for b in boxes:
             if len(b) != 3 or any(c < 0 for c in b):
                 raise ValueError(f"bad box {b!r}")
-            if not _closed_below(b, self.boxes):
+            if not _closed_below(b, boxes):
                 raise ValueError(f"box set is not downward closed at {b!r}")
+        return tuple.__new__(cls, (boxes,))
 
     @classmethod
     def _grown(cls, boxes: frozenset) -> "PlanePartition":
         """A partition from a box set that is downward closed by
         construction, so it is not checked again."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "boxes", boxes)
-        return p
+        return tuple.__new__(cls, (boxes,))
 
     @property
     def size(self) -> int:
@@ -131,12 +129,8 @@ def monomial_ideal_of(p: PlanePartition) -> IdealPresentation:
         rng, [Polynomial.from_monomial(rng, m) for m in gens])
 
 
-@dataclass(frozen=True)
-class TangentReport:
-    colength: int
-    tangent_dim: int
-    parity_holds: bool
-    rank: int = 1
+class TangentReport(namedtuple("TangentReport", "colength tangent_dim parity_holds rank")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"colength": self.colength, "tangent_dim": self.tangent_dim,
@@ -149,21 +143,11 @@ def tangent_dimension_hilb(I: IdealPresentation) -> TangentReport:
     return _tangent_report(I._division(), 1)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    partition_id: int
-    n: int
-    tangent_dim: int
-    parity: bool
+ScanRow = namedtuple("ScanRow", "partition_id n tangent_dim parity")
 
 
-@dataclass(frozen=True)
-class ScanSummary:
-    n: int
-    count: int
-    rows: tuple
-    violations: tuple
-    max_tangent: int
+class ScanSummary(namedtuple("ScanSummary", "n count rows violations max_tangent")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

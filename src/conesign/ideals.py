@@ -56,7 +56,7 @@ Candidate primes are split or certified by one routine, `_certify_prime`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     InfiniteColengthError,
@@ -409,16 +409,13 @@ def generic_tangent_dimension(I: IdealPresentation, P: IdealPresentation) -> int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeComponent:
+class PrimeComponent(namedtuple("PrimeComponent", [
+        "prime", "multiplicity", "dimension", "degree",
+        "primality",                   # "certified" or "undecided"
+        "geometrically_irreducible"])):  # "certified" or "unknown"
     """One minimal component of a decomposition, with certification flags."""
 
-    prime: IdealPresentation
-    multiplicity: int
-    dimension: int
-    degree: int
-    primality: str                 # "certified" or "undecided"
-    geometrically_irreducible: str  # "certified" or "unknown"
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

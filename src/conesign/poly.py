@@ -8,7 +8,7 @@ is no floating point anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm, prod
@@ -54,21 +54,20 @@ def _is_prime(n: int) -> bool:
                for x in (pow(a, (n - 1) >> s, n) for a in _WITNESSES))
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(namedtuple("RingDescriptor", "variables characteristic")):
     """A polynomial ring: ordered variable names plus coefficient characteristic."""
 
-    variables: tuple
-    characteristic: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __new__(cls, variables: tuple, characteristic: int = 0):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        for v in self.variables:
+        for v in variables:
             if not v or not (v[0].isalpha() or v[0] == "_"):
                 raise ValueError(f"bad variable name {v!r}")
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
+        if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError("characteristic must be 0 or a prime")
+        return tuple.__new__(cls, (variables, characteristic))
 
     @property
     def arity(self) -> int:

@@ -583,6 +583,29 @@ def test_csv_rejected_where_unavailable(files, capsys):
     assert "csv" in err
 
 
+@pytest.mark.parametrize("config,argv,computation,message", [
+    (None, ["--format", "csv", "cone", "--ideal", "AXES"], "cone_components",
+     "csv output is not available for this subcommand"),
+    (None, ["--format", "csv", "hilb", "tangent", "--ideal", "AXES"], "tangent_dimension_hilb",
+     "csv output is not available for this subcommand"),
+    ({"output_format": "xml"}, ["cone", "--ideal", "AXES"], "cone_components",
+     "unknown output format 'xml'"),
+    ({"output_format": "xml"}, ["hilb", "parity-scan", "--n", "2"], "parity_scan",
+     "unknown output format 'xml'"),
+])
+def test_a_bad_output_format_is_refused_before_any_work(files, tmp_path, monkeypatch, capsys,
+                                                        config, argv, computation, message):
+    calls = []
+    monkeypatch.setattr(conesign.cli, computation, lambda *a, **k: calls.append(a))
+    if config is not None:
+        cfg = tmp_path / "conesign.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    code, out, err = run_cli([files["axes"] if a == "AXES" else a for a in argv], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert calls == []
+
+
 def test_text_format_carries_the_seed_line(files, capsys):
     code, out, _ = run_cli(
         ["--format", "text", "--seed", "11", "behrend", "eval",
@@ -736,6 +759,16 @@ def test_importing_the_cli_loads_no_process_pool():
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env=cli_env(), check=True)
     assert run.stdout.strip() == "False"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_csv():
+    # the records are named tuples and csv is imported by the one branch of
+    # `emit` that writes it, so a CLI call pays for neither at start-up
+    probe = ("import sys; bare = set(sys.modules); import conesign.cli; "
+             "print(sorted({'dataclasses', 'csv'} & (set(sys.modules) - bare)))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=cli_env(), check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_a_quartic_split_loads_sympy_and_finds_the_components(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -270,7 +269,7 @@ def test_dominance_over_an_undecided_component_is_decided_by_radicals(monkeypatc
     real = minimal_primes(cone)
     assert [c.prime.signature() for c in real][1] == ("y", "x")
     fat = ideal(cone.ring, "x, y^2")
-    comps = [real[0], dataclasses.replace(real[1], prime=fat, primality="undecided")]
+    comps = [real[0], real[1]._replace(prime=fat, primality="undecided")]
     monkeypatch.setattr(conesign.cones, "minimal_primes", lambda C: comps)
     out = cone_components(J)
     assert [c.image.signature() for c in out] == [("y",), ("x", "y^2")]

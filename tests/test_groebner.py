@@ -614,6 +614,15 @@ def schreyer(G, order):
             [ModuleVector([shifts(d) for d in syz]) for syz, _ in _syzygies(divide)])
 
 
+def test_a_module_vector_needs_components_over_one_ring():
+    x, y = gens("x, y")
+    assert ModuleVector([x, y]).components == (x, y)
+    with pytest.raises(ValueError):
+        ModuleVector(())
+    with pytest.raises(RingMismatchError):
+        ModuleVector((x, parse_polynomial("y", R3)))
+
+
 def test_koszul_syzygy_of_two_variables():
     D, syz = schreyer(gens("x, y"), degrevlex(R2))
     assert len(syz) == 1

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -107,6 +108,19 @@ def test_partition_permutation_and_json():
     assert p.to_json_dict() == {"boxes": [[0, 0, 0], [1, 0, 0]]}
     assert p.sorted_boxes() == [(0, 0, 0), (1, 0, 0)]
     assert p.size == 2
+
+
+def test_a_plane_partition_survives_pickling_and_stays_checked():
+    # a parity scan with more than one worker pickles partitions to its
+    # processes, which rebuild them through the checks
+    for p in enumerate_plane_partitions(4):
+        q = pickle.loads(pickle.dumps(p))
+        assert type(q) is PlanePartition and q == p and hash(q) == hash(p)
+    gap = tuple.__new__(PlanePartition, (frozenset({(1, 0, 0)}),))
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(gap))
+    with pytest.raises(AttributeError):
+        PlanePartition(frozenset()).boxes = frozenset({(0, 0, 0)})
 
 
 # --------------------------------------------------------- monomial ideals
@@ -466,10 +480,11 @@ def test_scan_computes_one_tangent_per_orbit(monkeypatch):
 def test_enumeration_does_not_check_the_partitions_it_grows(monkeypatch):
     grown = {n: enumerate_plane_partitions(n) for n in range(1, 7)}
 
-    def refuse(self):
+    def refuse(cls, boxes):
         raise AssertionError("a grown partition was checked again")
 
-    monkeypatch.setattr(PlanePartition, "__post_init__", refuse)
+    # the checks run in __new__, which a grown partition bypasses
+    monkeypatch.setattr(PlanePartition, "__new__", refuse)
     for n, parts in grown.items():
         assert enumerate_plane_partitions(n) == parts
     monkeypatch.undo()

@@ -12,6 +12,7 @@ from oracles import grevlex_key, render_polynomial
 from conesign import (
     MonomialOrder,
     PolynomialSyntaxError,
+    RingDescriptor,
     RingMismatchError,
     UnknownVariableError,
     degrevlex,
@@ -38,6 +39,20 @@ def test_ring_rejects_bad_specs():
         ring("")
     with pytest.raises(ValueError):
         ring("x, y", characteristic=4)
+
+
+def test_a_ring_is_an_immutable_dict_key():
+    table = {ring("x, y"): "Q", ring("x, y", characteristic=7): "F7"}
+    assert table[RingDescriptor(("x", "y"))] == "Q"
+    assert table[RingDescriptor(("x", "y"), 7)] == "F7"
+    R = ring("x, y")
+    with pytest.raises(AttributeError):
+        R.characteristic = 7
+    with pytest.raises(AttributeError):
+        R.name = "plane"
+    assert R == RingDescriptor(("x", "y"), 0)
+    with pytest.raises(ValueError):
+        RingDescriptor(("x", "2y"))
 
 
 def test_prime_test_agrees_with_sympy_below_100000():
