@@ -12,8 +12,6 @@ identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import io
 import json
 import os
@@ -179,81 +177,157 @@ def _require_rationals(cfg: SimpleNamespace, what: str) -> None:
             f"covers gb/eliminate/saturate/dim)")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise ValueError, so they exit 1
-    like every other bad input; subparsers inherit the class."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="conesign",
-        description="Normal-cone cycles, Euler obstructions, Behrend "
-                    "values, and Hilbert-scheme parity checks for affine "
-                    "schemes over Q.")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--order", choices=["degrevlex", "lex"], default=None)
-    parser.add_argument("--char", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--format", choices=_FORMATS, default=None)
-    # the subcommands that emit csv rows set this
-    parser.set_defaults(has_csv=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def ideal_cmd(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--ideal", required=True)
-        return p
-
-    ideal_cmd("gb", "reduced Groebner basis")
-    p = ideal_cmd("eliminate", "eliminate variables")
-    p.add_argument("--drop", required=True,
-                   help="comma-separated variables to eliminate")
-    p = ideal_cmd("saturate", "saturate by a polynomial")
-    p.add_argument("--by", required=True, help="polynomial text")
-    ideal_cmd("dim", "Krull dimension of the quotient")
-    ideal_cmd("mincomp", "minimal primes with multiplicities").set_defaults(has_csv=True)
-    ideal_cmd("cone", "normal cone components")
-    ideal_cmd("cycle", "signed support cycle of the normal cone")
-
-    p = sub.add_parser("eu", help="local Euler obstruction at a point")
-    p.add_argument("--variety", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--assume-prime", action="store_true",
-                   help="skip primality certification, record the assumption")
-
-    p = sub.add_parser("behrend", help="Behrend function tools")
-    bsub = p.add_subparsers(dest="behrend_command", required=True)
-    pe = bsub.add_parser("eval", help="Behrend value at a point")
-    pe.add_argument("--ideal", required=True)
-    pe.add_argument("--point", required=True)
-    pf = bsub.add_parser("falsify", help="constancy falsifier")
-    pf.add_argument("--ideal", required=True)
-    pf.add_argument("--sign", choices=["+1", "-1", "1"], default=None)
-
-    p = sub.add_parser("falsify", help="constancy falsifier (alias)")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--sign", choices=["+1", "-1", "1"], default=None)
-
-    p = sub.add_parser("hilb", help="Hilbert scheme of points tools")
-    hsub = p.add_subparsers(dest="hilb_command", required=True)
-    pe = hsub.add_parser("enumerate", help="plane partitions of size n")
-    pe.add_argument("--n", type=int, required=True)
-    pe.set_defaults(has_csv=True)
-    pt = hsub.add_parser("tangent", help="tangent dimension at an ideal")
-    pt.add_argument("--ideal", required=True)
-    ps = hsub.add_parser("parity-scan", help="parity over all monomial ideals")
-    ps.add_argument("--n", type=int, required=True)
-    # suppressed when absent, so it cannot overwrite a top-level --jobs
-    ps.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
-    ps.set_defaults(has_csv=True)
-    return parser
+# The command line, one row per command path: its required options, its
+# other options, whether it emits csv rows, and a line of help.  An
+# option's kind is `str` or `int` for a value, a tuple of choices, or
+# `bool` for a flag.
+_GLOBAL_OPTIONS = {"--seed": int, "--order": ("degrevlex", "lex"), "--char": int,
+                   "--jobs": int, "--format": _FORMATS}
+_SIGNS = ("+1", "-1", "1")
+_IDEAL = {"--ideal": str}
+_COMMANDS = {
+    ("gb",): (_IDEAL, {}, False, "reduced Groebner basis"),
+    ("eliminate",): ({**_IDEAL, "--drop": str}, {}, False,
+                     "eliminate the comma-separated variables of --drop"),
+    ("saturate",): ({**_IDEAL, "--by": str}, {}, False, "saturate by the polynomial --by"),
+    ("dim",): (_IDEAL, {}, False, "Krull dimension of the quotient"),
+    ("mincomp",): (_IDEAL, {}, True, "minimal primes with multiplicities"),
+    ("cone",): (_IDEAL, {}, False, "normal cone components"),
+    ("cycle",): (_IDEAL, {}, False, "signed support cycle of the normal cone"),
+    ("eu",): ({"--variety": str, "--point": str}, {"--assume-prime": bool}, False,
+              "local Euler obstruction at a point (--assume-prime skips "
+              "primality certification and records the assumption)"),
+    ("behrend", "eval"): ({**_IDEAL, "--point": str}, {}, False, "Behrend value at a point"),
+    ("behrend", "falsify"): (_IDEAL, {"--sign": _SIGNS}, False, "constancy falsifier"),
+    ("falsify",): (_IDEAL, {"--sign": _SIGNS}, False, "constancy falsifier (alias)"),
+    ("hilb", "enumerate"): ({"--n": int}, {}, True, "plane partitions of size n"),
+    ("hilb", "tangent"): (_IDEAL, {}, False, "tangent dimension at an ideal"),
+    ("hilb", "parity-scan"): ({"--n": int}, {"--jobs": int}, True,
+                              "parity over all monomial ideals"),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-# the parser of `main`, built on first use and kept for the process
-_parser = functools.cache(build_parser)
+def _metavar(name: str, kind) -> str:
+    if isinstance(kind, tuple):
+        return "{" + ",".join(kind) + "}"
+    return _dest(name).upper()
+
+
+def _where(path: tuple) -> str:
+    return " ".join(("conesign",) + path)
+
+
+def _usage(path: tuple) -> str:
+    """The usage of `conesign` followed by the command words `path`."""
+    head = f"usage: {_where(path)}"
+    if path in _COMMANDS:
+        required, optional, _, text = _COMMANDS[path]
+        words = [f"{o} {_metavar(o, k)}" for o, k in required.items()]
+        words += [f"[{o}]" if k is bool else f"[{o} {_metavar(o, k)}]"
+                  for o, k in optional.items()]
+        return f"{head} {' '.join(words)}\n\n{text}\n"
+    if not path:
+        head += "".join(f" [{o} {_metavar(o, k)}]" for o, k in _GLOBAL_OPTIONS.items())
+    below = [(" ".join(p), row[-1]) for p, row in _COMMANDS.items() if p[:len(path)] == path]
+    width = max(len(p) for p, _ in below)
+    return (f"{head} COMMAND ...\n\n"
+            "Normal-cone cycles, Euler obstructions, Behrend values, and "
+            "Hilbert-scheme parity checks for affine schemes over Q.\n\n"
+            "commands:\n" + "".join(f"  {p:<{width}}  {text}\n" for p, text in below))
+
+
+def _dest(name: str) -> str:
+    """The attribute an option is read into: --assume-prime -> assume_prime."""
+    return name[2:].replace("-", "_")
+
+
+def _is_option(token: str, options: dict) -> bool:
+    """Whether `token` is an option, known or not, rather than a value.  As
+    argparse has it, a token that begins with "-" is a value only when it
+    is "-", reads as a negative number or holds a space, and is not a
+    known option's `--opt=value`."""
+    return token.partition("=")[0] in options or (
+        token.startswith("-") and token != "-" and " " not in token
+        and not _NEGATIVE.match(token))
+
+
+def _convert(name: str, kind, value: str):
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"{name} expects an integer, got {value!r}") from None
+    if kind is not str and value not in kind:
+        raise ValueError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+    return value
+
+
+def _read_options(argv: list, i: int, options: dict, out: dict, path: tuple) -> int:
+    """Read `options`, as `--opt value` or `--opt=value` in any order, from
+    `argv[i:]` into `out` by attribute name, up to the first token that is
+    not an option; return its index.  A repeated option keeps its last
+    value.  `-h` or `--help` prints the usage of `path` and exits 0."""
+    while i < len(argv) and _is_option(argv[i], options):
+        token = argv[i]
+        i += 1
+        name, eq, value = token.partition("=")
+        if name not in options:
+            if token in _HELP:
+                sys.stdout.write(_usage(path))
+                raise SystemExit(0)
+            raise ValueError(f"unrecognized option {token!r} for {_where(path)}")
+        kind = options[name]
+        if kind is bool:
+            if eq:
+                raise ValueError(f"{name} takes no value")
+            out[_dest(name)] = True
+            continue
+        if not eq:
+            if i == len(argv):
+                raise ValueError(f"{name} expects a value")
+            if _is_option(argv[i], options):
+                raise ValueError(f"{name} expects a value, not {argv[i]!r} (write "
+                                 f"{name}=VALUE for a value that begins with '-')")
+            value = argv[i]
+            i += 1
+        out[_dest(name)] = _convert(name, kind, value)
+    return i
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read a command line: the global options, the command words, then
+    the command's options, into one namespace with an attribute per option
+    (None, or False for a flag, when not given), `command`, the second
+    command word as `behrend_command` or `hilb_command`, and `has_csv`.
+    Every usage error raises ValueError; help exits 0."""
+    argv = list(argv)
+    given, path, i = {}, (), 0
+    while path not in _COMMANDS:
+        # the global options come before the command words, which take only help
+        i = _read_options(argv, i, {} if path else _GLOBAL_OPTIONS, given, path)
+        words = list(dict.fromkeys(p[len(path)] for p in _COMMANDS if p[:len(path)] == path))
+        if i == len(argv) or argv[i] not in words:
+            found = "needs a command" if i == len(argv) else f"has no command {argv[i]!r}"
+            raise ValueError(f"{_where(path)} {found}: expected one of {', '.join(words)}")
+        path += (argv[i],)
+        i += 1
+    required, optional, has_csv, _ = _COMMANDS[path]
+    own = {}
+    i = _read_options(argv, i, {**required, **optional}, own, path)
+    if i < len(argv):
+        raise ValueError(f"unrecognized argument {argv[i]!r} for {_where(path)}")
+    missing = [o for o in required if _dest(o) not in own]
+    if missing:
+        raise ValueError(f"{_where(path)} requires {', '.join(missing)}")
+    args = dict.fromkeys(map(_dest, _GLOBAL_OPTIONS))
+    args.update((_dest(o), False if k is bool else None) for o, k in optional.items())
+    # a command's own option wins over the global one of the same name
+    args.update(given, **own, has_csv=has_csv, command=path[0])
+    if len(path) == 2:
+        args[f"{path[0]}_command"] = path[1]
+    return SimpleNamespace(**args)
 
 
 def _dispatch(args, cfg: SimpleNamespace) -> int:
@@ -360,7 +434,7 @@ def _dispatch(args, cfg: SimpleNamespace) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         cfg = load_config()
         if args.seed is not None:
             cfg.seed = args.seed
@@ -377,6 +451,9 @@ def main(argv=None) -> int:
             raise ValueError(f"unknown output format {cfg.output_format!r}")
         if cfg.output_format == "csv" and not args.has_csv:
             raise ValueError("csv output is not available for this subcommand")
+        if cfg.jobs < 1:
+            source = "jobs in the config" if args.jobs is None else "--jobs"
+            raise ValueError(f"{source} must be at least 1, got {cfg.jobs}")
         return _dispatch(args, cfg)
     except (EuUnsupportedError, PrimalityUndecidedError, BoundExceededError,
             DegenerateDrawError) as exc:

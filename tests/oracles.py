@@ -721,3 +721,66 @@ def lex_eliminant(names, generators, var):
     (g,) = [g for g in basis.exprs if g.free_symbols <= {x}]
     poly = sympy.Poly(g, x).monic()
     return {int(k): Fraction(int(c.p), int(c.q)) for (k,), c in poly.terms()}
+
+
+# ---------------------------------------------------------------------------
+# the command line as argparse declared it
+
+
+def argparse_cli_parser():
+    """The argparse declaration of the `conesign` command line, whose usage
+    errors raise ValueError; subparsers inherit the class.  Abbreviated
+    options and the help text are argparse's own, and `cli.parse_args` has
+    neither."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+    parser = Parser(prog="conesign")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--order", choices=["degrevlex", "lex"], default=None)
+    parser.add_argument("--char", type=int, default=None)
+    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument("--format", choices=["json", "csv", "text"], default=None)
+    parser.set_defaults(has_csv=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def ideal_cmd(name):
+        p = sub.add_parser(name)
+        p.add_argument("--ideal", required=True)
+        return p
+
+    ideal_cmd("gb")
+    ideal_cmd("eliminate").add_argument("--drop", required=True)
+    ideal_cmd("saturate").add_argument("--by", required=True)
+    ideal_cmd("dim")
+    ideal_cmd("mincomp").set_defaults(has_csv=True)
+    ideal_cmd("cone")
+    ideal_cmd("cycle")
+
+    p = sub.add_parser("eu")
+    p.add_argument("--variety", required=True)
+    p.add_argument("--point", required=True)
+    p.add_argument("--assume-prime", action="store_true")
+
+    bsub = sub.add_parser("behrend").add_subparsers(dest="behrend_command", required=True)
+    pe = bsub.add_parser("eval")
+    pe.add_argument("--ideal", required=True)
+    pe.add_argument("--point", required=True)
+    for p in (bsub.add_parser("falsify"), sub.add_parser("falsify")):
+        p.add_argument("--ideal", required=True)
+        p.add_argument("--sign", choices=["+1", "-1", "1"], default=None)
+
+    hsub = sub.add_parser("hilb").add_subparsers(dest="hilb_command", required=True)
+    pe = hsub.add_parser("enumerate")
+    pe.add_argument("--n", type=int, required=True)
+    pe.set_defaults(has_csv=True)
+    hsub.add_parser("tangent").add_argument("--ideal", required=True)
+    ps = hsub.add_parser("parity-scan")
+    ps.add_argument("--n", type=int, required=True)
+    # suppressed when absent, so it cannot overwrite a global --jobs
+    ps.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    ps.set_defaults(has_csv=True)
+    return parser

@@ -14,7 +14,7 @@ import pytest
 import conesign.cli
 import conesign.euler
 from conesign import ring
-from conesign.cli import CONFIG_ENV, build_parser, main, parse_point
+from conesign.cli import CONFIG_ENV, main, parse_args, parse_point
 from conesign.hilb import parity_scan
 
 AXES = "ring x, y, z;\nxy, xz, yz\n"
@@ -237,7 +237,7 @@ def test_hilb_parity_scan_jobs_output_matches_serial(capsys):
 ])
 def test_jobs_reaches_parity_scan_from_either_side_of_the_subcommand(
         argv, jobs, monkeypatch, capsys):
-    assert build_parser().parse_args(argv).jobs == (None if jobs == 1 else jobs)
+    assert parse_args(argv).jobs == (None if jobs == 1 else jobs)
     asked = []
 
     def serial_scan(n, jobs, bound):
@@ -250,8 +250,7 @@ def test_jobs_reaches_parity_scan_from_either_side_of_the_subcommand(
 
 
 def test_one_parse_leaks_nothing_into_the_next(monkeypatch, capsys):
-    # `main` reuses one parser for the process: a --jobs given to one call
-    # is gone in the next
+    # a --jobs given to one call is gone in the next
     def serial_scan(n, jobs, bound):
         return parity_scan(n, jobs=1, bound=bound)  # no pool in a test
 
@@ -357,6 +356,25 @@ def test_nonpositive_jobs_is_an_input_error(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("config, argv, named", [
+    (None, ["--jobs", "-2", "gb", "--ideal", "pair"], "--jobs must be at least 1, got -2"),
+    (None, ["--jobs=0", "hilb", "enumerate", "--n", "2"], "--jobs must be at least 1, got 0"),
+    ({"jobs": 0}, ["hilb", "tangent", "--ideal", "pair"], "jobs in the config must be at least 1"),
+    ({"jobs": -1}, ["hilb", "parity-scan", "--n", "2"], "jobs in the config must be at least 1"),
+])
+def test_nonpositive_jobs_is_refused_for_every_subcommand(files, tmp_path, monkeypatch, capsys,
+                                                           config, argv, named):
+    # refused before any work, and named by where it came from; a command
+    # that runs no pool used to embed the bad value in its report
+    if config is not None:
+        cfg = tmp_path / "conesign.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    code, out, err = run_cli([files.get(a, a) for a in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {named}")
+
+
 @pytest.mark.parametrize("drop, named", [("w", "w"), ("x,x", "x"), ("y,w,z", "w")])
 def test_eliminating_an_unknown_or_repeated_name_is_an_input_error(files, capsys, drop, named):
     code, out, err = run_cli(["eliminate", "--ideal", files["axes"], "--drop", drop], capsys)
@@ -423,19 +441,42 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("argv", [["gb", "--ideal", "pair", "--bogus"],
-                                  # argparse reads -1,0,0 as an option
-                                  ["behrend", "eval", "--ideal", "axes", "--point", "-1,0,0"]])
-def test_usage_errors_exit_1_and_help_exits_0(files, capsys, argv):
-    # exit 2 is kept for exhausted budgets and abstentions
-    code, out, err = run_cli([files.get(a, a) for a in argv], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    with pytest.raises(SystemExit) as exc:
-        main(["gb", "--help"])
-    assert exc.value.code == 0
-    assert "--ideal" in capsys.readouterr().out
+@pytest.mark.parametrize("argv, code, named", [
+    (["gb", "--ideal", "pair", "--bogus"], 1, ["--bogus"]),
+    # -1,0,0 is no negative number, so it reads as an option
+    (["behrend", "eval", "--ideal", "axes", "--point", "-1,0,0"], 1, ["--point"]),
+    ([], 1, ["gb", "hilb"]),
+    (["behrend"], 1, ["eval", "falsify"]),
+    (["hilb", "frob"], 1, ["frob"]),
+    # option names are taken whole, never abbreviated
+    (["gb", "--ide", "pair"], 1, ["--ide"]),
+    (["gb"], 1, ["--ideal"]),
+    (["hilb", "enumerate", "--n", "two"], 1, ["--n", "two"]),
+    (["--order", "grevlex", "gb", "--ideal", "pair"], 1, ["--order", "grevlex"]),
+    (["gb", "--ideal", "pair", "--seed", "3"], 1, ["--seed"]),
+    (["gb", "--help"], 0, ["--ideal"]),
+    (["--help"], 0, ["--seed", "--format", "gb", "behrend eval", "hilb parity-scan"]),
+    (["--seed", "3", "-h"], 0, ["--jobs", "falsify"]),
+    (["hilb", "--help"], 0, ["enumerate", "tangent", "parity-scan"]),
+    (["behrend", "eval", "-h"], 0, ["--ideal", "--point"]),
+    (["eu", "--variety", "pair", "-h"], 0, ["--variety", "--point", "--assume-prime"]),
+])
+def test_usage_errors_exit_1_and_help_exits_0(files, capsys, argv, code, named):
+    # a usage error names the offending option or word on stderr; help
+    # writes the usage to stdout.  Exit 2 is kept for exhausted budgets and
+    # abstentions
+    argv = [files.get(a, a) for a in argv]
+    if code:
+        assert main(argv) == code
+        out, text = capsys.readouterr()
+        assert out == "" and text.startswith("error:")
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        text, err = capsys.readouterr()
+        assert err == "" and text.startswith("usage: conesign")
+    assert all(word in text for word in named)
 
 
 def test_a_huge_exponent_in_an_ideal_file_is_rejected_at_once(tmp_path):
@@ -761,14 +802,18 @@ def test_importing_the_cli_loads_no_process_pool():
     assert run.stdout.strip() == "False"
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_csv():
-    # the records are named tuples and csv is imported by the one branch of
-    # `emit` that writes it, so a CLI call pays for neither at start-up
-    probe = ("import sys; bare = set(sys.modules); import conesign.cli; "
-             "print(sorted({'dataclasses', 'csv'} & (set(sys.modules) - bare)))")
+def test_a_cli_call_loads_no_argparse_gettext_locale_csv_or_dataclasses():
+    # the command line is read from one table, the records are named tuples
+    # and csv is imported by the one branch of `emit` that writes it, so a
+    # CLI call pays for none of these modules
+    probe = ("import contextlib, io, sys; bare = set(sys.modules); import conesign.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = conesign.cli.main(['hilb', 'enumerate', '--n', '1'])\n"
+             "loaded = {'argparse', 'gettext', 'locale', 'csv', 'dataclasses'}\n"
+             "print(code, sorted(loaded & (set(sys.modules) - bare)))")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env=cli_env(), check=True)
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.strip() == "0 []"
 
 
 def test_a_quartic_split_loads_sympy_and_finds_the_components(tmp_path):
