@@ -5,6 +5,11 @@ Subcommands cover the whole pipeline: Groebner bases and ideal operations
 obstruction and Behrend evaluation (eu, behrend eval, behrend falsify /
 falsify), and the points toolkit (hilb enumerate / tangent / parity-scan).
 
+The command line is two tables: `_COMMANDS`, one row per command path
+with its handler, options, csv header and whether it needs Q, and
+`_SETTINGS`, one row per configuration key with its flag, default, kind
+and least value.
+
 Exit codes: 0 success, 1 input error, 2 inconclusive or unsupported
 verdict.  Every report embeds the effective configuration and seed, and
 identical inputs produce byte-identical output.
@@ -37,29 +42,33 @@ from .poly import parse_polynomial, order_from_name, ring
 
 CONFIG_ENV = "CONESIGN_CONFIG"
 
-# the run configuration's keys and default values
-CONFIG_DEFAULTS = {
-    "order": "degrevlex",
-    "seed": 0,
-    "characteristic": 0,
-    "jobs": 1,
-    "output_format": "json",
-    "max_n": _MAX_N,
-    "max_variables": 16,
-    "max_gb_pairs": DEFAULT_MAX_PAIRS,
+# The run configuration, one row per key: its global flag or None, its
+# default, its kind (int, or a tuple of choices) and its least value or None
+_SETTINGS = {
+    "seed": ("--seed", 0, int, None),
+    "order": ("--order", "degrevlex", ("degrevlex", "lex"), None),
+    "characteristic": ("--char", 0, int, None),
+    "jobs": ("--jobs", 1, int, 1),
+    "output_format": ("--format", "json", ("json", "csv", "text"), None),
+    "max_n": (None, _MAX_N, int, 1),
+    "max_variables": (None, 16, int, 1),
+    "max_gb_pairs": (None, DEFAULT_MAX_PAIRS, int, 0),
 }
-_FORMATS = ("json", "csv", "text")
+# the global options, which come before the command words
+_FLAGS = {flag: kind for flag, _, kind, _ in _SETTINGS.values() if flag}
 
 
-def load_config() -> SimpleNamespace:
-    """`CONFIG_DEFAULTS`, overridden by the JSON file at CONESIGN_CONFIG if
-    set, as a namespace with one attribute per key.
+def load_config(args) -> SimpleNamespace:
+    """Each key's default, overridden by the JSON object in the file at
+    CONESIGN_CONFIG if set, then by its flag in the parsed command line
+    `args` if given, as a namespace with one attribute per key.
 
-    The file must hold one JSON object whose keys are keys of
-    `CONFIG_DEFAULTS` and whose values have the type of the default (a bool
-    is not an int); anything else raises ValueError.
+    Each value is checked against its key's row where it comes from: it
+    must have the key's kind (a bool is not an int) and be at least its
+    least value.  A bad value, an unknown key or a file that is not one
+    JSON object raises ValueError, which names the key or the flag.
     """
-    cfg = dict(CONFIG_DEFAULTS)
+    cfg = {key: row[1] for key, row in _SETTINGS.items()}
     path = os.environ.get(CONFIG_ENV)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
@@ -67,13 +76,20 @@ def load_config() -> SimpleNamespace:
         if not isinstance(data, dict):
             raise ValueError(f"config {path}: expected a JSON object")
         for key, value in data.items():
-            if key not in CONFIG_DEFAULTS:
+            if key not in _SETTINGS:
                 raise ValueError(f"config {path}: unknown key {key!r}")
-            kind = type(CONFIG_DEFAULTS[key])
-            if type(value) is not kind:
-                raise ValueError(
-                    f"config {path}: {key} must be {kind.__name__}, got {json.dumps(value)}")
             cfg[key] = value
+    for key, (flag, _, kind, least) in _SETTINGS.items():
+        source = f"{key} in the config"
+        if flag and getattr(args, _dest(flag)) is not None:
+            cfg[key], source = getattr(args, _dest(flag)), flag
+        value = cfg[key]
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{source} must be one of {', '.join(kind)}, got {json.dumps(value)}")
+        if kind is int and type(value) is not int:
+            raise ValueError(f"{source} must be an integer, got {json.dumps(value)}")
+        if least is not None and value < least:
+            raise ValueError(f"{source} must be at least {least}, got {value}")
     return SimpleNamespace(**cfg)
 
 
@@ -126,30 +142,21 @@ def parse_point(text: str, rng) -> tuple:
 
 def _as_text(value, indent: int = 0) -> str:
     pad = "  " * indent
-    if isinstance(value, dict):
-        lines = []
-        for k in value:
-            v = value[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.append(_as_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-        return "\n".join(lines)
-    if isinstance(value, list):
-        lines = []
-        for v in value:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_as_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
-        return "\n".join(lines)
-    return f"{pad}{value}"
+    if not isinstance(value, (dict, list)):
+        return f"{pad}{value}"
+    labelled = ([(f"{k}:", v) for k, v in value.items()] if isinstance(value, dict)
+                else [("-", v) for v in value])
+    lines = []
+    for label, v in labelled:
+        if isinstance(v, (dict, list)):
+            lines += [f"{pad}{label}", _as_text(v, indent + 1)]
+        else:
+            lines.append(f"{pad}{label} {v}")
+    return "\n".join(lines)
 
 
 def emit(payload: dict, cfg: SimpleNamespace, csv_rows=None, csv_header=None) -> None:
-    """Write the report in `cfg.output_format`, which `main` has checked;
+    """Write the report in `cfg.output_format`, which `load_config` has checked;
     csv needs `csv_rows` and `csv_header`."""
     if cfg.output_format == "json":
         report = {"config": vars(cfg), "seed": cfg.seed, "result": payload}
@@ -170,39 +177,127 @@ def emit(payload: dict, cfg: SimpleNamespace, csv_rows=None, csv_header=None) ->
                          f"char={cfg.characteristic}\n")
 
 
-def _require_rationals(cfg: SimpleNamespace, what: str) -> None:
-    if cfg.characteristic != 0:
-        raise ValueError(
-            f"{what} requires characteristic 0 (cross-check mode only "
-            f"covers gb/eliminate/saturate/dim)")
+def _load(path: str, cfg: SimpleNamespace) -> IdealPresentation:
+    return load_ideal_file(path, cfg.characteristic, cfg.max_variables)
 
 
-# The command line, one row per command path: its required options, its
-# other options, whether it emits csv rows, and a line of help.  An
-# option's kind is `str` or `int` for a value, a tuple of choices, or
-# `bool` for a flag.
-_GLOBAL_OPTIONS = {"--seed": int, "--order": ("degrevlex", "lex"), "--char": int,
-                   "--jobs": int, "--format": _FORMATS}
+# The handlers of the command paths: each takes the parsed command line and
+# the run configuration and returns the payload and the csv rows, or None
+# for a path without csv.
+
+
+def _gb(args, cfg):
+    I = _load(args.ideal, cfg)
+    order = order_from_name(cfg.order, I.ring)
+    basis = buchberger(I.generators, order, cfg.max_gb_pairs)
+    return {"basis": [g.to_text(order) for g in basis], "order": cfg.order}, None
+
+
+def _eliminate(args, cfg):
+    I = _load(args.ideal, cfg)
+    drop = tuple(v.strip() for v in args.drop.split(",") if v.strip())
+    out = eliminate(I, drop)
+    return {"variables": list(out.ring.variables), "generators": list(out.signature())}, None
+
+
+def _saturate(args, cfg):
+    I = _load(args.ideal, cfg)
+    out = saturate(I, parse_polynomial(args.by, I.ring))
+    return {"generators": list(out.signature())}, None
+
+
+def _dim(args, cfg):
+    return {"dimension": dimension(_load(args.ideal, cfg))}, None
+
+
+def _mincomp(args, cfg):
+    comps = minimal_primes(_load(args.ideal, cfg))
+    rows = [[i, ";".join(c.prime.signature()), c.multiplicity, c.dimension, c.degree,
+             c.primality] for i, c in enumerate(comps)]
+    return {"components": [c.to_json_dict() for c in comps]}, rows
+
+
+def _cone(args, cfg):
+    comps = cone_components(_load(args.ideal, cfg))
+    return {"components": [c.to_json_dict() for c in comps]}, None
+
+
+def _cycle(args, cfg):
+    return signed_support_cycle(_load(args.ideal, cfg)).to_json_dict(), None
+
+
+def _eu(args, cfg):
+    V = _load(args.variety, cfg)
+    point = parse_point(args.point, V.ring)
+    mode = "assumed" if args.assume_prime else "check"
+    return eu_point(V, point, primality=mode, seed=cfg.seed).to_json_dict(), None
+
+
+def _behrend_eval(args, cfg):
+    I = _load(args.ideal, cfg)
+    point = parse_point(args.point, I.ring)
+    return behrend_value(I, point, seed=cfg.seed).to_json_dict(), None
+
+
+def _falsify(args, cfg):
+    sign = None if args.sign is None else int(args.sign)
+    return constancy_falsifier(_load(args.ideal, cfg), sign).to_json_dict(), None
+
+
+def _enumerate(args, cfg):
+    parts = enumerate_plane_partitions(args.n, bound=cfg.max_n)
+    rows = [[i, json.dumps(p.to_json_dict()["boxes"])] for i, p in enumerate(parts)]
+    return {"n": args.n, "count": len(parts),
+            "partitions": [p.to_json_dict() for p in parts]}, rows
+
+
+def _tangent(args, cfg):
+    return tangent_dimension_hilb(_load(args.ideal, cfg)).to_json_dict(), None
+
+
+def _parity_scan(args, cfg):
+    summary = parity_scan(args.n, jobs=cfg.jobs, bound=cfg.max_n)
+    rows = [[r.partition_id, r.n, r.tangent_dim, "true" if r.parity else "false"]
+            for r in summary.rows]
+    return summary.to_json_dict(), rows
+
+
+# The command line, one row per command path: its handler; its required
+# options and its other options; its csv header, or None where it has no
+# csv report; the computation it names when it refuses a nonzero
+# characteristic, or None where it runs over every prime field; and a line
+# of help.  An option's kind is `str` or `int` for a value, a tuple of
+# choices, or `bool` for a flag.
 _SIGNS = ("+1", "-1", "1")
 _IDEAL = {"--ideal": str}
+_POINTS = "the points toolkit"
 _COMMANDS = {
-    ("gb",): (_IDEAL, {}, False, "reduced Groebner basis"),
-    ("eliminate",): ({**_IDEAL, "--drop": str}, {}, False,
+    ("gb",): (_gb, _IDEAL, {}, None, None, "reduced Groebner basis"),
+    ("eliminate",): (_eliminate, {**_IDEAL, "--drop": str}, {}, None, None,
                      "eliminate the comma-separated variables of --drop"),
-    ("saturate",): ({**_IDEAL, "--by": str}, {}, False, "saturate by the polynomial --by"),
-    ("dim",): (_IDEAL, {}, False, "Krull dimension of the quotient"),
-    ("mincomp",): (_IDEAL, {}, True, "minimal primes with multiplicities"),
-    ("cone",): (_IDEAL, {}, False, "normal cone components"),
-    ("cycle",): (_IDEAL, {}, False, "signed support cycle of the normal cone"),
-    ("eu",): ({"--variety": str, "--point": str}, {"--assume-prime": bool}, False,
-              "local Euler obstruction at a point (--assume-prime skips "
+    ("saturate",): (_saturate, {**_IDEAL, "--by": str}, {}, None, None,
+                    "saturate by the polynomial --by"),
+    ("dim",): (_dim, _IDEAL, {}, None, None, "Krull dimension of the quotient"),
+    ("mincomp",): (_mincomp, _IDEAL, {}, ("component_id", "generators", "multiplicity",
+                                          "dimension", "degree", "primality_status"),
+                   "minimal-prime decomposition", "minimal primes with multiplicities"),
+    ("cone",): (_cone, _IDEAL, {}, None, "cone analysis", "normal cone components"),
+    ("cycle",): (_cycle, _IDEAL, {}, None, "cycle computation",
+                 "signed support cycle of the normal cone"),
+    ("eu",): (_eu, {"--variety": str, "--point": str}, {"--assume-prime": bool}, None,
+              "Euler obstruction", "local Euler obstruction at a point (--assume-prime skips "
               "primality certification and records the assumption)"),
-    ("behrend", "eval"): ({**_IDEAL, "--point": str}, {}, False, "Behrend value at a point"),
-    ("behrend", "falsify"): (_IDEAL, {"--sign": _SIGNS}, False, "constancy falsifier"),
-    ("falsify",): (_IDEAL, {"--sign": _SIGNS}, False, "constancy falsifier (alias)"),
-    ("hilb", "enumerate"): ({"--n": int}, {}, True, "plane partitions of size n"),
-    ("hilb", "tangent"): (_IDEAL, {}, False, "tangent dimension at an ideal"),
-    ("hilb", "parity-scan"): ({"--n": int}, {"--jobs": int}, True,
+    ("behrend", "eval"): (_behrend_eval, {**_IDEAL, "--point": str}, {}, None,
+                          "Behrend evaluation", "Behrend value at a point"),
+    ("behrend", "falsify"): (_falsify, _IDEAL, {"--sign": _SIGNS}, None,
+                             "the constancy falsifier", "constancy falsifier"),
+    ("falsify",): (_falsify, _IDEAL, {"--sign": _SIGNS}, None, "the constancy falsifier",
+                   "constancy falsifier (alias)"),
+    ("hilb", "enumerate"): (_enumerate, {"--n": int}, {}, ("partition_id", "boxes"), _POINTS,
+                            "plane partitions of size n"),
+    ("hilb", "tangent"): (_tangent, _IDEAL, {}, None, _POINTS, "tangent dimension at an ideal"),
+    ("hilb", "parity-scan"): (_parity_scan, {"--n": int}, {"--jobs": int},
+                              ("partition_id", "n", "tangent_dim", "parity"), _POINTS,
                               "parity over all monomial ideals"),
 }
 _HELP = ("-h", "--help")
@@ -223,13 +318,13 @@ def _usage(path: tuple) -> str:
     """The usage of `conesign` followed by the command words `path`."""
     head = f"usage: {_where(path)}"
     if path in _COMMANDS:
-        required, optional, _, text = _COMMANDS[path]
+        _, required, optional, _, _, text = _COMMANDS[path]
         words = [f"{o} {_metavar(o, k)}" for o, k in required.items()]
         words += [f"[{o}]" if k is bool else f"[{o} {_metavar(o, k)}]"
                   for o, k in optional.items()]
         return f"{head} {' '.join(words)}\n\n{text}\n"
     if not path:
-        head += "".join(f" [{o} {_metavar(o, k)}]" for o, k in _GLOBAL_OPTIONS.items())
+        head += "".join(f" [{o} {_metavar(o, k)}]" for o, k in _FLAGS.items())
     below = [(" ".join(p), row[-1]) for p, row in _COMMANDS.items() if p[:len(path)] == path]
     width = max(len(p) for p, _ in below)
     return (f"{head} COMMAND ...\n\n"
@@ -299,21 +394,21 @@ def _read_options(argv: list, i: int, options: dict, out: dict, path: tuple) -> 
 def parse_args(argv) -> SimpleNamespace:
     """Read a command line: the global options, the command words, then
     the command's options, into one namespace with an attribute per option
-    (None, or False for a flag, when not given), `command`, the second
-    command word as `behrend_command` or `hilb_command`, and `has_csv`.
-    Every usage error raises ValueError; help exits 0."""
+    (None, or False for a flag, when not given) and the command words as
+    the tuple `path`, a key of `_COMMANDS`.  Every usage error raises
+    ValueError; help exits 0."""
     argv = list(argv)
     given, path, i = {}, (), 0
     while path not in _COMMANDS:
         # the global options come before the command words, which take only help
-        i = _read_options(argv, i, {} if path else _GLOBAL_OPTIONS, given, path)
+        i = _read_options(argv, i, {} if path else _FLAGS, given, path)
         words = list(dict.fromkeys(p[len(path)] for p in _COMMANDS if p[:len(path)] == path))
         if i == len(argv) or argv[i] not in words:
             found = "needs a command" if i == len(argv) else f"has no command {argv[i]!r}"
             raise ValueError(f"{_where(path)} {found}: expected one of {', '.join(words)}")
         path += (argv[i],)
         i += 1
-    required, optional, has_csv, _ = _COMMANDS[path]
+    _, required, optional, _, _, _ = _COMMANDS[path]
     own = {}
     i = _read_options(argv, i, {**required, **optional}, own, path)
     if i < len(argv):
@@ -321,140 +416,28 @@ def parse_args(argv) -> SimpleNamespace:
     missing = [o for o in required if _dest(o) not in own]
     if missing:
         raise ValueError(f"{_where(path)} requires {', '.join(missing)}")
-    args = dict.fromkeys(map(_dest, _GLOBAL_OPTIONS))
+    args = dict.fromkeys(map(_dest, _FLAGS))
     args.update((_dest(o), False if k is bool else None) for o, k in optional.items())
     # a command's own option wins over the global one of the same name
-    args.update(given, **own, has_csv=has_csv, command=path[0])
-    if len(path) == 2:
-        args[f"{path[0]}_command"] = path[1]
+    args.update(given, **own, path=path)
     return SimpleNamespace(**args)
-
-
-def _dispatch(args, cfg: SimpleNamespace) -> int:
-    cmd = args.command
-
-    def load_ideal(path, characteristic=0):
-        return load_ideal_file(path, characteristic, cfg.max_variables)
-
-    if cmd == "gb":
-        I = load_ideal(args.ideal, cfg.characteristic)
-        order = order_from_name(cfg.order, I.ring)
-        basis = buchberger(I.generators, order, cfg.max_gb_pairs)
-        emit({"basis": [g.to_text(order) for g in basis],
-              "order": cfg.order}, cfg)
-        return 0
-    if cmd == "eliminate":
-        I = load_ideal(args.ideal, cfg.characteristic)
-        drop = tuple(v.strip() for v in args.drop.split(",") if v.strip())
-        out = eliminate(I, drop)
-        emit({"variables": list(out.ring.variables),
-              "generators": list(out.signature())}, cfg)
-        return 0
-    if cmd == "saturate":
-        I = load_ideal(args.ideal, cfg.characteristic)
-        f = parse_polynomial(args.by, I.ring)
-        out = saturate(I, f)
-        emit({"generators": list(out.signature())}, cfg)
-        return 0
-    if cmd == "dim":
-        I = load_ideal(args.ideal, cfg.characteristic)
-        emit({"dimension": dimension(I)}, cfg)
-        return 0
-    if cmd == "mincomp":
-        _require_rationals(cfg, "minimal-prime decomposition")
-        I = load_ideal(args.ideal)
-        comps = minimal_primes(I)
-        payload = {"components": [c.to_json_dict() for c in comps]}
-        rows = [[i, ";".join(c.prime.signature()), c.multiplicity,
-                 c.dimension, c.degree, c.primality]
-                for i, c in enumerate(comps)]
-        emit(payload, cfg, csv_rows=rows,
-             csv_header=["component_id", "generators", "multiplicity",
-                         "dimension", "degree", "primality_status"])
-        return 0
-    if cmd == "cone":
-        _require_rationals(cfg, "cone analysis")
-        I = load_ideal(args.ideal)
-        comps = cone_components(I)
-        emit({"components": [c.to_json_dict() for c in comps]}, cfg)
-        return 0
-    if cmd == "cycle":
-        _require_rationals(cfg, "cycle computation")
-        I = load_ideal(args.ideal)
-        emit(signed_support_cycle(I).to_json_dict(), cfg)
-        return 0
-    if cmd == "eu":
-        _require_rationals(cfg, "Euler obstruction")
-        V = load_ideal(args.variety)
-        point = parse_point(args.point, V.ring)
-        mode = "assumed" if args.assume_prime else "check"
-        verdict = eu_point(V, point, primality=mode, seed=cfg.seed)
-        emit(verdict.to_json_dict(), cfg)
-        return 0
-    if cmd == "behrend" and args.behrend_command == "eval":
-        _require_rationals(cfg, "Behrend evaluation")
-        I = load_ideal(args.ideal)
-        point = parse_point(args.point, I.ring)
-        ev = behrend_value(I, point, seed=cfg.seed)
-        emit(ev.to_json_dict(), cfg)
-        return 0
-    if cmd == "falsify" or (cmd == "behrend"
-                            and args.behrend_command == "falsify"):
-        _require_rationals(cfg, "the constancy falsifier")
-        I = load_ideal(args.ideal)
-        sign = None if args.sign is None else int(args.sign)
-        cert = constancy_falsifier(I, sign)
-        emit(cert.to_json_dict(), cfg)
-        return 2 if cert.overall == "inconclusive" else 0
-    if cmd == "hilb":
-        _require_rationals(cfg, "the points toolkit")
-        if args.hilb_command == "enumerate":
-            parts = enumerate_plane_partitions(args.n, bound=cfg.max_n)
-            payload = {"n": args.n, "count": len(parts),
-                       "partitions": [p.to_json_dict() for p in parts]}
-            rows = [[i, json.dumps(p.to_json_dict()["boxes"])]
-                    for i, p in enumerate(parts)]
-            emit(payload, cfg, csv_rows=rows,
-                 csv_header=["partition_id", "boxes"])
-            return 0
-        if args.hilb_command == "tangent":
-            I = load_ideal(args.ideal)
-            report = tangent_dimension_hilb(I)
-            emit(report.to_json_dict(), cfg)
-            return 0
-        if args.hilb_command == "parity-scan":
-            summary = parity_scan(args.n, jobs=cfg.jobs, bound=cfg.max_n)
-            rows = [[r.partition_id, r.n, r.tangent_dim,
-                     "true" if r.parity else "false"] for r in summary.rows]
-            emit(summary.to_json_dict(), cfg, csv_rows=rows,
-                 csv_header=["partition_id", "n", "tangent_dim", "parity"])
-            return 0
-    raise ValueError(f"unhandled command {cmd!r}")
 
 
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        cfg = load_config()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.order is not None:
-            cfg.order = args.order
-        if args.char is not None:
-            cfg.characteristic = args.char
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
-        if args.format is not None:
-            cfg.output_format = args.format
-        # refused before any work, which a bad format would only waste
-        if cfg.output_format not in _FORMATS:
-            raise ValueError(f"unknown output format {cfg.output_format!r}")
-        if cfg.output_format == "csv" and not args.has_csv:
+        cfg = load_config(args)
+        handler, _, _, csv_header, q_only, _ = _COMMANDS[args.path]
+        # refused before any work, which would only be wasted
+        if cfg.output_format == "csv" and csv_header is None:
             raise ValueError("csv output is not available for this subcommand")
-        if cfg.jobs < 1:
-            source = "jobs in the config" if args.jobs is None else "--jobs"
-            raise ValueError(f"{source} must be at least 1, got {cfg.jobs}")
-        return _dispatch(args, cfg)
+        if cfg.characteristic != 0 and q_only:
+            raise ValueError(f"{q_only} requires characteristic 0 (cross-check "
+                             "mode only covers gb/eliminate/saturate/dim)")
+        payload, rows = handler(args, cfg)
+        emit(payload, cfg, rows, csv_header)
+        # a report whose verdict abstains exits 2, as an exhausted budget does
+        return 2 if payload.get("overall") == "inconclusive" else 0
     except (EuUnsupportedError, PrimalityUndecidedError, BoundExceededError,
             DegenerateDrawError) as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")

@@ -50,6 +50,46 @@ def files(tmp_path):
     return out
 
 
+# one command line per command path, on the files above
+SAMPLES = {
+    ("gb",): ["--ideal", "pair"],
+    ("eliminate",): ["--ideal", "axes", "--drop", "z"],
+    ("saturate",): ["--ideal", "pair", "--by", "x"],
+    ("dim",): ["--ideal", "axes"],
+    ("mincomp",): ["--ideal", "axes"],
+    ("cone",): ["--ideal", "pair"],
+    ("cycle",): ["--ideal", "pair"],
+    ("eu",): ["--variety", "parabola", "--point", "1,1"],
+    ("behrend", "eval"): ["--ideal", "axes", "--point", "0,0,0"],
+    ("behrend", "falsify"): ["--ideal", "axes"],
+    ("falsify",): ["--ideal", "fatline"],
+    ("hilb", "enumerate"): ["--n", "2"],
+    ("hilb", "tangent"): ["--ideal", "pair"],
+    ("hilb", "parity-scan"): ["--n", "2"],
+}
+GROEBNER_LEVEL = {("gb",), ("eliminate",), ("saturate",), ("dim",)}  # any characteristic
+WITH_CSV = {("mincomp",), ("hilb", "enumerate"), ("hilb", "parity-scan")}
+# the file loader and every computation a command path runs
+WORK = ("load_ideal_file", "buchberger", "eliminate", "saturate", "dimension", "minimal_primes",
+        "cone_components", "signed_support_cycle", "eu_point", "behrend_value",
+        "constancy_falsifier", "enumerate_plane_partitions", "tangent_dimension_hilb",
+        "parity_scan")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Replace the file loader and every computation in `conesign.cli` by a
+    stub that only records its name; the list of names recorded."""
+    calls = []
+    for name in WORK:
+        monkeypatch.setattr(conesign.cli, name, lambda *a, name=name, **k: calls.append(name))
+    return calls
+
+
+def test_the_samples_reach_every_command_path():
+    assert set(SAMPLES) == set(conesign.cli._COMMANDS)
+
+
 def cli_env():
     """The environment for a CLI subprocess: no config file, this checkout's
     sources first on the path."""
@@ -584,21 +624,13 @@ def test_a_large_prime_characteristic_is_tested_at_once(files):
         assert "Traceback" not in run.stderr
 
 
-def test_char_rejected_elsewhere(files, capsys):
-    for argv in [
-        ["--char", "7", "mincomp", "--ideal", files["axes"]],
-        ["--char", "7", "cone", "--ideal", files["pair"]],
-        ["--char", "7", "cycle", "--ideal", files["pair"]],
-        ["--char", "7", "eu", "--variety", files["parabola"],
-         "--point", "1,1"],
-        ["--char", "7", "behrend", "eval", "--ideal", files["axes"],
-         "--point", "0,0,0"],
-        ["--char", "7", "falsify", "--ideal", files["fatline"]],
-        ["--char", "7", "hilb", "enumerate", "--n", "2"],
-    ]:
-        code, _, err = run_cli(argv, capsys)
-        assert code == 1
-        assert "characteristic 0" in err
+@pytest.mark.parametrize("path", [p for p in SAMPLES if p not in GROEBNER_LEVEL], ids=" ".join)
+def test_char_rejected_elsewhere(files, capsys, no_work, path):
+    code, out, err = run_cli(["--char", "7", *path, *[files.get(a, a) for a in SAMPLES[path]]],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "requires characteristic 0" in err
+    assert no_work == []
 
 
 # -------------------------------------------------------- output formats
@@ -616,12 +648,12 @@ def test_csv_parity_scan_schema(files, capsys):
                for r in rows[1:])
 
 
-def test_csv_rejected_where_unavailable(files, capsys):
-    code, _, err = run_cli(
-        ["--format", "csv", "gb", "--ideal", files["pair"]], capsys
-    )
-    assert code == 1
-    assert "csv" in err
+@pytest.mark.parametrize("path", [p for p in SAMPLES if p not in WITH_CSV], ids=" ".join)
+def test_csv_rejected_where_unavailable(files, capsys, no_work, path):
+    code, out, err = run_cli(["--format", "csv", *path, *[files.get(a, a) for a in SAMPLES[path]]],
+                             capsys)
+    assert (code, out, err) == (1, "", "error: csv output is not available for this subcommand\n")
+    assert no_work == []
 
 
 @pytest.mark.parametrize("config,argv,computation,message", [
@@ -630,9 +662,9 @@ def test_csv_rejected_where_unavailable(files, capsys):
     (None, ["--format", "csv", "hilb", "tangent", "--ideal", "AXES"], "tangent_dimension_hilb",
      "csv output is not available for this subcommand"),
     ({"output_format": "xml"}, ["cone", "--ideal", "AXES"], "cone_components",
-     "unknown output format 'xml'"),
+     'output_format in the config must be one of json, csv, text, got "xml"'),
     ({"output_format": "xml"}, ["hilb", "parity-scan", "--n", "2"], "parity_scan",
-     "unknown output format 'xml'"),
+     'output_format in the config must be one of json, csv, text, got "xml"'),
 ])
 def test_a_bad_output_format_is_refused_before_any_work(files, tmp_path, monkeypatch, capsys,
                                                         config, argv, computation, message):
@@ -707,6 +739,42 @@ def test_malformed_config_is_an_input_error(tmp_path, monkeypatch, capsys, confi
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    ({"max_n": -5}, ["hilb", "enumerate", "--n", "2"], "max_n in the config must be at least 1"),
+    ({"max_n": 0}, ["hilb", "parity-scan", "--n", "2"], "max_n in the config must be at least 1"),
+    ({"max_gb_pairs": -1}, ["gb", "--ideal", "pair"],
+     "max_gb_pairs in the config must be at least 0"),
+    ({"max_variables": 0}, ["dim", "--ideal", "axes"],
+     "max_variables in the config must be at least 1"),
+    ({"order": "grevlex"}, ["dim", "--ideal", "axes"],
+     'order in the config must be one of degrevlex, lex, got "grevlex"'),
+    ({"order": "grevlex"}, ["hilb", "enumerate", "--n", "2"],
+     'order in the config must be one of degrevlex, lex, got "grevlex"'),
+    ({"order": "grevlex"}, ["gb", "--ideal", "pair"],
+     'order in the config must be one of degrevlex, lex, got "grevlex"'),
+    ({"seed": 1.5}, ["gb", "--ideal", "pair"], "seed in the config must be an integer, got 1.5"),
+])
+def test_a_bad_config_value_exits_1_before_any_work(files, tmp_path, monkeypatch, capsys, no_work,
+                                                     config, argv, named):
+    # each used to run: a negative bound ended in exit 2, and an unknown
+    # order was written into the reports of the commands that do not use it
+    cfg = tmp_path / "conesign.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    code, out, err = run_cli([files.get(a, a) for a in argv], capsys)
+    assert (code, out, no_work) == (1, "", [])
+    assert err.startswith(f"error: {named}")
+
+
+def test_the_least_config_values_are_accepted(files, tmp_path, monkeypatch, capsys):
+    # a one-generator ideal is its own basis, so it needs no S-pair
+    cfg = tmp_path / "conesign.json"
+    cfg.write_text(json.dumps({"max_n": 1, "max_variables": 2, "max_gb_pairs": 0, "jobs": 1}))
+    monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    assert run_json(["gb", "--ideal", files["parabola"]], capsys)["result"]["basis"] == ["x^2 - y"]
+    assert run_json(["hilb", "enumerate", "--n", "1"], capsys)["result"]["count"] == 1
 
 
 def test_max_variables_refuses_a_larger_ring(files, tmp_path, monkeypatch, capsys):

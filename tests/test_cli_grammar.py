@@ -2,15 +2,15 @@
 lines over all 14 command paths, well formed or corrupted, goes through
 `cli.parse_args` and through the argparse declaration it replaced
 (`oracles.argparse_cli_parser`).  On every line both refuse, or both give
-the same namespace.  Abbreviated options and help are left out: argparse
-accepts `--ide` for `--ideal`, `parse_args` refuses it, and the help text
-differs."""
+the same command path, csv or not, and option values.  Abbreviated options
+and help are left out: argparse accepts `--ide` for `--ideal`, `parse_args`
+refuses it, and the help text differs."""
 
 import random
 
 import pytest
 
-from conesign.cli import parse_args
+from conesign.cli import _COMMANDS, parse_args
 from oracles import argparse_cli_parser
 
 SEED = 0
@@ -126,19 +126,32 @@ def command_lines(seed, count):
     return lines
 
 
-def _outcome(parse, argv):
+def _outcome(argv):
+    """(command path, whether it has csv, option values), or "refused"."""
     try:
-        return vars(parse(argv))
+        options = vars(parse_args(argv))
     except ValueError:
         return "refused"
+    path = options.pop("path")
+    return path, _COMMANDS[path][3] is not None, options
+
+
+def _oracle_outcome(oracle, argv):
+    try:
+        options = vars(oracle.parse_args(argv))
+    except ValueError:
+        return "refused"
+    path = (options.pop("command"),) + tuple(
+        options.pop(f"{w}_command") for w in ("behrend", "hilb") if f"{w}_command" in options)
+    return path, options.pop("has_csv"), options
 
 
 def test_the_command_line_reads_as_argparse_read_it():
     oracle = argparse_cli_parser()
     accepted = refused = 0
     for argv in command_lines(SEED, LINES):
-        expected = _outcome(oracle.parse_args, argv)
-        assert _outcome(parse_args, argv) == expected, argv
+        expected = _oracle_outcome(oracle, argv)
+        assert _outcome(argv) == expected, argv
         accepted += expected != "refused"
         refused += expected == "refused"
     # the corpus reaches both sides of the grammar
