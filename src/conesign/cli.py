@@ -38,7 +38,7 @@ from .euler import eu_point
 from .groebner import DEFAULT_MAX_PAIRS, buchberger
 from .hilb import _MAX_N, enumerate_plane_partitions, parity_scan, tangent_dimension_hilb
 from .ideals import IdealPresentation, dimension, eliminate, ideal, minimal_primes, saturate
-from .poly import parse_polynomial, order_from_name, ring
+from .poly import _PRIME_TEST_BOUND, _is_prime, parse_polynomial, order_from_name, ring
 
 CONFIG_ENV = "CONESIGN_CONFIG"
 
@@ -65,8 +65,9 @@ def load_config(args) -> SimpleNamespace:
 
     Each value is checked against its key's row where it comes from: it
     must have the key's kind (a bool is not an int) and be at least its
-    least value.  A bad value, an unknown key or a file that is not one
-    JSON object raises ValueError, which names the key or the flag.
+    least value, and a nonzero characteristic must be a prime.  A bad
+    value, an unknown key or a file that is not one JSON object raises
+    ValueError, which names the key or the flag.
     """
     cfg = {key: row[1] for key, row in _SETTINGS.items()}
     path = os.environ.get(CONFIG_ENV)
@@ -90,6 +91,10 @@ def load_config(args) -> SimpleNamespace:
             raise ValueError(f"{source} must be an integer, got {json.dumps(value)}")
         if least is not None and value < least:
             raise ValueError(f"{source} must be at least {least}, got {value}")
+        if key == "characteristic" and value and (
+                value >= _PRIME_TEST_BOUND or not _is_prime(value)):
+            bound = f" below {_PRIME_TEST_BOUND}" if value >= _PRIME_TEST_BOUND else ""
+            raise ValueError(f"{source} must be 0 or a prime{bound}, got {value}")
     return SimpleNamespace(**cfg)
 
 

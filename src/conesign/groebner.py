@@ -50,20 +50,20 @@ Gebauer-Moeller pruning would, on module bases that no workload builds.
 The loop builds each S-polynomial from the two stored elements and the pair's
 lcm, and counts every pair it forms against `max_pairs`, those a criterion
 drops at once included, so the budget binds on small input too.  A run for
-an ideal may start from a known prefix, a Groebner basis under the run's
-order passed as `_Extending(known, extra)`: the known elements are the
-level before the first generator, and no pair among them is formed.
+an ideal may start from a Groebner basis under the run's order, passed as
+`buchberger`'s `known`: its elements are the level before the first
+generator, and no pair among them is formed.
 Reduced bases are monic, interreduced, and sorted, hence canonical for
 (ideal or submodule, order).
 Every public entry passes its input through one step, `_packed_input`,
-which drops zeros, checks one ring and one rank, and packs.  All work with a
-given basis goes through one builder, `_Divider`, which normalizes the
-divisors as Buchberger does (monic mod p, primitive integer over Q) and
-finds their leads once: division of packed or plain term dicts, the
-standard terms below the leads, and the Schreyer syzygies of the
-normalized divisors (`_syzygies`, read off the S-pair reductions' quotients
-and multipliers), which `hilb` uses packed.  Over Q no
-division builds a `Fraction`: an exact remainder clears the input's
+which drops zeros, checks one ring and one rank, packs, finds the leads and
+normalizes (monic mod p, primitive integer over Q); the loop normalizes only
+the elements it adds.  All work with a given basis goes through one
+builder, `_Divider`, on the divisors and leads of that step: division of
+packed or plain term dicts, the standard terms below the leads, and the
+Schreyer syzygies of the divisors (`_syzygies`, read off the S-pair
+reductions' quotients and multipliers), which `hilb` uses packed.  Over Q
+no division builds a `Fraction`: an exact remainder clears the input's
 denominators once and divides by the multiplier and the denominator once at
 the end."""
 
@@ -292,10 +292,10 @@ def _sub_multiple(target: dict, factor, shift: int, terms: dict, char: int, skip
 
 
 def _packed_input(elements, order: MonomialOrder):
-    """(ring or None, packing, packed term dicts) of the nonzero polynomials,
-    or module vectors, among `elements`: the input step of every entry to
-    the engine.  They must share one ring, in the order's variables
-    (RingMismatchError), and one rank (ValueError)."""
+    """(ring or None, packing, divisors, leads) of the nonzero polynomials, or
+    module vectors, among `elements`, packed and normalized (`_normalized`):
+    the input step of every entry to the engine.  They must share one ring,
+    in the order's variables (RingMismatchError), and one rank (ValueError)."""
     elements = [e for e in elements if not e.is_zero()]
     rings = {e.ring for e in elements}
     ranks = {e.rank if isinstance(e, ModuleVector) else 0 for e in elements}
@@ -304,9 +304,11 @@ def _packed_input(elements, order: MonomialOrder):
             f"Groebner input over mixed rings or not in {len(order.perm)} variables")
     if len(ranks) > 1:
         raise ValueError(f"Groebner input of mixed ranks {sorted(ranks)}")
+    rng = rings.pop() if rings else None
     pk = _packing(order, max(ranks, default=0))
-    return (rings.pop() if rings else None), pk, [
-        pk.pack(e.to_dict() if pk.rank else e.terms) for e in elements]
+    packed = [pk.pack(e.to_dict() if pk.rank else e.terms) for e in elements]
+    leads = [min(t, key=pk.key) for t in packed]
+    return rng, pk, [_normalized(t, lt, rng) for t, lt in zip(packed, leads)], leads
 
 
 def _normalized(terms: dict, lt: int, rng) -> dict:
@@ -324,16 +326,13 @@ def _normalized(terms: dict, lt: int, rng) -> dict:
 
 class _Divider:
     """Division by a fixed list of polynomials or module vectors, which pass
-    the input step and are normalized once (`_normalized`).  `remainder`
-    divides a packed term dict, with integer coefficients over Q, and
-    returns (remainder, multiplier) as `_reduce_terms` does; calling the
-    divider divides a term dict, {m: c} or {(pos, m): c}, and returns its
-    exact remainder."""
+    the input step once.  `remainder` divides a packed term dict, with
+    integer coefficients over Q, and returns (remainder, multiplier) as
+    `_reduce_terms` does; calling the divider divides a term dict, {m: c} or
+    {(pos, m): c}, and returns its exact remainder."""
 
     def __init__(self, basis, order: MonomialOrder):
-        self.ring, self.pk, packed = _packed_input(basis, order)
-        self.lts = [min(d, key=self.pk.key) for d in packed]
-        self.divisors = [_normalized(d, lt, self.ring) for d, lt in zip(packed, self.lts)]
+        self.ring, self.pk, self.divisors, self.lts = _packed_input(basis, order)
 
     def remainder(self, packed: dict):
         return _reduce_terms(packed, self.divisors, self.lts, self.pk, self.ring.characteristic)
@@ -412,11 +411,11 @@ def _pair_bound(max_pairs: int) -> BoundExceededError:
     return BoundExceededError(f"pair bound {max_pairs} exceeded")
 
 
-def _by_signatures(polys, pk: _Packing, rng, max_pairs: int, known: int):
+def _by_signatures(divisors, leads, pk: _Packing, rng, max_pairs: int, known: int = 0):
     """(basis, leads) of a Groebner basis of ideal or submodule generators,
-    one level per generator, by regular reductions in ascending signature (F5C, Eder-Perry,
-    J. Symb. Comput. 45, 2010; Eder-Faugere's survey, J. Symb. Comput. 80,
-    2017).
+    normalized with their leads by the input step, one level per generator,
+    by regular reductions in ascending signature (F5C, Eder-Perry, J. Symb.
+    Comput. 45, 2010; Eder-Faugere's survey, J. Symb. Comput. 80, 2017).
 
     The first `known` dicts, a Groebner basis, are level 0; the others enter
     by ascending lead, each first reduced by the basis so far and dropped
@@ -434,11 +433,9 @@ def _by_signatures(polys, pk: _Packing, rng, max_pairs: int, known: int):
     leads another lead divides are dropped; the known prefix is taken as it
     comes, and the last level is left to `_reduce_groebner`."""
     char, key, guard, place = rng.characteristic, pk.key, pk.guard, pk.place
-    leads = [min(t, key=key) for t in polys]
-    normalized = [_normalized(t, lt, rng) for t, lt in zip(polys, leads)]
-    bt, lts = normalized[:known], leads[:known]
+    bt, lts = divisors[:known], leads[:known]
     formed, grown = 0, False
-    for f, _ in sorted(zip(normalized[known:], leads[known:]), key=lambda e: key(e[1]),
+    for f, _ in sorted(zip(divisors[known:], leads[known:]), key=lambda e: key(e[1]),
                        reverse=True):
         if grown:
             keep = _minimal(lts, guard)
@@ -512,19 +509,6 @@ def _by_signatures(polys, pk: _Packing, rng, max_pairs: int, known: int):
     return bt, lts
 
 
-def _groebner(polys, pk: _Packing, rng, max_pairs: int, known: int = 0) -> list:
-    """Reduced Groebner basis of nonzero packed term dicts, as monic packed
-    term dicts sorted by ascending lead.  Over Q the basis and every
-    remainder are primitive integer term dicts until the reduced basis is
-    emitted.
-
-    The first `known` dicts must already be a Groebner basis under the
-    order: no pair among them is formed.  `max_pairs` bounds the pairs
-    formed, those the criteria drop at once included."""
-    bt, lts = _by_signatures(polys, pk, rng, max_pairs, known)
-    return _reduce_groebner(bt, lts, pk, rng.characteristic)
-
-
 def _minimal(lts, guard: int) -> list:
     """Indexes of the packed leads that no other lead divides, and of equal
     leads the first."""
@@ -559,34 +543,26 @@ def _reduce_groebner(terms, lts, pk: _Packing, char: int) -> list:
     return reduced
 
 
-class _Extending(tuple):
-    """Generators for `buchberger` that start with a known Groebner basis:
-    `_Extending(known, extra)` lists the nonzero polynomials of `known`, a
-    Groebner basis under the order of the run, then `extra`.  Buchberger
-    extends that basis by the extra elements instead of starting again."""
-
-    def __new__(cls, known, extra):
-        known = tuple(g for g in known if not g.is_zero())
-        self = super().__new__(cls, known + tuple(extra))
-        self.known = len(known)
-        return self
-
-
 def buchberger(
     gens,
     order: MonomialOrder,
     max_pairs: int = DEFAULT_MAX_PAIRS,
+    known=(),
 ) -> list:
-    """Reduced Groebner basis (monic, interreduced, sorted by ascending lead).
+    """Reduced Groebner basis (monic, interreduced, sorted by ascending lead)
+    of the ideal generated by `known` and `gens`.
 
     The reduced basis is the canonical one for (ideal, order); generator order
-    and duplicates in the input do not affect the result.  Given an
-    `_Extending`, the run starts from its known Groebner basis.
+    and duplicates in the input do not affect the result.  `known` must be a
+    Groebner basis under `order`: the run starts from it and forms no pair
+    among its elements.
     """
-    rng, pk, packed = _packed_input(gens, order)
-    if not packed:
+    known = [g for g in known if not g.is_zero()]
+    rng, pk, divisors, leads = _packed_input(known + list(gens), order)
+    if not divisors:
         return []
-    basis = _groebner(packed, pk, rng, max_pairs, getattr(gens, "known", 0))
+    basis = _reduce_groebner(*_by_signatures(divisors, leads, pk, rng, max_pairs, len(known)),
+                             pk, rng.characteristic)
     return [Polynomial(rng, pk.unpack(t), normalize=False) for t in basis]
 
 
@@ -644,10 +620,11 @@ def module_buchberger(vectors, order: MonomialOrder, max_pairs: int = DEFAULT_MA
 
     Returns interreduced monic vectors sorted by descending leading term.
     """
-    rng, pk, packed = _packed_input(vectors, order)
-    if not packed:
+    rng, pk, divisors, leads = _packed_input(vectors, order)
+    if not divisors:
         return []
-    basis = _groebner(packed, pk, rng, max_pairs)
+    basis = _reduce_groebner(*_by_signatures(divisors, leads, pk, rng, max_pairs),
+                             pk, rng.characteristic)
     return [_vector(rng, pk.rank, pk.unpack(t)) for t in reversed(basis)]
 
 

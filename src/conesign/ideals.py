@@ -25,7 +25,7 @@ An ideal keeps one basis, its reduced degrevlex one, and division by it is
 set up once, so repeated membership tests, normal forms and equality
 checks against the same presentation are cheap.  Work under any other
 order is one Buchberger run that nothing keeps.  An ideal built from a
-reduced basis already in hand carries it on:
+reduced basis already in hand is presented by it:
 
 - `eliminate` keeps the w-free elements of the reduced block-order basis.
   They are the reduced degrevlex basis of the elimination ideal, because the
@@ -33,18 +33,15 @@ reduced basis already in hand carries it on:
   `saturate` and the Rees ideal of `cones` inherit this.  One helper,
   `_restricted`, keeps and moves such elements; the cone images of `cones`
   use it too.
-- `minimal_primes` presents each prime by its own reduced basis.
-
-An ideal derived from another extends the parent's reduced degrevlex
-basis, which `gb()` computes first if it is missing: Buchberger starts
-from it as a known Groebner basis and pairs only the new elements.  One
-method, `IdealPresentation._derived`, builds every such ideal:
-
-- `with_extra` adds elements, for its degrevlex basis, which covers the
-  split candidates of `minimal_primes` and the normal cone of `cones`.
-- `translate` moves a point to the origin, for its degrevlex basis: the
-  moved basis keeps its leads, so no pair is queued.  At the origin the
-  ideal is its own translate.  `euler` works on these.
+- An ideal derived from another is built at once, by one Buchberger run
+  that starts from the parent's reduced degrevlex basis as a known Groebner
+  basis and pairs only the new elements.  One method,
+  `IdealPresentation._derived`, builds every such ideal.  `with_extra` adds
+  elements: the split candidates of `minimal_primes`, which keeps its
+  primes as they come, and the normal cone of `cones`.  `translate` moves a
+  point to the origin, and the moved basis keeps its leads, so no pair is
+  queued; at the origin the ideal is its own translate.  `euler` works on
+  these.
 
 `saturate` extends I's reduced basis in the same way, under the block
 order of its one run over R[w].  Radical membership is a saturation:
@@ -65,7 +62,7 @@ from .errors import (
     RingMismatchError,
 )
 from .factor import factor_polynomial, gram_matrix
-from .groebner import _Divider, _Extending, buchberger
+from .groebner import _Divider, buchberger
 from .linalg import _echelon, _primitive, rational_rank
 from .poly import (
     Polynomial,
@@ -86,7 +83,7 @@ class IdealPresentation:
     their terms; no basis is rendered as text for either.
     """
 
-    __slots__ = ("ring", "generators", "_basis", "_extends", "_divide")
+    __slots__ = ("ring", "generators", "_basis", "_divide")
 
     def __init__(self, rng: RingDescriptor, generators):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -96,9 +93,6 @@ class IdealPresentation:
         self.ring = rng
         self.generators = gens
         self._basis = None  # the reduced degrevlex basis, once computed
-        # _Extending(basis, extra): this ideal is (basis) + (extra), and basis
-        # is a degrevlex Groebner basis
-        self._extends = None
         self._divide = None  # division by the reduced degrevlex basis
 
     @classmethod
@@ -109,19 +103,18 @@ class IdealPresentation:
         Buchberger run repeats it.
 
         Callers: `_restricted` (the part of a reduced basis in a subring's
-        variables, for `eliminate` and the cone images), `minimal_primes`
-        (each prime's own basis) and `hilb.monomial_ideal_of` (the minimal
-        generators of a monomial ideal)."""
+        variables, for `eliminate` and the cone images), `_derived` (the
+        basis of `with_extra` and `translate`) and `hilb.monomial_ideal_of`
+        (the minimal generators of a monomial ideal)."""
         I = cls(rng, basis)
         I._basis = I.generators
         return I
 
     def gb(self) -> tuple:
-        """The reduced degrevlex basis, computed on first use: from the known
-        prefix of a derived ideal, else from the generators."""
+        """The reduced degrevlex basis, computed from the generators on first
+        use."""
         if self._basis is None:
-            self._basis = tuple(buchberger(self._extends or self.generators,
-                                           degrevlex(self.ring)))
+            self._basis = tuple(buchberger(self.generators, degrevlex(self.ring)))
         return self._basis
 
     def signature(self) -> tuple:
@@ -146,14 +139,12 @@ class IdealPresentation:
         return len(gb) == 1 and gb[0].is_constant()
 
     def _derived(self, move, extra=()) -> "IdealPresentation":
-        """The ideal generated by `move(g)` for g in self's generators, and
-        `extra`.  `move` must carry self's reduced degrevlex basis to a
-        Groebner basis of the moved ideal, which the new ideal's degrevlex
-        basis extends by `extra`."""
-        extra = tuple(extra)
-        J = IdealPresentation(self.ring, [move(g) for g in self.generators] + list(extra))
-        J._extends = _Extending(map(move, self.gb()), extra)
-        return J
+        """The ideal generated by `move(g)` for g in self's reduced degrevlex
+        basis, and `extra`, presented by its own reduced basis.  `move` must
+        carry self's basis to a degrevlex Groebner basis of the moved ideal,
+        which one Buchberger run extends by `extra`."""
+        return IdealPresentation.from_reduced_basis(self.ring, buchberger(
+            extra, degrevlex(self.ring), known=map(move, self.gb())))
 
     def with_extra(self, extra) -> "IdealPresentation":
         """The ideal self + (extra), whose degrevlex basis extends self's."""
@@ -165,6 +156,8 @@ class IdealPresentation:
         keeps each polynomial's top-degree form, so the leads under a graded
         order: self's degrevlex basis moves to a Groebner basis of the new
         ideal, which its degrevlex basis extends with no pair queued."""
+        if len(point) != self.ring.arity:
+            raise ValueError("point arity mismatch")
         if all(self.ring.coeff(c) == 0 for c in point):
             return self
         return self._derived(lambda g: g.translate(point))
@@ -251,8 +244,8 @@ def saturate(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     inverse = Polynomial.one(ext) - wpoly * transplant(f, ext)
     # the block order compares w-free monomials by degrevlex of R, so I's
     # reduced basis stays a Groebner basis of I*R[w] under it
-    known = _Extending((transplant(g, ext) for g in I.gb()), (inverse,))
-    return _restricted(buchberger(known, elimination_order(ext, (w,))), I.ring)
+    return _restricted(buchberger((inverse,), elimination_order(ext, (w,)),
+                                  known=(transplant(g, ext) for g in I.gb())), I.ring)
 
 
 def radical_contains(I: IdealPresentation, f: Polynomial) -> bool:
@@ -551,10 +544,7 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
                 work.append(K.with_extra((f,)))
             continue
         status = "certified" if verdict[0] == "prime" else "undecided"
-        # canonical presentation: downstream cone computations and JSON
-        # output both key off the generator list
-        P = IdealPresentation.from_reduced_basis(K.ring, basis)
-        found.append((P, status, _lead_series(P)))
+        found.append((K, status, _lead_series(K)))
 
     # keep the ideals minimal under inclusion
     return [(K, status, series) for K, status, series in found

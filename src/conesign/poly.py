@@ -468,6 +468,8 @@ class Polynomial:
 
     def translate(self, point) -> "Polynomial":
         """Substitute x_i -> x_i + point_i (moves `point` to the origin)."""
+        if len(point) != self.ring.arity:
+            raise ValueError("point arity mismatch")
         if all(self.ring.coeff(v) == 0 for v in point):
             return self
         out = Polynomial.zero(self.ring)

@@ -16,6 +16,7 @@ import conesign.euler
 from conesign import ring
 from conesign.cli import CONFIG_ENV, main, parse_args, parse_point
 from conesign.hilb import parity_scan
+from conesign.poly import _PRIME_TEST_BOUND
 
 AXES = "ring x, y, z;\nxy, xz, yz\n"
 PAIR = (
@@ -631,6 +632,28 @@ def test_char_rejected_elsewhere(files, capsys, no_work, path):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "requires characteristic 0" in err
     assert no_work == []
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    (["--char", "4"], None, "--char must be 0 or a prime, got 4"),
+    (["--char", "1"], None, "--char must be 0 or a prime, got 1"),
+    (["--char", "-7"], None, "--char must be 0 or a prime, got -7"),
+    ([], {"characteristic": 4}, "characteristic in the config must be 0 or a prime, got 4"),
+    (["--char", str(_PRIME_TEST_BOUND)], None, "--char must be 0 or a prime below"),
+])
+@pytest.mark.parametrize("path", [("dim",), ("cycle",)], ids=" ".join)
+def test_a_characteristic_that_is_not_a_prime_exits_1_before_any_work(
+        tmp_path, monkeypatch, capsys, flags, config, named, path):
+    # the ideal file is missing, so only a check made before it is read
+    # names the characteristic; the error used to be the missing file, or
+    # for cycle that it requires characteristic 0
+    if config is not None:
+        cfg = tmp_path / "conesign.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    code, out, err = run_cli([*flags, *path, "--ideal", str(tmp_path / "missing.ideal")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {named}")
 
 
 # -------------------------------------------------------- output formats

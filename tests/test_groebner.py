@@ -35,7 +35,6 @@ from conesign import (
 from conesign import groebner
 from conesign.groebner import (
     _Divider,
-    _Extending,
     _packing,
     _reduce_terms,
     _syzygies,
@@ -566,7 +565,7 @@ def check_run_from_a_known_basis(case, kind, rnd):
         # any Groebner basis may be the known part, not only a reduced one
         shift = Polynomial.from_monomial(rng, [rnd.randint(0, 1) for _ in range(rng.arity)])
         known.insert(rnd.randint(0, len(G)), rnd.choice(G) * shift)
-    got = buchberger(_Extending(known, extra), order)
+    got = buchberger(extra, order, known=known)
     assert got == buchberger(G + extra, order)
     # and a Groebner basis of G + extra
     assert_groebner_basis([g.terms for g in got], [f.terms for f in fs + extra],

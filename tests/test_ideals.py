@@ -300,15 +300,16 @@ def test_saturation_extends_a_cached_basis_to_the_same_answer(monkeypatch, gens,
     G = warm.gb()
     runs, real = [], conesign.ideals.buchberger
 
-    def kept(gens, order, *args, **kwargs):
-        runs.append((gens, real(gens, order, *args, **kwargs)))
-        return runs[-1][1]
+    def kept(gens, order, *args, known=(), **kwargs):
+        gens, known = list(gens), list(known)
+        runs.append((known, gens, real(gens, order, *args, known=known, **kwargs)))
+        return runs[-1][2]
 
     monkeypatch.setattr(conesign.ideals, "buchberger", kept)
     S, T = saturate(cold, f), saturate(warm, f)
     assert radical_contains(cold, f) == radical_contains(warm, f) == in_radical
     # the one run from scratch is cold's own basis, which every R[w] run extends
-    assert known_prefixes([gens for gens, _ in runs]) == [0] + [len(G)] * 4
+    assert known_prefixes(runs) == [0] + [len(G)] * 4
     assert S.gb() == T.gb()
     assert T == I(sat, R3)
     # checked by a division routine that shares no code with the package:
@@ -316,7 +317,7 @@ def test_saturation_extends_a_cached_basis_to_the_same_answer(monkeypatch, gens,
     # the known prefix is a Groebner basis under the block order, w first
     block = lambda e: (grevlex_key(e[3:]), grevlex_key(e[:3]))
     checks = [([g.terms for g in T.gb()], G, grevlex_key)]
-    checks += [([g.terms for g in basis], gens, block) for gens, basis in runs[1:]]
+    checks += [([g.terms for g in basis], known + gens, block) for known, gens, basis in runs[1:]]
     for basis, gens, key in checks:
         for g in gens:
             assert division_remainder(g.terms, basis, key=key) == {}
@@ -781,13 +782,15 @@ def test_from_reduced_basis_runs_no_buchberger(monkeypatch):
 
 
 def counted_buchberger(monkeypatch):
-    """The list of the inputs of every Buchberger run from here on."""
+    """The list of the inputs (known, gens) of every Buchberger run from
+    here on."""
     calls = []
     real = conesign.ideals.buchberger
 
-    def counted(gens, order, *args, **kwargs):
-        calls.append(gens)
-        return real(gens, order, *args, **kwargs)
+    def counted(gens, order, *args, known=(), **kwargs):
+        gens, known = list(gens), list(known)
+        calls.append((known, gens))
+        return real(gens, order, *args, known=known, **kwargs)
 
     monkeypatch.setattr(conesign.ideals, "buchberger", counted)
     return calls
@@ -795,10 +798,10 @@ def counted_buchberger(monkeypatch):
 
 def known_prefixes(calls):
     """The length of the known Groebner prefix of each run (0 from scratch)."""
-    return [getattr(gens, "known", 0) for gens in calls]
+    return [len(known) for known, *_ in calls]
 
 
-def test_with_extra_extends_a_cached_basis_and_keeps_the_generators(monkeypatch):
+def test_with_extra_extends_a_cached_basis(monkeypatch):
     K = I("x^2 - y, x*y - 1")
     f = parse_polynomial("x - 1", R2)
     calls = counted_buchberger(monkeypatch)
@@ -807,7 +810,7 @@ def test_with_extra_extends_a_cached_basis_and_keeps_the_generators(monkeypatch)
     warm = K.with_extra((f,))
     assert warm.gb() == first.gb()
     assert known_prefixes(calls) == [0, len(G), len(G)]
-    assert warm.generators == first.generators == K.generators + (f,)
+    assert warm.generators == warm.gb()
     # the same answer as Buchberger from the generators
     assert warm.gb() == IdealPresentation(R2, warm.generators).gb() == I("x - 1, y - 1").gb()
 
@@ -822,11 +825,29 @@ def test_translate_carries_a_cached_basis_to_the_same_answer(monkeypatch):
     warm = V.translate(point)
     assert warm.gb() == first.gb()
     assert known_prefixes(calls) == [0, len(G), len(G)]
-    assert warm.generators == tuple(g.translate(point) for g in V.generators)
+    assert warm.generators == warm.gb()
     # the same answer as Buchberger from the moved generators
     assert warm.gb() == IdealPresentation(R3, warm.generators).gb()
     # at the origin the ideal is its own translate
     assert V.translate((0, 0, 0)) is V
+
+
+def test_a_derived_ideal_costs_one_move_per_basis_element_and_one_run(monkeypatch):
+    V = ideal(R3, "x*z - y^2 + z, y - x^2 + 3, z^2 - x*y")
+    G = V.gb()
+    moved, real = [], Polynomial.translate
+
+    def counted(f, point):
+        moved.append(f)
+        return real(f, point)
+
+    monkeypatch.setattr(Polynomial, "translate", counted)
+    calls = counted_buchberger(monkeypatch)
+    V.translate((1, 2, -1))
+    assert moved == list(G)
+    calls.clear()
+    V.with_extra((parse_polynomial("x*y*z", R3),))
+    assert known_prefixes(calls) == [len(G)]
 
 
 def test_derived_ideals_keep_their_reduced_basis(monkeypatch):
@@ -867,6 +888,24 @@ def small_ideals(draw):
     terms = st.dictionaries(mono, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
     polys = st.builds(lambda t: Polynomial(rng, t), terms)
     return rng, draw(st.lists(polys, min_size=1, max_size=3)), draw(polys)
+
+
+@given(case=small_ideals(), shift=st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_derived_ideals_equal_the_ideals_of_their_moved_and_added_generators(case, shift):
+    # a derived ideal keeps no moved generators of its parent, only the
+    # basis one run extends from the parent's: the same ideal as the one
+    # presented by the generators themselves
+    rng, gens, f = case
+    point = tuple(shift[:rng.arity])
+    assume(any(point))
+    V = IdealPresentation(rng, gens)
+    for J, fresh in [(V.with_extra((f,)), IdealPresentation(rng, gens + [f])),
+                     (V.translate(point),
+                      IdealPresentation(rng, [g.translate(point) for g in gens]))]:
+        assert J == fresh
+        assert J.generators == J.gb()
+        assert_handed_on_basis_is_reduced(J)
 
 
 def assert_handed_on_basis_is_reduced(J):

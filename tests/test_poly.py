@@ -17,6 +17,7 @@ from conesign import (
     UnknownVariableError,
     degrevlex,
     elimination_order,
+    ideal,
     lex,
     parse_generators,
     parse_polynomial,
@@ -257,6 +258,17 @@ def test_translate_shifts_the_origin():
     g = f.translate((1, 1))
     assert g.evaluate((0, 0)) == 0
     assert g == parse_polynomial("(y+1)^2 - (x+1)^3", R2)
+
+
+@pytest.mark.parametrize("point", [(1, 2, 3), (1,), (0, 0, 0), ()])
+def test_translate_refuses_a_point_of_another_arity(point):
+    # a third coordinate was dropped, and a missing one ended in an
+    # IndexError; the ideal's translate moved its basis by the first two
+    f = P("y^2 - x^3")
+    with pytest.raises(ValueError, match="point arity mismatch"):
+        f.translate(point)
+    with pytest.raises(ValueError, match="point arity mismatch"):
+        ideal(R2, "y^2 - x^3, x*y").translate(point)
 
 
 def test_characteristic_p_reduction():

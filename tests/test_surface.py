@@ -105,7 +105,7 @@ def test_every_private_name_is_used_beyond_its_definition():
 def test_only_ideal_presentation_touches_its_basis_caches():
     # whether a derived ideal starts from its parent's reduced basis is
     # decided in one class, so no other code reads or writes what it keeps
-    private = {"_basis", "_extends"}
+    private = {"_basis"}
 
     def uses(node):
         return [n for n in ast.walk(node)
