@@ -21,6 +21,11 @@ Intersection Theory, ch. 4 and B.6):
   V(J) is the union of the images.  A component dominates exactly when its
   image lies in the radical of every other component's image, which is its
   own radical when the component is certified prime.
+- The normal cone of a subscheme of a purely N-dimensional scheme is purely
+  N-dimensional (B.6.6), and affine N-space is one.  So every component has
+  dimension N, the arity of J's ring, and the decomposition runs with a
+  floor there: a split candidate of lower dimension holds no component and
+  is dropped as soon as its basis is known, neither certified nor split.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ from collections import namedtuple
 from .ideals import (
     IdealPresentation,
     _fresh_name,
+    _minimal_primes,
     _restricted,
     contains_ideal,
     dimension,
     eliminate,
-    minimal_primes,
     radical_contains,
     transplant,
 )
@@ -118,10 +123,11 @@ def cone_components(J: IdealPresentation) -> list:
     when its image lies in the radical of every other image (Fulton,
     Intersection Theory, ch. 4 and B.6).  Inclusion decides against a
     certified component, whose image is prime, and a radical test against
-    an undecided one.
+    an undecided one.  Every component has the dimension N of J's ring
+    (B.6.6), so no candidate of lower dimension is split.
     """
     C, _ = normal_cone_ideal(J)
-    comps = minimal_primes(C)
+    comps = _minimal_primes(C, J.ring.arity)
     images = [_restricted(comp.prime.gb(), J.ring) for comp in comps]
     out = []
     for i, (comp, image) in enumerate(zip(comps, images)):

@@ -473,7 +473,7 @@ def _geometric_flag(I: IdealPresentation) -> str:
     return "unknown"
 
 
-def _certify_prime(I: IdealPresentation, irreducible=None):
+def _certify_prime(I: IdealPresentation, irreducible=None, series=None):
     """('prime',) / ('split', polys) / ('undecided',).
 
     The reduced basis of a prime has no reducible element, so the first
@@ -487,7 +487,7 @@ def _certify_prime(I: IdealPresentation, irreducible=None):
 
     `irreducible` holds polynomials already found not to factor, which
     are not factored again; each basis element found not to factor here
-    joins it.
+    joins it.  `series` is I's `_lead_series` when the caller has it.
     """
     irreducible = set() if irreducible is None else irreducible
     gb = I.gb()
@@ -502,7 +502,7 @@ def _certify_prime(I: IdealPresentation, irreducible=None):
         irreducible.add(g)
     if _is_linear(gb) or len(gb) == 1:
         return ("prime",)
-    Q, D = _lead_series(I)
+    Q, D = _lead_series(I) if series is None else series
     if D == 0:
         size = sum(Q)
         for var in range(I.ring.arity):
@@ -515,17 +515,24 @@ def _certify_prime(I: IdealPresentation, irreducible=None):
     return ("undecided",)
 
 
-def _minimal_prime_list(I: IdealPresentation) -> list:
-    """The minimal primes of I, each presented by its reduced basis, as
-    (prime, status, series) triples: status is "certified" or "undecided",
-    and series the prime's `_lead_series`.
+def _minimal_prime_list(I: IdealPresentation, floor: int = 0) -> list:
+    """The minimal primes of I of dimension at least `floor`, each presented
+    by its reduced basis, as (prime, status, series) triples: status is
+    "certified" or "undecided", and series the prime's `_lead_series`.
+
+    A candidate K of dimension below `floor` is dropped as soon as its basis
+    is known, neither certified nor split: every prime over K has dimension
+    at most dim K.  So the list is the unfloored list's members of dimension
+    at least `floor`.  `cones` sets the floor at N for the normal cone of a
+    subscheme of A^N, which is purely N-dimensional (Fulton, Intersection
+    Theory, B.6.6).  The unit ideal, of dimension -1, lies below the
+    floor and leaves nothing.
 
     A candidate K is dropped when another candidate L lies inside it.  A
     prime L properly inside K has dim L > dim K, since every proper quotient
     of an affine domain has lower dimension; so a certified L of dimension
     at most dim K is never tested.  An undecided L may not be prime and is
-    tested against every K.  The unit ideal splits into no factors, so it
-    leaves nothing.
+    tested against every K.
     """
     found = []
     seen = set()
@@ -538,13 +545,16 @@ def _minimal_prime_list(I: IdealPresentation) -> list:
         if basis in seen:
             continue
         seen.add(basis)
-        verdict = _certify_prime(K, irreducible)
+        series = _lead_series(K)
+        if series[1] < floor:
+            continue
+        verdict = _certify_prime(K, irreducible, series)
         if verdict[0] == "split":
             for f in verdict[1]:
                 work.append(K.with_extra((f,)))
             continue
         status = "certified" if verdict[0] == "prime" else "undecided"
-        found.append((K, status, _lead_series(K)))
+        found.append((K, status, series))
 
     # keep the ideals minimal under inclusion
     return [(K, status, series) for K, status, series in found
@@ -563,7 +573,15 @@ def minimal_primes(I: IdealPresentation) -> list:
     saturations need not close: the multiplicities' ArithmeticError or
     ValueError becomes PrimalityUndecidedError.
     """
-    keep = _minimal_prime_list(I)
+    return _minimal_primes(I)
+
+
+def _minimal_primes(I: IdealPresentation, floor: int = 0) -> list:
+    """`minimal_primes` of I, keeping the primes of dimension at least
+    `floor` (see `_minimal_prime_list`).  Their multiplicities are those of
+    the full decomposition: the chain reads only top-dimensional degrees,
+    and each dropped prime lies below every kept one."""
+    keep = _minimal_prime_list(I, floor)
     primes = [K for K, _, _ in keep]
     series = [s for _, _, s in keep]
     try:

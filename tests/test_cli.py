@@ -445,17 +445,39 @@ def test_undecided_falsifier_is_inconclusive(files, capsys):
     assert json.loads(out)["result"]["overall"] == "inconclusive"
 
 
-@pytest.mark.parametrize("command", ["mincomp", "cycle", "cone", "falsify"])
+UNDECIDED = "ring x, y;\nx^2 - 2, (y - x)*(y^2 - 2)\n"
+
+
+@pytest.mark.parametrize("command", ["mincomp", "falsify"])
 def test_an_undecided_component_without_a_multiplicity_is_inconclusive(tmp_path, command):
     # the kept component (x^2 - 2, y^2 - 2) is undecided and not prime, so
     # the multiplicities of the decomposition do not exist
     path = tmp_path / "undecided.ideal"
-    path.write_text("ring x, y;\nx^2 - 2, (y - x)*(y^2 - 2)\n", encoding="utf-8")
+    path.write_text(UNDECIDED, encoding="utf-8")
     run = subprocess.run(
         [sys.executable, "-m", "conesign.cli", command, "--ideal", str(path)],
         capture_output=True, text=True, env=cli_env(), timeout=60)
     assert run.returncode == 2
     assert run.stderr.startswith("inconclusive:") and "Traceback" not in run.stderr
+
+
+def test_the_cone_of_an_ideal_with_an_undecided_component_has_its_multiplicities(
+        tmp_path, capsys):
+    # the cone of J lies in R[e1, e2, e3] and has dimension 2, like A^2, so
+    # its decomposition splits no candidate of dimension 1, and no undecided
+    # one is kept beside its components.  By hand: J has length 2 at the
+    # points y = x = a, a = +-sqrt 2, where it is (x - a, (y - a)^2) locally,
+    # and length 1 at y = -x, where y - x is a unit
+    path = tmp_path / "undecided.ideal"
+    path.write_text(UNDECIDED, encoding="utf-8")
+    cycle = run_json(["cycle", "--ideal", str(path)], capsys)["result"]
+    assert cycle == {"terms": [{"coeff": 1, "prime": ["x + y", "y^2 - 2"]},
+                               {"coeff": 2, "prime": ["x - y", "y^2 - 2"]}]}
+    cone = run_json(["cone", "--ideal", str(path)], capsys)["result"]["components"]
+    assert [(c["image"], c["image_dim"], c["multiplicity"], c["dominates"],
+             c["primality_status"]) for c in cone] == [
+        (["x + y", "y^2 - 2"], 0, 1, False, "undecided"),
+        (["x - y", "y^2 - 2"], 0, 2, False, "undecided")]
 
 
 def test_enumeration_bound_is_inconclusive(capsys):

@@ -21,6 +21,11 @@ from conesign import (
     signed_support_cycle,
     transplant,
 )
+from conesign.cli import load_ideal_file
+from conesign.errors import ConesignError
+from conesign.ideals import _lead_series, _minimal_prime_list
+from test_cli_fuzz import COUNT as FUZZ_COUNT
+from test_cli_fuzz import ideal_files
 
 R1 = ring("x")
 R2 = ring("x, y")
@@ -202,6 +207,57 @@ def test_cone_is_equidimensional_of_ambient_dimension(J):
         assert dimension(c.cone_prime) == n
 
 
+# the ideals of the benchmark's cone workload, moved off the origin, and
+# one whose unfloored cone decomposition keeps undecided candidates of
+# dimension 1 beside its components of dimension 2
+WORKLOAD_BASES = [(R3, "xy, xz, yz"), (R3, "x^2, x*y, x*z, y*z"), (R2, "y^2, x*y"),
+                  (R3, "x*y, x*z"), (R1, "x^2"), (R2, "x^2 - 2, (y - x)*(y^2 - 2)")]
+
+
+def floor_cases(tmp_path):
+    """The fuzz corpus's seed-0 ideal files that load, then each of
+    `WORKLOAD_BASES` translated to a seeded point of {-2..2}^N."""
+    rnd = random.Random(0)
+    out = []
+    for i, text in enumerate(ideal_files(0, FUZZ_COUNT)):
+        path = tmp_path / f"fuzz{i}.ideal"
+        path.write_text(text, encoding="utf-8")
+        try:
+            out.append(load_ideal_file(str(path), 0, 16))
+        except (ValueError, ConesignError):
+            continue
+    for rng, text in WORKLOAD_BASES:
+        point = tuple(rnd.randint(-2, 2) for _ in range(rng.arity))
+        out.append(ideal(rng, text).translate(point))
+    return out
+
+
+def by_text(triples):
+    """(prime, status, series) triples in a comparable, ordered form."""
+    return sorted((K.signature(), status, series) for K, status, series in triples)
+
+
+def test_a_cone_decomposes_with_a_floor_at_its_own_dimension(tmp_path):
+    # the cone of J in A^N is purely N-dimensional (Fulton, Intersection
+    # Theory, B.6.6): every component has dimension N, and the floored list
+    # is the unfloored one's members of dimension N
+    cases = floor_cases(tmp_path)
+    assert len(cases) > 30
+    below = 0
+    for J in cases:
+        n = J.ring.arity
+        C, _ = normal_cone_ideal(J)
+        floored, full = _minimal_prime_list(C, n), _minimal_prime_list(C)
+        assert by_text(floored) == by_text(t for t in full if t[2][1] == n)
+        below += len(full) > len(floored)
+        comps = cone_components(J)
+        assert by_text(floored) == by_text(
+            (c.cone_prime, c.primality, _lead_series(c.cone_prime)) for c in comps)
+        assert all(dimension(c.cone_prime) == n for c in comps)
+    # the corpus reaches an unfloored list with a member below the floor
+    assert below
+
+
 @pytest.mark.parametrize("J", CORPUS, ids=lambda J: ",".join(g.to_text() for g in J.generators))
 def test_cone_images_contain_the_ideal_and_dominate_consistently(J):
     for c in cone_components(J):
@@ -270,7 +326,7 @@ def test_dominance_over_an_undecided_component_is_decided_by_radicals(monkeypatc
     assert [c.prime.signature() for c in real][1] == ("y", "x")
     fat = ideal(cone.ring, "x, y^2")
     comps = [real[0], real[1]._replace(prime=fat, primality="undecided")]
-    monkeypatch.setattr(conesign.cones, "minimal_primes", lambda C: comps)
+    monkeypatch.setattr(conesign.cones, "_minimal_primes", lambda C, floor: comps)
     out = cone_components(J)
     assert [c.image.signature() for c in out] == [("y",), ("x", "y^2")]
     assert [c.dominates for c in out] == [True, False]

@@ -42,6 +42,7 @@ from conesign import (
     ideal,
     jacobian,
     minimal_primes,
+    normal_cone_ideal,
     parse_polynomial,
     radical_contains,
     ring,
@@ -569,8 +570,8 @@ def test_minimality_tests_a_certified_prime_only_against_candidates_of_lower_dim
     verdicts, pairs = {}, []
     real_certify, real_contains = _certify_prime, conesign.ideals.contains_ideal
 
-    def certify(K, irreducible=None):
-        verdicts[K.gb()] = verdict = real_certify(K, irreducible)
+    def certify(K, irreducible=None, series=None):
+        verdicts[K.gb()] = verdict = real_certify(K, irreducible, series)
         return verdict
 
     def contains(big, small):
@@ -848,6 +849,24 @@ def test_a_derived_ideal_costs_one_move_per_basis_element_and_one_run(monkeypatc
     calls.clear()
     V.with_extra((parse_polynomial("x*y*z", R3),))
     assert known_prefixes(calls) == [len(G)]
+
+
+@pytest.mark.parametrize("text, floored, unfloored", [("x^2, x*y, x*z, y*z", 16, 44),
+                                                      ("xy, xz, yz", 12, 16)])
+def test_a_normal_cone_splits_no_candidate_below_its_dimension(
+        monkeypatch, text, floored, unfloored):
+    # the cone of an ideal of Q[x, y, z] has dimension 3 (Fulton B.6.6), and
+    # so has each of its components; with the floor at 3 a candidate of lower
+    # dimension is dropped unsplit, and each run derives a candidate
+    C, _ = normal_cone_ideal(I(text, R3))
+    C.gb()
+    calls = counted_buchberger(monkeypatch)
+    kept = conesign.ideals._minimal_prime_list(C, 3)
+    assert len(calls) == floored and all(known_prefixes(calls))
+    assert [series[1] for _, _, series in kept] == [3] * len(kept)
+    calls.clear()
+    assert conesign.ideals._minimal_prime_list(C) == kept
+    assert len(calls) == unfloored
 
 
 def test_derived_ideals_keep_their_reduced_basis(monkeypatch):
