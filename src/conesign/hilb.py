@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import os
 from collections import namedtuple
+from fractions import Fraction
 from itertools import permutations
 from math import lcm
 from operator import itemgetter
@@ -44,12 +45,17 @@ _DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # the largest partition size enumerated unless a bound is given
 _MAX_N = 8
 _AXIS_PERMUTATIONS = tuple(itemgetter(*axes) for axes in permutations(range(3)))
+# the ring of every plane partition's monomial ideal
+_XYZ = ring("x, y, z")
+_ONE = Fraction(1)
 
 
 def _closed_below(b, boxes) -> bool:
     """Whether every b − e_i with b_i > 0 is one of the boxes."""
-    return all(tuple(c - 1 if j == i else c for j, c in enumerate(b)) in boxes
-               for i in range(3) if b[i] > 0)
+    x, y, z = b
+    return ((not x or (x - 1, y, z) in boxes)
+            and (not y or (x, y - 1, z) in boxes)
+            and (not z or (x, y, z - 1) in boxes))
 
 
 class PlanePartition(namedtuple("PlanePartition", "boxes")):
@@ -57,9 +63,11 @@ class PlanePartition(namedtuple("PlanePartition", "boxes")):
 
     __slots__ = ()
 
-    def __new__(cls, boxes: frozenset):
+    def __new__(cls, boxes):
+        # a set, so a repeated box counts once and the partition hashes
+        boxes = frozenset(boxes)
         for b in boxes:
-            if len(b) != 3 or any(c < 0 for c in b):
+            if len(b) != 3 or any(type(c) is not int or c < 0 for c in b):
                 raise ValueError(f"bad box {b!r}")
             if not _closed_below(b, boxes):
                 raise ValueError(f"box set is not downward closed at {b!r}")
@@ -123,10 +131,9 @@ def monomial_ideal_of(p: PlanePartition) -> IdealPresentation:
     the outer corners of the partition, sorted by ascending degrevlex lead.
     The minimal generators of a monomial ideal are its reduced basis under
     every order."""
-    rng = ring("x, y, z")
-    gens = sorted(_outer_corners(p.boxes), key=degrevlex(rng).key)
+    gens = sorted(_outer_corners(p.boxes), key=degrevlex(_XYZ).key)
     return IdealPresentation.from_reduced_basis(
-        rng, [Polynomial.from_monomial(rng, m) for m in gens])
+        _XYZ, [Polynomial(_XYZ, {m: _ONE}, normalize=False) for m in gens])
 
 
 class TangentReport(namedtuple("TangentReport", "colength tangent_dim parity_holds rank")):
@@ -161,12 +168,6 @@ class ScanSummary(namedtuple("ScanSummary", "n count rows violations max_tangent
         }
 
 
-def _orbit_key(boxes) -> tuple:
-    """An exact key for the orbit of a box set under the permutations of
-    x, y and z: the least of its six sorted box tuples."""
-    return min(tuple(sorted(map(swap, boxes))) for swap in _AXIS_PERMUTATIONS)
-
-
 def _scan_worker(p: PlanePartition) -> int:
     return tangent_dimension_hilb(monomial_ideal_of(p)).tangent_dim
 
@@ -184,23 +185,32 @@ def parity_scan(n: int, jobs: int = 1, bound: int = _MAX_N) -> ScanSummary:
 
     Permuting x, y and z is an automorphism of A^3, so partitions in one
     orbit under it have the same tangent dimension: it is computed once per
-    orbit, at the orbit's first partition, and read back for every row.
+    orbit, at the orbit's first partition in enumeration order, and read
+    back for every row.  The first partition of an orbit registers its six
+    axis-permuted box sets under the orbit's number, so each later one finds
+    its orbit by one lookup of its own box set.
     """
     parts = enumerate_plane_partitions(n, bound=bound)
-    keys = [_orbit_key(p.boxes) for p in parts]
-    first = {}
-    for key, p in zip(keys, parts):
-        first.setdefault(key, p)
-    workers = _worker_count(jobs, len(first))
+    orbit_of = {}
+    firsts = []
+    orbits = []
+    for p in parts:
+        orbit = orbit_of.get(p.boxes)
+        if orbit is None:
+            orbit = len(firsts)
+            firsts.append(p)
+            for swap in _AXIS_PERMUTATIONS:
+                orbit_of[frozenset(map(swap, p.boxes))] = orbit
+        orbits.append(orbit)
+    workers = _worker_count(jobs, len(firsts))
     if workers > 1:
         # imported only here, so start-up does not pay for the pool machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            orbit_dims = list(pool.map(_scan_worker, first.values()))
+            orbit_dims = list(pool.map(_scan_worker, firsts))
     else:
-        orbit_dims = [_scan_worker(p) for p in first.values()]
-    dim_of = dict(zip(first, orbit_dims))
-    dims = [dim_of[key] for key in keys]
+        orbit_dims = [_scan_worker(p) for p in firsts]
+    dims = [orbit_dims[orbit] for orbit in orbits]
     rows = []
     violations = []
     for i, t in enumerate(dims):
@@ -251,13 +261,16 @@ def _tangent_report(divide: _Divider, rank: int) -> TangentReport:
     for s, _ in _syzygies(divide):
         # one equation per quotient term, unknowns the coordinates of phi(g_j);
         # the syzygy's equations are scaled by the lcm of the multipliers
-        # they meet, so every entry is an integer
-        parts = [(j * n + bi, c, remainder(t + m))
+        # they meet, so every entry is an integer.  A term in K has remainder
+        # 0 and meets no equation, so it makes no part and its multiplier
+        # does not enter the scale
+        parts = [(j * n + bi, c, rem, lam)
                  for j, a in enumerate(s) for t, c in a.items()
-                 for bi, m in enumerate(std)]
-        scale = lcm(*{lam for _, _, (_, lam) in parts})
+                 for bi, m in enumerate(std)
+                 for rem, lam in (remainder(t + m),) if rem]
+        scale = lcm(*{lam for *_, lam in parts})
         per_target = {}
-        for col, c, (rem, lam) in parts:
+        for col, c, rem, lam in parts:
             c *= scale // lam
             for target, d in rem.items():
                 row = per_target.setdefault(target, {})

@@ -36,7 +36,7 @@ from conesign import (
 import conesign.hilb
 import conesign.ideals
 from conesign.groebner import _Divider
-from conesign.hilb import _orbit_key, _worker_count
+from conesign.hilb import _worker_count
 from conesign.linalg import rational_rank
 from conesign.poly import degrevlex
 
@@ -53,7 +53,7 @@ def mono(e):
 
 
 def test_partition_counts_against_independent_enumerator():
-    expected = {1: 1, 2: 3, 3: 6, 4: 13, 5: 24, 6: 48}
+    expected = {1: 1, 2: 3, 3: 6, 4: 13, 5: 24, 6: 48, 7: 86, 8: 160}
     for n, count in expected.items():
         oracle = height_matrix_partitions(n)
         assert len(oracle) == count
@@ -83,10 +83,12 @@ def test_enumeration_bounds():
 
 
 def test_partition_rejects_gaps():
-    with pytest.raises(ValueError):
-        PlanePartition(frozenset({(0, 0, 0), (2, 0, 0)}))
-    with pytest.raises(ValueError):
-        PlanePartition(frozenset({(1, 0, 0)}))
+    # a gap along each axis, and a box closed below along y but not along x
+    gaps = [{(0, 0, 0), (2, 0, 0)}, {(1, 0, 0)}, {(0, 0, 0), (0, 2, 0)},
+            {(0, 0, 0), (0, 0, 2)}, {(0, 0, 0), (1, 0, 0), (1, 1, 0)}]
+    for boxes in gaps:
+        with pytest.raises(ValueError, match="not downward closed"):
+            PlanePartition(frozenset(boxes))
 
 
 def permuted(p: PlanePartition, perm) -> PlanePartition:
@@ -99,6 +101,24 @@ def test_partition_rejects_bad_boxes():
         PlanePartition(frozenset({(0, 0)}))
     with pytest.raises(ValueError):
         PlanePartition(frozenset({(0, 0, -1)}))
+    # a coordinate must be an int, not a bool, a float or a string
+    for box in [(0.0, 0, 0), (False, 0, 0), (0, True, 0), (0, 0, "0")]:
+        with pytest.raises(ValueError, match="bad box"):
+            PlanePartition([box])
+
+
+def test_partition_stores_its_boxes_as_one_frozenset():
+    # a repeated box counts once, and a partition built from a list or a
+    # set hashes like the one built from the frozenset
+    twice = PlanePartition([(0, 0, 0), (0, 0, 0)])
+    assert twice.size == 1
+    assert twice.to_json_dict() == {"boxes": [[0, 0, 0]]}
+    assert colength(monomial_ideal_of(twice)) == 1
+    boxes = {(0, 0, 0), (1, 0, 0), (0, 1, 0)}
+    p = PlanePartition(frozenset(boxes))
+    for q in (PlanePartition(boxes), PlanePartition(sorted(boxes))):
+        assert type(q.boxes) is frozenset
+        assert q == p and hash(q) == hash(p)
 
 
 def test_partition_permutation_and_json():
@@ -436,8 +456,8 @@ def test_scan_respects_bounds():
         parity_scan(4, bound=3)
 
 
-def test_scan_rows_match_the_tangent_routine_through_six():
-    for n in range(1, 7):
+def test_scan_rows_match_the_tangent_routine_through_eight():
+    for n in range(1, 9):
         parts = enumerate_plane_partitions(n)
         summary = parity_scan(n)
         assert [(r.tangent_dim, r.parity) for r in summary.rows] == [
@@ -452,12 +472,16 @@ def test_scan_rows_match_the_hom_oracle_through_four():
             monomial_hom_dimension(staircase_generators(p.boxes)) for p in parts]
 
 
-def test_orbit_keys_group_partitions_into_their_axis_permutation_orbits():
+def test_scan_groups_partitions_into_their_axis_permutation_orbits(monkeypatch):
+    # a worker that returns its call number labels each row with the orbit
+    # the scan put it in
+    calls = itertools.count()
+    monkeypatch.setattr(conesign.hilb, "_scan_worker", lambda p: next(calls))
     counts = []
     for n in range(1, 9):
         groups = {}
-        for p in enumerate_plane_partitions(n):
-            groups.setdefault(_orbit_key(p.boxes), set()).add(p.boxes)
+        for p, row in zip(enumerate_plane_partitions(n), parity_scan(n).rows):
+            groups.setdefault(row.tangent_dim, set()).add(p.boxes)
         assert {frozenset(g) for g in groups.values()} == axis_permutation_orbits(n)
         counts.append(len(groups))
     assert counts == [1, 1, 2, 4, 6, 11, 19, 33]
@@ -474,7 +498,18 @@ def test_scan_computes_one_tangent_per_orbit(monkeypatch):
     monkeypatch.setattr(conesign.hilb, "_scan_worker", counting)
     summary = parity_scan(8, jobs=1)
     assert summary.count == 160 and len(seen) == 33
-    assert len({_orbit_key(boxes) for boxes in seen}) == 33
+    # one computation in each orbit, at its first partition in enumeration
+    # order
+    order = [p.boxes for p in enumerate_plane_partitions(8)]
+    assert set(seen) == {min(orbit, key=order.index)
+                         for orbit in axis_permutation_orbits(8)}
+
+
+@pytest.mark.parametrize("n, count", [(9, 282), (10, 500)])
+def test_scan_past_the_default_bound(n, count):
+    summary = parity_scan(n, bound=n)
+    assert summary.count == count
+    assert summary.violations == ()
 
 
 def test_enumeration_does_not_check_the_partitions_it_grows(monkeypatch):
