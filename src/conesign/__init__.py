@@ -41,7 +41,6 @@ from .groebner import (
     ModuleVector,
     buchberger,
     module_buchberger,
-    normal_form,
 )
 from .hilb import (
     PlanePartition,

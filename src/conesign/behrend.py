@@ -98,20 +98,22 @@ def dominating_cone_multiplicity(J: IdealPresentation, Z: IdealPresentation) -> 
 
 
 class ComponentReport(namedtuple("ComponentReport", [
-        "component", "generically_reduced", "dim_Z", "generic_tangent_dim",
-        "sign_dim", "sign_tangent", "dominating_cone_mult",
-        "verdict",  # "pass" or "violation"
-        "reasons"])):
+        "component", "generic_tangent_dim", "dominating_cone_mult", "reasons"])):
     __slots__ = ()
 
+    @property
+    def verdict(self) -> str:
+        return "violation" if self.reasons else "pass"
+
     def to_json_dict(self) -> dict:
+        c = self.component
         return {
-            "component": self.component.to_json_dict(),
-            "generically_reduced": self.generically_reduced,
-            "dim_Z": self.dim_Z,
+            "component": c.to_json_dict(),
+            "generically_reduced": c.multiplicity == 1,
+            "dim_Z": c.dimension,
             "generic_tangent_dim": self.generic_tangent_dim,
-            "sign_dim": self.sign_dim,
-            "sign_tangent": self.sign_tangent,
+            "sign_dim": (-1) ** c.dimension,
+            "sign_tangent": (-1) ** self.generic_tangent_dim,
             "dominating_cone_mult": self.dominating_cone_mult,
             "verdict": self.verdict,
             "reasons": list(self.reasons),
@@ -120,10 +122,15 @@ class ComponentReport(namedtuple("ComponentReport", [
 
 class ConstancyCertificate(namedtuple("ConstancyCertificate", [
         "sign", "sign_inferred", "reports",
-        "overall",  # "necessary conditions hold" |
-                    # "Behrend function is NOT constant" | "inconclusive"
-        "witnesses"])):
+        "overall"])):  # "necessary conditions hold" |
+                       # "Behrend function is NOT constant" | "inconclusive"
     __slots__ = ()
+
+    @property
+    def witnesses(self) -> tuple:
+        """One {"component", "reason"} dict per reason, report by report."""
+        return tuple({"component": list(r.component.prime.signature()), "reason": reason}
+                     for r in self.reports for reason in r.reasons)
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,18 +159,16 @@ def constancy_falsifier(J: IdealPresentation,
     comps = minimal_primes(J)
     if not comps:
         return ConstancyCertificate(1 if inferred else sign, inferred, (),
-                                    "necessary conditions hold", ())
+                                    "necessary conditions hold")
     target = (-1) ** comps[0].dimension if inferred else sign
     reference_certified = (not inferred) or comps[0].primality == "certified"
 
     reports = []
-    witnesses = []
     definite = False
     shaky = any(c.primality != "certified" for c in comps)
     for c in comps:
         reasons = []
-        gen_red = c.multiplicity == 1
-        if not gen_red:
+        if c.multiplicity != 1:
             reasons.append(
                 f"component is not generically reduced "
                 f"(multiplicity {c.multiplicity})")
@@ -185,37 +190,17 @@ def constancy_falsifier(J: IdealPresentation,
             reasons.append(
                 f"dimension parity sign {sign_dim:+d} differs from the "
                 f"target sign {target:+d}")
-        verdict = "violation" if reasons else "pass"
-        report = ComponentReport(
-            component=c,
-            generically_reduced=gen_red,
-            dim_Z=c.dimension,
-            generic_tangent_dim=gtd,
-            sign_dim=sign_dim,
-            sign_tangent=(-1) ** gtd,
-            dominating_cone_mult=m,
-            verdict=verdict,
-            reasons=tuple(reasons),
-        )
-        reports.append(report)
-        if reasons:
-            for r in reasons:
-                witnesses.append({
-                    "component": list(c.prime.signature()),
-                    "reason": r,
-                })
-            # a certified component with a reason besides the sign, or
-            # against a certified reference, settles the verdict
-            if c.primality == "certified" and (len(reasons) > sign_violation
-                                                or reference_certified):
-                definite = True
+        reports.append(ComponentReport(c, gtd, m, tuple(reasons)))
+        # a certified component with a reason besides the sign, or
+        # against a certified reference, settles the verdict
+        if reasons and c.primality == "certified" and (
+                len(reasons) > sign_violation or reference_certified):
+            definite = True
 
     if definite:
         overall = "Behrend function is NOT constant"
-    elif witnesses or shaky:
+    elif shaky or any(r.reasons for r in reports):
         overall = "inconclusive"
     else:
         overall = "necessary conditions hold"
-    return ConstancyCertificate(target, inferred, tuple(reports), overall,
-                                tuple(witnesses))
-
+    return ConstancyCertificate(target, inferred, tuple(reports), overall)

@@ -57,8 +57,9 @@ def cone_variable_names(rng: RingDescriptor, k: int) -> tuple:
     raise ValueError("could not pick collision-free cone variable names")
 
 
-def rees_ideal(J: IdealPresentation):
-    """Kernel of R[e1..ek] -> R[t], e_i -> t*g_i, as (ideal, cone names).
+def rees_ideal(J: IdealPresentation) -> IdealPresentation:
+    """Kernel of R[e1..ek] -> R[t], e_i -> t*g_i, one e_i per element g_i
+    of J's reduced basis: the ideal's ring variables after R's.
 
     Computed by eliminating t from the graph ideal (e_i - t*g_i).  No
     saturation at t is needed: the quotient of R[e, t] by the graph ideal
@@ -77,14 +78,13 @@ def rees_ideal(J: IdealPresentation):
     for name, g in zip(names, basis):
         e = Polynomial.variable(big, name)
         gens.append(e - t * transplant(g, big))
-    return eliminate(IdealPresentation(big, gens), (tname,)), names
+    return eliminate(IdealPresentation(big, gens), (tname,))
 
 
-def normal_cone_ideal(J: IdealPresentation):
-    """Presentation of the normal cone of V(J), as (ideal in R[e], names)."""
-    R, names = rees_ideal(J)
-    ext = R.ring
-    return R.with_extra(transplant(g, ext) for g in J.gb()), names
+def normal_cone_ideal(J: IdealPresentation) -> IdealPresentation:
+    """Presentation of the normal cone of V(J) in R[e], as `rees_ideal`."""
+    R = rees_ideal(J)
+    return R.with_extra(transplant(g, R.ring) for g in J.gb())
 
 
 class ConeComponent(namedtuple("ConeComponent", [
@@ -126,7 +126,7 @@ def cone_components(J: IdealPresentation) -> list:
     an undecided one.  Every component has the dimension N of J's ring
     (B.6.6), so no candidate of lower dimension is split.
     """
-    C, _ = normal_cone_ideal(J)
+    C = normal_cone_ideal(J)
     comps = _minimal_primes(C, J.ring.arity)
     images = [_restricted(comp.prime.gb(), J.ring) for comp in comps]
     out = []

@@ -30,11 +30,7 @@ class PointNotOnVarietyError(ConesignError):
 
 
 class EuUnsupportedError(ConesignError):
-    """No Euler-obstruction rule applies; carries the partial verdict."""
-
-    def __init__(self, message, verdict=None):
-        super().__init__(message)
-        self.verdict = verdict
+    """No implemented Euler-obstruction rule applies at the point."""
 
 
 class PrimalityUndecidedError(ConesignError):

@@ -39,9 +39,9 @@ _DRAWS = 5
 
 
 class EuVerdict(namedtuple("EuVerdict", [
-        "value",      # an int, or None when unsupported
+        "value",      # an int
         "rule",       # outside | nonsingular | curve-multiplicity |
-                      # plane-cone | aluffi-cone | unsupported
+                      # plane-cone | aluffi-cone
         "primality"])):  # certified | assumed
     __slots__ = ()
 
@@ -223,5 +223,4 @@ def eu_point(V: IdealPresentation, point, primality: str = "check",
                 return EuVerdict(degree * (2 - degree), "plane-cone", status)
             return EuVerdict(2 - 2 * genus - degree, "aluffi-cone", status)
     raise EuUnsupportedError(
-        "no implemented Euler-obstruction rule applies at this point",
-        EuVerdict(None, "unsupported", status))
+        "no implemented Euler-obstruction rule applies at this point")

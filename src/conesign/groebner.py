@@ -374,18 +374,6 @@ class _Divider:
         return sorted(out, key=pk.key, reverse=True)
 
 
-def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
-    """Remainder of f under multivariate division by `basis`.
-
-    No term of the result is divisible by any leading term of the basis, and
-    f minus the result lies in the ideal generated by the basis.
-    """
-    divide = _Divider(basis, order)
-    if divide.ring is not None and f.ring != divide.ring:
-        raise RingMismatchError("normal_form across rings")
-    return Polynomial(f.ring, divide(f.terms), normalize=False)
-
-
 def _spair(fi: dict, lti: int, fj: dict, ltj: int, l: int, char: int) -> dict:
     """S-polynomial of two packed term dicts with leads lti, ltj and lcm l,
     both monic or both primitive over Z: (cj/d) * (l/lti) * fi - (ci/d) *
@@ -633,15 +621,15 @@ def module_buchberger(vectors, order: MonomialOrder, max_pairs: int = DEFAULT_MA
 
 
 def _syzygies(divide: _Divider) -> list:
-    """The Schreyer syzygies of the divider's divisors, each as (one packed
-    dict of shifts, monomials with no position fields, per divisor; mu).
+    """The Schreyer syzygies of the divider's divisors, each as one packed
+    dict of shifts, monomials with no position fields, per divisor.
     For each pair of leads at one position, with lcm l = m_i lt_i = m_j lt_j,
     lead coefficients c_i, c_j and d = gcd(c_i, c_j), the S-vector
     (c_i/d) m_j b_j - (c_j/d) m_i b_i is reduced with its quotients q_k, and
     its multiplier lam (see `_reduce_terms`) gives the syzygy
     lam (c_j/d) m_i e_i - lam (c_i/d) m_j e_j + sum_k q_k e_k; over Q all of
-    it is integer.  It is mu = lam c_i c_j / d times the syzygy of the monic
-    divisors with coefficient 1 at m_i e_i, and mod p mu is 1.  A pair is
+    it is integer, and a nonzero multiple of the syzygy of the monic
+    divisors with coefficient 1 at m_i e_i.  A pair is
     skipped when a third lead divides its lcm and both lcms with that lead
     divide it strictly (the chain criterion).  Raises ValueError on a
     remainder, that is, when the divisors are not a Groebner basis."""
@@ -669,5 +657,5 @@ def _syzygies(divide: _Divider) -> list:
             d = gcd(ci, cj)
             syz[i][l - lti] = lam * (cj // d)
             syz[j][l - ltj] = -lam * (ci // d) % char if char else -lam * (ci // d)
-            out.append((syz, lam * ci * cj // d))
+            out.append(syz)
     return out

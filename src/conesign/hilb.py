@@ -64,11 +64,14 @@ class PlanePartition(namedtuple("PlanePartition", "boxes")):
     __slots__ = ()
 
     def __new__(cls, boxes):
-        # a set, so a repeated box counts once and the partition hashes
+        # tuples in a set, so a box read back from JSON as a list hashes, a
+        # repeated box counts once and the partition hashes
+        boxes = [tuple(b) if isinstance(b, (tuple, list)) else b for b in boxes]
+        for b in boxes:
+            if type(b) is not tuple or len(b) != 3 or any(type(c) is not int or c < 0 for c in b):
+                raise ValueError(f"bad box {b!r}")
         boxes = frozenset(boxes)
         for b in boxes:
-            if len(b) != 3 or any(type(c) is not int or c < 0 for c in b):
-                raise ValueError(f"bad box {b!r}")
             if not _closed_below(b, boxes):
                 raise ValueError(f"box set is not downward closed at {b!r}")
         return tuple.__new__(cls, (boxes,))
@@ -258,7 +261,7 @@ def _tangent_report(divide: _Divider, rank: int) -> TangentReport:
     # it, an integer term dict over Q, kept with lam
     remainder = functools.cache(lambda term: divide.remainder({term: 1}))
     rows = []
-    for s, _ in _syzygies(divide):
+    for s in _syzygies(divide):
         # one equation per quotient term, unknowns the coordinates of phi(g_j);
         # the syzygy's equations are scaled by the lcm of the multipliers
         # they meet, so every entry is an integer.  A term in K has remainder

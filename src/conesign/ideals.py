@@ -404,9 +404,8 @@ def generic_tangent_dimension(I: IdealPresentation, P: IdealPresentation) -> int
 
 class PrimeComponent(namedtuple("PrimeComponent", [
         "prime", "multiplicity", "dimension", "degree",
-        "primality",                   # "certified" or "undecided"
-        "geometrically_irreducible"])):  # "certified" or "unknown"
-    """One minimal component of a decomposition, with certification flags."""
+        "primality"])):  # "certified" or "undecided"
+    """One minimal component of a decomposition, with its primality status."""
 
     __slots__ = ()
 
@@ -417,7 +416,7 @@ class PrimeComponent(namedtuple("PrimeComponent", [
             "dimension": self.dimension,
             "degree": self.degree,
             "primality_status": self.primality,
-            "geometric_irreducibility": self.geometrically_irreducible,
+            "geometric_irreducibility": _geometric_flag(self.prime),
         }
 
 
@@ -600,7 +599,6 @@ def _minimal_primes(I: IdealPresentation, floor: int = 0) -> list:
             dimension=D,
             degree=sum(Q),
             primality=status,
-            geometrically_irreducible=_geometric_flag(K),
         ))
     comps.sort(key=lambda c: (-c.dimension, c.degree, c.prime.signature()))
     return comps

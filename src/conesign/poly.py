@@ -736,6 +736,7 @@ class _Parser:
         value = _integer(digits, pos)
         if self.lx.peek()[0] == "/":
             self.lx.next()
+            pos = self.lx.peek()[2]  # a denominator's errors point at it
             den = self._int()
             if den == 0:
                 raise PolynomialSyntaxError("zero denominator", pos)

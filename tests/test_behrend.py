@@ -232,6 +232,29 @@ def test_certificate_json_schema():
         assert comp["dominating_cone_mult"] == 1
 
 
+def test_component_report_derives_its_flags_from_its_component():
+    # a reduced plane, a line of the wrong parity, and a double point
+    for J in (ideal(R3, "x*y, x*z"), ideal(R1, "x^2")):
+        for r in constancy_falsifier(J).reports:
+            c, doc = r.component, r.to_json_dict()
+            assert doc["generically_reduced"] == (c.multiplicity == 1)
+            assert doc["dim_Z"] == c.dimension
+            assert doc["sign_dim"] == (-1) ** c.dimension
+            assert doc["sign_tangent"] == (-1) ** r.generic_tangent_dim
+            assert r.verdict == doc["verdict"] == ("violation" if r.reasons else "pass")
+    (double,) = constancy_falsifier(ideal(R1, "x^2")).reports
+    doc = double.to_json_dict()
+    assert (doc["generically_reduced"], doc["dim_Z"], doc["sign_dim"]) == (False, 0, 1)
+
+
+def test_certificate_witnesses_are_its_reasons_report_by_report():
+    cert = constancy_falsifier(ideal(R3, "x*y, x*z"))
+    expected = [{"component": list(r.component.prime.signature()), "reason": reason}
+                for r in cert.reports for reason in r.reasons]
+    assert len(expected) > 0
+    assert list(cert.witnesses) == expected == cert.to_json_dict()["witnesses"]
+
+
 # ----------------------------------------------------- generic route check
 
 

@@ -323,6 +323,18 @@ def test_missing_ring_header_is_an_input_error(tmp_path, capsys):
     path.write_text("y^2, x*y\n")
     code, _, _ = run_cli(["gb", "--ideal", str(path)], capsys)
     assert code == 1
+    # a file of comments alone has no header line at all
+    path.write_text("# only a comment\n\n# and another\n")
+    code, _, err = run_cli(["gb", "--ideal", str(path)], capsys)
+    assert code == 1 and err == f"error: {path}: missing ring header\n"
+
+
+def test_a_ring_that_takes_every_cone_prefix_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "taken.ideal"
+    path.write_text("ring x, e1, c1, w1, q1;\nx\n")
+    code, out, err = run_cli(["cone", "--ideal", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: could not pick collision-free cone variable names\n"
 
 
 def test_point_arity_mismatch_is_an_input_error(files, capsys):
@@ -517,6 +529,9 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     (["hilb", "enumerate", "--n", "two"], 1, ["--n", "two"]),
     (["--order", "grevlex", "gb", "--ideal", "pair"], 1, ["--order", "grevlex"]),
     (["gb", "--ideal", "pair", "--seed", "3"], 1, ["--seed"]),
+    (["gb", "--ideal", "pair", "extra"], 1, ["unrecognized argument 'extra' for conesign gb"]),
+    (["eu", "--variety", "parabola", "--point", "1,1", "--assume-prime=yes"], 1,
+     ["--assume-prime takes no value"]),
     (["gb", "--help"], 0, ["--ideal"]),
     (["--help"], 0, ["--seed", "--format", "gb", "behrend eval", "hilb parity-scan"]),
     (["--seed", "3", "-h"], 0, ["--jobs", "falsify"]),

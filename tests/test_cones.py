@@ -69,14 +69,15 @@ def substitute_cone_vars(f, J, cone_names):
 
 
 def test_rees_of_principal_ideal_is_zero():
-    reese, names = rees_ideal(ideal(R1, "x"))
-    assert tuple(names) == ("e1",)
+    reese = rees_ideal(ideal(R1, "x"))
+    assert reese.ring.variables[1:] == ("e1",)
     assert reese.gb() == ()
 
 
 def test_rees_of_two_variables_is_koszul():
     J = ideal(R2, "x, y")
-    reese, names = rees_ideal(J)
+    reese = rees_ideal(J)
+    names = reese.ring.variables[J.ring.arity:]
     gb = [g.to_text() for g in reese.gb()]
     assert len(gb) == 1
     # the lone generator is the Koszul relation between the two cone
@@ -88,7 +89,8 @@ def test_rees_of_two_variables_is_koszul():
 
 def test_rees_three_axes_contains_graph_relations():
     J = ideal(R3, "xy, xz, yz")
-    reese, names = rees_ideal(J)
+    reese = rees_ideal(J)
+    names = reese.ring.variables[J.ring.arity:]
     gens = {g.to_text() for g in J.gb()}
     assert gens == {"x*y", "x*z", "y*z"}
     order = [g.to_text() for g in J.gb()]
@@ -106,7 +108,8 @@ def test_rees_three_axes_contains_graph_relations():
 
 @pytest.mark.parametrize("J", CORPUS, ids=lambda J: ",".join(g.to_text() for g in J.generators))
 def test_rees_generators_vanish_under_substitution(J):
-    reese, names = rees_ideal(J)
+    reese = rees_ideal(J)
+    names = reese.ring.variables[J.ring.arity:]
     for g in reese.generators:
         assert substitute_cone_vars(g, J, names).is_zero()
 
@@ -115,7 +118,8 @@ def test_rees_generators_vanish_under_substitution(J):
 def test_rees_needs_no_saturation_at_t(J):
     # the recipe with the saturation at t: the graph ideal's quotient is the
     # domain R[t], so saturating at t must change nothing
-    reese, names = rees_ideal(J)
+    reese = rees_ideal(J)
+    names = reese.ring.variables[J.ring.arity:]
     big = reese.ring.extend(("t",))
     t = parse_polynomial("t", big)
     graph = [parse_polynomial(name, big) - t * transplant(g, big)
@@ -127,22 +131,31 @@ def test_rees_needs_no_saturation_at_t(J):
 
 def test_normal_cone_of_smooth_hypersurface_is_a_line_bundle():
     J = ideal(R2, "x")
-    cone, names = normal_cone_ideal(J)
-    assert tuple(names) == ("e1",)
+    cone = normal_cone_ideal(J)
+    names = cone.ring.variables[J.ring.arity:]
+    assert names == ("e1",)
     assert [g.to_text() for g in cone.gb()] == ["x"]
 
 
 def test_normal_cone_of_zero_ideal_is_the_whole_space():
     J = ideal(R2, "0")
-    cone, names = normal_cone_ideal(J)
-    assert tuple(names) == ()
+    cone = normal_cone_ideal(J)
+    names = cone.ring.variables[J.ring.arity:]
+    assert names == ()
     assert cone.gb() == ()
+
+
+def test_cone_variables_skip_a_prefix_the_ring_uses():
+    # e1 is a ring variable, so the two fibre coordinates are c1 and c2
+    cone = normal_cone_ideal(ideal(ring("x, e1"), "x^2, e1"))
+    assert cone.ring.variables == ("x", "e1", "c1", "c2")
 
 
 def test_normal_cone_zero_section_pullback():
     # restricting the cone to the zero section recovers V(J), up to radical
     for J in CORPUS:
-        cone, names = normal_cone_ideal(J)
+        cone = normal_cone_ideal(J)
+        names = cone.ring.variables[J.ring.arity:]
         if not names:
             continue
         restricted = cone.with_extra(
@@ -246,7 +259,7 @@ def test_a_cone_decomposes_with_a_floor_at_its_own_dimension(tmp_path):
     below = 0
     for J in cases:
         n = J.ring.arity
-        C, _ = normal_cone_ideal(J)
+        C = normal_cone_ideal(J)
         floored, full = _minimal_prime_list(C, n), _minimal_prime_list(C)
         assert by_text(floored) == by_text(t for t in full if t[2][1] == n)
         below += len(full) > len(floored)
@@ -296,7 +309,7 @@ def assert_images_and_dominance_match_elimination(J, comps):
     """Each image is the elimination of the cone variables from its
     component, and a component dominates exactly when its image lies in the
     radical of J."""
-    _, names = normal_cone_ideal(J)
+    names = normal_cone_ideal(J).ring.variables[J.ring.arity:]
     for c in comps:
         expected = eliminate(c.cone_prime, names)
         assert c.image == expected
@@ -321,7 +334,7 @@ def test_dominance_over_an_undecided_component_is_decided_by_radicals(monkeypatc
     # non-radical (x, y^2), as an undecided component may be, gives it the
     # image (x, y^2), which holds the first image (y) only up to radical
     J = ideal(R2, "y^2, x*y")
-    cone, _ = normal_cone_ideal(J)
+    cone = normal_cone_ideal(J)
     real = minimal_primes(cone)
     assert [c.prime.signature() for c in real][1] == ("y", "x")
     fat = ideal(cone.ring, "x, y^2")

@@ -101,10 +101,18 @@ def test_partition_rejects_bad_boxes():
         PlanePartition(frozenset({(0, 0)}))
     with pytest.raises(ValueError):
         PlanePartition(frozenset({(0, 0, -1)}))
-    # a coordinate must be an int, not a bool, a float or a string
-    for box in [(0.0, 0, 0), (False, 0, 0), (0, True, 0), (0, 0, "0")]:
+    # a coordinate must be an int, not a bool, a float or a string, and a
+    # box a sequence of three
+    for box in [(0.0, 0, 0), (False, 0, 0), (0, True, 0), (0, 0, "0"), 5, (0, 0), [0, 0, -1]]:
         with pytest.raises(ValueError, match="bad box"):
             PlanePartition([box])
+
+
+def test_partition_round_trips_through_its_json():
+    # JSON gives each box back as a list
+    for n in range(1, 7):
+        for p in enumerate_plane_partitions(n):
+            assert PlanePartition(p.to_json_dict()["boxes"]) == p
 
 
 def test_partition_stores_its_boxes_as_one_frozenset():

@@ -150,6 +150,23 @@ def test_saturate_embedded_origin():
     assert saturate(J, x).is_unit_ideal()
 
 
+def test_saturate_picks_a_fresh_variable_past_the_taken_names(monkeypatch):
+    # w and w0 are ring variables, so f is inverted by 1 - w1*f
+    rng = ring("x, w, w0")
+    J = ideal(rng, "x*w, x*w0^2")
+    J.gb()
+    rings, real = [], conesign.ideals.buchberger
+
+    def spy(gens, order, **kw):
+        gens = list(gens)
+        rings.append(gens[0].ring.variables)
+        return real(gens, order, **kw)
+
+    monkeypatch.setattr(conesign.ideals, "buchberger", spy)
+    assert saturate(J, parse_polynomial("x", rng)).signature() == ("w", "w0^2")
+    assert rings == [("x", "w", "w0", "w1")]
+
+
 def test_saturate_keeps_the_transverse_component():
     # (x^2, xy) = (x) meet (x^2, y); saturating by y removes nothing
     # visible at y != 0 except the embedded point
@@ -333,6 +350,12 @@ def test_saturation_extends_a_cached_basis_to_the_same_answer(monkeypatch, gens,
 
 def test_dimension_of_three_axes():
     assert dimension(I("xy, xz, yz", R3)) == 1
+
+
+def test_the_zero_ideal_contains_only_zero():
+    Z = ideal(R2, "0")
+    assert Z.contains(Polynomial.zero(R2))
+    assert not any(Z.contains(parse_polynomial(t, R2)) for t in ("1", "x", "x*y - 1"))
 
 
 def test_dimension_of_zero_ideal():
@@ -858,7 +881,7 @@ def test_a_normal_cone_splits_no_candidate_below_its_dimension(
     # the cone of an ideal of Q[x, y, z] has dimension 3 (Fulton B.6.6), and
     # so has each of its components; with the floor at 3 a candidate of lower
     # dimension is dropped unsplit, and each run derives a candidate
-    C, _ = normal_cone_ideal(I(text, R3))
+    C = normal_cone_ideal(I(text, R3))
     C.gb()
     calls = counted_buchberger(monkeypatch)
     kept = conesign.ideals._minimal_prime_list(C, 3)

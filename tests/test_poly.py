@@ -109,6 +109,18 @@ def test_parse_errors_carry_position():
         P("x + t")
     with pytest.raises(PolynomialSyntaxError):
         P("x +")
+    # each error names its own token: the denominator, the end where ')' is
+    # missing; an all-blank text has no token at all
+    for text, rng, message in [
+            ("1/0*x", R2, "zero denominator (at position 2)"),
+            ("x + 3/0", R2, "zero denominator (at position 6)"),
+            ("x + 1/14", ring("x, y", 7),
+             "denominator not invertible in this characteristic (at position 6)"),
+            ("(x + y", R2, "expected ')' (at position 6)"),
+            (" \t ", R2, "empty polynomial (at position 0)")]:
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            P(text, rng)
+        assert str(exc.value) == message
 
 
 def test_exponents_are_bounded():
@@ -236,6 +248,11 @@ def test_evaluate_exact_rationals():
     f = P("x^2*y - 2*y + 1/3")
     assert f.evaluate((1, Fraction(2))) == Fraction(-5, 3)
     assert f.evaluate((Fraction(1, 2), 4)) == Fraction(1) - 8 + Fraction(1, 3)
+
+
+def test_evaluate_reduces_mod_p():
+    # 2^2 + 3*5 = 19 = 5 mod 7
+    assert P("x^2 + 3*y", ring("x, y", 7)).evaluate((2, 5)) == 5
 
 
 def test_partial_derivatives():

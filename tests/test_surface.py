@@ -3,8 +3,7 @@
 - Every name a module imports with `from ... import` is used in it.
 - Every public top-level function or class is referenced beyond its own
   definition in the package or in a non-test file under `bench/`; a name
-  that only tests or the README mention has no caller.  `normal_form` is
-  the one exemption (see `NO_CALLER`).
+  that only tests or the README mention has no caller, and none is exempt.
 - Every private top-level function or class is referenced in the package
   beyond its own definition.
 - Every name the README's "What it computes" documents is defined in the
@@ -25,13 +24,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "conesign").glob("*.py") if p.name != "__init__.py")
 BENCH = sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
-
-# public names kept with no caller in the package or the benchmark, and why
-NO_CALLER = {
-    # the documented handle on the one division kernel; its tests include a
-    # ring check that the mismatched-input table exercises
-    "groebner.normal_form",
-}
 
 
 def _tree(path):
@@ -79,9 +71,7 @@ def test_every_public_name_has_a_caller():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in bench
               and not any(node.name in used for j, used in enumerate(names) if j != k)}
-    assert sorted(unused - NO_CALLER) == []
-    # an exemption that gains a caller is no longer one
-    assert sorted(NO_CALLER - unused) == []
+    assert sorted(unused) == []
 
 
 def test_every_documented_name_is_defined():
