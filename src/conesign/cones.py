@@ -35,11 +35,11 @@ from collections import namedtuple
 from .ideals import (
     IdealPresentation,
     _fresh_name,
-    _minimal_primes,
     _restricted,
     contains_ideal,
     dimension,
     eliminate,
+    minimal_primes,
     radical_contains,
     transplant,
 )
@@ -127,7 +127,7 @@ def cone_components(J: IdealPresentation) -> list:
     (B.6.6), so no candidate of lower dimension is split.
     """
     C = normal_cone_ideal(J)
-    comps = _minimal_primes(C, J.ring.arity)
+    comps = minimal_primes(C, J.ring.arity)
     images = [_restricted(comp.prime.gb(), J.ring) for comp in comps]
     out = []
     for i, (comp, image) in enumerate(zip(comps, images)):

@@ -14,11 +14,12 @@ projective closure and, in dimension 0, the colength, without
 homogenizing or dividing.  The unit ideal has the empty series and
 dimension -1.
 
-The multiplicities of a decomposition come from one chain of saturations,
-`_multiplicities`: the primes are taken by descending dimension, each is
-saturated away by an element in none of the later primes, and its
-multiplicity times its degree is what the top-dimensional degree loses.
-k primes take k - 1 saturations.
+A decomposition holds one PrimeComponent record per component, from
+candidate to report, and its multiplicities come from one chain of
+saturations, `_multiplicities`, which reads each record's dimension and
+degree: the primes go by descending dimension, each is saturated away by
+an element in none of the later primes, and its multiplicity times its
+degree is what the top-dimensional degree loses (k - 1 saturations for k).
 
 All ideals are presented by finite generating sets over an explicit ring.
 An ideal keeps one basis, its reduced degrevlex one, and division by it is
@@ -515,16 +516,14 @@ def _certify_prime(I: IdealPresentation, irreducible=None, series=None):
 
 
 def _minimal_prime_list(I: IdealPresentation, floor: int = 0) -> list:
-    """The minimal primes of I of dimension at least `floor`, each presented
-    by its reduced basis, as (prime, status, series) triples: status is
-    "certified" or "undecided", and series the prime's `_lead_series`.
+    """The minimal primes of I of dimension at least `floor`, presented by
+    their reduced bases, as PrimeComponent records with no multiplicity and
+    the primality "certified" or "undecided".
 
     A candidate K of dimension below `floor` is dropped as soon as its basis
     is known, neither certified nor split: every prime over K has dimension
     at most dim K.  So the list is the unfloored list's members of dimension
-    at least `floor`.  `cones` sets the floor at N for the normal cone of a
-    subscheme of A^N, which is purely N-dimensional (Fulton, Intersection
-    Theory, B.6.6).  The unit ideal, of dimension -1, lies below the
+    at least `floor`.  The unit ideal, of dimension -1, lies below the
     floor and leaves nothing.
 
     A candidate K is dropped when another candidate L lies inside it.  A
@@ -544,25 +543,29 @@ def _minimal_prime_list(I: IdealPresentation, floor: int = 0) -> list:
         if basis in seen:
             continue
         seen.add(basis)
-        series = _lead_series(K)
-        if series[1] < floor:
+        Q, D = _lead_series(K)
+        if D < floor:
             continue
-        verdict = _certify_prime(K, irreducible, series)
+        verdict = _certify_prime(K, irreducible, (Q, D))
         if verdict[0] == "split":
             for f in verdict[1]:
                 work.append(K.with_extra((f,)))
             continue
         status = "certified" if verdict[0] == "prime" else "undecided"
-        found.append((K, status, series))
+        found.append(PrimeComponent(K, None, D, sum(Q), status))
 
     # keep the ideals minimal under inclusion
-    return [(K, status, series) for K, status, series in found
-            if not any(L is not K and (L_status != "certified" or L_series[1] > series[1])
-                       and contains_ideal(K, L) for L, L_status, L_series in found)]
+    return [K for K in found
+            if not any(L is not K and (L.primality != "certified" or L.dimension > K.dimension)
+                       and contains_ideal(K.prime, L.prime) for L in found)]
 
 
-def minimal_primes(I: IdealPresentation) -> list:
-    """Minimal primes of I over Q, as PrimeComponent records.
+def minimal_primes(I: IdealPresentation, floor: int = 0) -> list:
+    """Minimal primes of I over Q of dimension at least `floor`, as
+    PrimeComponent records.  `cones` sets the floor at N for the normal cone
+    of a subscheme of A^N, which is purely N-dimensional (Fulton,
+    Intersection Theory, B.6.6).  The multiplicities are those of the full
+    decomposition, as each dropped prime lies below every kept one.
 
     Components whose primality cannot be certified by the implemented
     rules are still returned, flagged "undecided".  The list is sorted by
@@ -572,36 +575,17 @@ def minimal_primes(I: IdealPresentation) -> list:
     saturations need not close: the multiplicities' ArithmeticError or
     ValueError becomes PrimalityUndecidedError.
     """
-    return _minimal_primes(I)
-
-
-def _minimal_primes(I: IdealPresentation, floor: int = 0) -> list:
-    """`minimal_primes` of I, keeping the primes of dimension at least
-    `floor` (see `_minimal_prime_list`).  Their multiplicities are those of
-    the full decomposition: the chain reads only top-dimensional degrees,
-    and each dropped prime lies below every kept one."""
-    keep = _minimal_prime_list(I, floor)
-    primes = [K for K, _, _ in keep]
-    series = [s for _, _, s in keep]
+    comps = _minimal_prime_list(I, floor)
     try:
-        multiplicities = _multiplicities(I, primes, series)
+        multiplicities = _multiplicities(I, comps)
     except (ArithmeticError, ValueError) as exc:
-        if all(status == "certified" for _, status, _ in keep):
+        if all(c.primality == "certified" for c in comps):
             raise
         raise PrimalityUndecidedError(
             "a component of uncertified primality leaves the multiplicities "
             "undefined") from exc
-    comps = []
-    for (K, status, (Q, D)), m in zip(keep, multiplicities):
-        comps.append(PrimeComponent(
-            prime=K,
-            multiplicity=m,
-            dimension=D,
-            degree=sum(Q),
-            primality=status,
-        ))
-    comps.sort(key=lambda c: (-c.dimension, c.degree, c.prime.signature()))
-    return comps
+    return sorted((c._replace(multiplicity=m) for c, m in zip(comps, multiplicities)),
+                  key=lambda c: (-c.dimension, c.degree, c.prime.signature()))
 
 
 def _avoiding(P: IdealPresentation, later) -> Polynomial:
@@ -627,10 +611,10 @@ def _avoiding(P: IdealPresentation, later) -> Polynomial:
     raise ArithmeticError("no element avoids the later primes")
 
 
-def _multiplicities(I: IdealPresentation, primes, series) -> list:
-    """The multiplicity of I along each of `primes`, the minimal primes of
-    I, in their order, from one chain of len(primes) - 1 saturations;
-    `series` holds the `_lead_series` of each prime.
+def _multiplicities(I: IdealPresentation, comps) -> list:
+    """The multiplicity of I along the prime of each of `comps`, records of
+    I's minimal primes with their dimensions and degrees, in their order,
+    from one chain of len(comps) - 1 saturations.
 
     The primes are taken by descending dimension (a stable sort), and J
     starts at I.  deg J, from the affine series of its leads, counts only
@@ -642,27 +626,30 @@ def _multiplicities(I: IdealPresentation, primes, series) -> list:
     dimension dim P_i, and deg J otherwise.
 
     A nested pair has the larger prime first, so a later prime containing
-    P_i raises ValueError; a component missing from `primes` or a
-    non-integral ratio raises ArithmeticError.
+    P_i raises ValueError, and a non-integral ratio raises ArithmeticError.
+    A component missing from `comps` raises ArithmeticError only when the
+    chain reaches a prime of lower dimension, as J keeps it; one of a
+    prime's dimension is silently counted into a multiplicity.  So `comps`
+    must hold every minimal prime of I down to its least dimension.
     """
-    if not primes:
+    if not comps:
         return []
-    chain = sorted(range(len(primes)), key=lambda i: -series[i][1])
-    out = [0] * len(primes)
+    chain = sorted(range(len(comps)), key=lambda i: -comps[i].dimension)
+    out = [0] * len(comps)
     J = I
     Q, D = _lead_series(J)
     for step, i in enumerate(chain):
-        QP, DP = series[i]
-        if D != DP:
+        P = comps[i]
+        if D != P.dimension:
             raise ArithmeticError("saturation left extra components behind")
         top = sum(Q)
-        later = [primes[j] for j in chain[step + 1:]]
+        later = [comps[j].prime for j in chain[step + 1:]]
         if later:
-            J = saturate(J, _avoiding(primes[i], later))
+            J = saturate(J, _avoiding(P.prime, later))
             Q, D = _lead_series(J)
-            if D == DP:
+            if D == P.dimension:
                 top -= sum(Q)
-        m, rest = divmod(top, sum(QP))
+        m, rest = divmod(top, P.degree)
         if rest:
             raise ArithmeticError("degree ratio is not an integer")
         out[i] = m

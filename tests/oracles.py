@@ -529,6 +529,125 @@ def s_pair(f, g, p=0, key=grevlex_key):
 
 
 # ---------------------------------------------------------------------------
+# zero-dimensional decompositions by Stickelberger's theorem
+#
+# For J of finite colength n over Q and a linear form l, the characteristic
+# polynomial of multiplication by l on R/J is the product over the points p
+# of (t - l(p))^mu(p).  When l takes distinct values at the distinct points,
+# it is prod_P m_P^(mu_P) over J's minimal primes P, with m_P irreducible of
+# degree deg P; and l does exactly when the squarefree part of that
+# polynomial has the degree of the rank of the trace form Tr(b_i * b_j),
+# which counts the points (Cox-Little-O'Shea, Using Algebraic Geometry,
+# ch. 2 and 4).  Polynomials are dicts as above, over Q.
+
+
+def _times(f, g):
+    out = {}
+    for m, c in f.items():
+        for e, d in g.items():
+            t = tuple(a + b for a, b in zip(m, e))
+            out[t] = out.get(t, 0) + c * d
+    return {t: c for t, c in out.items() if c}
+
+
+def _standard_monomials(leads, nvars):
+    """The monomials that no lead divides, sorted by degrevlex; ValueError
+    unless a pure power of every variable is among the leads."""
+    if not all(any(lt[i] == sum(lt) > 0 for lt in leads) for i in range(nvars)):
+        raise ValueError("the quotient is not finite")
+    out, work = set(), [(0,) * nvars]
+    while work:
+        m = work.pop()
+        if m not in out and not any(all(a >= b for a, b in zip(m, lt)) for lt in leads):
+            out.add(m)
+            work.extend(tuple(a + (k == i) for k, a in enumerate(m)) for i in range(nvars))
+    return sorted(out, key=grevlex_key)
+
+
+def _characteristic_polynomial(A):
+    """Coefficients c_0, ..., c_n = 1 of det(t - A), by Faddeev-LeVerrier:
+    M_k = A M_(k-1) + c_(n-k+1), c_(n-k) = -tr(A M_k) / k."""
+    n = len(A)
+    c = [Fraction(0)] * n + [Fraction(1)]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(A[i][l] * M[l][j] for l in range(n)) + (c[n - k + 1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        c[n - k] = -sum(A[i][l] * M[l][i] for i in range(n) for l in range(n)) / k
+    return c
+
+
+def _univariate_remainder(f, g):
+    """f mod g for coefficient lists c_0, c_1, ... with g's last one nonzero."""
+    f = list(f)
+    while len(f) >= len(g):
+        q, shift = f[-1] / g[-1], len(f) - len(g)
+        for i, c in enumerate(g):
+            f[shift + i] -= q * c
+        f.pop()
+        while f and f[-1] == 0:
+            f.pop()
+    return f
+
+
+def _squarefree_degree(c):
+    """deg c - deg gcd(c, c'): the number of distinct roots of c."""
+    f, g = c, [k * a for k, a in enumerate(c)][1:]
+    while g:
+        f, g = g, _univariate_remainder(f, g)
+    return len(c) - len(f)
+
+
+def stickelberger_components(generators, basis, nvars, rnd):
+    """The sorted (deg P, mu_P) over the minimal primes P of the ideal J of
+    `generators`, of finite colength, with mu_P the multiplicity of J along
+    P, from one factorization by sympy.
+
+    `basis` is J's reduced degrevlex basis as the package computed it, a
+    certificate checked here by plain division: its S-pairs reduce to 0 and
+    so do the generators, so it is a Groebner basis of an ideal holding J.
+    Multiplication by a linear form l with coefficients drawn from `rnd` is
+    written on its standard monomials by the same division; l is taken when
+    the squarefree part of its characteristic polynomial has the degree of
+    the trace form's rank, and ValueError follows 20 failed draws."""
+    import sympy
+
+    for f, g in combinations(basis, 2):
+        if division_remainder(s_pair(f, g), basis):
+            raise ValueError("an S-pair of the basis does not reduce to 0")
+    if any(division_remainder(f, basis) for f in generators):
+        raise ValueError("a generator does not reduce to 0 on the basis")
+    std = _standard_monomials([max(g, key=grevlex_key) for g in basis], nvars)
+    n = len(std)
+
+    def coordinates(f):
+        rem = division_remainder(f, basis)
+        return [rem.get(m, 0) for m in std]
+
+    products = {(i, j): coordinates(_times({std[i]: 1}, {std[j]: 1}))
+                for i in range(n) for j in range(i, n)}
+
+    def product(i, j):
+        return products[min(i, j), max(i, j)]
+
+    traces = [sum(product(k, j)[j] for j in range(n)) for k in range(n)]
+    trace_form = [[sum(a * t for a, t in zip(product(i, j), traces)) for j in range(n)]
+                  for i in range(n)]
+    points = matrix_rank(trace_form)
+    for _ in range(20):
+        form = {tuple(int(k == i) for k in range(nvars)): rnd.randint(-9, 9)
+                for i in range(nvars)}
+        columns = [coordinates(_times(form, {m: 1})) for m in std]
+        chi = _characteristic_polynomial([list(row) for row in zip(*columns)])
+        if _squarefree_degree(chi) == points:
+            t = sympy.Symbol("t")
+            _, factors = sympy.factor_list(sympy.Poly(
+                [sympy.Rational(a.numerator, a.denominator) for a in reversed(chi)], t))
+            return sorted((int(P.degree()), int(e)) for P, e in factors)
+    raise ValueError("no drawn linear form separates the points")
+
+
+# ---------------------------------------------------------------------------
 # module Groebner-basis check by plain division
 #
 # A module vector is a dict {(position, exponent tuple): coefficient}, with

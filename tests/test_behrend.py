@@ -8,6 +8,7 @@ import pytest
 
 from test_cli_fuzz import COUNT, SEED, ideal_files
 
+import conesign.behrend
 from conesign import (
     BoundExceededError,
     ConesignError,
@@ -181,6 +182,17 @@ def test_falsifier_catches_non_reduced_components():
     cert = constancy_falsifier(ideal(R1, "x^2"))
     assert cert.overall == "Behrend function is NOT constant"
     assert any("generically reduced" in w["reason"] for w in cert.witnesses)
+
+
+def test_falsifier_catches_a_dominating_cone_of_multiplicity_above_1(monkeypatch):
+    # a stand-in that gives every axis a double dominating cone: each report
+    # carries that reason, the witnesses repeat it, and the verdict is definite
+    monkeypatch.setattr(conesign.behrend, "dominating_cone_multiplicity", lambda J, P: 2)
+    cert = constancy_falsifier(ideal(R3, "xy, xz, yz"))
+    reason = "dominating cone multiplicity is 2, not 1"
+    assert [r.reasons for r in cert.reports] == [(reason,)] * 3
+    assert [w["reason"] for w in cert.witnesses] == [reason] * 3
+    assert cert.overall == "Behrend function is NOT constant"
 
 
 def test_falsifier_necessary_is_not_sufficient():

@@ -23,7 +23,7 @@ from conesign import (
 )
 from conesign.cli import load_ideal_file
 from conesign.errors import ConesignError
-from conesign.ideals import _lead_series, _minimal_prime_list
+from conesign.ideals import PrimeComponent, _lead_series, _minimal_prime_list
 from test_cli_fuzz import COUNT as FUZZ_COUNT
 from test_cli_fuzz import ideal_files
 
@@ -245,9 +245,10 @@ def floor_cases(tmp_path):
     return out
 
 
-def by_text(triples):
-    """(prime, status, series) triples in a comparable, ordered form."""
-    return sorted((K.signature(), status, series) for K, status, series in triples)
+def by_text(comps):
+    """PrimeComponent records, less their multiplicities, in a comparable,
+    ordered form."""
+    return sorted((c.prime.signature(), c.primality, c.dimension, c.degree) for c in comps)
 
 
 def test_a_cone_decomposes_with_a_floor_at_its_own_dimension(tmp_path):
@@ -261,11 +262,12 @@ def test_a_cone_decomposes_with_a_floor_at_its_own_dimension(tmp_path):
         n = J.ring.arity
         C = normal_cone_ideal(J)
         floored, full = _minimal_prime_list(C, n), _minimal_prime_list(C)
-        assert by_text(floored) == by_text(t for t in full if t[2][1] == n)
+        assert by_text(floored) == by_text(c for c in full if c.dimension == n)
         below += len(full) > len(floored)
         comps = cone_components(J)
         assert by_text(floored) == by_text(
-            (c.cone_prime, c.primality, _lead_series(c.cone_prime)) for c in comps)
+            PrimeComponent(c.cone_prime, c.multiplicity, D, sum(Q), c.primality)
+            for c in comps for Q, D in [_lead_series(c.cone_prime)])
         assert all(dimension(c.cone_prime) == n for c in comps)
     # the corpus reaches an unfloored list with a member below the floor
     assert below
@@ -339,7 +341,7 @@ def test_dominance_over_an_undecided_component_is_decided_by_radicals(monkeypatc
     assert [c.prime.signature() for c in real][1] == ("y", "x")
     fat = ideal(cone.ring, "x, y^2")
     comps = [real[0], real[1]._replace(prime=fat, primality="undecided")]
-    monkeypatch.setattr(conesign.cones, "_minimal_primes", lambda C, floor: comps)
+    monkeypatch.setattr(conesign.cones, "minimal_primes", lambda C, floor: comps)
     out = cone_components(J)
     assert [c.image.signature() for c in out] == [("y",), ("x", "y^2")]
     assert [c.dominates for c in out] == [True, False]

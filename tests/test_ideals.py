@@ -19,6 +19,7 @@ from oracles import (
     monomial_minimal_primes,
     monomial_saturation,
     s_pair,
+    stickelberger_components,
     zero_dim_multiplicity,
 )
 
@@ -31,6 +32,7 @@ from conesign import (
     PointNotOnVarietyError,
     Polynomial,
     PrimalityUndecidedError,
+    PrimeComponent,
     RingMismatchError,
     buchberger,
     colength,
@@ -81,7 +83,8 @@ def degree(J):
 
 def multiplicities(J, primes):
     """The multiplicity of J along each of `primes`, its minimal primes."""
-    return _multiplicities(J, primes, [_lead_series(P) for P in primes])
+    return _multiplicities(J, [PrimeComponent(P, None, D, sum(Q), "certified")
+                               for P in primes for Q, D in [_lead_series(P)]])
 
 
 # elimination
@@ -558,6 +561,52 @@ def test_coordinate_change_and_translation_keep_dimensions_and_multiplicities():
         assert got == want, seed
 
 
+# zero-dimensional ideals whose primes have degree above 1, checked against
+# Stickelberger's theorem: (deg P, mu_P) are [(2, 1), (3, 2)], [(1, 3),
+# (1, 3), (6, 1)], [(1, 1), (1, 3), (3, 1)] and [(2, 2), (3, 4)]; the last
+# ideal's one component, of degree 8, is undecided, and it is two of degree 4
+STICKELBERGER_IDEALS = [
+    "(x^3 - 2)^2*(x^2 - 3), y - x^2 - 1",
+    "(x^2 - 1)^3*(x^6 + x + 1), y - x^2",
+    "x^2*(x^3 - 2), y^2*(y - 2), x*y",
+    "(x^2 - 2)^2*(x^3 - 3)^4, y - x^2",
+    "x^4 - 10*x^2 + 1, y^2 - 2",
+]
+
+
+def test_zero_dimensional_decompositions_match_stickelberger():
+    # each ideal as written, and under two seeded unimodular changes of
+    # coordinates with a translation: where every component is certified the
+    # multisets of (degree, multiplicity) agree, else their sums of
+    # degree * multiplicity do
+    rnd = random.Random(0)
+    certified = []
+    for text in STICKELBERGER_IDEALS:
+        J = I(text)
+        moves = [J]
+        for _ in range(2):
+            forms = [sum((c * Polynomial.variable(R2, j) for j, c in enumerate(row)),
+                         Polynomial.zero(R2)) for row in unimodular(rnd, 2)]
+            gens = [sum((c * math.prod((f ** a for f, a in zip(forms, m)), start=Polynomial.one(R2))
+                         for m, c in g.terms.items()), Polynomial.zero(R2)) for g in J.generators]
+            moves.append(IdealPresentation(R2, gens).translate([rnd.randint(-2, 2) for _ in range(2)]))
+        for K in moves:
+            comps = minimal_primes(K)
+            got = sorted((c.degree, c.multiplicity) for c in comps)
+            want = stickelberger_components([g.terms for g in K.generators],
+                                            [g.terms for g in K.gb()], 2, rnd)
+            if all(c.primality == "certified" for c in comps):
+                assert got == want, K
+                certified.append(got)
+            else:
+                assert sum(d * m for d, m in got) == sum(d * m for d, m in want), K
+    # the certified cases reach three components, a multiplicity of 2 and a
+    # prime of degree 3
+    assert max(map(len, certified)) >= 3
+    assert max(m for got in certified for _, m in got) >= 2
+    assert max(d for got in certified for d, _ in got) >= 3
+
+
 def test_minimal_primes_zero_dimensional_splitting():
     comps = minimal_primes(I("x^2 - 1, y - x"))
     sigs = sorted(tuple(sorted(g.to_text() for g in c.prime.gb())) for c in comps)
@@ -617,8 +666,8 @@ def test_minimality_tests_a_certified_prime_only_against_candidates_of_lower_dim
 
 def test_an_undecided_candidate_removes_a_candidate_of_its_dimension_that_contains_it():
     kept = conesign.ideals._minimal_prime_list(I(UNDECIDED_INSIDE_A_PRIME))
-    assert [(sorted(g.to_text() for g in K.gb()), status, series[1])
-            for K, status, series in kept] == [(["x^2 - 2", "y^2 - 2"], "undecided", 0)]
+    assert [(sorted(g.to_text() for g in c.prime.gb()), c.primality, c.dimension)
+            for c in kept] == [(["x^2 - 2", "y^2 - 2"], "undecided", 0)]
 
 
 def test_an_undecided_component_that_leaves_its_multiplicity_open_abstains():
@@ -886,7 +935,7 @@ def test_a_normal_cone_splits_no_candidate_below_its_dimension(
     calls = counted_buchberger(monkeypatch)
     kept = conesign.ideals._minimal_prime_list(C, 3)
     assert len(calls) == floored and all(known_prefixes(calls))
-    assert [series[1] for _, _, series in kept] == [3] * len(kept)
+    assert [c.dimension for c in kept] == [3] * len(kept)
     calls.clear()
     assert conesign.ideals._minimal_prime_list(C) == kept
     assert len(calls) == unfloored
@@ -1153,6 +1202,13 @@ def test_the_first_of_three_axes_is_saturated_away_by_a_sum(monkeypatch):
     minimal_primes(I("xy, xz, yz", R3))
     # each basis element of the first axis lies on one of the other two
     assert sorted(len(f.terms) for f in calls) == [1, 2]
+
+
+def test_the_chain_detects_a_missing_component_above_the_primes_it_holds():
+    # the plane x = 0 of (xy, xz) is left out: J keeps it and stays of
+    # dimension 2 at the line (y, z), which no saturation can remove
+    with pytest.raises(ArithmeticError, match="saturation left extra components behind"):
+        multiplicities(I("x*y, x*z", R3), [I("y, z", R3)])
 
 
 def test_the_unit_ideal_has_no_component_and_takes_no_saturation(monkeypatch):
