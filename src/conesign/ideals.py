@@ -11,15 +11,18 @@ graded order R/I and R/in(I) have the same affine Hilbert function (Cox-
 Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 9 sec. 3), so the
 series of the leads gives the Krull dimension, the degree of the
 projective closure and, in dimension 0, the colength, without
-homogenizing or dividing.  The unit ideal has the empty series and
-dimension -1.
+homogenizing or dividing.  An ideal keeps its series once computed.  The
+unit ideal has the empty series and dimension -1.
 
 A decomposition holds one PrimeComponent record per component, from
 candidate to report, and its multiplicities come from one chain of
 saturations, `_multiplicities`, which reads each record's dimension and
 degree: the primes go by descending dimension, each is saturated away by
 an element in none of the later primes, and its multiplicity times its
-degree is what the top-dimensional degree loses (k - 1 saturations for k).
+degree is what the top-dimensional degree loses.  The chain stops once the
+degrees force every remaining multiplicity to 1, so it takes at most k - 1
+saturations for k primes, and none for a reduced union of primes of one
+dimension.
 
 All ideals are presented by finite generating sets over an explicit ring.
 An ideal keeps one basis, its reduced degrevlex one, and division by it is
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from operator import le
 
 from .errors import (
     InfiniteColengthError,
@@ -84,7 +88,7 @@ class IdealPresentation:
     their terms; no basis is rendered as text for either.
     """
 
-    __slots__ = ("ring", "generators", "_basis", "_divide")
+    __slots__ = ("ring", "generators", "_basis", "_divide", "_series", "_signature")
 
     def __init__(self, rng: RingDescriptor, generators):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -95,6 +99,8 @@ class IdealPresentation:
         self.generators = gens
         self._basis = None  # the reduced degrevlex basis, once computed
         self._divide = None  # division by the reduced degrevlex basis
+        self._series = None  # the lead series of `_lead_series`
+        self._signature = None  # the basis as texts
 
     @classmethod
     def from_reduced_basis(cls, rng: RingDescriptor, basis) -> "IdealPresentation":
@@ -120,8 +126,11 @@ class IdealPresentation:
 
     def signature(self) -> tuple:
         """The reduced degrevlex basis as a tuple of texts: the one rendering
-        of an ideal that reports print and that their sorts key on."""
-        return tuple(g.to_text() for g in self.gb())
+        of an ideal that reports print and that their sorts key on, rendered
+        on first use."""
+        if self._signature is None:
+            self._signature = tuple(g.to_text() for g in self.gb())
+        return self._signature
 
     def _division(self) -> _Divider:
         """Division by the reduced degrevlex basis, set up on first use and
@@ -275,15 +284,6 @@ def colength(I: IdealPresentation) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _padd(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
 def _ptrim(a):
     while a and a[-1] == 0:
         a.pop()
@@ -291,46 +291,69 @@ def _ptrim(a):
 
 
 def _minimalize_monomials(monos):
-    monos = sorted(set(monos), key=lambda m: (sum(m), m))
+    monos = sorted(set(monos), key=sum)
     out = []
     for m in monos:
-        if not any(all(o[i] <= m[i] for i in range(len(m))) for o in out):
+        if not any(all(map(le, o, m)) for o in out):
             out.append(m)
     return out
 
 
 def hilbert_numerator(monos, arity: int) -> list:
-    """Numerator N with series(R/M) = N(t) / (1-t)^arity, M = (monos).
+    """Numerator N with series(R/M) = N(t) / (1-t)^arity, M = (monos), with
+    no trailing zero; [] when M is the unit ideal.
 
-    Splits on the most shared variable; base cases are the empty ideal,
-    a principal ideal, and pairwise coprime generators.
+    Splits on the most shared variable x: N(M) = N(M + (x)) + t N(M : x),
+    and N(M + (x)) is (1 - t) times the numerator of the generators free of
+    x.  The base cases are closed forms: no generator, one, two
+    (1 - t^a - t^b + t^deg lcm), and pairwise coprime ones (the product of
+    the 1 - t^deg m).  Only M : x is minimalized, and only against the
+    generators free of x, the one place a divisor can arise.
     """
 
-    def rec(ms):
-        if not ms:
-            return [1]
-        if any(sum(m) == 0 for m in ms):
-            return []
+    def rec(ms):  # a minimal generating set without the constant monomial
+        if len(ms) < 3:
+            # 1, 1 - t^a, or 1 - t^a - t^b + t^deg lcm
+            top = sum(map(max, *ms)) if len(ms) == 2 else sum(map(sum, ms))
+            out = [1] + [0] * top
+            for m in ms:
+                out[sum(m)] -= 1
+            if len(ms) == 2:
+                out[top] += 1
+            return out
         counts = [0] * arity
         for m in ms:
             for i, e in enumerate(m):
                 if e:
                     counts[i] += 1
-        pivot = max(range(arity), key=lambda i: counts[i])
+        pivot = max(range(arity), key=counts.__getitem__)
         if counts[pivot] <= 1:
-            res = [1]
-            for m in ms:  # times 1 - t^deg(m)
-                res = _padd(res, [0] * sum(m) + [-c for c in res])
-            return _ptrim(res)
-        added = [m for m in ms if m[pivot] == 0]
-        unit = tuple(1 if i == pivot else 0 for i in range(arity))
-        added = _minimalize_monomials(added + [unit])
-        colon = _minimalize_monomials(
-            [tuple(e - 1 if i == pivot else e for i, e in enumerate(m))
-             if m[pivot] else m for m in ms])
-        return _ptrim(_padd(rec(added), [0] + rec(colon)))
+            # the product of the 1 - t^deg m, built in place from the top
+            out = [1] + [0] * sum(map(sum, ms))
+            top = 0
+            for d in map(sum, ms):
+                for i in range(top, -1, -1):
+                    out[i + d] -= out[i]
+                top += d
+            return out
+        rest = [m for m in ms if not m[pivot]]
+        colon = [m[:pivot] + (m[pivot] - 1,) + m[pivot + 1:] for m in ms if m[pivot]]
+        # a quotient free of x divides only generators free of x
+        freed = [m for m in colon if not m[pivot]]
+        colon += [m for m in rest if not any(all(map(le, f, m)) for f in freed)]
+        N, C = rec(rest), rec(colon)
+        out = [0] * (max(len(N), len(C)) + 1)
+        for i, c in enumerate(N):
+            out[i] += c
+            out[i + 1] -= c
+        for i, c in enumerate(C):
+            out[i + 1] += c
+        return _ptrim(out)
 
-    return rec(_minimalize_monomials(monos))
+    ms = _minimalize_monomials(monos)
+    if ms and not any(ms[0]):
+        return []
+    return rec(ms)
 
 
 def _lead_series(I: IdealPresentation):
@@ -340,18 +363,19 @@ def _lead_series(I: IdealPresentation):
     D is the Krull dimension of R/I and Q(1) the degree of the closure of
     the scheme cut out by I, or its colength when D = 0; for homogeneous I,
     series(R/I) is the same.  The unit ideal, whose scheme is empty, has
-    ([], -1).
+    ((), -1).  I keeps the series once computed; Q is a tuple, so no
+    caller can change what the next one reads.
     """
-    order = degrevlex(I.ring)
-    N = hilbert_numerator([g.leading(order)[0] for g in I.gb()], I.ring.arity)
-    if not N:
-        return [], -1
-    D = I.ring.arity
-    while sum(N) == 0:
-        # divide by 1 - t: the partial sums, whose last one is N(1) = 0
-        N = _ptrim(list(itertools.accumulate(N))[:-1])
-        D -= 1
-    return N, D
+    if I._series is None:
+        order = degrevlex(I.ring)
+        N = hilbert_numerator([g.leading(order)[0] for g in I.gb()], I.ring.arity)
+        D = I.ring.arity if N else -1
+        while N and sum(N) == 0:
+            # divide by 1 - t: the partial sums, whose last one is N(1) = 0
+            N = _ptrim(list(itertools.accumulate(N))[:-1])
+            D -= 1
+        I._series = (tuple(N), D)
+    return I._series
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +497,7 @@ def _geometric_flag(I: IdealPresentation) -> str:
     return "unknown"
 
 
-def _certify_prime(I: IdealPresentation, irreducible=None, series=None):
+def _certify_prime(I: IdealPresentation, irreducible=None):
     """('prime',) / ('split', polys) / ('undecided',).
 
     The reduced basis of a prime has no reducible element, so the first
@@ -487,7 +511,7 @@ def _certify_prime(I: IdealPresentation, irreducible=None, series=None):
 
     `irreducible` holds polynomials already found not to factor, which
     are not factored again; each basis element found not to factor here
-    joins it.  `series` is I's `_lead_series` when the caller has it.
+    joins it.
     """
     irreducible = set() if irreducible is None else irreducible
     gb = I.gb()
@@ -502,7 +526,7 @@ def _certify_prime(I: IdealPresentation, irreducible=None, series=None):
         irreducible.add(g)
     if _is_linear(gb) or len(gb) == 1:
         return ("prime",)
-    Q, D = _lead_series(I) if series is None else series
+    Q, D = _lead_series(I)
     if D == 0:
         size = sum(Q)
         for var in range(I.ring.arity):
@@ -546,7 +570,7 @@ def _minimal_prime_list(I: IdealPresentation, floor: int = 0) -> list:
         Q, D = _lead_series(K)
         if D < floor:
             continue
-        verdict = _certify_prime(K, irreducible, (Q, D))
+        verdict = _certify_prime(K, irreducible)
         if verdict[0] == "split":
             for f in verdict[1]:
                 work.append(K.with_extra((f,)))
@@ -570,6 +594,12 @@ def minimal_primes(I: IdealPresentation, floor: int = 0) -> list:
     Components whose primality cannot be certified by the implemented
     rules are still returned, flagged "undecided".  The list is sorted by
     descending dimension, then ascending degree, then basis text.
+
+    The multiplicities come from one chain of saturations, `_multiplicities`,
+    which stops once the degrees force every remaining multiplicity to 1:
+    the degree of an ideal is the sum of multiplicity times degree over its
+    top-dimensional primes, and each multiplicity is at least 1.  So a
+    reduced union of primes of one dimension takes no saturation.
 
     An undecided component may not be prime, and then the chain of
     saturations need not close: the multiplicities' ArithmeticError or
@@ -614,23 +644,30 @@ def _avoiding(P: IdealPresentation, later) -> Polynomial:
 def _multiplicities(I: IdealPresentation, comps) -> list:
     """The multiplicity of I along the prime of each of `comps`, records of
     I's minimal primes with their dimensions and degrees, in their order,
-    from one chain of len(comps) - 1 saturations.
+    from one chain of at most len(comps) - 1 saturations.
 
     The primes are taken by descending dimension (a stable sort), and J
     starts at I.  deg J, from the affine series of its leads, counts only
     J's top-dimensional components, each by its multiplicity times its
-    degree.  At P_i, dim J = dim P_i, and J is saturated by an element of
-    P_i in none of the later primes: that removes P_i with every embedded
-    component over it and keeps the later primes.  So m_i * deg P_i is
-    deg J less the degree of the saturation when the saturation keeps
-    dimension dim P_i, and deg J otherwise.
+    degree (Fulton, Intersection Theory, ch. 1 and B.6).  At P_i,
+    dim J = dim P_i, and J is saturated by an element of P_i in none of the
+    later primes: that removes P_i with every embedded component over it
+    and keeps the later primes.  So m_i * deg P_i is deg J less the degree
+    of the saturation when the saturation keeps dimension dim P_i, and
+    deg J otherwise.
+
+    The chain stops early when the degrees leave nothing open: when the
+    remaining primes are certified, all of dimension dim J, and their
+    degrees add up to deg J, each multiplicity is at least 1, so each is 1.
 
     A nested pair has the larger prime first, so a later prime containing
     P_i raises ValueError, and a non-integral ratio raises ArithmeticError.
-    A component missing from `comps` raises ArithmeticError only when the
-    chain reaches a prime of lower dimension, as J keeps it; one of a
-    prime's dimension is silently counted into a multiplicity.  So `comps`
-    must hold every minimal prime of I down to its least dimension.
+    Distinct primes of one dimension cannot nest, so where the chain stops
+    early only a prime listed twice raises that ValueError.  A component
+    missing from `comps` raises ArithmeticError only when the chain reaches
+    a prime of lower dimension, as J keeps it; one of a prime's dimension
+    is silently counted into a multiplicity.  So `comps` must hold every
+    minimal prime of I down to its least dimension.
     """
     if not comps:
         return []
@@ -643,7 +680,15 @@ def _multiplicities(I: IdealPresentation, comps) -> list:
         if D != P.dimension:
             raise ArithmeticError("saturation left extra components behind")
         top = sum(Q)
-        later = [comps[j].prime for j in chain[step + 1:]]
+        remaining = [comps[j] for j in chain[step:]]
+        if top == sum(c.degree for c in remaining) and all(
+                c.primality == "certified" and c.dimension == D for c in remaining):
+            if len({c.prime for c in remaining}) < len(remaining):
+                raise ValueError("component list contains nested primes")
+            for j in chain[step:]:
+                out[j] = 1
+            break
+        later = [c.prime for c in remaining[1:]]
         if later:
             J = saturate(J, _avoiding(P.prime, later))
             Q, D = _lead_series(J)

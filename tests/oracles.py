@@ -309,6 +309,25 @@ def monomial_hilbert_count(generator_exponents, nvars, degree):
     return count
 
 
+def hilbert_numerator_oracle(generator_exponents, nvars):
+    """The numerator N of series(R/M) = N(t) / (1 - t)^nvars, as a list of
+    coefficients without trailing zeros ([] for the unit ideal), by
+    inclusion-exclusion over the subsets S of the generators (Taylor):
+    N(t) = sum_S (-1)^|S| t^(deg lcm S).  A degree-d monomial lies outside
+    M exactly when no generator divides it, and the subsets whose lcm
+    divides it count to 1 - 1 = 0 otherwise.  Repeated, non-minimal and
+    constant generators need no care; 2^(number of generators) terms."""
+    coefficients = {0: 0}
+    for size in range(len(generator_exponents) + 1):
+        for subset in combinations(generator_exponents, size):
+            d = sum(map(max, zip(*subset)))  # 0 for the empty subset
+            coefficients[d] = coefficients.get(d, 0) + (-1) ** size
+    out = [coefficients.get(d, 0) for d in range(max(coefficients) + 1)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def compositions(total, parts):
     if parts == 1:
         yield (total,)

@@ -273,6 +273,38 @@ def test_a_cone_decomposes_with_a_floor_at_its_own_dimension(tmp_path):
     assert below
 
 
+def test_the_cone_of_the_three_axes_measures_each_candidate_once(monkeypatch):
+    # an ideal keeps its lead series, so the decomposition takes one Hilbert
+    # numerator per distinct candidate and one per ideal its chain saturates
+    # to, although the chain of multiplicities reads the cone's own series
+    # again
+    C = normal_cone_ideal(ideal(R3, "xy, xz, yz"))
+    numerators, candidates, saturations = [], {C.gb()}, []
+    real_numerator, real_saturate = conesign.ideals.hilbert_numerator, conesign.ideals.saturate
+    real_extra = IdealPresentation.with_extra
+
+    def numerator(monos, arity):
+        numerators.append(monos)
+        return real_numerator(monos, arity)
+
+    def with_extra(K, extra):
+        out = real_extra(K, extra)
+        candidates.add(out.gb())
+        return out
+
+    def saturated(K, f):
+        saturations.append(f)
+        return real_saturate(K, f)
+
+    monkeypatch.setattr(conesign.ideals, "hilbert_numerator", numerator)
+    monkeypatch.setattr(conesign.ideals, "saturate", saturated)
+    monkeypatch.setattr(IdealPresentation, "with_extra", with_extra)
+    comps = minimal_primes(C, 3)
+    assert sorted(c.multiplicity for c in comps) == [1, 1, 1, 2]
+    assert (len(candidates), len(saturations)) == (12, 3)
+    assert len(numerators) == len(candidates) + len(saturations)
+
+
 @pytest.mark.parametrize("J", CORPUS, ids=lambda J: ",".join(g.to_text() for g in J.generators))
 def test_cone_images_contain_the_ideal_and_dominate_consistently(J):
     for c in cone_components(J):

@@ -175,7 +175,7 @@ def test_multiplicity_deterministic_for_a_seed():
 def test_cone_data_quadric_cone():
     J = ideal(R3, "x*z - y^2")
     # the Hilbert polynomial 2s + 1 of a conic, which gives the genus 0
-    assert _lead_series(J) == ([1, 1], 2)
+    assert _lead_series(J) == ((1, 1), 2)
     assert cone_over_curve_data(J, (0, 0, 0)) == (2, 0)
 
 

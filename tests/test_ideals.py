@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     division_remainder,
     grevlex_key,
+    hilbert_numerator_oracle,
     lex_eliminant,
     linear_prime_contains,
     linear_product_multiplicities,
@@ -532,6 +534,27 @@ def test_hilbert_numerator_matches_monomial_counts():
             assert got == monomial_hilbert_count(exps, n, d), (seed, d)
 
 
+def test_hilbert_numerator_matches_the_taylor_oracle():
+    # up to 8 generators in 1 to 7 variables, some repeated, some multiples
+    # of others, the constant monomial and no generator at all
+    seen = set()
+    for seed in range(300):
+        rnd = random.Random(seed)
+        n = rnd.randint(1, 7)
+        exps = [tuple(rnd.randint(0, 3) for _ in range(n)) for _ in range(rnd.randint(0, 6))]
+        if exps and rnd.random() < 0.3:
+            exps.append(rnd.choice(exps))
+        if exps and rnd.random() < 0.3:
+            exps.append(tuple(e + rnd.randint(0, 1) for e in rnd.choice(exps)))
+        rnd.shuffle(exps)
+        assert hilbert_numerator(exps, n) == hilbert_numerator_oracle(exps, n), seed
+        seen.add("empty" if not exps else "constant" if not all(map(any, exps)) else
+                 "repeated" if len(set(exps)) < len(exps) else
+                 "non-minimal" if any(a != b and all(map(operator.le, a, b))
+                                      for a in exps for b in exps) else "minimal")
+    assert seen == {"empty", "constant", "repeated", "non-minimal", "minimal"}
+
+
 def unimodular(rnd, n):
     """A seeded integer matrix of determinant +-1: shears, then a permutation."""
     A = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -642,8 +665,8 @@ def test_minimality_tests_a_certified_prime_only_against_candidates_of_lower_dim
     verdicts, pairs = {}, []
     real_certify, real_contains = _certify_prime, conesign.ideals.contains_ideal
 
-    def certify(K, irreducible=None, series=None):
-        verdicts[K.gb()] = verdict = real_certify(K, irreducible, series)
+    def certify(K, irreducible=None):
+        verdicts[K.gb()] = verdict = real_certify(K, irreducible)
         return verdict
 
     def contains(big, small):
@@ -1036,7 +1059,7 @@ def test_dimension_and_degree_agree_with_the_leads_and_the_projective_closure(ca
     leads = [g.leading(order)[0] for g in J.gb()]
     assert dimension(J) == monomial_dimension(leads, rng.arity)
     if dimension(J) < 0:
-        assert _lead_series(J) == ([], -1)
+        assert _lead_series(J) == ((), -1)
         return
     # the projective closure: homogenize the reduced basis with a fresh last
     # variable (no ring of small_ideals has a w)
@@ -1189,19 +1212,34 @@ def counting_saturations(monkeypatch):
 
 def test_a_decomposition_reads_its_multiplicities_off_one_chain_of_saturations(monkeypatch):
     calls = counting_saturations(monkeypatch)
-    # k primes take k - 1 saturations; the embedded origin of the second
-    # ideal goes with the first line saturated away
+    # deg (x^2 y) = 3 against 1 + 1 for the lines (x) and (y), so the degrees
+    # leave a multiplicity open: (y) is saturated away, and what is left,
+    # (x^2), has degree 2 along the line (x) of degree 1
+    comps = minimal_primes(I("x^2*y"))
+    assert [(c.prime.signature(), c.multiplicity) for c in comps] == [(("x",), 2), (("y",), 1)]
+    assert [f.to_text() for f in calls] == ["y"]
+
+
+def test_reduced_decompositions_take_no_saturation(monkeypatch):
+    calls = counting_saturations(monkeypatch)
+    # the degrees of the components add up to the degree of the ideal, and
+    # each multiplicity is at least 1, so each is 1; the embedded origin of
+    # the second ideal adds nothing to its degree
     for text, want in [("xy, xz, yz", [1, 1, 1]), ("x^2, x*y, x*z, y*z", [1, 1])]:
-        calls.clear()
         assert [c.multiplicity for c in minimal_primes(I(text, R3))] == want
-        assert len(calls) == len(want) - 1
+    assert calls == []
 
 
 def test_the_first_of_three_axes_is_saturated_away_by_a_sum(monkeypatch):
     calls = counting_saturations(monkeypatch)
-    minimal_primes(I("xy, xz, yz", R3))
-    # each basis element of the first axis lies on one of the other two
-    assert sorted(len(f.terms) for f in calls) == [1, 2]
+    # the x-axis (y, z) has multiplicity 2, so deg J = 4 leaves it open and
+    # the chain saturates it away first; each of its basis elements lies on
+    # one of the other two axes, which the degrees then close with no
+    # saturation
+    comps = minimal_primes(I("x*y^2, x*z, y*z", R3))
+    assert [(c.prime.signature(), c.multiplicity) for c in comps] == [
+        (("y", "x"), 1), (("z", "x"), 1), (("z", "y"), 2)]
+    assert [f.to_text() for f in calls] == ["y + z"]
 
 
 def test_the_chain_detects_a_missing_component_above_the_primes_it_holds():
@@ -1222,6 +1260,14 @@ def test_the_unit_ideal_has_no_component_and_takes_no_saturation(monkeypatch):
 def test_nested_primes_in_a_multiplicity_raise(P, others):
     with pytest.raises(ValueError, match="nested primes"):
         multiplicities(I("x*y"), [I(P)] + [I(Q) for Q in others])
+
+
+def test_a_prime_listed_twice_raises_where_the_degrees_close_the_chain(monkeypatch):
+    calls = counting_saturations(monkeypatch)
+    # deg (xy, xz, yz) = 3 = 1 + 1 + 1, but (y, z) twice is not three primes
+    with pytest.raises(ValueError, match="nested primes"):
+        multiplicities(I("xy, xz, yz", R3), [I("y, z", R3), I("x, z", R3), I("z, y", R3)])
+    assert calls == []
 
 
 DIRECTIONS = [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)]
@@ -1283,6 +1329,23 @@ def test_products_of_powers_of_linear_primes_match_the_oracle(monkeypatch):
         fallbacks += any(f not in bases for f in calls)
     # the corpus reaches the pick of a combination of basis elements
     assert fallbacks
+
+
+def test_a_reduced_product_of_linear_primes_saturates_only_above_its_least_dimension(
+        monkeypatch):
+    # the chain stops once every remaining prime has the least dimension
+    calls = counting_saturations(monkeypatch)
+    equidimensional = 0
+    for seed in range(40):
+        rows = seeded_linear_primes(random.Random(seed))
+        primes = [IdealPresentation(R3, map(affine_form, P)) for P in rows]
+        calls.clear()
+        comps = minimal_primes(linear_prime_product(rows, [1] * len(rows)))
+        assert {c.prime.gb(): c.multiplicity for c in comps} == {P.gb(): 1 for P in primes}, seed
+        least = min(c.dimension for c in comps)
+        assert len(calls) == sum(c.dimension > least for c in comps), seed
+        equidimensional += not calls
+    assert equidimensional
 
 
 def test_the_order_of_the_other_primes_does_not_change_a_multiplicity():
